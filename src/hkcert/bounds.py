@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .search import SearchParams, nu_vector, optimize_bound
+from .search import GridAxis, SearchParams, nu_vector, optimize_bound
 from .volume import nu_exact, to_rational
 
 __all__ = [
@@ -514,9 +514,7 @@ def phi_envelope(
     # t-independent and the pointwise-monotone argument still applies).
     s_lo, s_hi = params.resolved_s_range(d)
     ns, _ = params.grid
-    step = (s_hi - s_lo) / (ns - 1)
-    for i in range(ns):
-        s = (s_lo + i * step).limit_denominator(params.max_denominator)
+    for s in GridAxis(s_lo, s_hi, ns, params.max_denominator).nodes():
         inner = nu_exact(s, d) - nu_exact(s - t, d)
         for a in offs:
             inner -= nu_exact(s - a, d)

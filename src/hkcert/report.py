@@ -24,8 +24,9 @@ from .certify import (
     GapEntry,
     ProofReport,
 )
-from .search import Candidate, _axis
+from .search import Candidate, GridAxis
 from .targets import QuadricIdentityReport, TargetValue
+from .volume import to_rational
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -141,23 +142,17 @@ def surface_grid(
         if mu is None:
             raise ValueError("mu is required when k != 1")
         objective = GeneralBoundObjective(BoundSpec(d, e, mu, k))
-    from .volume import to_rational
-
     if s_range is None:
         s_range = (Fraction(0), Fraction(d + 1))
     s_lo, s_hi = (to_rational(v) for v in s_range)
     t_lo, t_hi = (to_rational(v) for v in t_range)
-    s_axis = _axis(s_lo, s_hi, ns, max_denominator)
-    t_axis = _axis(t_lo, t_hi, nt, max_denominator)
-    import numpy as np
-
-    vals = objective.vector(
-        np.array([float(v) for v in s_axis]), np.array([float(v) for v in t_axis])
-    )
+    s_axis = GridAxis(s_lo, s_hi, ns, max_denominator)
+    t_axis = GridAxis(t_lo, t_hi, nt, max_denominator)
+    vals = objective.vector(s_axis.floats, t_axis.floats)
     return SurfaceGrid(
         objective=objective.descriptor(),
-        s_axis=tuple(s_axis),
-        t_axis=tuple(t_axis),
+        s_axis=s_axis.nodes(),
+        t_axis=t_axis.nodes(),
         values=tuple(tuple(float(v) for v in row) for row in vals),
     )
 

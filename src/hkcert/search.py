@@ -1,10 +1,12 @@
 """Deterministic grid search with local refinement, on a float fast path.
 
 The optimizer scans a rectangular (s, t) grid, then repeatedly shrinks a box
-around the incumbent by a fixed factor and rescans.  Grid coordinates are
-exact rationals end to end (floats are derived from them, never the other
-way around), so the best point found can be certified afterwards with exact
-arithmetic at exactly the coordinates the search visited.
+around the incumbent by a fixed factor and rescans.  Each grid axis is held
+as integer numerators over one common denominator (:class:`GridAxis`); its
+floats are derived from those integers by correctly rounded division, never
+the other way around, and only the incumbent the scan keeps becomes a
+``Fraction``.  So the best point found can be certified afterwards with
+exact arithmetic at exactly the coordinates the search visited.
 
 Ties are broken by value (descending), then s, then t (ascending), making
 the result deterministic and independent of the degree of parallelism.
@@ -15,8 +17,8 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
-from typing import Protocol, Sequence
+from math import isfinite, lcm
+from typing import Protocol
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .volume import _fact, to_rational
 __all__ = [
     "SearchParams",
     "Candidate",
+    "GridAxis",
     "rationalize",
     "nu_vector",
     "optimize_bound",
@@ -46,14 +49,22 @@ def rationalize(x: float | int, max_denominator: int = 10**6) -> Fraction:
 
 
 def nu_vector(x: np.ndarray, d: int) -> np.ndarray:
-    """Vectorized float slice volume, same reflection scheme as nu_float."""
+    """Vectorized float slice volume, same reflection scheme as nu_float.
+
+    Absolute error against :func:`~hkcert.volume.nu_exact`, as for
+    :func:`~hkcert.volume.nu_float`: at most 1e-14 for d <= 12, 1e-13 for
+    d <= 20, 1e-11 for d <= 32, 1e-8 for d <= 48 and 1e-6 for d <= 64.
+    """
     x = np.asarray(x, dtype=float)
     clamped = np.clip(x, 0.0, float(d))
     refl = np.minimum(clamped, d - clamped)
     acc = np.zeros_like(refl)
     for j in range(d // 2 + 1):
         w = np.maximum(refl - j, 0.0)
-        acc += ((-1) ** j / (_fact(j) * _fact(d - j))) * w**d
+        # pow(0.0, d) is several times slower than pow on nonzero inputs, and
+        # zero terms are +0.0 either way; NaN and +-inf still go through pow.
+        powers = np.power(w, d, out=np.zeros_like(w), where=w != 0.0)
+        acc += ((-1) ** j / (_fact(j) * _fact(d - j))) * powers
     return np.where(2.0 * clamped > d, 1.0 - acc, acc)
 
 
@@ -77,9 +88,10 @@ class SearchParams:
     """Grid-search configuration.
 
     ``s_range=None`` means [0, d+1] for the objective's dimension d.  All
-    range endpoints are exact rationals; every grid node is snapped to a
-    denominator of at most ``max_denominator`` so float and exact views of
-    a node agree to within one part in 2^52.
+    range endpoints are exact rationals; every node of a range wider than
+    one point has a denominator of at most ``max_denominator`` (see
+    :class:`GridAxis`), and its float is the correctly rounded value of
+    that exact node.
     """
 
     s_range: tuple[Fraction, Fraction] | None = None
@@ -124,32 +136,67 @@ class Candidate:
     t_exact: Fraction
 
 
-def _axis(lo: Fraction, hi: Fraction, n: int, max_den: int) -> list[Fraction]:
-    if lo == hi:
-        return [lo] * n
-    step = (hi - lo) / (n - 1)
-    return [(lo + i * step).limit_denominator(max_den) for i in range(n)]
+class GridAxis:
+    """``n`` evenly spaced exact nodes from ``lo`` to ``hi``, and their floats.
+
+    Node i is lo + i * (hi - lo) / (n - 1), held as the integer numerator
+    ``lo*D + i*step*D`` over the common denominator D = lcm(denominators of
+    lo and step).  Python's integer true division is correctly rounded, so
+    ``floats[i]`` is bit for bit ``float(node(i))``, and no ``Fraction`` is
+    built until :meth:`node` asks for one.  Only when D exceeds
+    ``max_denominator`` is each node snapped to its closest fraction with a
+    denominator of at most ``max_denominator``.  A degenerate axis
+    (lo == hi) repeats lo as given.
+    """
+
+    def __init__(self, lo: Fraction, hi: Fraction, n: int, max_denominator: int):
+        step = (hi - lo) / (n - 1)
+        den = lcm(lo.denominator, step.denominator)
+        first = lo.numerator * (den // lo.denominator)
+        delta = step.numerator * (den // step.denominator)
+        self._numerators = [first + i * delta for i in range(n)]
+        self._den = den
+        if lo != hi and den > max_denominator:
+            self._snapped = [
+                Fraction(m, den).limit_denominator(max_denominator)
+                for m in self._numerators
+            ]
+            self.floats = np.array([float(v) for v in self._snapped])
+        else:
+            self._snapped = None
+            self.floats = np.array([m / den for m in self._numerators])
+
+    def __len__(self) -> int:
+        return len(self._numerators)
+
+    def node(self, i: int) -> Fraction:
+        """The exact coordinate of node ``i``."""
+        if self._snapped is not None:
+            return self._snapped[i]
+        return Fraction(self._numerators[i], self._den)
+
+    def nodes(self) -> tuple[Fraction, ...]:
+        return tuple(self.node(i) for i in range(len(self)))
 
 
 def _scan(
     objective: Objective,
-    s_nodes: Sequence[Fraction],
-    t_nodes: Sequence[Fraction],
+    s_axis: GridAxis,
+    t_axis: GridAxis,
     workers: int,
 ) -> tuple[float, Fraction, Fraction]:
-    s_arr = np.array([float(v) for v in s_nodes])
-    t_arr = np.array([float(v) for v in t_nodes])
+    s_arr, t_arr = s_axis.floats, t_axis.floats
 
-    def chunk_best(i0: int, i1: int) -> tuple[float, int, int]:
+    def chunk_best(i0: int, i1: int) -> tuple[float, Fraction, Fraction]:
         vals = objective.vector(s_arr[i0:i1], t_arr)
         flat = int(np.argmax(vals))
         i, j = divmod(flat, vals.shape[1])
-        return float(vals[i, j]), i0 + i, j
+        return float(vals[i, j]), s_axis.node(i0 + i), t_axis.node(j)
 
-    if workers <= 1 or len(s_nodes) < 2 * workers:
-        results = [chunk_best(0, len(s_nodes))]
+    if workers <= 1 or len(s_axis) < 2 * workers:
+        results = [chunk_best(0, len(s_axis))]
     else:
-        bounds = np.linspace(0, len(s_nodes), workers + 1, dtype=int)
+        bounds = np.linspace(0, len(s_axis), workers + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(chunk_best, int(a), int(b))
@@ -159,14 +206,11 @@ def _scan(
             results = [f.result() for f in futures]
 
     # Deterministic reduction: value desc, then s asc, then t asc (exact keys).
-    best_value, best_i, best_j = results[0]
-    for value, i, j in results[1:]:
-        if value > best_value or (
-            value == best_value
-            and (s_nodes[i], t_nodes[j]) < (s_nodes[best_i], t_nodes[best_j])
-        ):
-            best_value, best_i, best_j = value, i, j
-    return best_value, s_nodes[best_i], t_nodes[best_j]
+    best = results[0]
+    for value, s, t in results[1:]:
+        if value > best[0] or (value == best[0] and (s, t) < best[1:]):
+            best = (value, s, t)
+    return best
 
 
 def optimize_bound(
@@ -189,9 +233,9 @@ def optimize_bound(
     box = (s_lo, s_hi, t_lo, t_hi)
     s_width, t_width = s_hi - s_lo, t_hi - t_lo
     for round_no in range(params.refine_rounds + 1):
-        s_nodes = _axis(box[0], box[1], ns, params.max_denominator)
-        t_nodes = _axis(box[2], box[3], nt, params.max_denominator)
-        value, s_best, t_best = _scan(objective, s_nodes, t_nodes, workers)
+        s_axis = GridAxis(box[0], box[1], ns, params.max_denominator)
+        t_axis = GridAxis(box[2], box[3], nt, params.max_denominator)
+        value, s_best, t_best = _scan(objective, s_axis, t_axis, workers)
         if (
             best is None
             or value > best[0]

@@ -3,7 +3,9 @@
 Nothing here may import from hkcert: the volume oracle integrates the
 d = 1 ramp repeatedly with its own little polynomial helpers, the series
 oracle divides truncated power series, and the approximation oracle
-enumerates denominators.  They are deliberately slow and simple.
+enumerates denominators.  The grid-node and vector-volume references are
+the plain Fraction-per-node and unmasked forms of the search fast path,
+which must match them bit for bit.  They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, floor
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # Polynomials as plain coefficient lists (index = degree).
@@ -135,3 +139,29 @@ def best_rational_oracle(x: float, max_denominator: int) -> Fraction:
             if best is None or err < best[0]:
                 best = (err, cand)
     return best[1]
+
+
+# ---------------------------------------------------------------------------
+# Search fast-path references.
+
+
+def grid_nodes_oracle(lo, hi, n: int, max_denominator: int) -> list[Fraction]:
+    """n evenly spaced nodes on [lo, hi], each one a Fraction snapped with
+    limit_denominator; a degenerate range repeats lo unsnapped."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo == hi:
+        return [lo] * n
+    step = (hi - lo) / (n - 1)
+    return [(lo + i * step).limit_denominator(max_denominator) for i in range(n)]
+
+
+def nu_vector_oracle(x, d: int) -> np.ndarray:
+    """Reflected alternating-sum slice volume with w**d on every element."""
+    x = np.asarray(x, dtype=float)
+    clamped = np.clip(x, 0.0, float(d))
+    refl = np.minimum(clamped, d - clamped)
+    acc = np.zeros_like(refl)
+    for j in range(d // 2 + 1):
+        w = np.maximum(refl - j, 0.0)
+        acc += ((-1) ** j / (factorial(j) * factorial(d - j))) * w**d
+    return np.where(2.0 * clamped > d, 1.0 - acc, acc)

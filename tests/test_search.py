@@ -12,16 +12,25 @@ from hkcert.bounds import (
     MuSmallObjective,
 )
 from hkcert.search import (
+    GridAxis,
     SearchParams,
     nu_vector,
     optimize_bound,
     rationalize,
 )
-from hkcert.volume import nu_exact, nu_float
+from hkcert.volume import MAX_CACHED_DIMENSION, nu_exact, nu_float
 
-from oracles import best_rational_oracle
+from oracles import best_rational_oracle, grid_nodes_oracle, nu_vector_oracle
 
 F = Fraction
+
+# Absolute error of nu_vector and nu_float against nu_exact: (largest d, bound).
+# The nu_float and nu_vector docstrings state the same bands.
+ERROR_BANDS = ((12, 1e-14), (20, 1e-13), (32, 1e-11), (48, 1e-8), (64, 1e-6))
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
 
 
 class TestRationalize:
@@ -75,6 +84,78 @@ class TestNuVector:
         want = [float(nu_exact(F(x), 7)) for x in xs]
         assert np.max(np.abs(got - np.array(want))) <= 1e-13
 
+    @pytest.mark.parametrize("d", range(1, MAX_CACHED_DIMENSION + 1))
+    def test_bit_identical_to_unmasked_reference(self, d):
+        rng = np.random.default_rng(d)
+        xs = np.concatenate(
+            [
+                rng.uniform(-1, d + 1, 400),
+                np.arange(-2, d + 3, dtype=float),
+                [np.nan, np.inf, -np.inf, -0.0, 0.0, d / 2, 1e-300, -1e-300],
+            ]
+        )
+        assert np.array_equal(bits(nu_vector(xs, d)), bits(nu_vector_oracle(xs, d)))
+
+    @pytest.mark.parametrize("d", range(1, MAX_CACHED_DIMENSION + 1))
+    def test_error_bound_every_dimension(self, d):
+        bound = next(b for top, b in ERROR_BANDS if d <= top)
+        rng = random.Random(d)
+        points = [F(rng.randint(-100, 1000 * d + 100), 1000) for _ in range(60)]
+        xs = np.array([float(p) for p in points])
+        want = np.array([float(nu_exact(p, d)) for p in points])
+        assert np.max(np.abs(nu_vector(xs, d) - want)) <= bound
+        assert max(abs(nu_float(x, d) - w) for x, w in zip(xs, want)) <= bound
+
+
+def _refinement_boxes(lo, hi, n, rng, rounds=3, shrink=5):
+    """The ranges one axis scans in an optimizer run: the full range, then
+    boxes 1/shrink as wide around a node of the previous axis (an end node
+    or a random one), clipped to the full range."""
+    boxes = [(lo, hi)]
+    width = hi - lo
+    for _ in range(rounds):
+        nodes = grid_nodes_oracle(*boxes[-1], n, 10**6)
+        center = rng.choice([nodes[0], nodes[-1], rng.choice(nodes)])
+        width /= shrink
+        boxes.append((max(lo, center - width / 2), min(hi, center + width / 2)))
+    return boxes
+
+
+class TestGridAxis:
+    @staticmethod
+    def assert_matches_reference(lo, hi, n, max_denominator):
+        axis = GridAxis(lo, hi, n, max_denominator)
+        want = grid_nodes_oracle(lo, hi, n, max_denominator)
+        assert len(axis) == n
+        assert list(axis.nodes()) == want
+        assert [axis.node(i) for i in range(n)] == want
+        assert np.array_equal(bits(axis.floats), bits([float(v) for v in want]))
+        return axis
+
+    def test_default_refinement_boxes(self):
+        rng = random.Random(2)
+        for d in (7, 8, 9, 10):
+            for lo, hi, n in ((F(0), F(d + 1), 200), (F(0), F(1), 100)):
+                for _ in range(10):
+                    for box in _refinement_boxes(lo, hi, n, rng):
+                        self.assert_matches_reference(*box, n, 10**6)
+
+    def test_snapping(self):
+        axis = self.assert_matches_reference(F(0), F(11), 200, 7)
+        assert all(v.denominator <= 7 for v in axis.nodes())
+
+    def test_degenerate_axis_is_not_snapped(self):
+        for lo in (F(1, 3), F(10**7 + 1, 10**7 + 3)):
+            axis = self.assert_matches_reference(lo, lo, 5, 10**6)
+            assert axis.nodes() == (lo,) * 5
+
+    def test_max_denominator_beyond_float_precision(self):
+        lo, hi = F(1, 3**40), F(2**61 + 1, 2**61)
+        axis = self.assert_matches_reference(lo, hi, 97, 2**200)
+        assert axis.node(0) == lo and axis.node(96) == hi
+        # Denominators above 2**53 but below the cap of 2**100 snap.
+        self.assert_matches_reference(lo, hi, 97, 2**100)
+
 
 class TestSearchParams:
     def test_defaults(self):
@@ -119,6 +200,16 @@ class TestOptimizer:
             for w in (1, 2, 3, 7)
         ]
         assert all(r == runs[0] for r in runs)
+
+    def test_snapped_grid_deterministic_across_workers(self):
+        params = SearchParams(s_range=(F(0), F(11)), grid=(200, 9), max_denominator=7)
+        runs = [
+            optimize_bound(HBoundObjective(7, 10), params, workers=w) for w in (1, 3)
+        ]
+        assert runs[0] == runs[1]
+        cand = runs[0]
+        assert cand.s_exact.denominator <= 7 and cand.t_exact.denominator <= 7
+        assert cand.s == float(cand.s_exact) and cand.t == float(cand.t_exact)
 
     def test_witness_coordinates_are_grid_exact(self):
         cand = optimize_bound(HBoundObjective(7, 7))
