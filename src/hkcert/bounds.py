@@ -24,6 +24,13 @@ generators; phi(1) is the Hilbert-Kunz multiplicity itself.
 The worst case mu = e - 2 with k = 1 gives the single-variable-e family
 H_e(s, t) used by the dimension-7 search, which is a downward parabola in e
 with apex at the ratio exposed by :func:`e_max`.
+
+Every one of these bounds has the shape
+
+    c0 + ct*t + e * (sum_i w_i nu(s - a_i) - nu(s - t)),
+
+so one class, :class:`LinearBound`, holds each of them as a term list and
+derives both its exact and its float evaluator from that list.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ __all__ = [
     "LinearInEError",
     "EvalPoint",
     "BoundSpec",
+    "LinearBound",
     "noroots_bound",
     "general_bound",
     "s_bound",
@@ -56,8 +64,19 @@ __all__ = [
     "GeneralBoundObjective",
     "MuSmallObjective",
     "NoRootsObjective",
-    "ConstantObjective",
 ]
+
+# Shared constants, so the constructors below build no Fractions of their own.
+_HALF = Fraction(1, 2)
+_MINUS_HALF = Fraction(-1, 2)
+# H_e: nu(s) - (e - 4) nu(s - 1) - nu(s - 1/2), as (w, we, a) triples.
+_H_TERMS = ((1, 0, 0), (4, -1, 1), (-1, 0, _HALF))
+
+
+@lru_cache(maxsize=None)
+def _minus_half_power(k: int) -> Fraction:
+    """ct = -1/2^k of the master family, built once per k."""
+    return Fraction(-1, 2**k)
 
 
 class LinearInEError(ValueError):
@@ -140,6 +159,156 @@ class BoundSpec:
         object.__setattr__(self, "extra", tuple(norm))
 
 
+@dataclass(frozen=True, init=False)
+class LinearBound:
+    """c0 + ct*t + e (sum_i (w_i + we_i*e) nu(s - a_i) + wt*nu(s - t)), nu in dimension d.
+
+    ``terms`` holds the triples (w, we, a).  The coefficient ``we`` of e in a
+    weight is nonzero only for H_e, whose generator count mu = e - 2 puts e
+    into the weight of nu(s - 1); keeping it apart makes the float weight
+    float(e) - 4, as in the written-out H_e formula.  ``wt`` is -1 or 0,
+    and t ranges over [0, t_hi].  Both evaluators loop over the one term
+    list and skip zero weights, so a float cell is the same double as the
+    bound's written-out formula would give.  ``desc`` is the descriptor a
+    certificate stores; :func:`hkcert.certify.objective_from_descriptor`
+    rebuilds the bound from it.
+    """
+
+    d: int
+    e: Fraction
+    c0: Fraction | int
+    ct: Fraction | int
+    terms: tuple[tuple[int, int, Fraction | int], ...]
+    wt: int
+    t_hi: Fraction | int
+    desc: dict = field(compare=False, repr=False)
+
+    def __init__(self, d, e, c0, ct, terms, wt, t_hi, desc):
+        # One dict update in place of eight frozen setattr calls: every
+        # certificate written or re-verified builds one of these.
+        self.__dict__.update(
+            d=d, e=e, c0=c0, ct=ct, terms=terms, wt=wt, t_hi=t_hi, desc=desc
+        )
+
+    @property
+    def dimension(self) -> int:
+        return self.d
+
+    def descriptor(self) -> dict:
+        return self.desc
+
+    def exact(self, s, t) -> Fraction:
+        s, t = to_rational(s), to_rational(t)
+        if s < 0:
+            raise ValueError(f"s must be >= 0, got {s}")
+        if not 0 <= t <= self.t_hi:
+            raise ValueError(f"t must lie in [0, {self.t_hi}], got {t}")
+        d, e = self.d, self.e
+        inner = 0
+        for w, we, a in self.terms:
+            if we:
+                w = w + we * e
+            if not w:
+                continue
+            # Each Fraction operation costs about a microsecond, so unit
+            # weights skip a multiplication, a = 0 skips s - 0, and the first
+            # term skips an addition to 0.
+            v = nu_exact(s - a if a else s, d)
+            if w != 1:
+                v = -v if w == -1 else w * v
+            inner = inner + v if inner else v
+        if self.wt:
+            inner -= nu_exact(s - t, d)
+        value = e * inner
+        return value + self.c0 + self.ct * t if self.c0 or self.ct else value
+
+    def vector(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Values on the grid s[:, None] x t[None, :], shape (len(s), len(t))."""
+        d, e = self.d, float(self.e)
+        acc = np.zeros(len(s))
+        for w, we, a in self.terms:
+            # acc + (-w)*y is the same double as acc - w*y, and a zero
+            # weight is skipped, as x - 0*y is x.
+            weight = w + we * e
+            if weight:
+                acc = acc + weight * nu_vector(s - float(a), d)
+        if self.wt:
+            inner = acc[:, None] - nu_vector(s[:, None] - t[None, :], d)
+        else:
+            inner = np.repeat(acc[:, None], len(t), axis=1)
+        inner *= e
+        if self.c0 or self.ct:
+            inner += float(self.c0) + float(self.ct) * t
+        return inner
+
+
+# --------------------------------------------------------------------------
+# The four bound families, as term lists.
+
+
+def HBoundObjective(e, d: int = 7) -> LinearBound:
+    """H_e(s, t) = 1 - t/2 + e (nu(s) - (e-4) nu(s-1) - nu(s-1/2) - nu(s-t)).
+
+    This is the master family with mu = e - 2 and one square root; e may be
+    any rational >= 4 (the parabola analysis treats it continuously).
+    """
+    e = to_rational(e)
+    if e < 4:
+        raise ValueError(f"H_e needs e >= 4 so that mu = e - 2 >= 2, got {e}")
+    desc = {"kind": "h", "e": str(e), "d": d}
+    return LinearBound(d, e, 1, _MINUS_HALF, _H_TERMS, -1, 1, desc)
+
+
+def GeneralBoundObjective(spec: BoundSpec) -> LinearBound:
+    """The master family G for a full BoundSpec."""
+    k = spec.k
+    terms = ((1, 0, 0), (k + 1 - spec.mu, 0, 1), (-k, 0, _HALF))
+    if spec.extra:
+        terms += tuple((-mult, 0, a) for mult, a in spec.extra)
+    desc = {
+        "kind": "general",
+        "d": spec.dimension,
+        "e": str(spec.e),
+        "mu": spec.mu,
+        "k": k,
+        "extra": [[m, str(a)] for m, a in spec.extra],
+    }
+    return LinearBound(spec.dimension, spec.e, 1, _minus_half_power(k), terms, -1, 1, desc)
+
+
+def MuSmallObjective(e, mu: int, d: int = 7) -> LinearBound:
+    """Root-free bound e (nu(s) - mu nu(s-1)); constant in t."""
+    e = to_rational(e)
+    terms = ((1, 0, 0), (-mu, 0, 1))
+    desc = {"kind": "mu-small", "e": str(e), "mu": mu, "d": d}
+    return LinearBound(d, e, 0, 0, terms, 0, 1, desc)
+
+
+def NoRootsObjective(e, offsets, d: int, t_arg) -> LinearBound:
+    """phi bound with the grid's t-axis read as t0, at a fixed argument t_arg.
+
+    Scanning (s, t0) for a fixed ``t_arg`` gives the certified envelope its
+    candidates; exact(s, t0) is noroots_bound at EvalPoint(s, t_arg, t0).
+    """
+    e, t_arg = to_rational(e), to_rational(t_arg)
+    if not 0 <= t_arg <= 1:
+        raise ValueError(f"t must lie in [0, 1], got {t_arg}")
+    offsets = _check_offsets(offsets)
+    terms = ((1, 0, 0),) + tuple((-1, 0, a) for a in offsets)
+    desc = {
+        "kind": "noroots",
+        "e": str(e),
+        "offsets": [str(a) for a in offsets],
+        "d": d,
+        "t": str(t_arg),
+    }
+    return LinearBound(d, e, t_arg, -1, terms, -1, t_arg, desc)
+
+
+# --------------------------------------------------------------------------
+# Exact values at one point.
+
+
 def noroots_bound(
     e: Fraction | int | str,
     offsets: Sequence,
@@ -152,42 +321,12 @@ def noroots_bound(
     distinguished one, so a ring with mu generators passes mu - 1 of them.
     With t = 1 this bounds the Hilbert-Kunz multiplicity itself.
     """
-    e = to_rational(e)
-    offs = _check_offsets(offsets)
-    inner = nu_exact(point.s, d) - nu_exact(point.s - point.t0, d)
-    for a in offs:
-        inner -= nu_exact(point.s - a, d)
-    return point.t - point.t0 + e * inner
-
-
-def _inner_sum(d: int, e, mu, k: int, s: Fraction, t: Fraction, extra=()) -> Fraction:
-    # nu(s) - (mu-k-1) nu(s-1) - k nu(s-1/2) - nu(s-t) - sum m*nu(s-a).
-    # mu may be rational here: the continuous-in-e families substitute e - 2.
-    inner = (
-        nu_exact(s, d)
-        - (mu - k - 1) * nu_exact(s - 1, d)
-        - k * nu_exact(s - Fraction(1, 2), d)
-        - nu_exact(s - t, d)
-    )
-    for mult, a in extra:
-        inner -= mult * nu_exact(s - a, d)
-    return inner
-
-
-def _check_st(s, t) -> tuple[Fraction, Fraction]:
-    s, t = to_rational(s), to_rational(t)
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    if not 0 <= t <= 1:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    return s, t
+    return NoRootsObjective(e, offsets, d, point.t).exact(point.s, point.t0)
 
 
 def general_bound(spec: BoundSpec, s, t) -> Fraction:
     """Exact value of 1 - t/2^k + e (nu(s) - (mu-k-1)nu(s-1) - k nu(s-1/2) - nu(s-t))."""
-    s, t = _check_st(s, t)
-    inner = _inner_sum(spec.dimension, spec.e, spec.mu, spec.k, s, t, spec.extra)
-    return 1 - t / 2**spec.k + spec.e * inner
+    return GeneralBoundObjective(spec).exact(s, t)
 
 
 def s_bound(spec: BoundSpec, s, t) -> Fraction:
@@ -197,9 +336,7 @@ def s_bound(spec: BoundSpec, s, t) -> Fraction:
     """
     if spec.k == 0:
         raise ValueError("the pre-rescaling bound requires k >= 1")
-    s, t = _check_st(s, t)
-    inner = _inner_sum(spec.dimension, spec.e, spec.mu, spec.k, s, t, spec.extra)
-    return 1 - t + 2**spec.k * spec.e * inner
+    return 1 + 2**spec.k * (general_bound(spec, s, t) - 1)
 
 
 def h_bound(e, s, t, d: int = 7) -> Fraction:
@@ -209,42 +346,41 @@ def h_bound(e, s, t, d: int = 7) -> Fraction:
 
     e may be any rational >= 4 (the parabola analysis treats it continuously).
     """
-    e = to_rational(e)
-    if e < 4:
-        raise ValueError(f"h_bound needs e >= 4 so that mu = e - 2 >= 2, got {e}")
-    s, t = _check_st(s, t)
-    return 1 - t / 2 + e * _inner_sum(d, e, e - 2, 1, s, t)
+    return HBoundObjective(e, d).exact(s, t)
 
 
-def quadratic_in_e(s, t, d: int = 7) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (a, b, c) with H_e(s,t) = a e^2 + b e + c for all e.
+def quadratic_in_e(s, t, d: int = 7, k: int = 1) -> tuple[Fraction, Fraction, Fraction]:
+    """Coefficients (a, b, c) of the worst case mu = e - 2 as a e^2 + b e + c.
 
+    The master family with mu = e - 2 and k square roots; k = 1 is H_e.
     a = -nu(s-1) <= 0, so the family is concave in e and interval minima sit
     at the endpoints.
     """
-    s, t = _check_st(s, t)
+    s, t = to_rational(s), to_rational(t)
+    if s < 0:
+        raise ValueError(f"s must be >= 0, got {s}")
+    if not 0 <= t <= 1:
+        raise ValueError(f"t must lie in [0, 1], got {t}")
     n1 = nu_exact(s - 1, d)
-    a = -n1
     b = (
         nu_exact(s, d)
-        + 4 * n1
-        - nu_exact(s - Fraction(1, 2), d)
+        + (k + 3) * n1
+        - k * nu_exact(s - _HALF, d)
         - nu_exact(s - t, d)
     )
-    c = 1 - t / 2
-    return a, b, c
+    return -n1, b, 1 - t / 2**k
 
 
-def e_max(s0, t0, d: int = 7) -> Fraction:
-    """Vertex -b/(2a) of the parabola e -> H_e(s0, t0).
+def e_max(s0, t0, d: int = 7, k: int = 1) -> Fraction:
+    """Vertex -b/(2a) of the parabola e -> bound(e, mu = e - 2) at (s0, t0).
 
     Raises :class:`LinearInEError` when s0 <= 1 (then nu(s0 - 1) = 0 and the
     family is linear in e).
     """
-    a, b, _ = quadratic_in_e(s0, t0, d)
+    a, b, _ = quadratic_in_e(s0, t0, d, k)
     if a == 0:
         raise LinearInEError(
-            f"H is linear in e at s0={s0} (nu(s0-1) = 0); no vertex exists"
+            f"the bound is linear in e at s0={s0} (nu(s0-1) = 0); no vertex exists"
         )
     return -b / (2 * a)
 
@@ -262,10 +398,7 @@ def range_min(e1, e2, s0, t0, d: int = 7) -> Fraction:
 
 def mu_small_bound(e, mu: int, s, d: int = 7) -> Fraction:
     """Root-free bound e (nu(s) - mu nu(s-1)) for small generator counts."""
-    e, s = to_rational(e), to_rational(s)
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    return e * (nu_exact(s, d) - mu * nu_exact(s - 1, d))
+    return MuSmallObjective(e, mu, d).exact(s, 0)
 
 
 def not_normal_bound(k: int) -> Fraction:
@@ -273,180 +406,6 @@ def not_normal_bound(k: int) -> Fraction:
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     return 1 + Fraction(1, 2**k)
-
-
-# --------------------------------------------------------------------------
-# Vectorized objective adapters for the grid search.
-
-
-@dataclass(frozen=True)
-class HBoundObjective:
-    """H_e(s, t) on a fixed dimension, as a search objective."""
-
-    e: Fraction
-    d: int = 7
-
-    def __init__(self, e, d: int = 7):
-        object.__setattr__(self, "e", to_rational(e))
-        object.__setattr__(self, "d", d)
-
-    @property
-    def dimension(self) -> int:
-        return self.d
-
-    def exact(self, s: Fraction, t: Fraction) -> Fraction:
-        return h_bound(self.e, s, t, self.d)
-
-    def vector(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        e, d = float(self.e), self.d
-        base = (
-            nu_vector(s, d)
-            - (e - 4.0) * nu_vector(s - 1.0, d)
-            - nu_vector(s - 0.5, d)
-        )
-        return 1.0 - t[None, :] / 2.0 + e * (
-            base[:, None] - nu_vector(s[:, None] - t[None, :], d)
-        )
-
-    def descriptor(self) -> dict:
-        return {"kind": "h", "e": str(self.e), "d": self.d}
-
-
-@dataclass(frozen=True)
-class GeneralBoundObjective:
-    """The master family for a full BoundSpec, as a search objective."""
-
-    spec: BoundSpec
-
-    @property
-    def dimension(self) -> int:
-        return self.spec.dimension
-
-    def exact(self, s: Fraction, t: Fraction) -> Fraction:
-        return general_bound(self.spec, s, t)
-
-    def vector(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        sp = self.spec
-        e, d, mu, k = float(sp.e), sp.dimension, float(sp.mu), sp.k
-        base = (
-            nu_vector(s, d)
-            - (mu - k - 1) * nu_vector(s - 1.0, d)
-            - k * nu_vector(s - 0.5, d)
-        )
-        for mult, a in sp.extra:
-            base = base - mult * nu_vector(s - float(a), d)
-        return 1.0 - t[None, :] / 2.0**k + e * (
-            base[:, None] - nu_vector(s[:, None] - t[None, :], d)
-        )
-
-    def descriptor(self) -> dict:
-        sp = self.spec
-        return {
-            "kind": "general",
-            "d": sp.dimension,
-            "e": str(sp.e),
-            "mu": sp.mu,
-            "k": sp.k,
-            "extra": [[m, str(a)] for m, a in sp.extra],
-        }
-
-
-@dataclass(frozen=True)
-class MuSmallObjective:
-    """e (nu(s) - mu nu(s-1)); constant in t."""
-
-    e: Fraction
-    mu: int
-    d: int = 7
-
-    def __init__(self, e, mu: int, d: int = 7):
-        object.__setattr__(self, "e", to_rational(e))
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "d", d)
-
-    @property
-    def dimension(self) -> int:
-        return self.d
-
-    def exact(self, s: Fraction, t: Fraction) -> Fraction:
-        return mu_small_bound(self.e, self.mu, s, self.d)
-
-    def vector(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        e, d = float(self.e), self.d
-        col = e * (nu_vector(s, d) - self.mu * nu_vector(s - 1.0, d))
-        return np.broadcast_to(col[:, None], (len(s), len(t))).copy()
-
-    def descriptor(self) -> dict:
-        return {"kind": "mu-small", "e": str(self.e), "mu": self.mu, "d": self.d}
-
-
-@dataclass(frozen=True)
-class NoRootsObjective:
-    """phi bound with the grid's t-axis interpreted as t0, at fixed phi argument.
-
-    Scanning (s, t0) for a fixed argument ``t_arg`` gives the certified
-    envelope machinery its candidates; exact() matches noroots_bound at
-    EvalPoint(s, t_arg, t0).
-    """
-
-    e: Fraction
-    offsets: tuple[Fraction, ...]
-    d: int
-    t_arg: Fraction
-
-    def __init__(self, e, offsets, d: int, t_arg):
-        object.__setattr__(self, "e", to_rational(e))
-        object.__setattr__(self, "offsets", _check_offsets(offsets))
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "t_arg", to_rational(t_arg))
-
-    @property
-    def dimension(self) -> int:
-        return self.d
-
-    def exact(self, s: Fraction, t0: Fraction) -> Fraction:
-        return noroots_bound(
-            self.e, self.offsets, self.d, EvalPoint(s, self.t_arg, t0)
-        )
-
-    def vector(self, s: np.ndarray, t0: np.ndarray) -> np.ndarray:
-        e, d = float(self.e), self.d
-        base = nu_vector(s, d)
-        for a in self.offsets:
-            base = base - nu_vector(s - float(a), d)
-        return (float(self.t_arg) - t0[None, :]) + e * (
-            base[:, None] - nu_vector(s[:, None] - t0[None, :], d)
-        )
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "noroots",
-            "e": str(self.e),
-            "offsets": [str(a) for a in self.offsets],
-            "d": self.d,
-            "t": str(self.t_arg),
-        }
-
-
-@dataclass(frozen=True)
-class ConstantObjective:
-    """Constant objective; exists so search determinism can be pinned down."""
-
-    value: Fraction = Fraction(0)
-    d: int = 1
-
-    @property
-    def dimension(self) -> int:
-        return self.d
-
-    def exact(self, s: Fraction, t: Fraction) -> Fraction:
-        return to_rational(self.value)
-
-    def vector(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return np.full((len(s), len(t)), float(self.value))
-
-    def descriptor(self) -> dict:
-        return {"kind": "constant", "value": str(self.value), "d": self.d}
 
 
 # --------------------------------------------------------------------------
@@ -468,12 +427,12 @@ def _envelope_table(
     """
     ns, nt = params.grid
     inner_params = replace(params, t_range=(Fraction(0), Fraction(0)), grid=(ns, 2))
+    # 1-D refined search in s at fixed tau (argument value is irrelevant to
+    # the maximizer, so scan with t_arg = 1 and subtract it back).
+    objective = NoRootsObjective(e, offsets, d, 1)
     table = []
     for j in range(nt):
         tau = Fraction(j, nt - 1)
-        # 1-D refined search in s at fixed tau (argument value is irrelevant
-        # to the maximizer, so scan with t_arg = 1 and subtract it back).
-        objective = NoRootsObjective(e, offsets, d, 1)
         cand = optimize_bound(
             objective, replace(inner_params, t_range=(tau, tau))
         )
@@ -514,9 +473,7 @@ def phi_envelope(
     # t-independent and the pointwise-monotone argument still applies).
     s_lo, s_hi = params.resolved_s_range(d)
     ns, _ = params.grid
+    at_t = NoRootsObjective(e, offs, d, t)
     for s in GridAxis(s_lo, s_hi, ns, params.max_denominator).nodes():
-        inner = nu_exact(s, d) - nu_exact(s - t, d)
-        for a in offs:
-            inner -= nu_exact(s - a, d)
-        best = max(best, e * inner)
+        best = max(best, at_t.exact(s, t))
     return best

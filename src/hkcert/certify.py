@@ -16,16 +16,19 @@ from typing import Mapping
 
 from .bounds import (
     BoundSpec,
-    ConstantObjective,
     GeneralBoundObjective,
     HBoundObjective,
+    LinearInEError,
     MuSmallObjective,
     NoRootsObjective,
+    e_max,
     not_normal_bound,
 )
 from .search import Objective, SearchParams, optimize_bound
 from .targets import TargetValue, large_e_threshold, wy_target
-from .volume import _fact, nu_exact, to_rational
+# nu_exact is imported by name for perfbench, whose tracer test checks that
+# the tracer rebinds it in this module too.
+from .volume import _fact, nu_exact, to_rational  # noqa: F401
 
 __all__ = [
     "Certificate",
@@ -70,8 +73,6 @@ def objective_from_descriptor(desc: Mapping) -> Objective:
             int(desc["d"]),
             Fraction(desc["t"]),
         )
-    if kind == "constant":
-        return ConstantObjective(Fraction(desc["value"]), int(desc["d"]))
     raise ValueError(f"unknown objective kind {kind!r}")
 
 
@@ -172,30 +173,12 @@ class CoveragePlan:
         return cursor == self.e_hi + 1
 
 
-def _spec_for(d: int, e: int, k: int) -> BoundSpec:
-    return BoundSpec(dimension=d, e=e, mu=e - 2, k=k)
-
-
 def _objective_for(d: int, e: int, k: int) -> Objective:
     # k = 1 with mu = e - 2 is exactly the H_e family; keep that descriptor
     # so dimension-7 certificates read naturally.
     if k == 1:
         return HBoundObjective(e, d)
-    return GeneralBoundObjective(_spec_for(d, e, k))
-
-
-def _vertex_e(d: int, k: int, s0: Fraction, t0: Fraction) -> Fraction | None:
-    """Apex of e -> bound(e, mu=e-2) at fixed (s0, t0); None when linear."""
-    n1 = nu_exact(s0 - 1, d)
-    if n1 == 0:
-        return None
-    num = (
-        nu_exact(s0, d)
-        + (k + 3) * n1
-        - k * nu_exact(s0 - Fraction(1, 2), d)
-        - nu_exact(s0 - t0, d)
-    )
-    return num / (2 * n1)
+    return GeneralBoundObjective(BoundSpec(dimension=d, e=e, mu=e - 2, k=k))
 
 
 def cover_range(
@@ -247,8 +230,9 @@ def cover_range(
             continue
         point = (s0, t0)
         for _ in range(2):
-            vertex = _vertex_e(d, k, *point)
-            if vertex is None:
+            try:
+                vertex = e_max(*point, d, k)
+            except LinearInEError:
                 break
             e_mid = min(max(int(round(vertex)), e1), e_hi)
             trial = witness_for(e_mid)

@@ -281,23 +281,21 @@ def cmd_rangemin(args) -> int:
     return _emit(args, doc, [f"min over [{args.e1}, {args.e2}] at (s0, t0): {_fmt(value)}"])
 
 
-def _objective_from_args(args):
-    if args.kind == "h":
-        return HBoundObjective(args.e, args.d)
-    if args.kind == "general":
-        if args.mu is None:
-            raise ValueError("--mu is required for the general bound")
-        return GeneralBoundObjective(BoundSpec(args.d, args.e, args.mu, args.k))
-    if args.kind == "mu-small":
-        if args.mu is None:
-            raise ValueError("--mu is required for the mu-small bound")
-        return MuSmallObjective(args.e, args.mu, args.d)
-    raise ValueError(f"unknown objective kind {args.kind!r}")
+def _objective_from_args(kind: str, d: int, e, mu: int | None, k: int):
+    if kind == "h":
+        return HBoundObjective(e, d)
+    if mu is None:
+        raise ValueError(f"--mu is required for the {kind} bound")
+    if kind == "general":
+        return GeneralBoundObjective(BoundSpec(d, e, mu, k))
+    if kind == "mu-small":
+        return MuSmallObjective(e, mu, d)
+    raise ValueError(f"unknown objective kind {kind!r}")
 
 
 def cmd_optimize(args) -> int:
     _check_dim(args.d)
-    objective = _objective_from_args(args)
+    objective = _objective_from_args(args.kind, args.d, args.e, args.mu, args.k)
     params = search_params(args)
     cand = optimize_bound(objective, params, workers=args.workers)
     exact = objective.exact(cand.s_exact, cand.t_exact)
@@ -307,7 +305,7 @@ def cmd_optimize(args) -> int:
     ]
     doc = _doc(args, "optimize",
                {"kind": args.kind, "d": args.d, "e": str(args.e),
-                "mu": args.mu, "k": args.k, "seed": args.seed,
+                "mu": args.mu, "k": args.k,
                 "search": _search_echo(params)},
                cand)
     return _emit(args, doc, lines)
@@ -471,11 +469,10 @@ def cmd_quadric(args) -> int:
 
 def cmd_surface(args) -> int:
     _check_dim(args.dim)
+    # Without --mu, k = 1 means the worst case mu = e - 2, which is H_e.
+    kind = "h" if args.mu is None and args.k == 1 else "general"
     grid = rpt.surface_grid(
-        args.dim,
-        args.e,
-        mu=args.mu,
-        k=args.k,
+        _objective_from_args(kind, args.dim, args.e, args.mu, args.k),
         grid=args.grid or (120, 120),
         s_range=args.s_range,
         t_range=args.t_range or (Fraction(0), Fraction(1)),
@@ -503,22 +500,23 @@ def cmd_surface(args) -> int:
 # Parser assembly.
 
 
-def _add_common(sub, search=False):
+def _add_common(sub, grid=False, search=False):
+    """--json and --no-timestamp; the grid flags with ``grid``; with
+    ``search`` also the flags that steer the optimizer."""
     sub.add_argument("--json", help="write the full JSON report here")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the timestamp (byte-identical reruns)")
-    if search:
+    if grid or search:
         sub.add_argument("--grid", type=_grid, default=None, metavar="NSxNT")
         sub.add_argument("--s-range", type=_range_pair, default=None, metavar="LO:HI")
         sub.add_argument("--t-range", type=_range_pair, default=None, metavar="LO:HI")
+    if search:
         sub.add_argument("--rounds", type=int, default=None,
                          help="refinement rounds")
         sub.add_argument("--max-denominator", type=int, default=None)
         sub.add_argument("--workers", type=int, default=1,
                          help="parallel grid chunks (result is identical)")
         sub.add_argument("--config", help="key = value file overriding search defaults")
-        sub.add_argument("--seed", type=int, default=None,
-                         help="reserved; the default search is deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -628,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="SVG heatmap output path")
     p.add_argument("--target", type=_rational, default=None,
                    help="level to mark in the heatmap")
-    _add_common(p, search=True)
+    _add_common(p, grid=True)
     p.set_defaults(handler=cmd_surface)
 
     return parser

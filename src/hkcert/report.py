@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .bounds import BoundSpec, GeneralBoundObjective, HBoundObjective
 from .certify import (
     CaseEntry,
     Certificate,
@@ -24,7 +23,7 @@ from .certify import (
     GapEntry,
     ProofReport,
 )
-from .search import Candidate, GridAxis
+from .search import Candidate, GridAxis, Objective
 from .targets import QuadricIdentityReport, TargetValue
 from .volume import to_rational
 
@@ -117,33 +116,23 @@ class SurfaceGrid:
 
 
 def surface_grid(
-    d: int,
-    e,
-    mu: int | None = None,
-    k: int = 1,
+    objective: Objective,
     grid: tuple[int, int] = (120, 120),
     s_range=None,
     t_range=(0, 1),
     max_denominator: int = 10**6,
 ) -> SurfaceGrid:
-    """Evaluate a bound family on a rectangular grid (float fast path).
+    """Evaluate ``objective`` on a rectangular grid (float fast path).
 
-    With ``mu`` omitted the single-parameter worst-case family is used
-    (generator count e - 2, one square root).  Grid nodes are exact
-    rationals, the same construction the optimizer scans, so a grid maximum
-    matches an unrefined optimizer run at the same resolution.
+    ``s_range=None`` means [0, d+1].  Grid nodes are exact rationals, the
+    same construction the optimizer scans, so a grid maximum matches an
+    unrefined optimizer run at the same resolution.
     """
     ns, nt = grid
     if ns < 2 or nt < 2:
         raise ValueError("grid dimensions must be >= 2")
-    if mu is None and k == 1:
-        objective = HBoundObjective(e, d)
-    else:
-        if mu is None:
-            raise ValueError("mu is required when k != 1")
-        objective = GeneralBoundObjective(BoundSpec(d, e, mu, k))
     if s_range is None:
-        s_range = (Fraction(0), Fraction(d + 1))
+        s_range = (Fraction(0), Fraction(objective.dimension + 1))
     s_lo, s_hi = (to_rational(v) for v in s_range)
     t_lo, t_hi = (to_rational(v) for v in t_range)
     s_axis = GridAxis(s_lo, s_hi, ns, max_denominator)

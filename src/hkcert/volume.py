@@ -1,4 +1,4 @@
-"""Exact hypercube-slice volumes and their piecewise-polynomial structure.
+"""Exact hypercube-slice volumes, their density, and a float twin.
 
 The central object is
 
@@ -10,26 +10,24 @@ piecewise polynomial
 
     nu(s, d) = sum_{j=0}^{floor(s)} (-1)^j (s - j)^d / (j! (d - j)!),
 
-with nu = 0 for s <= 0 and nu = 1 for s >= d.  Everything here is computed
-in exact rational arithmetic; :func:`nu_float` is the fast floating twin
-used by grid searches.
+with nu = 0 for s <= 0 and nu = 1 for s >= d.  Its slope, the Irwin-Hall
+density :func:`nu_density`, is a difference of two volumes one dimension
+down.  Everything here is computed in exact rational arithmetic except
+:func:`nu_float`, the floating twin; :class:`Polynomial` serves the series
+and closed forms in :mod:`hkcert.targets`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, floor, fsum, isnan
+from math import factorial, floor, fsum, isnan
 
 __all__ = [
     "Polynomial",
-    "PiecewisePolynomial",
     "to_rational",
     "nu_exact",
     "nu_float",
-    "nu_piecewise",
     "nu_density",
 ]
 
@@ -125,74 +123,6 @@ class Polynomial:
         return Polynomial(tuple(i * c for i, c in enumerate(self.coefficients) if i))
 
 
-@dataclass(frozen=True)
-class PiecewisePolynomial:
-    """Continuous piecewise polynomial over exact rational breakpoints.
-
-    Piece ``i`` applies on ``[breakpoints[i], breakpoints[i+1])`` in the
-    absolute coordinate; ``left_value`` / ``right_value`` are the constant
-    tails outside the breakpoint span.  Evaluation is right-continuous at
-    breakpoints.  Adjacent pieces must agree exactly at the shared
-    breakpoint (checked on construction).
-    """
-
-    breakpoints: tuple[Fraction, ...]
-    pieces: tuple[Polynomial, ...]
-    left_value: Fraction
-    right_value: Fraction
-
-    def __init__(self, breakpoints, pieces, left_value, right_value):
-        breaks = tuple(to_rational(b) for b in breakpoints)
-        pieces = tuple(pieces)
-        if len(breaks) < 2 or len(pieces) != len(breaks) - 1:
-            raise ValueError("need n >= 2 breakpoints and n - 1 pieces")
-        if any(b1 >= b2 for b1, b2 in zip(breaks, breaks[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        for i in range(len(pieces) - 1):
-            b = breaks[i + 1]
-            if pieces[i](b) != pieces[i + 1](b):
-                raise ValueError(f"pieces {i} and {i + 1} disagree at breakpoint {b}")
-        object.__setattr__(self, "breakpoints", breaks)
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "left_value", to_rational(left_value))
-        object.__setattr__(self, "right_value", to_rational(right_value))
-
-    def __call__(self, s: Fraction | int | str) -> Fraction:
-        s = to_rational(s)
-        if s < self.breakpoints[0]:
-            return self.left_value
-        if s >= self.breakpoints[-1]:
-            return self.right_value
-        i = bisect_right(self.breakpoints, s) - 1
-        return self.pieces[i](s)
-
-    def derivative(self) -> "PiecewisePolynomial":
-        """Piecewise derivative with zero tails (right-continuous at breaks).
-
-        Only valid as a classical derivative where the original is C^1; the
-        result is still a well-defined right-continuous function otherwise.
-        """
-        derived = tuple(p.derivative() for p in self.pieces)
-        # Bypass the continuity check: derivatives of C^0 functions may jump.
-        out = object.__new__(PiecewisePolynomial)
-        object.__setattr__(out, "breakpoints", self.breakpoints)
-        object.__setattr__(out, "pieces", derived)
-        object.__setattr__(out, "left_value", Fraction(0))
-        object.__setattr__(out, "right_value", Fraction(0))
-        return out
-
-    def is_continuous(self) -> bool:
-        """Exact continuity check at every interior breakpoint and both tails."""
-        if self.pieces[0](self.breakpoints[0]) != self.left_value:
-            return False
-        if self.pieces[-1](self.breakpoints[-1]) != self.right_value:
-            return False
-        return all(
-            self.pieces[i](b) == self.pieces[i + 1](b)
-            for i, b in enumerate(self.breakpoints[1:-1])
-        )
-
-
 def nu_exact(s: Fraction | int | str, d: int) -> Fraction:
     """Exact volume of the slice of [0,1]^d where the coordinates sum to <= s.
 
@@ -247,32 +177,15 @@ def nu_float(s: float, d: int) -> float:
     return _nu_float_half(s, d)
 
 
-@lru_cache(maxsize=None)
-def nu_piecewise(d: int) -> PiecewisePolynomial:
-    """The slice volume as an explicit piecewise polynomial in s.
-
-    Breakpoints are the integers 0..d; the piece on [j, j+1] is
-
-        sum_{i=0}^{j} (-1)^i (s - i)^d / (i! (d - i)!)
-
-    expanded into monomial coefficients.  Evaluation agrees with
-    :func:`nu_exact` everywhere (tails included).
-    """
-    _check_dimension(d)
-    pieces = []
-    coeffs = [Fraction(0)] * (d + 1)
-    for j in range(d):
-        # Add the expansion of (-1)^j (s - j)^d / (j! (d - j)!).
-        lead = Fraction((-1) ** j, _fact(j) * _fact(d - j))
-        for m in range(d + 1):
-            coeffs[m] += lead * comb(d, m) * Fraction(-j) ** (d - m)
-        pieces.append(Polynomial(coeffs))
-    return PiecewisePolynomial(range(d + 1), pieces, 0, 1)
-
-
 def nu_density(s: Fraction | int | str, d: int) -> Fraction:
     """Exact slope of the slice volume at s (right-hand piece at breakpoints).
 
-    Nonnegative everywhere; constant tails make it 0 left of 0 and from d on.
+    This is the Irwin-Hall density: nu(s, d-1) - nu(s-1, d-1) for d >= 2,
+    and the indicator of [0, 1) for d = 1.  Nonnegative everywhere; 0 left
+    of 0 and from d on.
     """
-    return nu_piecewise(d).derivative()(s)
+    _check_dimension(d)
+    s = to_rational(s)
+    if d == 1:
+        return Fraction(1 if 0 <= s < 1 else 0)
+    return nu_exact(s, d - 1) - nu_exact(s - 1, d - 1)

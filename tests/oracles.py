@@ -1,11 +1,14 @@
 """Independent oracles the test suite checks the engine against.
 
 Nothing here may import from hkcert: the volume oracle integrates the
-d = 1 ramp repeatedly with its own little polynomial helpers, the series
-oracle divides truncated power series, and the approximation oracle
-enumerates denominators.  The grid-node and vector-volume references are
-the plain Fraction-per-node and unmasked forms of the search fast path,
-which must match them bit for bit.  They are deliberately slow and simple.
+d = 1 ramp repeatedly with its own little polynomial helpers (the density
+oracle differentiates its pieces), the series oracle divides truncated
+power series, and the approximation oracle enumerates denominators.  The
+grid-node and vector-volume references are the plain Fraction-per-node and
+unmasked forms of the search fast path, and the four bound-vector
+references are each bound's float formula written out by hand; the fast
+path must match all of them bit for bit.  They are deliberately slow and
+simple.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ def poly_shift(coeffs, delta):
     return out
 
 
+def poly_derivative(coeffs):
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
 def poly_sub(a, b):
     out = [Fraction(0)] * max(len(a), len(b))
     for i, c in enumerate(a):
@@ -55,11 +62,11 @@ def poly_sub(a, b):
 
 
 @lru_cache(maxsize=None)
-def _volume_pieces(d: int):
+def volume_pieces(d: int):
     """Pieces of the volume function on [j, j+1] for j = 0..d-1."""
     if d == 1:
         return ([Fraction(0), Fraction(1)],)  # the ramp F(s) = s on [0, 1]
-    prev = _volume_pieces(d - 1)
+    prev = volume_pieces(d - 1)
 
     # Continuous antiderivative A of the previous volume function, with
     # A = 0 left of 0.  Piece j of A lives on [j, j+1] for j = 0..d-2.
@@ -97,7 +104,16 @@ def volume_oracle(s, d: int) -> Fraction:
         return Fraction(0)
     if s >= d:
         return Fraction(1)
-    return poly_eval(_volume_pieces(d)[floor(s)], s)
+    return poly_eval(volume_pieces(d)[floor(s)], s)
+
+
+def density_oracle(s, d: int) -> Fraction:
+    """Slope of the volume: the derivative of the piece on [j, j+1) holding s,
+    so the right-hand piece at a breakpoint, and 0 outside [0, d)."""
+    s = Fraction(s)
+    if s < 0 or s >= d:
+        return Fraction(0)
+    return poly_eval(poly_derivative(volume_pieces(d)[floor(s)]), s)
 
 
 # ---------------------------------------------------------------------------
@@ -165,3 +181,40 @@ def nu_vector_oracle(x, d: int) -> np.ndarray:
         w = np.maximum(refl - j, 0.0)
         acc += ((-1) ** j / (factorial(j) * factorial(d - j))) * w**d
     return np.where(2.0 * clamped > d, 1.0 - acc, acc)
+
+
+# ---------------------------------------------------------------------------
+# Each bound's float formula, written out by hand on the grid
+# s[:, None] x t[None, :].  Parameters are floats (order values included).
+
+
+def h_vector_oracle(e, d, s, t):
+    """H_e: 1 - t/2 + e (nu(s) - (e-4) nu(s-1) - nu(s-1/2) - nu(s-t))."""
+    nu = nu_vector_oracle
+    base = nu(s, d) - (e - 4.0) * nu(s - 1.0, d) - nu(s - 0.5, d)
+    return 1.0 - t[None, :] / 2.0 + e * (base[:, None] - nu(s[:, None] - t[None, :], d))
+
+
+def general_vector_oracle(e, d, mu, k, extra, s, t):
+    """1 - t/2^k + e (nu(s) - (mu-k-1) nu(s-1) - k nu(s-1/2) - sum m nu(s-a) - nu(s-t))."""
+    nu = nu_vector_oracle
+    base = nu(s, d) - (mu - k - 1) * nu(s - 1.0, d) - k * nu(s - 0.5, d)
+    for mult, a in extra:
+        base = base - mult * nu(s - a, d)
+    return 1.0 - t[None, :] / 2.0**k + e * (base[:, None] - nu(s[:, None] - t[None, :], d))
+
+
+def mu_small_vector_oracle(e, mu, d, s, t):
+    """e (nu(s) - mu nu(s-1)), the same in every t column."""
+    nu = nu_vector_oracle
+    col = e * (nu(s, d) - mu * nu(s - 1.0, d))
+    return np.broadcast_to(col[:, None], (len(s), len(t))).copy()
+
+
+def noroots_vector_oracle(e, offsets, d, t_arg, s, t0):
+    """t_arg - t0 + e (nu(s) - sum nu(s-a) - nu(s-t0))."""
+    nu = nu_vector_oracle
+    base = nu(s, d)
+    for a in offsets:
+        base = base - nu(s - a, d)
+    return (t_arg - t0[None, :]) + e * (base[:, None] - nu(s[:, None] - t0[None, :], d))

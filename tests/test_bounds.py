@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 from hkcert.bounds import (
     BoundSpec,
     EvalPoint,
+    GeneralBoundObjective,
+    HBoundObjective,
+    LinearBound,
     LinearInEError,
+    MuSmallObjective,
+    NoRootsObjective,
     e_max,
     general_bound,
     h_bound,
@@ -20,8 +26,15 @@ from hkcert.bounds import (
     range_min,
     s_bound,
 )
-from hkcert.search import SearchParams
+from hkcert.search import GridAxis, SearchParams
 from hkcert.volume import nu_exact
+
+from oracles import (
+    general_vector_oracle,
+    h_vector_oracle,
+    mu_small_vector_oracle,
+    noroots_vector_oracle,
+)
 
 F = Fraction
 DIM7_TARGET = F(71, 67)
@@ -219,6 +232,14 @@ class TestQuadraticInE:
             e = F(rng.randint(16, 4000), rng.randint(1, 4))
             assert a * e**2 + b * e + c == h_bound(e, s, t)
 
+    @pytest.mark.parametrize("d,k", [(8, 0), (8, 4), (10, 5)])
+    def test_identity_worst_case_any_k(self, d, k):
+        s, t = F("2.61"), F("0.43")
+        a, b, c = quadratic_in_e(s, t, d, k)
+        for e in range(k + 3, k + 40, 7):
+            assert a * e**2 + b * e + c == general_bound(BoundSpec(d, e, e - 2, k), s, t)
+        assert e_max(s, t, d, k) == -b / (2 * a)
+
     def test_linear_when_s_at_most_one(self):
         a, _, _ = quadratic_in_e(F(1, 2), F(1, 2))
         assert a == 0
@@ -325,3 +346,100 @@ class TestPhiEnvelope:
     def test_rejects_t_outside_unit(self):
         with pytest.raises(ValueError):
             phi_envelope(F(3, 2), 6, (), 7, self.PARAMS)
+
+
+# Default search grids: s over [0, d + 1] with 200 nodes, t over [0, 1]
+# with 100 nodes.
+def _default_axes(d):
+    s = GridAxis(F(0), F(d + 1), 200, 10**6).floats
+    t = GridAxis(F(0), F(1), 100, 10**6).floats
+    return s, t
+
+
+def _general_case(d, e, mu, k, extra=()):
+    spec = BoundSpec(d, e, mu, k, extra)
+    floats = tuple((m, float(a)) for m, a in spec.extra)
+    return GeneralBoundObjective(spec), lambda s, t: general_vector_oracle(
+        float(spec.e), d, float(mu), k, floats, s, t
+    )
+
+
+def _h_case(e, d):
+    return HBoundObjective(e, d), lambda s, t: h_vector_oracle(float(F(e)), d, s, t)
+
+
+def _mu_small_case(e, mu, d):
+    return MuSmallObjective(e, mu, d), lambda s, t: mu_small_vector_oracle(
+        float(F(e)), mu, d, s, t
+    )
+
+
+def _noroots_case(e, offsets, d, t_arg):
+    floats = tuple(float(F(a)) for a in offsets)
+    return NoRootsObjective(e, offsets, d, t_arg), lambda s, t: noroots_vector_oracle(
+        float(F(e)), floats, d, float(F(t_arg)), s, t
+    )
+
+
+VECTOR_CASES = {
+    "h-e6": _h_case(6, 7),
+    "h-e13/3": _h_case(F(13, 3), 7),
+    "h-e13/2": _h_case(F(13, 2), 7),
+    "h-e5340": _h_case(5340, 7),
+    "h-d10": _h_case(7, 10),
+    "general-dim8": _general_case(8, 21, 19, 4),
+    "general-k0": _general_case(7, 6, 3, 0),
+    "general-extra": _general_case(8, 21, 19, 4, ((2, F(1, 3)),)),
+    "general-zero-weight": _general_case(8, 8, 6, 5),
+    "general-e13/3": _general_case(8, F(13, 3), 5, 1),
+    "general-e13/2": _general_case(7, F(13, 2), 4, 2),
+    "mu-small": _mu_small_case(6, 3, 7),
+    "mu-small-e13/3": _mu_small_case(F(13, 3), 1, 7),
+    "mu-small-e13/2": _mu_small_case(F(13, 2), 2, 8),
+    "noroots": _noroots_case(6, (1, F(1, 2)), 7, F(3, 4)),
+    "noroots-e13/3": _noroots_case(F(13, 3), (), 7, 1),
+    "noroots-e13/2": _noroots_case(F(13, 2), (0, F(1, 3)), 9, F(1, 2)),
+}
+
+
+class TestLinearBound:
+    @pytest.mark.parametrize("case", VECTOR_CASES.values(), ids=VECTOR_CASES.keys())
+    def test_vector_matches_hand_formula_bit_for_bit(self, case):
+        objective, formula = case
+        s, t = _default_axes(objective.dimension)
+        got, want = objective.vector(s, t), formula(s, t)
+        assert got.shape == want.shape == (len(s), len(t))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_every_kind_is_one_linear_bound(self):
+        for objective, _ in VECTOR_CASES.values():
+            assert type(objective) is LinearBound
+
+    def test_descriptors(self):
+        assert HBoundObjective(F(13, 2), 7).descriptor() == {
+            "kind": "h", "e": "13/2", "d": 7,
+        }
+        spec = BoundSpec(8, 21, 19, 4, extra=((2, F(1, 3)),))
+        assert GeneralBoundObjective(spec).descriptor() == {
+            "kind": "general", "d": 8, "e": "21", "mu": 19, "k": 4,
+            "extra": [[2, "1/3"]],
+        }
+        assert MuSmallObjective(6, 3, 7).descriptor() == {
+            "kind": "mu-small", "e": "6", "mu": 3, "d": 7,
+        }
+        assert NoRootsObjective(6, (1, F(1, 2)), 7, F(3, 4)).descriptor() == {
+            "kind": "noroots", "e": "6", "offsets": ["1", "1/2"], "d": 7, "t": "3/4",
+        }
+
+    def test_zero_weight_skipped_exactly(self):
+        # mu - k - 1 = 0: the nu(s - 1) term drops out of both evaluators.
+        objective = GeneralBoundObjective(BoundSpec(8, 8, 6, 5))
+        s, t = F(5, 2), F(1, 3)
+        inner = (
+            nu_exact(s, 8) - 5 * nu_exact(s - F(1, 2), 8) - nu_exact(s - t, 8)
+        )
+        assert objective.exact(s, t) == 1 - t / 32 + 8 * inner
+
+    def test_noroots_rejects_t0_above_argument(self):
+        with pytest.raises(ValueError):
+            NoRootsObjective(6, (1,), 7, F(1, 2)).exact(F(2), F(3, 4))

@@ -20,6 +20,7 @@ from hkcert.certify import (
     prove_dimension,
     reverify_certificate,
 )
+from hkcert.report import loads
 from hkcert.search import SearchParams
 from hkcert.targets import TargetValue
 
@@ -28,6 +29,16 @@ DIM7_TARGET = F(71, 67)
 DIM8_TARGET = F(8341, 8064)
 
 FAST = SearchParams(grid=(80, 40), refine_rounds=2)
+
+# One certificate of each objective kind, as written (schema "1") by the code
+# from before the bound families shared one term list.
+SCHEMA1_CERTIFICATES = [
+    '{"command": "certify", "params": {}, "payload": {"objective": {"d": 7, "e": "7", "kind": "h"}, "payload_kind": "certificate", "s": {"exact": "137059/50000", "float": 2.74118}, "t": {"exact": "779643/1000000", "float": 0.779643}, "target": {"exact": "71/67", "float": 1.0597014925373134}, "value": {"exact": "381800066261026924586216888900712127991204899/360000000000000000000000000000000000000000000", "float": 1.0605557396139638}, "verdict": true}, "schema_version": "1", "timestamp": null, "verdict": null}',
+    '{"command": "certify", "params": {}, "payload": {"objective": {"d": 7, "e": "13/2", "kind": "h"}, "payload_kind": "certificate", "s": {"exact": "5/2", "float": 2.5}, "t": {"exact": "3/4", "float": 0.75}, "target": {"exact": "71/67", "float": 1.0597014925373134}, "value": {"exact": "81216047/82575360", "float": 0.9835385156056238}, "verdict": false}, "schema_version": "1", "timestamp": null, "verdict": null}',
+    '{"command": "certify", "params": {}, "payload": {"objective": {"d": 8, "e": "21", "extra": [[2, "1/3"]], "k": 4, "kind": "general", "mu": 19}, "payload_kind": "certificate", "s": {"exact": "8/3", "float": 2.6666666666666665}, "t": {"exact": "2/3", "float": 0.6666666666666666}, "target": {"exact": "71/67", "float": 1.0597014925373134}, "value": {"exact": "-245878837/806215680", "float": -0.304978981554911}, "verdict": false}, "schema_version": "1", "timestamp": null, "verdict": null}',
+    '{"command": "certify", "params": {}, "payload": {"objective": {"d": 7, "e": "6", "kind": "mu-small", "mu": 3}, "payload_kind": "certificate", "s": {"exact": "9/4", "float": 2.25}, "t": {"exact": "1", "float": 1.0}, "target": {"exact": "71/67", "float": 1.0597014925373134}, "value": {"exact": "4001761/13762560", "float": 0.2907715570359003}, "verdict": false}, "schema_version": "1", "timestamp": null, "verdict": null}',
+    '{"command": "certify", "params": {}, "payload": {"objective": {"d": 7, "e": "6", "kind": "noroots", "offsets": ["1", "1/2"], "t": "3/4"}, "payload_kind": "certificate", "s": {"exact": "5/2", "float": 2.5}, "t": {"exact": "1/2", "float": 0.5}, "target": {"exact": "71/67", "float": 1.0597014925373134}, "value": {"exact": "56561/107520", "float": 0.5260509672619048}, "verdict": false}, "schema_version": "1", "timestamp": null, "verdict": null}',
+]
 
 
 class TestCertificates:
@@ -80,6 +91,15 @@ class TestCertificates:
         assert rebuilt == objective
         s, t = F(5, 2), F(1, 2)
         assert rebuilt.exact(s, t) == objective.exact(s, t)
+
+    @pytest.mark.parametrize("text", SCHEMA1_CERTIFICATES)
+    def test_reverifies_certificates_written_before_linear_bound(self, text):
+        cert = loads(text).payload
+        assert reverify_certificate(cert)
+        objective = objective_from_descriptor(cert.objective)
+        assert objective.exact(cert.s, cert.t) == cert.value
+        assert objective.descriptor() == cert.objective
+        assert certify_point(objective, cert.s, cert.t, cert.target) == cert
 
     def test_unknown_descriptor_kind(self):
         with pytest.raises(ValueError):

@@ -153,11 +153,23 @@ class TestSearchCommands:
         capsys.readouterr()
         assert json.loads(path.read_text())["timestamp"] is not None
 
-    def test_seed_accepted(self, capsys):
-        code, _, _ = run(
-            ["optimize", "--kind", "h", "--e", "6", "--seed", "42"] + SEARCH, capsys
-        )
-        assert code == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--kind", "h", "--e", "6"],
+            ["cover", "--dim", "7", "--k", "1", "--e-lo", "13", "--e-hi", "14",
+             "--target", "71/67"],
+            ["prove", "--dim", "7"],
+            ["table1"],
+            ["table2"],
+        ],
+        ids=["optimize", "cover", "prove", "table1", "table2"],
+    )
+    def test_seed_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "42"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestTables:
@@ -234,6 +246,19 @@ class TestSurface:
         assert lines[0] == "s,t,value"
         assert len(lines) == 1 + 24 * 20
         assert svg_path.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--config", "search.cfg"], ["--rounds", "9"], ["--workers", "4"],
+         ["--max-denominator", "3"], ["--seed", "1"]],
+        ids=["config", "rounds", "workers", "max-denominator", "seed"],
+    )
+    def test_rejects_search_flags(self, capsys, flags):
+        # surface scans one fixed grid; it has no search to steer.
+        with pytest.raises(SystemExit) as exc:
+            main(["surface", "--dim", "7", "--e", "7", "--grid", "6x5"] + flags)
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
     def test_dim8_figure(self, capsys, tmp_path):
         path = tmp_path / "fig2.json"

@@ -1,0 +1,66 @@
+"""The modules of hkcert form layers, and each imports only from below.
+
+    volume -> {targets, search} -> bounds -> certify -> report -> cli
+
+``search`` sits below ``bounds``: it is a generic optimizer over the
+``Objective`` protocol and owns the ``nu_vector`` kernel.  ``report``
+renders objectives it is handed and never builds one, so it does not
+import ``bounds``.  The package ``__init__`` and ``__main__`` re-export
+and dispatch, and stand outside the order.
+"""
+
+import ast
+from pathlib import Path
+
+import hkcert
+
+LAYER = {
+    "volume": 0,
+    "targets": 1,
+    "search": 1,
+    "bounds": 2,
+    "certify": 3,
+    "report": 4,
+    "cli": 5,
+}
+OUTSIDE = {"__init__", "__main__"}
+
+PACKAGE = Path(hkcert.__file__).parent
+
+
+def relative_imports(module: str) -> set[str]:
+    """Modules of the package that ``module`` imports, anywhere in its body."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import report
+                out.update(alias.name for alias in node.names)
+            else:
+                out.add(node.module.split(".")[0])
+    return out
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    assert modules - OUTSIDE == set(LAYER)
+
+
+def test_imports_point_strictly_down():
+    for module, rank in LAYER.items():
+        for target in relative_imports(module):
+            assert LAYER[target] < rank, f"{module} imports {target}"
+
+
+def test_report_does_not_import_bounds():
+    assert "bounds" not in relative_imports("report")
+
+
+def test_order_is_the_one_the_code_has():
+    # Each layer leans on the one directly below it, so the order is tight.
+    assert "volume" in relative_imports("targets")
+    assert "volume" in relative_imports("search")
+    assert {"search", "volume"} <= relative_imports("bounds")
+    assert "bounds" in relative_imports("certify")
+    assert "certify" in relative_imports("report")
+    assert "report" in relative_imports("cli")

@@ -5,6 +5,7 @@ import pytest
 
 from hkcert.bounds import BoundSpec, GeneralBoundObjective, HBoundObjective
 from hkcert.certify import certify_point, cover_range, prove_dimension
+from hkcert.cli import main
 from hkcert.report import (
     ReportDocument,
     ScalarResult,
@@ -23,6 +24,7 @@ from hkcert.targets import verify_quadric_identities
 
 F = Fraction
 FAST = SearchParams(grid=(60, 30), refine_rounds=1)
+H77 = HBoundObjective(7, 7)
 
 
 def _roundtrip(payload, verdict=None):
@@ -94,7 +96,7 @@ class TestRoundTrip:
         _roundtrip(verify_quadric_identities(19))
 
     def test_surface(self):
-        grid = surface_grid(7, 7, grid=(8, 6))
+        grid = surface_grid(H77, grid=(8, 6))
         back = _roundtrip(grid)
         assert back.payload == grid
 
@@ -119,7 +121,7 @@ class TestRoundTrip:
 
 class TestSurfaceGrid:
     def test_max_matches_unrefined_optimizer(self):
-        grid = surface_grid(7, 7, grid=(60, 40))
+        grid = surface_grid(H77, grid=(60, 40))
         cand = optimize_bound(
             HBoundObjective(7, 7),
             SearchParams(grid=(60, 40), refine_rounds=0),
@@ -129,29 +131,30 @@ class TestSurfaceGrid:
         assert (s_at, t_at) == (cand.s_exact, cand.t_exact)
 
     def test_reference_max_dim7(self):
-        grid = surface_grid(7, 7, grid=(200, 100))
+        grid = surface_grid(H77, grid=(200, 100))
         assert grid.max_cell()[0] >= 1.06046
 
     def test_reference_max_dim8(self):
-        grid = surface_grid(8, 21, mu=19, k=4, grid=(200, 100))
+        objective = GeneralBoundObjective(BoundSpec(8, 21, 19, 4))
+        grid = surface_grid(objective, grid=(200, 100))
         assert grid.max_cell()[0] >= 1.03535
 
     def test_degenerate_box_all_ones(self):
-        grid = surface_grid(7, 7, grid=(2, 2), s_range=(0, 0), t_range=(0, 0))
+        grid = surface_grid(H77, grid=(2, 2), s_range=(0, 0), t_range=(0, 0))
         assert all(v == 1.0 for row in grid.values for v in row)
 
-    def test_requires_mu_for_other_k(self):
-        with pytest.raises(ValueError):
-            surface_grid(8, 21, k=4)
+    def test_requires_mu_for_other_k(self, capsys):
+        assert main(["surface", "--dim", "8", "--e", "21", "--k", "4"]) == 2
+        assert "--mu is required" in capsys.readouterr().err
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
-            surface_grid(7, 7, grid=(1, 5))
+            surface_grid(H77, grid=(1, 5))
 
 
 class TestRenderings:
     def test_csv_shape(self):
-        grid = surface_grid(7, 7, grid=(5, 4))
+        grid = surface_grid(H77, grid=(5, 4))
         text = surface_csv(grid)
         lines = text.strip().splitlines()
         assert lines[0] == "s,t,value"
@@ -160,13 +163,13 @@ class TestRenderings:
         assert float(s) == 0.0 and float(t) == 0.0 and float(v) == 1.0
 
     def test_csv_values_are_lossless(self):
-        grid = surface_grid(7, 7, grid=(4, 3))
+        grid = surface_grid(H77, grid=(4, 3))
         for line in surface_csv(grid).strip().splitlines()[1:]:
             _, _, v = line.split(",")
             assert float(v) in {x for row in grid.values for x in row}
 
     def test_svg_deterministic_and_marked(self):
-        grid = surface_grid(7, 7, grid=(40, 30))
+        grid = surface_grid(H77, grid=(40, 30))
         a = surface_svg(grid, F(1))
         b = surface_svg(grid, F(1))
         assert a == b
@@ -177,7 +180,7 @@ class TestRenderings:
         assert a.count("stroke-width") == above
 
     def test_svg_without_target(self):
-        grid = surface_grid(7, 7, grid=(6, 5))
+        grid = surface_grid(H77, grid=(6, 5))
         assert "stroke" not in surface_svg(grid, None)
 
 

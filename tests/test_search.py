@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hkcert.bounds import (
-    ConstantObjective,
     GeneralBoundObjective,
     BoundSpec,
     HBoundObjective,
@@ -176,11 +175,15 @@ class TestSearchParams:
 
 class TestOptimizer:
     def test_constant_objective_tie_break(self):
-        params = SearchParams(s_range=(F(1), F(3)), grid=(10, 10))
-        cand = optimize_bound(ConstantObjective(0), params)
+        # In dimension 1, nu(s) = nu(s - 1) = 1 for s in [2, 3], so the
+        # mu-small bound with mu = 1 is 0 on the whole box: every cell ties.
+        objective = MuSmallObjective(6, 1, 1)
+        params = SearchParams(s_range=(F(2), F(3)), grid=(10, 10))
+        cand = optimize_bound(objective, params)
         assert cand.value == 0.0
-        assert cand.s_exact == F(1)
+        assert cand.s_exact == F(2)
         assert cand.t_exact == F(0)
+        assert objective.exact(cand.s_exact, cand.t_exact) == 0
 
     def test_reaches_reference_single_e(self):
         for e, reference in ((6, "1.06437"), (7, "1.06046")):

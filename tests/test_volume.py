@@ -7,16 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkcert.volume import (
-    PiecewisePolynomial,
     Polynomial,
     nu_density,
     nu_exact,
     nu_float,
-    nu_piecewise,
     to_rational,
 )
 
-from oracles import volume_oracle
+from oracles import (
+    density_oracle,
+    poly_derivative,
+    poly_eval,
+    volume_oracle,
+    volume_pieces,
+)
 
 F = Fraction
 
@@ -139,53 +143,59 @@ class TestNuFloat:
 
 
 class TestPiecewise:
+    """The volume and its density are piecewise polynomials with breakpoints
+    0, 1, ..., d.  These tests pin that structure through nu_exact and
+    nu_density, against the pieces of the integration oracle."""
+
     def test_dimension_one_structure(self):
-        pw = nu_piecewise(1)
-        assert pw.breakpoints == (F(0), F(1))
-        assert pw.pieces == (Polynomial((0, 1)),)
-        assert pw.left_value == 0 and pw.right_value == 1
+        assert volume_pieces(1) == ([0, 1],)  # the ramp s on [0, 1]
+        for s in (F(-1), F(0), F(1, 3), F(1), F(2)):
+            assert nu_exact(s, 1) == min(max(s, 0), 1)
+            assert nu_density(s, 1) == (1 if 0 <= s < 1 else 0)
 
     def test_dimension_two_pieces(self):
-        pw = nu_piecewise(2)
-        assert pw.pieces[0] == Polynomial((0, 0, F(1, 2)))
-        assert pw.pieces[1] == Polynomial((-1, 2, F(-1, 2)))
+        assert volume_pieces(2) == ([0, 0, F(1, 2)], [-1, 2, F(-1, 2)])
+        for s in (F(1, 3), F(1, 2), F(1), F(4, 3), F(7, 4)):
+            if s < 1:
+                assert nu_exact(s, 2) == s * s / 2
+                assert nu_density(s, 2) == s
+            else:
+                assert nu_exact(s, 2) == -1 + 2 * s - s * s / 2
+                assert nu_density(s, 2) == 2 - s
 
     def test_dimension_seven_structure(self):
-        pw = nu_piecewise(7)
-        assert pw.breakpoints == tuple(F(j) for j in range(8))
-        assert len(pw.pieces) == 7
-        assert all(p.degree == 7 for p in pw.pieces)
+        pieces = volume_pieces(7)
+        assert len(pieces) == 7
+        assert all(len(p) == 8 and p[-1] != 0 for p in pieces)  # degree 7
+        for j, piece in enumerate(pieces):
+            for s in (F(j), j + F(1, 3), j + F(5, 7)):
+                assert nu_exact(s, 7) == poly_eval(piece, s)
+                assert nu_density(s, 7) == poly_eval(poly_derivative(piece), s)
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_continuity_exact(self, d):
-        pw = nu_piecewise(d)
-        assert pw.is_continuous()
-        for j in range(len(pw.pieces) - 1):
-            b = pw.breakpoints[j + 1]
-            assert pw.pieces[j](b) == pw.pieces[j + 1](b)
+        pieces = volume_pieces(d)
+        assert poly_eval(pieces[0], 0) == nu_exact(0, d) == 0
+        assert poly_eval(pieces[-1], d) == nu_exact(d, d) == 1
+        for j in range(d - 1):
+            # nu_exact evaluates the right-hand piece at b = j + 1.
+            assert poly_eval(pieces[j], j + 1) == nu_exact(j + 1, d)
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_derivative_continuity_exact(self, d):
-        dv = nu_piecewise(d).derivative()
-        for j in range(len(dv.pieces) - 1):
-            b = dv.breakpoints[j + 1]
-            assert dv.pieces[j](b) == dv.pieces[j + 1](b)
+        slopes = [poly_derivative(p) for p in volume_pieces(d)]
+        assert poly_eval(slopes[0], 0) == nu_density(0, d) == 0
+        assert poly_eval(slopes[-1], d) == nu_density(d, d) == 0
+        for j in range(d - 1):
+            # nu_density takes the right-hand piece at b = j + 1.
+            assert poly_eval(slopes[j], j + 1) == nu_density(j + 1, d)
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_matches_nu_exact_everywhere(self, d):
-        pw = nu_piecewise(d)
         rng = random.Random(31 + d)
         for _ in range(60):
             s = F(rng.randint(-300, 300 + 100 * d), rng.randint(1, 100))
-            assert pw(s) == nu_exact(s, d)
-
-    def test_rejects_discontinuous_pieces(self):
-        with pytest.raises(ValueError):
-            PiecewisePolynomial((0, 1, 2), (Polynomial((0, 1)), Polynomial((5,))), 0, 5)
-
-    def test_rejects_bad_breakpoints(self):
-        with pytest.raises(ValueError):
-            PiecewisePolynomial((0, 0), (Polynomial((1,)),), 1, 1)
+            assert volume_oracle(s, d) == nu_exact(s, d)
 
 
 class TestDensity:
@@ -198,8 +208,17 @@ class TestDensity:
     def test_middle_piece_slope(self):
         v = nu_density(F(7, 2), 7)
         assert v > 0
-        middle = nu_piecewise(7).pieces[3].derivative()
-        assert v == middle(F(7, 2))
+        middle = poly_derivative(volume_pieces(7)[3])
+        assert v == poly_eval(middle, F(7, 2))
+
+    @pytest.mark.parametrize("d", range(1, 12))
+    def test_matches_density_oracle(self, d):
+        for s in range(-1, d + 2):
+            assert nu_density(s, d) == density_oracle(s, d)
+        rng = random.Random(7 + d)
+        for _ in range(40):
+            s = F(rng.randint(-100, 100 * (d + 1)), rng.randint(1, 97))
+            assert nu_density(s, d) == density_oracle(s, d)
 
     def test_outside_support(self):
         assert nu_density(-1, 5) == 0
