@@ -81,6 +81,16 @@ def _range_pair(text: str) -> tuple[Fraction, Fraction]:
         raise argparse.ArgumentTypeError(f"range must look like lo:hi, got {text!r}")
 
 
+def _workers(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
+
+
 def _check_dim(d: int) -> int:
     if not 1 <= d <= MAX_CACHED_DIMENSION:
         raise ValueError(f"dimension must be in [1, {MAX_CACHED_DIMENSION}]")
@@ -514,7 +524,7 @@ def _add_common(sub, grid=False, search=False):
         sub.add_argument("--rounds", type=int, default=None,
                          help="refinement rounds")
         sub.add_argument("--max-denominator", type=int, default=None)
-        sub.add_argument("--workers", type=int, default=1,
+        sub.add_argument("--workers", type=_workers, default=1,
                          help="parallel grid chunks (result is identical)")
         sub.add_argument("--config", help="key = value file overriding search defaults")
 
@@ -638,6 +648,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # Exact values are unbounded, but reports and the search need floats.
+        print(f"error: value out of float range ({exc})", file=sys.stderr)
         return 2
 
 

@@ -87,8 +87,10 @@ class Objective(Protocol):
 class SearchParams:
     """Grid-search configuration.
 
-    ``s_range=None`` means [0, d+1] for the objective's dimension d.  All
-    range endpoints are exact rationals; every node of a range wider than
+    ``s_range=None`` means [0, d+1] for the objective's dimension d.  The
+    bounds are defined for s >= 0 and t in [0, 1], so an s range must start
+    at 0 or above and a t range must lie in [0, 1].  All range endpoints
+    are exact rationals; every node of a range wider than
     one point has a denominator of at most ``max_denominator`` (see
     :class:`GridAxis`), and its float is the correctly rounded value of
     that exact node.
@@ -106,10 +108,14 @@ class SearchParams:
             lo, hi = (to_rational(v) for v in self.s_range)
             if lo > hi:
                 raise ValueError("empty s range")
+            if lo < 0:
+                raise ValueError(f"s range must start at 0 or above, got {lo}:{hi}")
             object.__setattr__(self, "s_range", (lo, hi))
         lo, hi = (to_rational(v) for v in self.t_range)
         if lo > hi:
             raise ValueError("empty t range")
+        if lo < 0 or hi > 1:
+            raise ValueError(f"t range must lie in [0, 1], got {lo}:{hi}")
         object.__setattr__(self, "t_range", (lo, hi))
         ns, nt = self.grid
         if ns < 2 or nt < 2:

@@ -10,18 +10,23 @@ piecewise polynomial
 
     nu(s, d) = sum_{j=0}^{floor(s)} (-1)^j (s - j)^d / (j! (d - j)!),
 
-with nu = 0 for s <= 0 and nu = 1 for s >= d.  Its slope, the Irwin-Hall
-density :func:`nu_density`, is a difference of two volumes one dimension
-down.  Everything here is computed in exact rational arithmetic except
-:func:`nu_float`, the floating twin; :class:`Polynomial` serves the series
-and closed forms in :mod:`hkcert.targets`.
+with nu = 0 for s <= 0 and nu = 1 for s >= d.  :func:`nu_exact` evaluates
+it on integers: for s = p/q in lowest terms the sum is
+
+    nu(s, d) = [ sum_{j=0}^{floor(p/q)} (-1)^j C(d, j) (p - j q)^d ] / (d! q^d),
+
+one integer numerator over one denominator, reduced once at the end.  Its
+slope, the Irwin-Hall density :func:`nu_density`, is a difference of two
+volumes one dimension down.  Everything here is computed in exact
+arithmetic except :func:`nu_float`, the floating twin; :class:`Polynomial`
+serves the series and closed forms in :mod:`hkcert.targets`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, floor, fsum, isnan
+from math import comb, factorial, floor, fsum, isnan
 
 __all__ = [
     "Polynomial",
@@ -49,6 +54,8 @@ def to_rational(value: Fraction | int | str) -> Fraction:
     values cannot slip into a certification path unnoticed -- convert them
     deliberately with :func:`hkcert.search.rationalize`.
     """
+    if type(value) is Fraction:  # immutable, so the value itself will do
+        return value
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(
             f"refusing to coerce {value!r} to an exact rational; "
@@ -128,20 +135,28 @@ def nu_exact(s: Fraction | int | str, d: int) -> Fraction:
 
     Total on all rational s: clamps to 0 below 0 and to 1 above d, which is
     how the bound formulas expect shifted arguments like s - t to behave.
+    In between, with s = p/q in lowest terms, the volume is one integer sum
+    over one denominator,
+
+        nu(s, d) = sum_{j=0}^{floor(p/q)} (-1)^j C(d, j) (p - j q)^d / (d! q^d),
+
+    so the only Fraction built is the result (reduced once, hence equal to
+    the per-term rational sum).
     """
     _check_dimension(d)
     s = to_rational(s)
-    if s <= 0:
+    p, q = s.numerator, s.denominator
+    if p <= 0:
         return Fraction(0)
-    if s >= d:
+    if p >= d * q:
         return Fraction(1)
-    total = Fraction(0)
-    # At integer s the j = s term is (s - j)^d = 0, so the inclusive floor
+    total = 0
+    # At integer s the j = s term is (p - jq)^d = 0, so the inclusive floor
     # needs no case split.
-    for j in range(floor(s) + 1):
-        term = Fraction((-1) ** j, _fact(j) * _fact(d - j)) * (s - j) ** d
-        total += term
-    return total
+    for j in range(p // q + 1):
+        term = comb(d, j) * (p - j * q) ** d
+        total += -term if j & 1 else term
+    return Fraction(total, _fact(d) * q**d)
 
 
 def _nu_float_half(x: float, d: int) -> float:

@@ -2,13 +2,14 @@
 
 Nothing here may import from hkcert: the volume oracle integrates the
 d = 1 ramp repeatedly with its own little polynomial helpers (the density
-oracle differentiates its pieces), the series oracle divides truncated
-power series, and the approximation oracle enumerates denominators.  The
-grid-node and vector-volume references are the plain Fraction-per-node and
-unmasked forms of the search fast path, and the four bound-vector
-references are each bound's float formula written out by hand; the fast
-path must match all of them bit for bit.  They are deliberately slow and
-simple.
+oracle differentiates its pieces), the Fraction-sum oracle adds the
+alternating volume formula one rational term at a time, the series oracle
+divides truncated power series, and the approximation oracle enumerates
+denominators.  The grid-node and vector-volume references are the plain
+Fraction-per-node and unmasked forms of the search fast path, and the four
+bound-vector references are each bound's float formula written out by
+hand; the fast path must match all of them bit for bit.  They are
+deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -105,6 +106,21 @@ def volume_oracle(s, d: int) -> Fraction:
     if s >= d:
         return Fraction(1)
     return poly_eval(volume_pieces(d)[floor(s)], s)
+
+
+def nu_exact_oracle(s, d: int) -> Fraction:
+    """The alternating sum term by term in Fractions: (-1)^j / (j! (d-j)!)
+    times (s - j)^d for j = 0..floor(s), clamped to [0, 1] outside [0, d]."""
+    s = Fraction(s)
+    if s <= 0:
+        return Fraction(0)
+    if s >= d:
+        return Fraction(1)
+    total = Fraction(0)
+    for j in range(floor(s) + 1):
+        term = Fraction((-1) ** j, factorial(j) * factorial(d - j)) * (s - j) ** d
+        total += term
+    return total
 
 
 def density_oracle(s, d: int) -> Fraction:

@@ -98,6 +98,18 @@ class TestScalarCommands:
         with pytest.raises(SystemExit):
             main(["nu", "--d", "2", "--s", "one/half"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["nu", "--d", "7", "--s", "1e400"],
+         ["hbound", "--e", "1e400", "--s", "3", "--t", "1/2"]],
+        ids=["nu", "hbound"],
+    )
+    def test_huge_rational_is_an_error_line(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSearchCommands:
     def test_optimize_h(self, capsys, tmp_path):
@@ -170,6 +182,40 @@ class TestSearchCommands:
             main(argv + ["--seed", "42"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--kind", "h", "--e", "7"],
+            ["cover", "--dim", "7", "--k", "1", "--e-lo", "13", "--e-hi", "14",
+             "--target", "71/67"],
+            ["prove", "--dim", "7"],
+            ["table1"],
+            ["table2"],
+        ],
+        ids=["optimize", "cover", "prove", "table1", "table2"],
+    )
+    def test_workers_below_one_rejected(self, capsys, argv, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--t-range", "1:2"], ["--t-range=-1:1/2"], ["--s-range=-1:2"]],
+        ids=["t-above", "t-below", "s-below"],
+    )
+    def test_range_outside_domain_rejected(self, capsys, flags):
+        code, out, err = run(
+            ["cover", "--dim", "7", "--k", "1", "--e-lo", "13", "--e-hi", "14",
+             "--target", "71/67", "--grid", "8x8", "--rounds", "0"] + flags,
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "range" in err
 
 
 class TestTables:
@@ -315,6 +361,16 @@ class TestConfig:
         )
         assert code == 2
         assert "turbo" in err
+
+    def test_config_range_outside_domain(self, capsys, tmp_path):
+        cfg = tmp_path / "search.cfg"
+        cfg.write_text("t_lo = 0\nt_hi = 3\n")
+        code, out, err = run(
+            ["optimize", "--kind", "h", "--e", "7", "--config", str(cfg)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "t range must lie in [0, 1]" in err
 
     def test_malformed_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "search.cfg"

@@ -172,6 +172,21 @@ class TestSearchParams:
         with pytest.raises(ValueError):
             SearchParams(max_denominator=0)
 
+    @pytest.mark.parametrize(
+        "ranges, message",
+        [
+            ({"t_range": (F(1), F(2))}, "t range"),
+            ({"t_range": (F(0), F(3))}, "t range"),
+            ({"t_range": (F(-1), F(1, 2))}, "t range"),
+            ({"s_range": (F(-1), F(2))}, "s range"),
+            ({"s_range": (F(-1, 10**6), F(0))}, "s range"),
+        ],
+        ids=["t-above", "t-wide", "t-below", "s-below", "s-just-below"],
+    )
+    def test_rejects_ranges_outside_domain(self, ranges, message):
+        with pytest.raises(ValueError, match=message):
+            SearchParams(**ranges)
+
 
 class TestOptimizer:
     def test_constant_objective_tie_break(self):

@@ -16,6 +16,7 @@ from hkcert.volume import (
 
 from oracles import (
     density_oracle,
+    nu_exact_oracle,
     poly_derivative,
     poly_eval,
     volume_oracle,
@@ -23,6 +24,25 @@ from oracles import (
 )
 
 F = Fraction
+
+
+def fraction_sum_points(d: int) -> list[Fraction]:
+    """Points in and around [0, d]: every integer from -1 to d + 1, and s
+    with denominators 1, <= 997, <= 10^6, <= 10^12 (a witness s minus a
+    witness t, as the bounds evaluate it) and 2^200."""
+    rng = random.Random(4099 * d)
+
+    def draw(den):
+        return F(rng.randint(-den, (d + 1) * den), den)
+
+    points = [F(n) for n in range(-1, d + 2)]
+    for _ in range(4):
+        points.append(draw(rng.randint(1, 997)))
+        points.append(draw(rng.randint(1, 10**6)))
+        t = F(rng.randint(0, 10**6), rng.randint(1, 10**6))
+        points.append(draw(rng.randint(1, 10**6)) - t)
+        points.append(draw(2**200))
+    return points
 
 
 class TestNuExact:
@@ -56,6 +76,11 @@ class TestNuExact:
             for _ in range(25):
                 s = F(rng.randint(-500, 1000 * d), rng.randint(1, 997))
                 assert nu_exact(s, d) == volume_oracle(s, d)
+
+    @pytest.mark.parametrize("d", range(1, 65))
+    def test_matches_fraction_sum_oracle(self, d):
+        for s in fraction_sum_points(d):
+            assert nu_exact(s, d) == nu_exact_oracle(s, d), s
 
     def test_rejects_float_input(self):
         with pytest.raises(TypeError):
@@ -219,6 +244,12 @@ class TestDensity:
         for _ in range(40):
             s = F(rng.randint(-100, 100 * (d + 1)), rng.randint(1, 97))
             assert nu_density(s, d) == density_oracle(s, d)
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_matches_fraction_sum_oracle_difference(self, d):
+        for s in fraction_sum_points(d)[::2]:
+            want = nu_exact_oracle(s, d - 1) - nu_exact_oracle(s - 1, d - 1)
+            assert nu_density(s, d) == want, s
 
     def test_outside_support(self):
         assert nu_density(-1, 5) == 0
