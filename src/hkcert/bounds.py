@@ -35,6 +35,8 @@ derives both its exact and its float evaluator from that list.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -77,6 +79,54 @@ _H_TERMS = ((1, 0, 0), (4, -1, 1), (-1, 0, _HALF))
 def _minus_half_power(k: int) -> Fraction:
     """ct = -1/2^k of the master family, built once per k."""
     return Fraction(-1, 2**k)
+
+
+class _VolumeMemo:
+    """Least recently used map from keys to read-only float arrays that
+    holds at most ``capacity`` floats in all; an array larger than that is
+    returned and not kept.
+
+    ``_scan`` calls :meth:`LinearBound.vector` from pool threads, so every
+    access takes the lock; a missing array is computed outside it.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.cells = 0
+        self._arrays: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, compute) -> np.ndarray:
+        with self._lock:
+            value = self._arrays.get(key)
+            if value is not None:
+                self._arrays.move_to_end(key)
+                return value
+        value = compute()
+        value.flags.writeable = False
+        if value.size <= self.capacity:
+            with self._lock:
+                if key not in self._arrays:
+                    self._arrays[key] = value
+                    self.cells += value.size
+                    while self.cells > self.capacity:
+                        self.cells -= self._arrays.popitem(last=False)[1].size
+        return value
+
+
+# The float slice volumes of recent grid boxes.  A key is (d, the bytes of
+# the s axis, the bytes of the t axis) and the shift a of a 1-D volume
+# nu(s - a), or None for the 2-D nu(s - t), so a hit is the very array a
+# recomputation would give.  100,000 floats (800 KB) hold the four boxes of
+# the default 200 x 100 grid, with their 1-D volumes, that an optimization
+# with the default three refinement rounds scans (as a whole or as worker
+# chunks), and the next multiplicity of a covering rescans them.  With four
+# or more rounds the boxes of one optimization outnumber the memo, so
+# least-recently-used eviction drops each box before the next multiplicity
+# asks for it again: such a run computes every volume, as it would without
+# the memo, and pays only for building the keys.
+_MEMO_CELLS = 100_000
+_VOLUMES = _VolumeMemo(_MEMO_CELLS)
 
 
 class LinearInEError(ValueError):
@@ -223,17 +273,33 @@ class LinearBound:
         return value + self.c0 + self.ct * t if self.c0 or self.ct else value
 
     def vector(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Values on the grid s[:, None] x t[None, :], shape (len(s), len(t))."""
+        """Values on the grid s[:, None] x t[None, :], shape (len(s), len(t)).
+
+        The slice volumes nu(s - a_i) and nu(s - t) do not depend on e, so
+        they come from a memo of recent grid boxes (``_VOLUMES``):
+        a covering that optimizes one e after another scans the same boxes
+        and computes each box's volumes once.  The weights and the rest of
+        the arithmetic run on every call, so a cell is the same double
+        with or without the memo, and the returned array is always new.
+        """
         d, e = self.d, float(self.e)
+        # As float64, equal bytes are equal axes.
+        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+        box = (d, s.tobytes(), t.tobytes())
         acc = np.zeros(len(s))
         for w, we, a in self.terms:
             # acc + (-w)*y is the same double as acc - w*y, and a zero
             # weight is skipped, as x - 0*y is x.
             weight = w + we * e
             if weight:
-                acc = acc + weight * nu_vector(s - float(a), d)
+                a = float(a)
+                acc = acc + weight * _VOLUMES.get(
+                    (*box, a), lambda: nu_vector(s - a, d)
+                )
         if self.wt:
-            inner = acc[:, None] - nu_vector(s[:, None] - t[None, :], d)
+            inner = acc[:, None] - _VOLUMES.get(
+                (*box, None), lambda: nu_vector(s[:, None] - t[None, :], d)
+            )
         else:
             inner = np.repeat(acc[:, None], len(t), axis=1)
         inner *= e

@@ -481,11 +481,14 @@ def cmd_surface(args) -> int:
     _check_dim(args.dim)
     # Without --mu, k = 1 means the worst case mu = e - 2, which is H_e.
     kind = "h" if args.mu is None and args.k == 1 else "general"
+    # SearchParams rejects grids below 2x2 and ranges out of the domain or
+    # out of order.
+    params = replace(search_params(args), grid=args.grid or (120, 120))
     grid = rpt.surface_grid(
         _objective_from_args(kind, args.dim, args.e, args.mu, args.k),
-        grid=args.grid or (120, 120),
-        s_range=args.s_range,
-        t_range=args.t_range or (Fraction(0), Fraction(1)),
+        grid=params.grid,
+        s_range=params.s_range,
+        t_range=params.t_range,
     )
     value, s_at, t_at = grid.max_cell()
     lines = [f"grid max {value!r} at s={s_at} t={t_at}"]

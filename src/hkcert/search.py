@@ -54,12 +54,19 @@ def nu_vector(x: np.ndarray, d: int) -> np.ndarray:
     Absolute error against :func:`~hkcert.volume.nu_exact`, as for
     :func:`~hkcert.volume.nu_float`: at most 1e-14 for d <= 12, 1e-13 for
     d <= 20, 1e-11 for d <= 32, 1e-8 for d <= 48 and 1e-6 for d <= 64.
+
+    The sum stops at its last nonzero term: once every reflected argument
+    is at most j, term j and all later ones are +0.0, and adding +0.0 to
+    ``acc`` (which starts at +0.0) changes no bit.  A NaN fails ``<=``, so
+    an input holding one runs every term, as does a wide grid box.
     """
     x = np.asarray(x, dtype=float)
     clamped = np.clip(x, 0.0, float(d))
     refl = np.minimum(clamped, d - clamped)
     acc = np.zeros_like(refl)
     for j in range(d // 2 + 1):
+        if (refl <= j).all():
+            break
         w = np.maximum(refl - j, 0.0)
         # pow(0.0, d) is several times slower than pow on nonzero inputs, and
         # zero terms are +0.0 either way; NaN and +-inf still go through pow.

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkcert import bounds
 from hkcert.bounds import (
     BoundSpec,
     EvalPoint,
@@ -443,3 +446,137 @@ class TestLinearBound:
     def test_noroots_rejects_t0_above_argument(self):
         with pytest.raises(ValueError):
             NoRootsObjective(6, (1,), 7, F(1, 2)).exact(F(2), F(3, 4))
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """A fresh volume memo for LinearBound.vector, of the fixed capacity."""
+    fresh = bounds._VolumeMemo(bounds._MEMO_CELLS)
+    monkeypatch.setattr(bounds, "_VOLUMES", fresh)
+    return fresh
+
+
+@pytest.fixture
+def nu_calls(monkeypatch):
+    """The dimension of every nu_vector call LinearBound.vector makes."""
+    calls = []
+    real = bounds.nu_vector
+    monkeypatch.setattr(bounds, "nu_vector", lambda x, d: calls.append(d) or real(x, d))
+    return calls
+
+
+def _assert_memo_within_capacity(memo):
+    arrays = list(memo._arrays.values())
+    assert memo.cells == sum(a.size for a in arrays) <= memo.capacity
+    assert not any(a.flags.writeable for a in arrays)
+
+
+class TestVolumeMemo:
+    """LinearBound.vector reads its slice volumes from a bounded memo shared
+    by every bound; no cell may differ from the bound's written-out formula."""
+
+    def test_every_result_bit_for_bit_through_evictions(self, memo):
+        # e after e on one default grid, as a covering scans it, between
+        # other grids and dimensions; together they hold more volumes than
+        # the memo, so boxes are evicted and later computed again.
+        narrow = (
+            GridAxis(F(5, 2), F(13, 5), 200, 10**6).floats,
+            GridAxis(F(3, 5), F(7, 10), 100, 10**6).floats,
+        )
+        small = (
+            GridAxis(F(0), F(9), 80, 10**6).floats,
+            GridAxis(F(0), F(1, 2), 40, 10**6).floats,
+        )
+        seen, evicted = set(), set()
+        for e in range(6, 13):
+            calls = [
+                (_h_case(e, 7), _default_axes(7)),
+                (_h_case(e, 7), narrow),
+                (_general_case(8, e + 10, e + 8, 4), _default_axes(8)),
+                (_mu_small_case(e, 3, 7), _default_axes(7)),
+                (_noroots_case(e, (1, F(1, 2)), 8, F(3, 4)), small),
+                (_general_case(10, e + 240, e + 238, 5), _default_axes(10)),
+                (_general_case(8, e, 4, 1, ((2, F(1, 3)),)), narrow),
+            ]
+            for (objective, formula), (s, t) in calls:
+                got = objective.vector(s, t)
+                assert np.array_equal(got.view(np.int64), formula(s, t).view(np.int64))
+                _assert_memo_within_capacity(memo)
+                keys = set(memo._arrays)
+                evicted |= seen - keys
+                seen |= keys
+        assert evicted & set(memo._arrays), "no box was evicted and scanned again"
+
+    def test_same_box_for_every_e_is_computed_once(self, memo, nu_calls):
+        s, t = _default_axes(10)
+        for e in range(240, 250):
+            objective, formula = _general_case(10, e, e - 2, 5)
+            got = objective.vector(s, t)
+            assert np.array_equal(got.view(np.int64), formula(s, t).view(np.int64))
+        # nu(s), nu(s - 1), nu(s - 1/2) and nu(s - t), once each.
+        assert len(nu_calls) == 4
+
+    def test_mutating_results_and_inputs_changes_no_later_result(self, memo):
+        for objective, formula in (_h_case(7, 7), _mu_small_case(6, 3, 7)):
+            s, t = _default_axes(7)
+            first = objective.vector(s, t)
+            first[...] = np.nan
+            again = objective.vector(s, t)
+            assert np.array_equal(again.view(np.int64), formula(s, t).view(np.int64))
+            # The key holds a copy of each axis, so new values in either
+            # one make a new box.
+            for axis in (t, s):
+                axis[-3:] = 0.5
+                moved = objective.vector(s, t)
+                assert np.array_equal(moved.view(np.int64), formula(s, t).view(np.int64))
+        for array in memo._arrays.values():
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_grid_larger_than_the_memo_is_not_kept(self, memo):
+        s = GridAxis(F(0), F(8), 400, 10**6).floats
+        t = GridAxis(F(0), F(1), 300, 10**6).floats
+        assert len(s) * len(t) > memo.capacity
+        objective, formula = _h_case(7, 7)
+        got = objective.vector(s, t)
+        assert np.array_equal(got.view(np.int64), formula(s, t).view(np.int64))
+        assert all(a.size < len(s) * len(t) for a in memo._arrays.values())
+        _assert_memo_within_capacity(memo)
+
+    def test_threads_sharing_the_memo(self, monkeypatch, nu_calls):
+        # More threads than cores, a memo that holds three of these six
+        # boxes, and a short switch interval: a lost update to the memo's
+        # cell count or a torn entry would show as a wrong count or a wrong
+        # cell.
+        small = bounds._VolumeMemo(3 * (40 * 20 + 3 * 40))
+        monkeypatch.setattr(bounds, "_VOLUMES", small)
+        jobs = []
+        for i in range(6):
+            s = GridAxis(F(i, 3), F(i, 3) + 4, 40, 10**6).floats
+            t = GridAxis(F(0), F(1), 20, 10**6).floats
+            objective, formula = _h_case(6 + i % 3, 7)
+            jobs.append((objective, s, t, formula(s, t).view(np.int64)))
+        failures = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            for n in range(60):
+                objective, s, t, want = rng.choice(jobs)
+                if not np.array_equal(objective.vector(s, t).view(np.int64), want):
+                    failures.append((seed, n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        # Four volumes per call; some came from the memo and some did not.
+        assert 6 * 4 < len(nu_calls) < 6 * 60 * 4
+        _assert_memo_within_capacity(small)

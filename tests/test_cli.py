@@ -306,6 +306,23 @@ class TestSurface:
         assert exc.value.code == 2
         assert flags[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--t-range", "1:2"], "t range must lie in [0, 1]"),
+         (["--s-range=-1:2"], "s range must start at 0"),
+         (["--s-range", "3:1"], "empty s range")],
+        ids=["t-above-1", "s-below-0", "reversed-s"],
+    )
+    def test_rejects_ranges_outside_the_domain(self, capsys, tmp_path, flags, message):
+        path = tmp_path / "fig.csv"
+        code, _, err = run(
+            ["surface", "--dim", "7", "--e", "7", "--grid", "4x4",
+             "--out", str(path)] + flags, capsys
+        )
+        assert code == 2
+        assert err.startswith("error:") and message in err
+        assert not path.exists()
+
     def test_dim8_figure(self, capsys, tmp_path):
         path = tmp_path / "fig2.json"
         code, out, _ = run(

@@ -93,7 +93,17 @@ class TestNuVector:
                 [np.nan, np.inf, -np.inf, -0.0, 0.0, d / 2, 1e-300, -1e-300],
             ]
         )
-        assert np.array_equal(bits(nu_vector(xs, d)), bits(nu_vector_oracle(xs, d)))
+        for x in [xs] + [x for x, _ in _narrow_bands(d, rng)]:
+            assert np.array_equal(bits(nu_vector(x, d)), bits(nu_vector_oracle(x, d)))
+
+    @pytest.mark.parametrize("d", range(1, MAX_CACHED_DIMENSION + 1))
+    def test_stops_at_last_nonzero_term(self, d, monkeypatch):
+        counting = _CountingNumpy()
+        monkeypatch.setattr("hkcert.search.np", counting)
+        for x, terms in _narrow_bands(d, np.random.default_rng(d)):
+            counting.powers = 0
+            nu_vector(x, d)
+            assert counting.powers == terms
 
     @pytest.mark.parametrize("d", range(1, MAX_CACHED_DIMENSION + 1))
     def test_error_bound_every_dimension(self, d):
@@ -104,6 +114,32 @@ class TestNuVector:
         want = np.array([float(nu_exact(p, d)) for p in points])
         assert np.max(np.abs(nu_vector(xs, d) - want)) <= bound
         assert max(abs(nu_float(x, d) - w) for x, w in zip(xs, want)) <= bound
+
+
+def _narrow_bands(d, rng):
+    """For each j, inputs whose reflected values fill [0, j] (values in
+    [0, j] and in [d - j, d], with +-inf and -0.0 mixed in), alone and with
+    a NaN, each with the number of terms of the alternating sum that are not
+    +0.0 (all of them once a NaN is in)."""
+    for j in range(d // 2 + 1):
+        band = np.concatenate([[0.0, float(j)], rng.uniform(0, j, 20)])
+        x = np.concatenate([band, d - band, [np.inf, -np.inf, -0.0]])
+        yield x, j
+        yield np.append(x, np.nan), d // 2 + 1
+
+
+class _CountingNumpy:
+    """numpy, counting the calls of ``power`` made through it."""
+
+    def __init__(self):
+        self.powers = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def power(self, *args, **kwargs):
+        self.powers += 1
+        return np.power(*args, **kwargs)
 
 
 def _refinement_boxes(lo, hi, n, rng, rounds=3, shrink=5):
