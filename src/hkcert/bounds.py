@@ -40,6 +40,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import isclose
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -81,50 +82,184 @@ def _minus_half_power(k: int) -> Fraction:
     return Fraction(-1, 2**k)
 
 
-class _VolumeMemo:
-    """Least recently used map from keys to read-only float arrays that
-    holds at most ``capacity`` floats in all; an array larger than that is
-    returned and not kept.
+def _overlap(have: np.ndarray, want: np.ndarray) -> tuple[int, int, int]:
+    """(i, j, n) such that want[i:i + n] and have[j:j + n] hold the same
+    bytes, for the run that starts at the first node of either axis; n is 0
+    when the two axes share no such run."""
+    if want[0] >= have[0]:
+        i, j = 0, int(np.searchsorted(have, want[0]))
+    else:
+        i, j = int(np.searchsorted(want, have[0])), 0
+    n = min(len(want) - i, len(have) - j)
+    if n > 0 and want[i : i + n].tobytes() == have[j : j + n].tobytes():
+        return i, j, n
+    return 0, 0, 0
 
-    ``_scan`` calls :meth:`LinearBound.vector` from pool threads, so every
-    access takes the lock; a missing array is computed outside it.
+
+class _Tile:
+    """The read-only volumes nu(s[:, None] - t[None, :], d) on copies of
+    the axes s and t, with the axes' end points as Python floats for a
+    lookup's prefilter; ``used`` is the memo's optimization count when a
+    lookup last touched the tile."""
+
+    __slots__ = ("key", "s", "t", "vols", "s_ends", "t_ends", "used")
+
+    def __init__(self, key, s, t, vols, used):
+        self.key = key
+        self.s, self.t, self.vols, self.used = s, t, vols, used
+        self.s_ends = (float(s[0]), float(s[-1]))
+        self.t_ends = (float(t[0]), float(t[-1]))
+
+
+def _same_span(have: tuple[float, float], want: tuple[float, float]) -> bool:
+    """Whether two axes overlap and are equally wide up to rounding, as two
+    boxes of one refinement round on one node lattice are."""
+    return (
+        have[0] <= want[1]
+        and want[0] <= have[1]
+        and isclose(have[1] - have[0], want[1] - want[0], rel_tol=1e-9)
+    )
+
+
+class _VolumeMemo:
+    """Float slice volumes of recent grid boxes, kept as read-only tiles of
+    at most ``capacity`` floats in all.
+
+    :meth:`get` reuses the cells of a kept tile wherever the request's s
+    and t doubles are byte-equal to the tile's, and computes the rest in
+    one :func:`~hkcert.search.nu_vector` call; that kernel works element by
+    element, so every cell is the double a full recomputation would give.
+    A refinement box is centred on a node of the previous round's grid, so
+    the box the next multiplicity scans in the same round lies on the same
+    node lattice, shifted by whole nodes, and an exact repeat reuses every
+    cell.  Tiles are indexed by (d, len(s), len(t)), or by (d, len(s), the
+    bytes of t) for the 1-D volumes, whose t holds the shifts a_i; only
+    tiles whose axes overlap the request's and are as wide are compared
+    with numpy.
+
+    A new tile takes the place of the tile it reused.  One that reused none
+    evicts, least recently used first, tiles that no lookup has touched
+    since the current optimization began, and is not kept when that frees
+    too little room.  A request whose s axis is wider than the one before
+    begins an optimization, as refinement rounds only narrow the box.  With
+    the default rounds this is least-recently-used eviction; an
+    optimization with more boxes than the memo holds keeps its first ones,
+    the round-0 box among them, instead of evicting each just before the
+    next multiplicity asks for it.
+
+    ``_scan`` calls :meth:`LinearBound.vector` from pool threads, so the
+    index is read and changed only under the lock; missing cells are
+    computed outside it.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.cells = 0
-        self._arrays: OrderedDict = OrderedDict()
+        # The optimization count, and the width of the last s axis asked for.
+        self._epoch = 0
+        self._width = 0.0
+        self._index: dict = {}
+        # Every kept tile, least recently used first.
+        self._tiles: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key, compute) -> np.ndarray:
+    def get(self, d: int, s: np.ndarray, t: np.ndarray, whole_t: bool) -> np.ndarray:
+        """nu(s[:, None] - t[None, :], d); ``whole_t`` reuses a tile only
+        if its t holds the very bytes of ``t``."""
+        if not (len(s) and len(t)):
+            return nu_vector(s[:, None] - t[None, :], d)
+        key = (d, len(s), t.tobytes() if whole_t else len(t))
+        s_ends, t_ends = (float(s[0]), float(s[-1])), (float(t[0]), float(t[-1]))
         with self._lock:
-            value = self._arrays.get(key)
-            if value is not None:
-                self._arrays.move_to_end(key)
-                return value
-        value = compute()
-        value.flags.writeable = False
-        if value.size <= self.capacity:
-            with self._lock:
-                if key not in self._arrays:
-                    self._arrays[key] = value
-                    self.cells += value.size
-                    while self.cells > self.capacity:
-                        self.cells -= self._arrays.popitem(last=False)[1].size
-        return value
+            width = s_ends[1] - s_ends[0]
+            # Written so that a NaN width also begins an optimization.
+            if not width <= self._width:
+                self._epoch += 1
+            self._width = width
+            found, most = None, 0
+            for tile in self._index.get(key, ()):
+                if not _same_span(tile.s_ends, s_ends):
+                    continue
+                if whole_t:
+                    cols = (0, 0, len(t))
+                elif _same_span(tile.t_ends, t_ends):
+                    cols = _overlap(tile.t, t)
+                else:
+                    continue
+                rows = _overlap(tile.s, s)
+                if rows[2] * cols[2] > most:
+                    found, most = (tile, rows, cols), rows[2] * cols[2]
+            if found is not None:
+                tile = found[0]
+                tile.used = self._epoch
+                self._tiles.move_to_end(tile)
+                if most == len(s) * len(t):
+                    return tile.vols
+            epoch = self._epoch
+
+        if found is None:
+            vols = nu_vector(s[:, None] - t[None, :], d)
+        else:
+            tile, (i, j, m), (k, l, n) = found
+            vols = np.empty((len(s), len(t)))
+            vols[i : i + m, k : k + n] = tile.vols[j : j + m, l : l + n]
+            # The tile has as many rows and columns as the request, so the
+            # reused block reaches one end of each axis, and the cells left
+            # form an L: whole rows on one side of the block, and columns on
+            # one side of it within its rows.
+            rows = slice(0, i) if i else slice(m, len(s))
+            cols = slice(0, k) if k else slice(n, len(t))
+            side = s[rows, None] - t
+            foot = s[i : i + m, None] - t[cols]
+            fresh = nu_vector(np.concatenate([side.ravel(), foot.ravel()]), d)
+            vols[rows] = fresh[: side.size].reshape(side.shape)
+            vols[i : i + m, cols] = fresh[side.size :].reshape(foot.shape)
+        vols.flags.writeable = False
+        if vols.size > self.capacity:
+            return vols
+        s, t = s.copy(), t.copy()
+        s.flags.writeable = t.flags.writeable = False
+        new = _Tile(key, s, t, vols, epoch)
+        with self._lock:
+            if found is not None and found[0] in self._tiles:
+                self._drop(found[0])
+            elif not self._make_room(new):
+                return vols
+            self._tiles[new] = None
+            self._index.setdefault(key, []).append(new)
+            self.cells += vols.size
+        return vols
+
+    def _make_room(self, new: _Tile) -> bool:
+        need = self.cells + new.vols.size - self.capacity
+        victims = []
+        for tile in self._tiles:
+            if need <= 0:
+                break
+            if tile.used < self._epoch:
+                victims.append(tile)
+                need -= tile.vols.size
+        if need > 0:
+            return False
+        for tile in victims:
+            self._drop(tile)
+        return True
+
+    def _drop(self, tile: _Tile) -> None:
+        del self._tiles[tile]
+        tiles = self._index[tile.key]
+        tiles.remove(tile)
+        if not tiles:
+            del self._index[tile.key]
+        self.cells -= tile.vols.size
 
 
-# The float slice volumes of recent grid boxes.  A key is (d, the bytes of
-# the s axis, the bytes of the t axis) and the shift a of a 1-D volume
-# nu(s - a), or None for the 2-D nu(s - t), so a hit is the very array a
-# recomputation would give.  100,000 floats (800 KB) hold the four boxes of
-# the default 200 x 100 grid, with their 1-D volumes, that an optimization
-# with the default three refinement rounds scans (as a whole or as worker
-# chunks), and the next multiplicity of a covering rescans them.  With four
-# or more rounds the boxes of one optimization outnumber the memo, so
-# least-recently-used eviction drops each box before the next multiplicity
-# asks for it again: such a run computes every volume, as it would without
-# the memo, and pays only for building the keys.
+# The float slice volumes of recent grid boxes.  100,000 floats (800 KB)
+# hold the 2-D volumes and the 1-D volumes of the four boxes of the default
+# 200 x 100 grid that an optimization with the default three refinement
+# rounds scans, as a whole or as worker chunks.  With more rounds the memo
+# keeps the first boxes of an optimization and computes the later ones in
+# full each time (see ``_VolumeMemo``).
 _MEMO_CELLS = 100_000
 _VOLUMES = _VolumeMemo(_MEMO_CELLS)
 
@@ -275,31 +410,34 @@ class LinearBound:
     def vector(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Values on the grid s[:, None] x t[None, :], shape (len(s), len(t)).
 
-        The slice volumes nu(s - a_i) and nu(s - t) do not depend on e, so
-        they come from a memo of recent grid boxes (``_VOLUMES``):
-        a covering that optimizes one e after another scans the same boxes
-        and computes each box's volumes once.  The weights and the rest of
-        the arithmetic run on every call, so a cell is the same double
-        with or without the memo, and the returned array is always new.
+        The slice volumes do not depend on e, so they come from the memo of
+        recent grid boxes (``_VOLUMES``): the 1-D volumes nu(s - a_i) of the
+        nonzero-weight terms as one tile whose t axis holds the shifts a_i,
+        and the 2-D nu(s - t) as another.  A covering that optimizes one e
+        after another scans the same and shifted boxes, and computes each
+        volume once per grid node.  The weights and the rest of the
+        arithmetic run on every call, in term order, so a cell is the same
+        double with or without the memo, and the returned array is always
+        new.
         """
         d, e = self.d, float(self.e)
         # As float64, equal bytes are equal axes.
         s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-        box = (d, s.tobytes(), t.tobytes())
-        acc = np.zeros(len(s))
+        weights, shifts = [], []
         for w, we, a in self.terms:
             # acc + (-w)*y is the same double as acc - w*y, and a zero
             # weight is skipped, as x - 0*y is x.
             weight = w + we * e
             if weight:
-                a = float(a)
-                acc = acc + weight * _VOLUMES.get(
-                    (*box, a), lambda: nu_vector(s - a, d)
-                )
+                weights.append(weight)
+                shifts.append(float(a))
+        acc = np.zeros(len(s))
+        if weights:
+            vols = _VOLUMES.get(d, s, np.array(shifts), whole_t=True)
+            for i, weight in enumerate(weights):
+                acc = acc + weight * vols[:, i]
         if self.wt:
-            inner = acc[:, None] - _VOLUMES.get(
-                (*box, None), lambda: nu_vector(s[:, None] - t[None, :], d)
-            )
+            inner = acc[:, None] - _VOLUMES.get(d, s, t, whole_t=False)
         else:
             inner = np.repeat(acc[:, None], len(t), axis=1)
         inner *= e

@@ -23,9 +23,8 @@ from .certify import (
     GapEntry,
     ProofReport,
 )
-from .search import Candidate, GridAxis, Objective
+from .search import Candidate, GridAxis, Objective, SearchParams
 from .targets import QuadricIdentityReport, TargetValue
-from .volume import to_rational
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -124,17 +123,17 @@ def surface_grid(
 ) -> SurfaceGrid:
     """Evaluate ``objective`` on a rectangular grid (float fast path).
 
-    ``s_range=None`` means [0, d+1].  Grid nodes are exact rationals, the
-    same construction the optimizer scans, so a grid maximum matches an
-    unrefined optimizer run at the same resolution.
+    ``s_range=None`` means [0, d+1].  The ranges and the grid are checked
+    as :class:`~hkcert.search.SearchParams` checks them, and the grid nodes
+    are exact rationals, the same construction the optimizer scans, so a
+    grid maximum matches an unrefined optimizer run at the same resolution.
     """
-    ns, nt = grid
-    if ns < 2 or nt < 2:
-        raise ValueError("grid dimensions must be >= 2")
-    if s_range is None:
-        s_range = (Fraction(0), Fraction(objective.dimension + 1))
-    s_lo, s_hi = (to_rational(v) for v in s_range)
-    t_lo, t_hi = (to_rational(v) for v in t_range)
+    params = SearchParams(
+        s_range=s_range, t_range=t_range, grid=grid, max_denominator=max_denominator
+    )
+    s_lo, s_hi = params.resolved_s_range(objective.dimension)
+    t_lo, t_hi = params.t_range
+    ns, nt = params.grid
     s_axis = GridAxis(s_lo, s_hi, ns, max_denominator)
     t_axis = GridAxis(t_lo, t_hi, nt, max_denominator)
     vals = objective.vector(s_axis.floats, t_axis.floats)

@@ -59,6 +59,11 @@ def nu_vector(x: np.ndarray, d: int) -> np.ndarray:
     is at most j, term j and all later ones are +0.0, and adding +0.0 to
     ``acc`` (which starts at +0.0) changes no bit.  A NaN fails ``<=``, so
     an input holding one runs every term, as does a wide grid box.
+
+    It works element by element: each output double depends only on the
+    input double at the same place, never on the other elements or on the
+    array's shape, so volumes computed in pieces equal those computed at
+    once, bit for bit.
     """
     x = np.asarray(x, dtype=float)
     clamped = np.clip(x, 0.0, float(d))
@@ -153,13 +158,16 @@ class GridAxis:
     """``n`` evenly spaced exact nodes from ``lo`` to ``hi``, and their floats.
 
     Node i is lo + i * (hi - lo) / (n - 1), held as the integer numerator
-    ``lo*D + i*step*D`` over the common denominator D = lcm(denominators of
-    lo and step).  Python's integer true division is correctly rounded, so
-    ``floats[i]`` is bit for bit ``float(node(i))``, and no ``Fraction`` is
-    built until :meth:`node` asks for one.  Only when D exceeds
-    ``max_denominator`` is each node snapped to its closest fraction with a
-    denominator of at most ``max_denominator``.  A degenerate axis
-    (lo == hi) repeats lo as given.
+    ``first + i * delta`` over the common denominator D = lcm(denominators
+    of lo and step).  ``floats[i]`` is bit for bit ``float(node(i))``, the
+    correctly rounded quotient of the two integers: when D and every
+    numerator lie below 2**53 they convert to doubles exactly, so numpy
+    builds all of them with one correctly rounded division; otherwise
+    Python's integer true division, also correctly rounded, builds them one
+    by one.  No ``Fraction`` is built until :meth:`node` asks for one.  Only
+    when D exceeds ``max_denominator`` is each node snapped to its closest
+    fraction with a denominator of at most ``max_denominator``.  A
+    degenerate axis (lo == hi) repeats lo as given.
     """
 
     def __init__(self, lo: Fraction, hi: Fraction, n: int, max_denominator: int):
@@ -167,26 +175,28 @@ class GridAxis:
         den = lcm(lo.denominator, step.denominator)
         first = lo.numerator * (den // lo.denominator)
         delta = step.numerator * (den // step.denominator)
-        self._numerators = [first + i * delta for i in range(n)]
-        self._den = den
+        self._first, self._delta, self._den, self._n = first, delta, den, n
+        self._snapped = None
         if lo != hi and den > max_denominator:
             self._snapped = [
-                Fraction(m, den).limit_denominator(max_denominator)
-                for m in self._numerators
+                Fraction(first + i * delta, den).limit_denominator(max_denominator)
+                for i in range(n)
             ]
             self.floats = np.array([float(v) for v in self._snapped])
+        elif max(abs(first), abs(first + (n - 1) * delta), den) < 2**53:
+            numerators = np.arange(n, dtype=np.int64) * delta + first
+            self.floats = numerators.astype(float) / float(den)
         else:
-            self._snapped = None
-            self.floats = np.array([m / den for m in self._numerators])
+            self.floats = np.array([(first + i * delta) / den for i in range(n)])
 
     def __len__(self) -> int:
-        return len(self._numerators)
+        return self._n
 
     def node(self, i: int) -> Fraction:
         """The exact coordinate of node ``i``."""
         if self._snapped is not None:
             return self._snapped[i]
-        return Fraction(self._numerators[i], self._den)
+        return Fraction(self._first + i * self._delta, self._den)
 
     def nodes(self) -> tuple[Fraction, ...]:
         return tuple(self.node(i) for i in range(len(self)))

@@ -29,7 +29,9 @@ from hkcert.bounds import (
     range_min,
     s_bound,
 )
+from hkcert.certify import cover_range, prove_dimension
 from hkcert.search import GridAxis, SearchParams
+from hkcert.targets import wy_target
 from hkcert.volume import nu_exact
 
 from oracles import (
@@ -458,22 +460,44 @@ def memo(monkeypatch):
 
 @pytest.fixture
 def nu_calls(monkeypatch):
-    """The dimension of every nu_vector call LinearBound.vector makes."""
+    """The number of points of every nu_vector call LinearBound.vector makes."""
     calls = []
     real = bounds.nu_vector
-    monkeypatch.setattr(bounds, "nu_vector", lambda x, d: calls.append(d) or real(x, d))
+
+    def counted(x, d):
+        calls.append(x.size)
+        return real(x, d)
+
+    monkeypatch.setattr(bounds, "nu_vector", counted)
     return calls
 
 
 def _assert_memo_within_capacity(memo):
-    arrays = list(memo._arrays.values())
-    assert memo.cells == sum(a.size for a in arrays) <= memo.capacity
-    assert not any(a.flags.writeable for a in arrays)
+    tiles = list(memo._tiles)
+    assert memo.cells == sum(tile.vols.size for tile in tiles) <= memo.capacity
+    assert sorted(map(id, tiles)) == sorted(
+        id(tile) for entry in memo._index.values() for tile in entry
+    )
+    for tile in tiles:
+        assert tile.vols.shape == (len(tile.s), len(tile.t))
+        assert not any(a.flags.writeable for a in (tile.vols, tile.s, tile.t))
+
+
+def _boxes(memo):
+    """The boxes the memo holds, by their key and the bytes of both axes."""
+    return {(tile.key, tile.s.tobytes(), tile.t.tobytes()) for tile in memo._tiles}
+
+
+def _assert_bits(objective_case, s, t):
+    objective, formula = objective_case
+    got = objective.vector(s, t)
+    assert np.array_equal(got.view(np.int64), formula(s, t).view(np.int64))
 
 
 class TestVolumeMemo:
-    """LinearBound.vector reads its slice volumes from a bounded memo shared
-    by every bound; no cell may differ from the bound's written-out formula."""
+    """LinearBound.vector reads its slice volumes from a bounded memo of
+    volume tiles shared by every bound; no cell may differ from the bound's
+    written-out formula."""
 
     def test_every_result_bit_for_bit_through_evictions(self, memo):
         # e after e on one default grid, as a covering scans it, between
@@ -498,61 +522,57 @@ class TestVolumeMemo:
                 (_general_case(10, e + 240, e + 238, 5), _default_axes(10)),
                 (_general_case(8, e, 4, 1, ((2, F(1, 3)),)), narrow),
             ]
-            for (objective, formula), (s, t) in calls:
-                got = objective.vector(s, t)
-                assert np.array_equal(got.view(np.int64), formula(s, t).view(np.int64))
+            for case, (s, t) in calls:
+                _assert_bits(case, s, t)
                 _assert_memo_within_capacity(memo)
-                keys = set(memo._arrays)
-                evicted |= seen - keys
-                seen |= keys
-        assert evicted & set(memo._arrays), "no box was evicted and scanned again"
+                boxes = _boxes(memo)
+                evicted |= seen - boxes
+                seen |= boxes
+        assert evicted & _boxes(memo), "no box was evicted and scanned again"
 
     def test_same_box_for_every_e_is_computed_once(self, memo, nu_calls):
         s, t = _default_axes(10)
         for e in range(240, 250):
-            objective, formula = _general_case(10, e, e - 2, 5)
-            got = objective.vector(s, t)
-            assert np.array_equal(got.view(np.int64), formula(s, t).view(np.int64))
-        # nu(s), nu(s - 1), nu(s - 1/2) and nu(s - t), once each.
-        assert len(nu_calls) == 4
+            _assert_bits(_general_case(10, e, e - 2, 5), s, t)
+        # One tile of nu(s), nu(s - 1) and nu(s - 1/2), one of nu(s - t).
+        assert nu_calls == [len(s) * 3, len(s) * len(t)]
 
     def test_mutating_results_and_inputs_changes_no_later_result(self, memo):
         for objective, formula in (_h_case(7, 7), _mu_small_case(6, 3, 7)):
             s, t = _default_axes(7)
             first = objective.vector(s, t)
             first[...] = np.nan
-            again = objective.vector(s, t)
-            assert np.array_equal(again.view(np.int64), formula(s, t).view(np.int64))
-            # The key holds a copy of each axis, so new values in either
-            # one make a new box.
+            _assert_bits((objective, formula), s, t)
+            # A tile holds a copy of each axis, so new values in either
+            # one make new cells.
             for axis in (t, s):
                 axis[-3:] = 0.5
-                moved = objective.vector(s, t)
-                assert np.array_equal(moved.view(np.int64), formula(s, t).view(np.int64))
-        for array in memo._arrays.values():
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+                _assert_bits((objective, formula), s, t)
+        _assert_memo_within_capacity(memo)
 
     def test_grid_larger_than_the_memo_is_not_kept(self, memo):
         s = GridAxis(F(0), F(8), 400, 10**6).floats
         t = GridAxis(F(0), F(1), 300, 10**6).floats
         assert len(s) * len(t) > memo.capacity
-        objective, formula = _h_case(7, 7)
-        got = objective.vector(s, t)
-        assert np.array_equal(got.view(np.int64), formula(s, t).view(np.int64))
-        assert all(a.size < len(s) * len(t) for a in memo._arrays.values())
+        _assert_bits(_h_case(7, 7), s, t)
+        assert all(tile.vols.size < len(s) * len(t) for tile in memo._tiles)
         _assert_memo_within_capacity(memo)
 
     def test_threads_sharing_the_memo(self, monkeypatch, nu_calls):
         # More threads than cores, a memo that holds three of these six
         # boxes, and a short switch interval: a lost update to the memo's
-        # cell count or a torn entry would show as a wrong count or a wrong
-        # cell.
+        # cell count, a torn tile or a tile reused at the wrong offset
+        # would show as a wrong count or a wrong cell.  Three boxes share
+        # one node lattice, shifted by whole nodes, so tiles are partly
+        # reused and replaced; the other three differ in width, so the memo
+        # sees optimizations begin and evicts.
         small = bounds._VolumeMemo(3 * (40 * 20 + 3 * 40))
         monkeypatch.setattr(bounds, "_VOLUMES", small)
         jobs = []
         for i in range(6):
-            s = GridAxis(F(i, 3), F(i, 3) + 4, 40, 10**6).floats
+            lo = F(i, 10) if i < 3 else F(i, 3)
+            hi = lo + (F(39, 10) if i < 3 else i - 1)
+            s = GridAxis(lo, hi, 40, 10**6).floats
             t = GridAxis(F(0), F(1), 20, 10**6).floats
             objective, formula = _h_case(6 + i % 3, 7)
             jobs.append((objective, s, t, formula(s, t).view(np.int64)))
@@ -577,6 +597,159 @@ class TestVolumeMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        # Four volumes per call; some came from the memo and some did not.
-        assert 6 * 4 < len(nu_calls) < 6 * 60 * 4
+        # At most two tiles per call; some came from the memo and some did
+        # not.
+        assert 6 * 2 < len(nu_calls) < 6 * 60 * 2
         _assert_memo_within_capacity(small)
+
+
+def _lattice_axis(first: int, n: int, step: Fraction) -> np.ndarray:
+    """Nodes first*step ... (first + n - 1)*step, as GridAxis builds them."""
+    return GridAxis(first * step, (first + n - 1) * step, n, 10**6).floats
+
+
+class TestVolumeTiles:
+    """A box that overlaps a kept tile on the same node lattice reuses the
+    tile's cells and computes only its new rows and columns."""
+
+    S_STEP, T_STEP = F(11, 199), F(1, 99)
+
+    def axes(self, s_first, t_first, ns=60, nt=30):
+        return (
+            _lattice_axis(s_first, ns, self.S_STEP),
+            _lattice_axis(t_first, nt, self.T_STEP),
+        )
+
+    @pytest.mark.parametrize("ds", (-7, -1, 0, 1, 7))
+    @pytest.mark.parametrize("dt", (-5, -1, 0, 1, 5))
+    def test_shifted_boxes(self, memo, nu_calls, ds, dt):
+        case = _general_case(10, 245, 243, 5)
+        _assert_bits(case, *self.axes(20, 40))
+        nu_calls.clear()
+        _assert_bits(case, *self.axes(20 + ds, 40 + dt))
+        # Only the cells outside the old box are computed: |ds| new rows of
+        # the 1-D tile (three shifts), and an L of the 2-D tile.
+        new_2d = 60 * 30 - (60 - abs(ds)) * (30 - abs(dt))
+        assert sum(nu_calls) == 3 * abs(ds) + new_2d
+        _assert_memo_within_capacity(memo)
+
+    def test_chain_of_shifts_bit_for_bit(self, memo, nu_calls):
+        # A box that walks away node by node, as refinement boxes do from
+        # one e to the next, and comes back.
+        for e, (ds, dt) in enumerate(
+            [(0, 0), (2, 1), (5, -3), (59, 0), (0, 29), (-4, 0), (0, 0)]
+        ):
+            _assert_bits(_h_case(8 + e, 7), *self.axes(30 + ds, 50 + dt))
+        _assert_memo_within_capacity(memo)
+        assert sum(nu_calls) < 7 * 60 * (30 + 3)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(10, 20, 40, 10), (0, 0, 60, 30), (5, 0, 50, 30), (0, 5, 60, 25)],
+        ids=["inner", "same", "rows", "cols"],
+    )
+    def test_sub_boxes(self, memo, shape):
+        ds, dt, ns, nt = shape
+        _assert_bits(_h_case(7, 8), *self.axes(20, 40))
+        _assert_bits(_h_case(7, 8), *self.axes(20 + ds, 40 + dt, ns, nt))
+        _assert_memo_within_capacity(memo)
+
+    def test_super_boxes(self, memo):
+        _assert_bits(_mu_small_case(9, 2, 8), *self.axes(20, 40, 30, 15))
+        _assert_bits(_h_case(7, 8), *self.axes(20, 40, 30, 15))
+        _assert_bits(_h_case(7, 8), *self.axes(10, 30))
+        _assert_bits(_h_case(7, 8), *self.axes(20, 40, 30, 15))
+        _assert_memo_within_capacity(memo)
+
+    def test_other_lattice_is_not_reused(self, memo, nu_calls):
+        case = _h_case(7, 7)
+        _assert_bits(case, *self.axes(20, 40))
+        nu_calls.clear()
+        # Half the step: every other node coincides, no run of nodes does.
+        s = GridAxis(20 * self.S_STEP, 20 * self.S_STEP + 59 * self.S_STEP / 2, 60, 10**6)
+        _, t = self.axes(20, 40)
+        _assert_bits(case, s.floats, t)
+        assert sum(nu_calls) == 60 * 3 + 60 * 30
+
+    @pytest.mark.parametrize("axis", ("s", "t"))
+    def test_negative_zero_is_another_node(self, memo, nu_calls, axis):
+        s, t = _default_axes(7)
+        case = _h_case(7, 7)
+        _assert_bits(case, s, t)
+        nu_calls.clear()
+        signed = (s if axis == "s" else t).copy()
+        assert signed[0] == 0.0 and not np.signbit(signed[0])
+        signed[0] = -0.0
+        if axis == "s":
+            _assert_bits(case, signed, t)
+        else:
+            _assert_bits(case, s, signed)
+        # The node -0.0 equals 0.0 but has other bytes, so its cells are
+        # computed again, not read from the tile.
+        assert sum(nu_calls) >= (len(t) if axis == "s" else len(s))
+        assert any(
+            np.signbit(tile.s[0] if axis == "s" else tile.t[0]) for tile in memo._tiles
+        )
+
+    def test_degenerate_t_axis(self, memo, nu_calls):
+        # The mu-small rungs scan t = 1 only, as a 2-node axis (1, 1).
+        t = GridAxis(F(1), F(1), 2, 10**6).floats
+        assert t.tolist() == [1.0, 1.0]
+        for case in (_mu_small_case(6, 3, 10), _h_case(6, 10), _general_case(10, 9, 7, 5)):
+            for s_first in (0, 3, 0):
+                s, _ = self.axes(s_first, 0)
+                _assert_bits(case, s, t)
+        _assert_memo_within_capacity(memo)
+        # Each move by 3 nodes computes 3 new rows.  Mu-small has the shifts
+        # (0, 1); H_e and this general bound share the shifts (0, 1, 1/2)
+        # and the 2-D tile of nu(s - t) with its 2 columns.
+        mu_small = 60 * 2 + 2 * (3 * 2)
+        h = 60 * (3 + 2) + 2 * (3 * (3 + 2))
+        general = 2 * (3 * (3 + 2))
+        assert sum(nu_calls) == mu_small + h + general
+
+    def test_boxes_beyond_the_memo_keep_the_first_ones(self, memo, nu_calls):
+        # Six nested boxes per optimization, of which the memo holds four,
+        # scanned e after e: least-recently-used eviction would drop each
+        # box just before the next e asks for it again.
+        s_full, t_full = _default_axes(7)
+        nested = [(s_full, t_full)]
+        for r in range(1, 6):
+            width = F(8, 5**r)
+            s = GridAxis(F(3) - width / 2, F(3) + width / 2, 200, 10**6).floats
+            t = GridAxis(F(1, 2) - F(1, 2 * 5**r), F(1, 2) + F(1, 2 * 5**r), 100, 10**6)
+            nested.append((s, t.floats))
+        for e in range(7, 12):
+            nu_calls.clear()
+            for s, t in nested:
+                _assert_bits(_h_case(e, 7), s, t)
+        # By the last e, the first four boxes come from the memo, and of the
+        # last two only the 2-D volumes are computed: their small 1-D tiles
+        # still fit.
+        assert nu_calls == [200 * 100, 200 * 100]
+        _assert_memo_within_capacity(memo)
+
+
+class TestMemoInCoverings:
+    def test_cover_range_same_on_a_cold_and_a_warm_memo(self, monkeypatch):
+        target = wy_target(10).value
+        monkeypatch.setattr(bounds, "_VOLUMES", bounds._VolumeMemo(bounds._MEMO_CELLS))
+        cold = cover_range(10, 5, 240, 260, target)
+        warm = bounds._VolumeMemo(bounds._MEMO_CELLS)
+        monkeypatch.setattr(bounds, "_VOLUMES", warm)
+        cover_range(8, 4, 6, 60, F(8341, 8064))
+        cover_range(9, 2, 30, 40, wy_target(9).value)
+        assert warm.cells > 0
+        assert cover_range(10, 5, 240, 260, target) == cold
+
+    def test_more_rounds_than_the_memo_holds(self, monkeypatch, nu_calls):
+        # Six boxes per optimization at --rounds 5: the memo keeps the
+        # first ones, so it computes far fewer volumes than no memo at all.
+        params = SearchParams(refine_rounds=5)
+        counts = []
+        for capacity in (0, bounds._MEMO_CELLS):
+            monkeypatch.setattr(bounds, "_VOLUMES", bounds._VolumeMemo(capacity))
+            nu_calls.clear()
+            prove_dimension(7, 1, params)
+            counts.append(sum(nu_calls))
+        assert counts[1] < 0.6 * counts[0]

@@ -1,0 +1,41 @@
+"""The JSON reports of the paper's commands, pinned byte for byte.
+
+A speed-up of the float search must leave every witness, certificate,
+interval and gap as it was, so each of these ``--no-timestamp`` reports
+must keep its SHA-256 digest.  A change that alters a report on purpose
+recomputes the digest with
+
+    PYTHONPATH=src python -m hkcert <command> --json out.json --no-timestamp
+    sha256sum out.json
+
+and says in CHANGES.md why the report moved.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from hkcert.cli import main
+
+GOLDEN = {
+    "prove --dim 10 --k 5": "5447ed19571d8f36ed46a8efcc7f8594f2177bc716554a9ad61acce3267980e4",
+    "prove --dim 7 --k 1": "3d179feb6682d73f93159695ebe3083a8774aabd611d01ebd5549d7aacc8b393",
+    "table1": "51904c75a9e008503714c5c4aeb4282d2ebee118e097b3163a6c0ecd67e26d52",
+    "table2": "c42273748294d89c8fc8981adec06f3afa8f32df794a4aee22369527ddf18584",
+    "cover --dim 8 --k 4 --e-lo 6 --e-hi 41705 --target 8341/8064": (
+        "ed7c0e54721e77a488f13cc901755af4d70e87e9c254fca2205feea187473a65"
+    ),
+    "prove --dim 7 --k 1 --rounds 5": (
+        "0a129809254530c11f653557564a932363c567a3f7bda1e1f222986c7cf99729"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN, ids=GOLDEN)
+def test_report_digest(command, tmp_path):
+    path = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*command.split(), "--json", str(path), "--no-timestamp"]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[command]

@@ -139,6 +139,22 @@ class TestSurfaceGrid:
         grid = surface_grid(objective, grid=(200, 100))
         assert grid.max_cell()[0] >= 1.03535
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"s_range": (-1, 2)},
+            {"t_range": (0, 2)},
+            {"t_range": (F(-1, 2), 1)},
+            {"s_range": (3, 2)},
+            {"grid": (1, 5)},
+            {"grid": (5, 1)},
+            {"max_denominator": 0},
+        ],
+    )
+    def test_rejects_what_search_params_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            surface_grid(H77, **kwargs)
+
     def test_degenerate_box_all_ones(self):
         grid = surface_grid(H77, grid=(2, 2), s_range=(0, 0), t_range=(0, 0))
         assert all(v == 1.0 for row in grid.values for v in row)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkcert.bounds import (
     GeneralBoundObjective,
@@ -190,6 +192,31 @@ class TestGridAxis:
         assert axis.node(0) == lo and axis.node(96) == hi
         # Denominators above 2**53 but below the cap of 2**100 snap.
         self.assert_matches_reference(lo, hi, 97, 2**100)
+
+
+    @pytest.mark.parametrize("hi", (2**53 - 1, 2**53, 2**53 + 1, 2**60 + 3))
+    def test_numerators_around_two_to_the_53(self, hi):
+        # Numerators below 2**53 are divided by numpy, larger ones by
+        # Python; both give the correctly rounded quotient.
+        for lo in (F(0), F(hi - 7), F(hi - 7, 3), F(1, 3)):
+            self.assert_matches_reference(lo, F(hi), 8, 10**6)
+
+    @pytest.mark.parametrize("den", (2**52 + 1, 2**53 - 1, 2**53 + 1, 3**40))
+    def test_denominators_around_two_to_the_53(self, den):
+        for lo, hi in ((F(1, den), F(2, den)), (F(den - 1, den), F(1)), (F(0), F(5, den))):
+            self.assert_matches_reference(lo, hi, 6, 2**200)
+        # The same axes snapped to small denominators.
+        self.assert_matches_reference(F(1, den), F(1), 6, 1000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fractions(min_value=0, max_value=2**60, max_denominator=10**12),
+        st.fractions(min_value=0, max_value=1, max_denominator=10**12),
+        st.integers(2, 40),
+        st.sampled_from((10**6, 2**53, 2**200)),
+    )
+    def test_random_axes(self, lo, width, n, max_denominator):
+        self.assert_matches_reference(lo, lo + width, n, max_denominator)
 
 
 class TestSearchParams:
