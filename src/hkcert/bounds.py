@@ -35,7 +35,6 @@ derives both its exact and its float evaluator from that list.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -147,9 +146,8 @@ class _VolumeMemo:
     the round-0 box among them, instead of evicting each just before the
     next multiplicity asks for it.
 
-    ``_scan`` calls :meth:`LinearBound.vector` from pool threads, so the
-    index is read and changed only under the lock; missing cells are
-    computed outside it.
+    The memo takes no lock, so it must be called from one thread only.
+    No hkcert module starts a thread; ``tests/test_layers.py`` checks that.
     """
 
     def __init__(self, capacity: int):
@@ -161,7 +159,6 @@ class _VolumeMemo:
         self._index: dict = {}
         # Every kept tile, least recently used first.
         self._tiles: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
 
     def get(self, d: int, s: np.ndarray, t: np.ndarray, whole_t: bool) -> np.ndarray:
         """nu(s[:, None] - t[None, :], d); ``whole_t`` reuses a tile only
@@ -170,37 +167,33 @@ class _VolumeMemo:
             return nu_vector(s[:, None] - t[None, :], d)
         key = (d, len(s), t.tobytes() if whole_t else len(t))
         s_ends, t_ends = (float(s[0]), float(s[-1])), (float(t[0]), float(t[-1]))
-        with self._lock:
-            width = s_ends[1] - s_ends[0]
-            # Written so that a NaN width also begins an optimization.
-            if not width <= self._width:
-                self._epoch += 1
-            self._width = width
-            found, most = None, 0
-            for tile in self._index.get(key, ()):
-                if not _same_span(tile.s_ends, s_ends):
-                    continue
-                if whole_t:
-                    cols = (0, 0, len(t))
-                elif _same_span(tile.t_ends, t_ends):
-                    cols = _overlap(tile.t, t)
-                else:
-                    continue
-                rows = _overlap(tile.s, s)
-                if rows[2] * cols[2] > most:
-                    found, most = (tile, rows, cols), rows[2] * cols[2]
-            if found is not None:
-                tile = found[0]
-                tile.used = self._epoch
-                self._tiles.move_to_end(tile)
-                if most == len(s) * len(t):
-                    return tile.vols
-            epoch = self._epoch
+        width = s_ends[1] - s_ends[0]
+        # Written so that a NaN width also begins an optimization.
+        if not width <= self._width:
+            self._epoch += 1
+        self._width = width
+        found, most = None, 0
+        for tile in self._index.get(key, ()):
+            if not _same_span(tile.s_ends, s_ends):
+                continue
+            if whole_t:
+                cols = (0, 0, len(t))
+            elif _same_span(tile.t_ends, t_ends):
+                cols = _overlap(tile.t, t)
+            else:
+                continue
+            rows = _overlap(tile.s, s)
+            if rows[2] * cols[2] > most:
+                found, most = (tile, rows, cols), rows[2] * cols[2]
 
         if found is None:
             vols = nu_vector(s[:, None] - t[None, :], d)
         else:
             tile, (i, j, m), (k, l, n) = found
+            tile.used = self._epoch
+            self._tiles.move_to_end(tile)
+            if most == len(s) * len(t):
+                return tile.vols
             vols = np.empty((len(s), len(t)))
             vols[i : i + m, k : k + n] = tile.vols[j : j + m, l : l + n]
             # The tile has as many rows and columns as the request, so the
@@ -219,15 +212,14 @@ class _VolumeMemo:
             return vols
         s, t = s.copy(), t.copy()
         s.flags.writeable = t.flags.writeable = False
-        new = _Tile(key, s, t, vols, epoch)
-        with self._lock:
-            if found is not None and found[0] in self._tiles:
-                self._drop(found[0])
-            elif not self._make_room(new):
-                return vols
-            self._tiles[new] = None
-            self._index.setdefault(key, []).append(new)
-            self.cells += vols.size
+        new = _Tile(key, s, t, vols, self._epoch)
+        if found is not None:
+            self._drop(found[0])
+        elif not self._make_room(new):
+            return vols
+        self._tiles[new] = None
+        self._index.setdefault(key, []).append(new)
+        self.cells += vols.size
         return vols
 
     def _make_room(self, new: _Tile) -> bool:
@@ -257,9 +249,9 @@ class _VolumeMemo:
 # The float slice volumes of recent grid boxes.  100,000 floats (800 KB)
 # hold the 2-D volumes and the 1-D volumes of the four boxes of the default
 # 200 x 100 grid that an optimization with the default three refinement
-# rounds scans, as a whole or as worker chunks.  With more rounds the memo
-# keeps the first boxes of an optimization and computes the later ones in
-# full each time (see ``_VolumeMemo``).
+# rounds scans.  With more rounds the memo keeps the first boxes of an
+# optimization and computes the later ones in full each time (see
+# ``_VolumeMemo``).
 _MEMO_CELLS = 100_000
 _VOLUMES = _VolumeMemo(_MEMO_CELLS)
 

@@ -188,7 +188,6 @@ def cover_range(
     e_hi: int,
     target,
     params: SearchParams | None = None,
-    workers: int = 1,
 ) -> CoveragePlan:
     """Greedily cover the integer range [e_lo, e_hi] with certified intervals.
 
@@ -196,15 +195,18 @@ def cover_range(
     (chosen by chasing the parabola apex), then binary-search the largest e2
     whose bound at the shared witness still exceeds the target exactly.
     Multiplicities that admit no certificate become gap entries rather than
-    failures, so callers can report unresolved cases.
+    failures, so callers can report unresolved cases.  The target must
+    exceed 1, as every :class:`~hkcert.targets.TargetValue` does.
     """
     if e_lo > e_hi:
         raise ValueError(f"empty multiplicity range [{e_lo}, {e_hi}]")
     target = to_rational(target)
+    if target <= 1:
+        raise ValueError(f"target must exceed 1, got {target}")
     params = params or SearchParams()
 
     def witness_for(e_at: int) -> tuple[Fraction, Fraction]:
-        cand = optimize_bound(_objective_for(d, e_at, k), params, workers)
+        cand = optimize_bound(_objective_for(d, e_at, k), params)
         return cand.s_exact, cand.t_exact
 
     def certified(e_at: int, s0: Fraction, t0: Fraction) -> Certificate:
@@ -332,7 +334,6 @@ def prove_dimension(
     k: int,
     params: SearchParams | None = None,
     target: TargetValue | None = None,
-    workers: int = 1,
 ) -> ProofReport:
     """Assemble the case ladder for dimension d with k adjoined square roots.
 
@@ -393,7 +394,6 @@ def prove_dimension(
                     t_range=(Fraction(1), Fraction(1)),
                     grid=(params.grid[0], 2),
                 ),
-                workers,
             )
             cert = certify_point(objective, cand.s_exact, cand.t_exact, tgt)
             cases.append(
@@ -440,7 +440,7 @@ def prove_dimension(
                 )
             )
 
-        plan = cover_range(d, k, e_start, threshold, tgt, params, workers)
+        plan = cover_range(d, k, e_start, threshold, tgt, params)
         cases.append(
             CaseEntry(
                 kind="coverage",

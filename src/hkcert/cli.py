@@ -81,16 +81,6 @@ def _range_pair(text: str) -> tuple[Fraction, Fraction]:
         raise argparse.ArgumentTypeError(f"range must look like lo:hi, got {text!r}")
 
 
-def _workers(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return n
-
-
 def _check_dim(d: int) -> int:
     if not 1 <= d <= MAX_CACHED_DIMENSION:
         raise ValueError(f"dimension must be in [1, {MAX_CACHED_DIMENSION}]")
@@ -307,7 +297,7 @@ def cmd_optimize(args) -> int:
     _check_dim(args.d)
     objective = _objective_from_args(args.kind, args.d, args.e, args.mu, args.k)
     params = search_params(args)
-    cand = optimize_bound(objective, params, workers=args.workers)
+    cand = optimize_bound(objective, params)
     exact = objective.exact(cand.s_exact, cand.t_exact)
     lines = [
         f"best value {cand.value!r} at s={cand.s_exact} t={cand.t_exact}",
@@ -324,8 +314,7 @@ def cmd_optimize(args) -> int:
 def cmd_cover(args) -> int:
     _check_dim(args.dim)
     params = search_params(args)
-    plan = cover_range(args.dim, args.k, args.e_lo, args.e_hi, args.target,
-                       params, workers=args.workers)
+    plan = cover_range(args.dim, args.k, args.e_lo, args.e_hi, args.target, params)
     lines = [
         f"covering e in [{args.e_lo}, {args.e_hi}] against {args.target} "
         f"(d={args.dim}, k={args.k}):"
@@ -358,8 +347,7 @@ def cmd_prove(args) -> int:
 
         target = TargetValue(args.dim, None, args.target, "user-supplied")
     params = search_params(args)
-    report = prove_dimension(args.dim, args.k, params,
-                             target=target, workers=args.workers)
+    report = prove_dimension(args.dim, args.k, params, target=target)
     lines = [
         f"dimension {args.dim}, k={args.k}, target {report.target.value} "
         f"({report.target.provenance})"
@@ -395,7 +383,7 @@ def cmd_table1(args) -> int:
     for e, (s_txt, t_txt) in TABLE1_POINTS.items():
         s, t = to_rational(s_txt), to_rational(t_txt)
         reference = h_bound(e, s, t, 7)
-        cand = optimize_bound(HBoundObjective(e, 7), params, workers=args.workers)
+        cand = optimize_bound(HBoundObjective(e, 7), params)
         found = HBoundObjective(e, 7).exact(cand.s_exact, cand.t_exact)
         rows.append(
             {
@@ -432,8 +420,7 @@ def cmd_table1(args) -> int:
 def cmd_table2(args) -> int:
     e_lo, e_hi = TABLE2_RANGE
     params = search_params(args)
-    plan = cover_range(7, 1, e_lo, e_hi, DIM7_TARGET,
-                       params, workers=args.workers)
+    plan = cover_range(7, 1, e_lo, e_hi, DIM7_TARGET, params)
     lines = [f"certified covering of [{e_lo}, {e_hi}] against {DIM7_TARGET}:"]
     for iv in plan.intervals:
         lines.append(
@@ -527,8 +514,6 @@ def _add_common(sub, grid=False, search=False):
         sub.add_argument("--rounds", type=int, default=None,
                          help="refinement rounds")
         sub.add_argument("--max-denominator", type=int, default=None)
-        sub.add_argument("--workers", type=_workers, default=1,
-                         help="parallel grid chunks (result is identical)")
         sub.add_argument("--config", help="key = value file overriding search defaults")
 
 

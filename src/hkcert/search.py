@@ -8,13 +8,16 @@ the other way around, and only the incumbent the scan keeps becomes a
 ``Fraction``.  So the best point found can be certified afterwards with
 exact arithmetic at exactly the coordinates the search visited.
 
-Ties are broken by value (descending), then s, then t (ascending), making
-the result deterministic and independent of the degree of parallelism.
+Ties are broken by value (descending), then s, then t (ascending), so the
+result is deterministic.  Within one scan the rule comes from two facts:
+``np.argmax`` returns the first maximum in row-major order, and the axes
+never decrease, so the first maximum has the smallest s and then the
+smallest t.  A snapped axis may repeat a node, which changes neither.
+Across refinement rounds the rule compares the exact incumbents.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm
@@ -203,44 +206,14 @@ class GridAxis:
 
 
 def _scan(
-    objective: Objective,
-    s_axis: GridAxis,
-    t_axis: GridAxis,
-    workers: int,
+    objective: Objective, s_axis: GridAxis, t_axis: GridAxis
 ) -> tuple[float, Fraction, Fraction]:
-    s_arr, t_arr = s_axis.floats, t_axis.floats
-
-    def chunk_best(i0: int, i1: int) -> tuple[float, Fraction, Fraction]:
-        vals = objective.vector(s_arr[i0:i1], t_arr)
-        flat = int(np.argmax(vals))
-        i, j = divmod(flat, vals.shape[1])
-        return float(vals[i, j]), s_axis.node(i0 + i), t_axis.node(j)
-
-    if workers <= 1 or len(s_axis) < 2 * workers:
-        results = [chunk_best(0, len(s_axis))]
-    else:
-        bounds = np.linspace(0, len(s_axis), workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(chunk_best, int(a), int(b))
-                for a, b in zip(bounds, bounds[1:])
-                if a < b
-            ]
-            results = [f.result() for f in futures]
-
-    # Deterministic reduction: value desc, then s asc, then t asc (exact keys).
-    best = results[0]
-    for value, s, t in results[1:]:
-        if value > best[0] or (value == best[0] and (s, t) < best[1:]):
-            best = (value, s, t)
-    return best
+    vals = objective.vector(s_axis.floats, t_axis.floats)
+    i, j = divmod(int(np.argmax(vals)), vals.shape[1])
+    return float(vals[i, j]), s_axis.node(i), t_axis.node(j)
 
 
-def optimize_bound(
-    objective: Objective,
-    params: SearchParams | None = None,
-    workers: int = 1,
-) -> Candidate:
+def optimize_bound(objective: Objective, params: SearchParams | None = None) -> Candidate:
     """Grid-scan ``objective`` and refine around the incumbent.
 
     Each refinement round rescans a box 1/shrink_factor the size of the
@@ -258,7 +231,7 @@ def optimize_bound(
     for round_no in range(params.refine_rounds + 1):
         s_axis = GridAxis(box[0], box[1], ns, params.max_denominator)
         t_axis = GridAxis(box[2], box[3], nt, params.max_denominator)
-        value, s_best, t_best = _scan(objective, s_axis, t_axis, workers)
+        value, s_best, t_best = _scan(objective, s_axis, t_axis)
         if (
             best is None
             or value > best[0]

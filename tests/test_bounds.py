@@ -1,6 +1,4 @@
 import random
-import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -558,14 +556,14 @@ class TestVolumeMemo:
         assert all(tile.vols.size < len(s) * len(t) for tile in memo._tiles)
         _assert_memo_within_capacity(memo)
 
-    def test_threads_sharing_the_memo(self, monkeypatch, nu_calls):
-        # More threads than cores, a memo that holds three of these six
-        # boxes, and a short switch interval: a lost update to the memo's
-        # cell count, a torn tile or a tile reused at the wrong offset
-        # would show as a wrong count or a wrong cell.  Three boxes share
-        # one node lattice, shifted by whole nodes, so tiles are partly
-        # reused and replaced; the other three differ in width, so the memo
-        # sees optimizations begin and evicts.
+    def test_random_calls_on_a_small_memo(self, monkeypatch, nu_calls):
+        # Six seeded callers take turns, 60 calls each, on a memo that
+        # holds three of these six boxes: a wrong cell count, a torn tile
+        # or a tile reused at the wrong offset would show as a wrong count
+        # or a wrong cell.  Three boxes share one node lattice, shifted by
+        # whole nodes, so tiles are partly reused and replaced; the other
+        # three differ in width, so the memo sees optimizations begin and
+        # evicts.
         small = bounds._VolumeMemo(3 * (40 * 20 + 3 * 40))
         monkeypatch.setattr(bounds, "_VOLUMES", small)
         jobs = []
@@ -576,31 +574,18 @@ class TestVolumeMemo:
             t = GridAxis(F(0), F(1), 20, 10**6).floats
             objective, formula = _h_case(6 + i % 3, 7)
             jobs.append((objective, s, t, formula(s, t).view(np.int64)))
+        callers = [random.Random(seed) for seed in range(6)]
         failures = []
-
-        def work(seed):
-            rng = random.Random(seed)
-            for n in range(60):
+        for n in range(60):
+            for seed, rng in enumerate(callers):
                 objective, s, t, want = rng.choice(jobs)
                 if not np.array_equal(objective.vector(s, t).view(np.int64), want):
                     failures.append((seed, n))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+                _assert_memo_within_capacity(small)
         assert failures == []
         # At most two tiles per call; some came from the memo and some did
         # not.
         assert 6 * 2 < len(nu_calls) < 6 * 60 * 2
-        _assert_memo_within_capacity(small)
 
 
 def _lattice_axis(first: int, n: int, step: Fraction) -> np.ndarray:

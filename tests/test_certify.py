@@ -157,24 +157,15 @@ class TestCoverRange:
         b = cover_range(7, 1, 13, 200, DIM7_TARGET, FAST)
         assert a == b
 
-    def test_determinism_across_workers(self):
-        a = cover_range(7, 1, 13, 200, DIM7_TARGET, FAST, workers=1)
-        b = cover_range(7, 1, 13, 200, DIM7_TARGET, FAST, workers=3)
-        assert a == b
-
-    def test_determinism_across_workers_with_the_volume_memo(self):
-        # Default search at d = 10: every multiplicity rescans the boxes of
-        # the one before from the float volume memo, whole with one worker
-        # and as three chunks with three.
-        target = F(3679321, 3628800)
-        a = cover_range(10, 5, 240, 260, target, workers=1)
-        b = cover_range(10, 5, 240, 260, target, workers=3)
-        assert a == b
-        assert a.intervals and a.gaps
-
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             cover_range(7, 1, 10, 9, DIM7_TARGET, FAST)
+
+    @pytest.mark.parametrize("target", [F(-1), F(0), F(1)])
+    def test_rejects_target_not_above_one(self, target):
+        # Every bound is 1 at (0, 0), so such a target is met trivially.
+        with pytest.raises(ValueError, match="target must exceed 1"):
+            cover_range(7, 1, 13, 14, target, FAST)
 
     def test_plan_bookkeeping(self):
         plan = CoveragePlan(

@@ -197,10 +197,25 @@ class TestSearchCommands:
         ids=["optimize", "cover", "prove", "table1", "table2"],
     )
     def test_workers_below_one_rejected(self, capsys, argv, workers):
+        # The search runs in one thread; --workers is not an option at all,
+        # so any value of it is an unrecognised argument.
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--workers", workers])
         assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert "--workers" in err
+
+    @pytest.mark.parametrize("target", ["1", "0", "-1"])
+    def test_cover_target_not_above_one_rejected(self, capsys, target):
+        code, out, err = run(
+            ["cover", "--dim", "7", "--k", "1", "--e-lo", "13", "--e-hi", "14",
+             "--target", target, "--grid", "8x8", "--rounds", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error: target must exceed 1, got {target}" in err
 
     @pytest.mark.parametrize(
         "flags",

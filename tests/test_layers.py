@@ -7,6 +7,9 @@
 renders objectives it is handed and never builds one, so it does not
 import ``bounds``.  The package ``__init__`` and ``__main__`` re-export
 and dispatch, and stand outside the order.
+
+No module starts a thread or a process: the float volume memo in
+``bounds`` takes no lock and must be called from one thread only.
 """
 
 import ast
@@ -26,6 +29,21 @@ LAYER = {
 OUTSIDE = {"__init__", "__main__"}
 
 PACKAGE = Path(hkcert.__file__).parent
+
+
+CONCURRENCY = {"threading", "concurrent", "multiprocessing", "_thread"}
+
+
+def absolute_imports(module: str) -> set[str]:
+    """Top-level names of the modules that ``module`` imports from outside."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
 
 
 def relative_imports(module: str) -> set[str]:
@@ -64,3 +82,8 @@ def test_order_is_the_one_the_code_has():
     assert "bounds" in relative_imports("certify")
     assert "certify" in relative_imports("report")
     assert "report" in relative_imports("cli")
+
+
+def test_no_module_imports_threads_or_processes():
+    for path in PACKAGE.glob("*.py"):
+        assert not absolute_imports(path.stem) & CONCURRENCY, path.name

@@ -251,7 +251,45 @@ class TestSearchParams:
             SearchParams(**ranges)
 
 
+class _Plateau:
+    """min(s, 1), constant in t: every node with s >= 1 ties at the top."""
+
+    dimension = 1
+
+    def exact(self, s, t):
+        return min(s, F(1))
+
+    def vector(self, s, t):
+        return np.repeat(np.minimum(s, 1.0)[:, None], len(t), axis=1)
+
+    def descriptor(self):
+        return {"kind": "plateau"}
+
+
 class TestOptimizer:
+    @pytest.mark.parametrize("rounds", [0, 1, 3])
+    def test_plateau_tie_break_through_refinement(self, rounds):
+        # s = 1 is a node of round 0 but of no later round: each refinement
+        # box is centred on it and has an even node count, so its first
+        # plateau node lies above 1 and ties with the incumbent.
+        params = SearchParams(s_range=(F(0), F(9, 4)), t_range=(F(1, 4), F(3, 4)),
+                              grid=(10, 4), refine_rounds=rounds)
+        cand = optimize_bound(_Plateau(), params)
+        assert (cand.value, cand.s_exact, cand.t_exact) == (1.0, F(1), F(1, 4))
+        # The round-1 box alone, scanned once: its first plateau node.
+        box = SearchParams(s_range=(F(31, 40), F(49, 40)), grid=(10, 4), refine_rounds=0)
+        assert optimize_bound(_Plateau(), box).s_exact == F(41, 40)
+
+    def test_plateau_tie_break_on_a_snapped_grid(self):
+        # Denominators capped at 7: several nodes of each s box snap to 1,
+        # and each refined t box starts with t_lo = 1/4 repeated.
+        params = SearchParams(s_range=(F(0), F(2)), t_range=(F(1, 4), F(3, 4)),
+                              grid=(50, 5), max_denominator=7)
+        s_nodes = GridAxis(F(0), F(2), 50, 7).nodes()
+        assert s_nodes.count(F(1)) > 1 and min(v for v in s_nodes if v >= 1) == 1
+        cand = optimize_bound(_Plateau(), params)
+        assert (cand.value, cand.s_exact, cand.t_exact) == (1.0, F(1), F(1, 4))
+
     def test_constant_objective_tie_break(self):
         # In dimension 1, nu(s) = nu(s - 1) = 1 for s in [2, 3], so the
         # mu-small bound with mu = 1 is 0 on the whole box: every cell ties.
@@ -274,19 +312,14 @@ class TestOptimizer:
         b = optimize_bound(HBoundObjective(9, 7), params)
         assert a == b
 
-    def test_deterministic_across_workers(self):
+    def test_deterministic_repeat_on_an_odd_grid(self):
         params = SearchParams(grid=(97, 41))
-        runs = [
-            optimize_bound(HBoundObjective(8, 7), params, workers=w)
-            for w in (1, 2, 3, 7)
-        ]
+        runs = [optimize_bound(HBoundObjective(8, 7), params) for _ in range(3)]
         assert all(r == runs[0] for r in runs)
 
-    def test_snapped_grid_deterministic_across_workers(self):
+    def test_snapped_grid_deterministic_repeat(self):
         params = SearchParams(s_range=(F(0), F(11)), grid=(200, 9), max_denominator=7)
-        runs = [
-            optimize_bound(HBoundObjective(7, 10), params, workers=w) for w in (1, 3)
-        ]
+        runs = [optimize_bound(HBoundObjective(7, 10), params) for _ in range(2)]
         assert runs[0] == runs[1]
         cand = runs[0]
         assert cand.s_exact.denominator <= 7 and cand.t_exact.denominator <= 7
