@@ -196,10 +196,16 @@ def cover_range(
     whose bound at the shared witness still exceeds the target exactly.
     Multiplicities that admit no certificate become gap entries rather than
     failures, so callers can report unresolved cases.  The target must
-    exceed 1, as every :class:`~hkcert.targets.TargetValue` does.
+    exceed 1, as every :class:`~hkcert.targets.TargetValue` does, the range
+    must start at 2 or above (a non-regular ring has multiplicity at least
+    2), and k must be a nonnegative integer.
     """
     if e_lo > e_hi:
         raise ValueError(f"empty multiplicity range [{e_lo}, {e_hi}]")
+    if e_lo < 2:
+        raise ValueError(f"multiplicities start at 2, got e_lo = {e_lo}")
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     target = to_rational(target)
     if target <= 1:
         raise ValueError(f"target must exceed 1, got {target}")
@@ -311,10 +317,6 @@ class ProofReport:
     hypotheses: tuple[str, ...]
     cases: tuple[CaseEntry, ...]
     verdict: str  # "proved" | "open"
-
-    @property
-    def gap_entries(self) -> tuple[CaseEntry, ...]:
-        return tuple(c for c in self.cases if c.kind == "gap")
 
 
 _STANDING_HYPOTHESES = (

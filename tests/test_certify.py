@@ -167,6 +167,17 @@ class TestCoverRange:
         with pytest.raises(ValueError, match="target must exceed 1"):
             cover_range(7, 1, 13, 14, target, FAST)
 
+    @pytest.mark.parametrize("e_lo", [-5, 0, 1])
+    def test_rejects_multiplicity_below_two(self, e_lo):
+        # A non-regular ring has multiplicity at least 2.
+        with pytest.raises(ValueError, match="multiplicities start at 2"):
+            cover_range(7, 1, e_lo, 14, DIM7_TARGET, FAST)
+
+    @pytest.mark.parametrize("k", [-1, F(1, 2), 1.0])
+    def test_rejects_k_not_a_nonnegative_integer(self, k):
+        with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+            cover_range(7, k, 13, 14, DIM7_TARGET, FAST)
+
     def test_plan_bookkeeping(self):
         plan = CoveragePlan(
             dimension=7,

@@ -218,6 +218,26 @@ class TestSearchCommands:
         assert f"error: target must exceed 1, got {target}" in err
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k", "1", "--e-lo", "-5", "--e-hi", "0"],
+             "error: multiplicities start at 2, got e_lo = -5"),
+            (["--k", "-1", "--e-lo", "2", "--e-hi", "2"],
+             "error: k must be a nonnegative integer, got -1"),
+        ],
+        ids=["e-below-two", "k-negative"],
+    )
+    def test_cover_bad_range_or_k_rejected(self, capsys, flags, message):
+        code, out, err = run(
+            ["cover", "--dim", "7", "--target", "71/67", "--grid", "8x8",
+             "--rounds", "0"] + flags,
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
         "flags",
         [["--t-range", "1:2"], ["--t-range=-1:1/2"], ["--s-range=-1:2"]],
         ids=["t-above", "t-below", "s-below"],

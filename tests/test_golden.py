@@ -30,6 +30,18 @@ GOLDEN = {
     "prove --dim 7 --k 1 --rounds 5": (
         "0a129809254530c11f653557564a932363c567a3f7bda1e1f222986c7cf99729"
     ),
+    # One command for each payload kind the reports above do not contain.
+    "nu --d 7 --s 7/2": "5caed7c0582f162f223a9c43450c0f4b3deb2452bbd86021c70d07f26a1687eb",
+    "series --max 10": "1c7d35af6aef6cce8264030dab03b2bdd32f00c18ec5617cdd52adc47e5baa1c",
+    "quadric --check-identities": (
+        "6b29cd365adebcf81b0a790f3bfca7159173ceb28d7319ecab983494e50c0659"
+    ),
+    "optimize --kind h --e 13/3": (
+        "674d573168ffc7358c2dec633ac502906781fa33f143783b728650fc8f4eb356"
+    ),
+    "surface --dim 7 --e 7 --grid 40x30": (
+        "1d80cd9f5d84cc184ddc4deb2f4ed6c156320188a76b8ef5346645d5cb9e1dc6"
+    ),
 }
 
 

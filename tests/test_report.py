@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkcert.bounds import BoundSpec, GeneralBoundObjective, HBoundObjective
 from hkcert.certify import certify_point, cover_range, prove_dimension
@@ -117,6 +119,48 @@ class TestRoundTrip:
             parse({"schema_version": "1", "command": "x", "params": {},
                    "payload": {"payload_kind": "mystery"},
                    "verdict": None, "timestamp": None})
+
+
+# Huge, tiny, negative and integer-valued rationals, all within float range.
+FRACTIONS = st.one_of(
+    st.integers(-(10**300), 10**300).map(F),
+    st.builds(F, st.integers(-(10**300), 10**300), st.integers(1, 10**330)),
+    st.fractions(-(10**300), 10**300, max_denominator=10**6),
+)
+
+
+def _written_fractions(data):
+    """(exact, float) of every encoded Fraction in a JSON document."""
+    if isinstance(data, dict):
+        if set(data) == {"exact", "float"}:
+            yield F(data["exact"]), data["float"]
+        else:
+            for v in data.values():
+                yield from _written_fractions(v)
+    elif isinstance(data, list):
+        for v in data:
+            yield from _written_fractions(v)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(FRACTIONS, min_size=1, max_size=6))
+    def test_exact_round_trip_and_correctly_rounded_floats(self, values):
+        payloads = [
+            ScalarResult("x", values[0]),
+            SeriesResult(tuple(values)),
+            TableResult("rows", ("i", "x"),
+                        tuple({"i": i, "x": v} for i, v in enumerate(values))),
+        ]
+        for payload, count in zip(payloads, (1, len(values), len(values))):
+            doc = ReportDocument.build("test", {"x": values[-1]}, payload,
+                                       timestamp=False)
+            text = dumps(doc)
+            assert loads(text) == doc
+            written = list(_written_fractions(json.loads(text)))
+            assert len(written) == count + 1  # the payload's and the params'
+            for exact, as_float in written:
+                assert as_float.hex() == float(exact).hex()
 
 
 class TestSurfaceGrid:
