@@ -39,7 +39,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import isclose
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,8 +70,14 @@ __all__ = [
 # Shared constants, so the constructors below build no Fractions of their own.
 _HALF = Fraction(1, 2)
 _MINUS_HALF = Fraction(-1, 2)
-# H_e: nu(s) - (e - 4) nu(s - 1) - nu(s - 1/2), as (w, we, a) triples.
-_H_TERMS = ((1, 0, 0), (4, -1, 1), (-1, 0, _HALF))
+
+
+@lru_cache(maxsize=None)
+def _worst_case_terms(k: int) -> tuple[tuple[int, int, Fraction | int], ...]:
+    """The master family's inner sum at the worst case mu = e - 2, as
+    (w, we, a) triples: nu(s) - (e - k - 3) nu(s - 1) - k nu(s - 1/2).
+    k = 1 gives H_e."""
+    return ((1, 0, 0), (k + 3, -1, 1), (-k, 0, _HALF))
 
 
 @lru_cache(maxsize=None)
@@ -82,9 +87,8 @@ def _minus_half_power(k: int) -> Fraction:
 
 
 def _overlap(have: np.ndarray, want: np.ndarray) -> tuple[int, int, int]:
-    """(i, j, n) such that want[i:i + n] and have[j:j + n] hold the same
-    bytes, for the run that starts at the first node of either axis; n is 0
-    when the two axes share no such run."""
+    """(i, j, n) with want[i:i + n] byte-equal to have[j:j + n], for the run
+    from the first node of either axis; n = 0 if there is no such run."""
     if want[0] >= have[0]:
         i, j = 0, int(np.searchsorted(have, want[0]))
     else:
@@ -95,59 +99,28 @@ def _overlap(have: np.ndarray, want: np.ndarray) -> tuple[int, int, int]:
     return 0, 0, 0
 
 
-class _Tile:
-    """The read-only volumes nu(s[:, None] - t[None, :], d) on copies of
-    the axes s and t, with the axes' end points as Python floats for a
-    lookup's prefilter; ``used`` is the memo's optimization count when a
-    lookup last touched the tile."""
-
-    __slots__ = ("key", "s", "t", "vols", "s_ends", "t_ends", "used")
-
-    def __init__(self, key, s, t, vols, used):
-        self.key = key
-        self.s, self.t, self.vols, self.used = s, t, vols, used
-        self.s_ends = (float(s[0]), float(s[-1]))
-        self.t_ends = (float(t[0]), float(t[-1]))
-
-
-def _same_span(have: tuple[float, float], want: tuple[float, float]) -> bool:
-    """Whether two axes overlap and are equally wide up to rounding, as two
-    boxes of one refinement round on one node lattice are."""
-    return (
-        have[0] <= want[1]
-        and want[0] <= have[1]
-        and isclose(have[1] - have[0], want[1] - want[0], rel_tol=1e-9)
-    )
-
-
 class _VolumeMemo:
-    """Float slice volumes of recent grid boxes, kept as read-only tiles of
-    at most ``capacity`` floats in all.
+    """Float slice volumes of recent grid boxes: read-only tiles of at most
+    ``capacity`` floats in all, one tile per box shape.
 
-    :meth:`get` reuses the cells of a kept tile wherever the request's s
-    and t doubles are byte-equal to the tile's, and computes the rest in
-    one :func:`~hkcert.search.nu_vector` call; that kernel works element by
-    element, so every cell is the double a full recomputation would give.
-    A refinement box is centred on a node of the previous round's grid, so
-    the box the next multiplicity scans in the same round lies on the same
-    node lattice, shifted by whole nodes, and an exact repeat reuses every
-    cell.  Tiles are indexed by (d, len(s), len(t)), or by (d, len(s), the
-    bytes of t) for the 1-D volumes, whose t holds the shifts a_i; only
-    tiles whose axes overlap the request's and are as wide are compared
-    with numpy.
+    A shape is d, the lengths of s and t, and their widths rounded to 9
+    decimals; for the 1-D volumes, the bytes of t (the shifts a_i) stand in
+    for t's length and width.  The unclipped boxes of refinement round r
+    are (d + 1)/5^r by 1/5^r wide, so they share a shape although their
+    float widths differ in the last bits; a clipped box has a shape of its
+    own, and a shape shared by chance costs one recomputation.  :meth:`get`
+    reuses the shape's tile wherever the request's s and t doubles are
+    byte-equal to the tile's, and computes the rest in one
+    :func:`~hkcert.search.nu_vector` call, which works element by element,
+    so every cell is the double a full recomputation gives.
 
-    A new tile takes the place of the tile it reused.  One that reused none
-    evicts, least recently used first, tiles that no lookup has touched
-    since the current optimization began, and is not kept when that frees
-    too little room.  A request whose s axis is wider than the one before
-    begins an optimization, as refinement rounds only narrow the box.  With
-    the default rounds this is least-recently-used eviction; an
-    optimization with more boxes than the memo holds keeps its first ones,
-    the round-0 box among them, instead of evicting each just before the
-    next multiplicity asks for it.
-
-    The memo takes no lock, so it must be called from one thread only.
-    No hkcert module starts a thread; ``tests/test_layers.py`` checks that.
+    The new tile replaces its shape's tile, on a hit or a miss.  A new
+    shape evicts, least recently used first, tiles untouched since the
+    current optimization began, and is not kept if that frees too little
+    room; so an optimization with more boxes than the memo holds keeps its
+    first ones.  A request whose s axis is wider than the one before begins
+    an optimization, as refinement rounds only narrow the box.  The memo
+    takes no lock; no hkcert module starts a thread (``tests/test_layers.py``).
     """
 
     def __init__(self, capacity: int):
@@ -156,8 +129,8 @@ class _VolumeMemo:
         # The optimization count, and the width of the last s axis asked for.
         self._epoch = 0
         self._width = 0.0
-        self._index: dict = {}
-        # Every kept tile, least recently used first.
+        # shape -> (s, t, vols, the optimization count when a lookup last
+        # touched the tile), least recently used first.
         self._tiles: OrderedDict = OrderedDict()
 
     def get(self, d: int, s: np.ndarray, t: np.ndarray, whole_t: bool) -> np.ndarray:
@@ -165,41 +138,33 @@ class _VolumeMemo:
         if its t holds the very bytes of ``t``."""
         if not (len(s) and len(t)):
             return nu_vector(s[:, None] - t[None, :], d)
-        key = (d, len(s), t.tobytes() if whole_t else len(t))
-        s_ends, t_ends = (float(s[0]), float(s[-1])), (float(t[0]), float(t[-1]))
-        width = s_ends[1] - s_ends[0]
+        width = float(s[-1]) - float(s[0])
         # Written so that a NaN width also begins an optimization.
         if not width <= self._width:
             self._epoch += 1
         self._width = width
-        found, most = None, 0
-        for tile in self._index.get(key, ()):
-            if not _same_span(tile.s_ends, s_ends):
-                continue
-            if whole_t:
-                cols = (0, 0, len(t))
-            elif _same_span(tile.t_ends, t_ends):
-                cols = _overlap(tile.t, t)
-            else:
-                continue
-            rows = _overlap(tile.s, s)
-            if rows[2] * cols[2] > most:
-                found, most = (tile, rows, cols), rows[2] * cols[2]
-
-        if found is None:
-            vols = nu_vector(s[:, None] - t[None, :], d)
+        if whole_t:
+            key = (d, len(s), round(width, 9), t.tobytes())
         else:
-            tile, (i, j, m), (k, l, n) = found
-            tile.used = self._epoch
-            self._tiles.move_to_end(tile)
-            if most == len(s) * len(t):
-                return tile.vols
+            t_width = round(float(t[-1]) - float(t[0]), 9)
+            key = (d, len(s), round(width, 9), len(t), t_width)
+        tile, m, n = self._tiles.get(key), 0, 0
+        if tile is not None:
+            have_s, have_t, have, _ = tile
+            i, j, m = _overlap(have_s, s)
+            k, l, n = (0, 0, len(t)) if whole_t else _overlap(have_t, t)
+        if not m * n:
+            vols = nu_vector(s[:, None] - t[None, :], d)
+        elif m * n == len(s) * len(t):
+            self._tiles[key] = (have_s, have_t, have, self._epoch)
+            self._tiles.move_to_end(key)
+            return have
+        else:
             vols = np.empty((len(s), len(t)))
-            vols[i : i + m, k : k + n] = tile.vols[j : j + m, l : l + n]
-            # The tile has as many rows and columns as the request, so the
-            # reused block reaches one end of each axis, and the cells left
-            # form an L: whole rows on one side of the block, and columns on
-            # one side of it within its rows.
+            vols[i : i + m, k : k + n] = have[j : j + m, l : l + n]
+            # The tile has the request's shape, so the reused block reaches
+            # one end of each axis, and the cells left form an L: whole rows
+            # on one side of it, and columns on one side of it in its rows.
             rows = slice(0, i) if i else slice(m, len(s))
             cols = slice(0, k) if k else slice(n, len(t))
             side = s[rows, None] - t
@@ -210,48 +175,35 @@ class _VolumeMemo:
         vols.flags.writeable = False
         if vols.size > self.capacity:
             return vols
+        # A shape's tiles are all of one size, so replacing one keeps
+        # ``cells``; a new shape must make room.
+        if self._tiles.pop(key, None) is None:
+            if not self._make_room(vols.size):
+                return vols
+            self.cells += vols.size
         s, t = s.copy(), t.copy()
         s.flags.writeable = t.flags.writeable = False
-        new = _Tile(key, s, t, vols, self._epoch)
-        if found is not None:
-            self._drop(found[0])
-        elif not self._make_room(new):
-            return vols
-        self._tiles[new] = None
-        self._index.setdefault(key, []).append(new)
-        self.cells += vols.size
+        self._tiles[key] = (s, t, vols, self._epoch)
         return vols
 
-    def _make_room(self, new: _Tile) -> bool:
-        need = self.cells + new.vols.size - self.capacity
+    def _make_room(self, size: int) -> bool:
+        need = self.cells + size - self.capacity
         victims = []
-        for tile in self._tiles:
+        for key, (_, _, vols, used) in self._tiles.items():
             if need <= 0:
                 break
-            if tile.used < self._epoch:
-                victims.append(tile)
-                need -= tile.vols.size
+            if used < self._epoch:
+                victims.append(key)
+                need -= vols.size
         if need > 0:
             return False
-        for tile in victims:
-            self._drop(tile)
+        for key in victims:
+            self.cells -= self._tiles.pop(key)[2].size
         return True
 
-    def _drop(self, tile: _Tile) -> None:
-        del self._tiles[tile]
-        tiles = self._index[tile.key]
-        tiles.remove(tile)
-        if not tiles:
-            del self._index[tile.key]
-        self.cells -= tile.vols.size
 
-
-# The float slice volumes of recent grid boxes.  100,000 floats (800 KB)
-# hold the 2-D volumes and the 1-D volumes of the four boxes of the default
-# 200 x 100 grid that an optimization with the default three refinement
-# rounds scans.  With more rounds the memo keeps the first boxes of an
-# optimization and computes the later ones in full each time (see
-# ``_VolumeMemo``).
+# 100,000 floats (800 KB) hold the volumes of the four boxes of the default
+# 200 x 100 grid that an optimization with three refinement rounds scans.
 _MEMO_CELLS = 100_000
 _VOLUMES = _VolumeMemo(_MEMO_CELLS)
 
@@ -452,7 +404,7 @@ def HBoundObjective(e, d: int = 7) -> LinearBound:
     if e < 4:
         raise ValueError(f"H_e needs e >= 4 so that mu = e - 2 >= 2, got {e}")
     desc = {"kind": "h", "e": str(e), "d": d}
-    return LinearBound(d, e, 1, _MINUS_HALF, _H_TERMS, -1, 1, desc)
+    return LinearBound(d, e, 1, _MINUS_HALF, _worst_case_terms(1), -1, 1, desc)
 
 
 def GeneralBoundObjective(spec: BoundSpec) -> LinearBound:
@@ -549,22 +501,21 @@ def quadratic_in_e(s, t, d: int = 7, k: int = 1) -> tuple[Fraction, Fraction, Fr
     """Coefficients (a, b, c) of the worst case mu = e - 2 as a e^2 + b e + c.
 
     The master family with mu = e - 2 and k square roots; k = 1 is H_e.
-    a = -nu(s-1) <= 0, so the family is concave in e and interval minima sit
-    at the endpoints.
+    a sums the e-parts we of the term weights and b the rest, less
+    nu(s-t); so a = -nu(s-1) <= 0, the family is concave in e and interval
+    minima sit at the endpoints.
     """
     s, t = to_rational(s), to_rational(t)
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
     if not 0 <= t <= 1:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    n1 = nu_exact(s - 1, d)
-    b = (
-        nu_exact(s, d)
-        + (k + 3) * n1
-        - k * nu_exact(s - _HALF, d)
-        - nu_exact(s - t, d)
-    )
-    return -n1, b, 1 - t / 2**k
+    a = b = 0
+    for w, we, x in _worst_case_terms(k):
+        v = nu_exact(s - x, d)
+        a += we * v
+        b += w * v
+    return a, b - nu_exact(s - t, d), 1 - t / 2**k
 
 
 def e_max(s0, t0, d: int = 7, k: int = 1) -> Fraction:

@@ -62,7 +62,9 @@ def _fraction_json(value: Fraction) -> dict:
 
 def _enc(value):
     """Recursively encode a value of a ``dict`` field for JSON."""
-    if isinstance(value, Fraction):
+    # Fraction is an ABC, so isinstance would call __instancecheck__ for
+    # every other value; no hkcert code subclasses it.
+    if type(value) is Fraction:
         return _fraction_json(value)
     if isinstance(value, dict):
         return {k: _enc(v) for k, v in value.items()}

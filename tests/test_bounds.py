@@ -470,20 +470,22 @@ def nu_calls(monkeypatch):
     return calls
 
 
+def _tiles(memo):
+    """The memo's tiles as (key, s, t, vols) tuples."""
+    return [(key, s, t, vols) for key, (s, t, vols, _) in memo._tiles.items()]
+
+
 def _assert_memo_within_capacity(memo):
-    tiles = list(memo._tiles)
-    assert memo.cells == sum(tile.vols.size for tile in tiles) <= memo.capacity
-    assert sorted(map(id, tiles)) == sorted(
-        id(tile) for entry in memo._index.values() for tile in entry
-    )
-    for tile in tiles:
-        assert tile.vols.shape == (len(tile.s), len(tile.t))
-        assert not any(a.flags.writeable for a in (tile.vols, tile.s, tile.t))
+    tiles = _tiles(memo)
+    assert memo.cells == sum(vols.size for *_, vols in tiles) <= memo.capacity
+    for _, s, t, vols in tiles:
+        assert vols.shape == (len(s), len(t))
+        assert not any(a.flags.writeable for a in (vols, s, t))
 
 
 def _boxes(memo):
     """The boxes the memo holds, by their key and the bytes of both axes."""
-    return {(tile.key, tile.s.tobytes(), tile.t.tobytes()) for tile in memo._tiles}
+    return {(key, s.tobytes(), t.tobytes()) for key, s, t, _ in _tiles(memo)}
 
 
 def _assert_bits(objective_case, s, t):
@@ -553,7 +555,7 @@ class TestVolumeMemo:
         t = GridAxis(F(0), F(1), 300, 10**6).floats
         assert len(s) * len(t) > memo.capacity
         _assert_bits(_h_case(7, 7), s, t)
-        assert all(tile.vols.size < len(s) * len(t) for tile in memo._tiles)
+        assert all(vols.size < len(s) * len(t) for *_, vols in _tiles(memo))
         _assert_memo_within_capacity(memo)
 
     def test_random_calls_on_a_small_memo(self, monkeypatch, nu_calls):
@@ -673,7 +675,8 @@ class TestVolumeTiles:
         # computed again, not read from the tile.
         assert sum(nu_calls) >= (len(t) if axis == "s" else len(s))
         assert any(
-            np.signbit(tile.s[0] if axis == "s" else tile.t[0]) for tile in memo._tiles
+            np.signbit(have_s[0] if axis == "s" else have_t[0])
+            for _, have_s, have_t, _ in _tiles(memo)
         )
 
     def test_degenerate_t_axis(self, memo, nu_calls):
@@ -726,6 +729,23 @@ class TestMemoInCoverings:
         cover_range(9, 2, 30, 40, wy_target(9).value)
         assert warm.cells > 0
         assert cover_range(10, 5, 240, 260, target) == cold
+
+    def test_default_rounds_prove(self, memo, nu_calls):
+        # The d = 7 proof at default rounds, on a fresh memo.
+        prove_dimension(7, 1)
+        assert sum(nu_calls) <= 839_770
+
+    def test_default_rounds_cover(self, monkeypatch, nu_calls):
+        # The twelve optimizations of one d = 10 covering, 82,400 points each
+        # with no memo, reuse each other's boxes.
+        counts = []
+        for capacity in (0, bounds._MEMO_CELLS):
+            monkeypatch.setattr(bounds, "_VOLUMES", bounds._VolumeMemo(capacity))
+            nu_calls.clear()
+            cover_range(10, 5, 240, 260, wy_target(10).value)
+            counts.append(sum(nu_calls))
+        assert counts[0] == 988_800
+        assert counts[1] <= 164_090
 
     def test_more_rounds_than_the_memo_holds(self, monkeypatch, nu_calls):
         # Six boxes per optimization at --rounds 5: the memo keeps the

@@ -30,6 +30,12 @@ GOLDEN = {
     "prove --dim 7 --k 1 --rounds 5": (
         "0a129809254530c11f653557564a932363c567a3f7bda1e1f222986c7cf99729"
     ),
+    # Optimizations that scan more boxes than the volume memo holds, and
+    # many coverings of one dimension.
+    "prove --dim 8 --k 4 --rounds 7": (
+        "e24d6dd6f739ba2764fac7e1e46bc5eb9a15c899cd9b6e81175af3f3f9cd565c"
+    ),
+    "prove --dim 9 --k 2": "6682d6287cb3940c963b698667979a37265400e4eb56dab03fb174611b1456ad",
     # One command for each payload kind the reports above do not contain.
     "nu --d 7 --s 7/2": "5caed7c0582f162f223a9c43450c0f4b3deb2452bbd86021c70d07f26a1687eb",
     "series --max 10": "1c7d35af6aef6cce8264030dab03b2bdd32f00c18ec5617cdd52adc47e5baa1c",
