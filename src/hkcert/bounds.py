@@ -426,7 +426,7 @@ def GeneralBoundObjective(spec: BoundSpec) -> LinearBound:
 
 def MuSmallObjective(e, mu: int, d: int = 7) -> LinearBound:
     """Root-free bound e (nu(s) - mu nu(s-1)); constant in t."""
-    e = to_rational(e)
+    e = BoundSpec(d, e, mu).e  # d, e and mu as the master bound checks them
     terms = ((1, 0, 0), (-mu, 0, 1))
     desc = {"kind": "mu-small", "e": str(e), "mu": mu, "d": d}
     return LinearBound(d, e, 0, 0, terms, 0, 1, desc)

@@ -36,7 +36,7 @@ __all__ = [
     "reverify_certificate",
     "objective_from_descriptor",
     "CoverageInterval",
-    "GapEntry",
+    "GapRun",
     "CoveragePlan",
     "cover_range",
     "CaseEntry",
@@ -138,11 +138,17 @@ class CoverageInterval:
 
 
 @dataclass(frozen=True)
-class GapEntry:
-    """A multiplicity value the pipeline could not certify, and why."""
+class GapRun:
+    """A maximal run [e_lo, e_hi] of uncertified multiplicities, and why."""
 
-    e: int
+    e_lo: int
+    e_hi: int
     reason: str
+
+
+def GapEntry(e: int, reason: str) -> GapRun:
+    """The run of the single multiplicity e, as older reports stored gaps."""
+    return GapRun(e, e, reason)
 
 
 @dataclass(frozen=True)
@@ -153,7 +159,7 @@ class CoveragePlan:
     e_lo: int
     e_hi: int
     intervals: tuple[CoverageInterval, ...]
-    gaps: tuple[GapEntry, ...]
+    gaps: tuple[GapRun, ...]
 
     @property
     def complete(self) -> bool:
@@ -163,7 +169,7 @@ class CoveragePlan:
         """Every integer in [e_lo, e_hi] is in exactly one interval or gap."""
         marks = sorted(
             [(iv.e_lo, iv.e_hi) for iv in self.intervals]
-            + [(g.e, g.e) for g in self.gaps]
+            + [(g.e_lo, g.e_hi) for g in self.gaps]
         )
         cursor = self.e_lo
         for lo, hi in marks:
@@ -194,7 +200,7 @@ def cover_range(
     At the current left endpoint e1: optimize the bound for a mid-range e
     (chosen by chasing the parabola apex), then binary-search the largest e2
     whose bound at the shared witness still exceeds the target exactly.
-    Multiplicities that admit no certificate become gap entries rather than
+    Multiplicities that admit no certificate become gap runs rather than
     failures, so callers can report unresolved cases.  The target must
     exceed 1, as every :class:`~hkcert.targets.TargetValue` does, the range
     must start at 2 or above (a non-regular ring has multiplicity at least
@@ -219,21 +225,23 @@ def cover_range(
         return certify_point(_objective_for(d, e_at, k), s0, t0, target)
 
     intervals: list[CoverageInterval] = []
-    gaps: list[GapEntry] = []
+    gaps: list[GapRun] = []
     e1 = e_lo
+    if e1 <= k + 2:
+        # mu = e - 2 generators cannot include the k + 1 the bound needs.
+        reason = f"generator count e - 2 below k + 1 = {k + 1}"
+        gaps.append(GapRun(e1, min(k + 2, e_hi), reason))
+        e1 = k + 3
     while e1 <= e_hi:
-        if e1 - 2 < max(k + 1, 1):
-            gaps.append(
-                GapEntry(e1, f"generator count e - 2 = {e1 - 2} below k + 1 = {k + 1}")
-            )
-            e1 += 1
-            continue
-
         # Pick the shared witness: start from the point optimal for e1, then
         # chase the apex twice so one interval swallows as many e as possible.
         s0, t0 = witness_for(e1)
         if not certified(e1, s0, t0).verdict:
-            gaps.append(GapEntry(e1, "no certificate found at optimized witness"))
+            reason = "no certificate found at optimized witness"
+            if gaps and (gaps[-1].e_hi, gaps[-1].reason) == (e1 - 1, reason):
+                gaps[-1] = replace(gaps[-1], e_hi=e1)  # extend the run
+            else:
+                gaps.append(GapRun(e1, e1, reason))
             e1 += 1
             continue
         point = (s0, t0)
@@ -342,8 +350,9 @@ def prove_dimension(
     Cases, in order: cited multiplicities e <= 5; the large-e factorial
     threshold; root-free optimization for generator counts mu <= 3; the
     non-normal escape hatch 1 + 1/2^k; certified coverage of the remaining
-    multiplicity range with the worst case mu = e - 2.  Verdict is "proved"
-    exactly when no gap entries remain; gaps are data, not failures.
+    multiplicity range with the worst case mu = e - 2, with one gap case per
+    run of uncovered multiplicities.  Verdict is "proved" exactly when no gap
+    cases remain; gaps are data, not failures.
     """
     if d < 2:
         raise ValueError("the pipeline needs dimension >= 2")
@@ -450,10 +459,10 @@ def prove_dimension(
                 plan=plan,
             )
         )
-        for gap in plan.gaps:
-            cases.append(
-                CaseEntry(kind="gap", parameters={"e": gap.e}, citation=gap.reason)
-            )
+        cases += [
+            CaseEntry(kind="gap", parameters={"e_lo": g.e_lo, "e_hi": g.e_hi}, citation=g.reason)
+            for g in plan.gaps
+        ]
 
     verdict = "proved" if not any(c.kind == "gap" for c in cases) else "open"
     return ProofReport(

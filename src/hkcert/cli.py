@@ -29,6 +29,7 @@ from .bounds import (
 from .certify import cover_range, prove_dimension
 from .search import SearchParams, optimize_bound
 from .targets import (
+    TargetValue,
     ehk_quadric_dim7,
     m_coeffs,
     verify_quadric_identities,
@@ -177,21 +178,6 @@ def _write_rows_csv(path: str, columns, rows) -> None:
             writer.writerow([str(row[c]) for c in columns])
 
 
-def _plan_csv_rows(plan):
-    columns = ("e_lo", "e_hi", "s0", "t0", "certified_min")
-    rows = [
-        {
-            "e_lo": iv.e_lo,
-            "e_hi": iv.e_hi,
-            "s0": iv.s0,
-            "t0": iv.t0,
-            "certified_min": iv.certified_min,
-        }
-        for iv in plan.intervals
-    ]
-    return columns, rows
-
-
 def _doc(args, command: str, params: dict, payload, verdict=None) -> rpt.ReportDocument:
     return rpt.ReportDocument.build(
         command,
@@ -204,6 +190,33 @@ def _doc(args, command: str, params: dict, payload, verdict=None) -> rpt.ReportD
 
 def _fmt(x: Fraction) -> str:
     return f"{x} ({float(x):.9g})"
+
+
+def _key_values(params: dict) -> str:
+    """``key=value`` pairs; an exact value prints as its ``p/q`` string."""
+    return " ".join(f"{key}={value}" for key, value in params.items())
+
+
+def _plan_lines(plan, intervals: bool = True) -> list[str]:
+    """A line per certified interval (unless ``intervals`` is false), then per gap run."""
+    lines = [
+        f"  [{iv.e_lo:>6}, {iv.e_hi:>6}] at (s0={iv.s0}, t0={iv.t0}) "
+        f"certified min {float(iv.certified_min):.6f}"
+        for iv in (plan.intervals if intervals else ())
+    ]
+    return lines + [f"  gap at e={g.e_lo}..{g.e_hi}: {g.reason}" for g in plan.gaps]
+
+
+def _emit_plan(args, command: str, header: str, params: dict, plan) -> int:
+    """Print, and write as CSV and JSON, the plan of ``cover`` or ``table2``."""
+    verdict = "complete" if plan.complete else "gaps"
+    lines = [header, *_plan_lines(plan), f"verdict: {verdict}"]
+    if args.csv:
+        columns = ("e_lo", "e_hi", "s0", "t0", "certified_min")
+        rows = [{c: getattr(iv, c) for c in columns} for iv in plan.intervals]
+        _write_rows_csv(args.csv, columns, rows)
+        lines.append(f"wrote {args.csv}")
+    return _emit(args, _doc(args, command, params, plan, verdict=verdict), lines)
 
 
 def _search_echo(params: SearchParams) -> dict:
@@ -315,36 +328,17 @@ def cmd_cover(args) -> int:
     _check_dim(args.dim)
     params = search_params(args)
     plan = cover_range(args.dim, args.k, args.e_lo, args.e_hi, args.target, params)
-    lines = [
-        f"covering e in [{args.e_lo}, {args.e_hi}] against {args.target} "
-        f"(d={args.dim}, k={args.k}):"
-    ]
-    for iv in plan.intervals:
-        lines.append(
-            f"  [{iv.e_lo:>6}, {iv.e_hi:>6}] at (s0={iv.s0}, t0={iv.t0}) "
-            f"certified min {float(iv.certified_min):.6f}"
-        )
-    for gap in plan.gaps:
-        lines.append(f"  gap at e={gap.e}: {gap.reason}")
-    verdict = "complete" if plan.complete else "gaps"
-    lines.append(f"verdict: {verdict}")
-    if args.csv:
-        _write_rows_csv(args.csv, *_plan_csv_rows(plan))
-        lines.append(f"wrote {args.csv}")
-    doc = _doc(args, "cover",
-               {"dim": args.dim, "k": args.k, "e_lo": args.e_lo,
-                "e_hi": args.e_hi, "target": str(args.target),
-                "search": _search_echo(params)},
-               plan, verdict=verdict)
-    return _emit(args, doc, lines)
+    header = (f"covering e in [{args.e_lo}, {args.e_hi}] against {args.target} "
+              f"(d={args.dim}, k={args.k}):")
+    params = {"dim": args.dim, "k": args.k, "e_lo": args.e_lo, "e_hi": args.e_hi,
+              "target": str(args.target), "search": _search_echo(params)}
+    return _emit_plan(args, "cover", header, params, plan)
 
 
 def cmd_prove(args) -> int:
     _check_dim(args.dim)
     target = None
     if args.target is not None:
-        from .targets import TargetValue
-
         target = TargetValue(args.dim, None, args.target, "user-supplied")
     params = search_params(args)
     report = prove_dimension(args.dim, args.k, params, target=target)
@@ -357,8 +351,9 @@ def cmd_prove(args) -> int:
             plan = case.plan
             lines.append(
                 f"  coverage [{plan.e_lo}, {plan.e_hi}]: {len(plan.intervals)} "
-                f"interval(s), {len(plan.gaps)} gap(s)"
+                f"interval(s), {len(plan.gaps)} gap run(s)"
             )
+            lines += _plan_lines(plan, intervals=False)
         elif case.kind == "mu-small":
             c = case.certificate
             lines.append(
@@ -366,9 +361,11 @@ def cmd_prove(args) -> int:
                 f"{float(c.value):.6f} > target? {c.verdict}"
             )
         elif case.kind == "gap":
-            lines.append(f"  gap: {case.parameters} ({case.citation})")
+            # The coverage's own gap runs are printed with its plan above.
+            if case.parameters.keys() != {"e_lo", "e_hi"}:
+                lines.append(f"  gap: {_key_values(case.parameters)} ({case.citation})")
         else:
-            lines.append(f"  {case.kind}: {case.parameters or case.citation}")
+            lines.append(f"  {case.kind}: {_key_values(case.parameters) or case.citation}")
     lines.append(f"verdict: {report.verdict}")
     doc = _doc(args, "prove",
                {"dim": args.dim, "k": args.k, "search": _search_echo(params)},
@@ -421,22 +418,10 @@ def cmd_table2(args) -> int:
     e_lo, e_hi = TABLE2_RANGE
     params = search_params(args)
     plan = cover_range(7, 1, e_lo, e_hi, DIM7_TARGET, params)
-    lines = [f"certified covering of [{e_lo}, {e_hi}] against {DIM7_TARGET}:"]
-    for iv in plan.intervals:
-        lines.append(
-            f"  [{iv.e_lo:>5}, {iv.e_hi:>5}] at (s0={iv.s0}, t0={iv.t0}) "
-            f"min {float(iv.certified_min):.6f}"
-        )
-    verdict = "complete" if plan.complete else "gaps"
-    lines.append(f"verdict: {verdict}")
-    if args.csv:
-        _write_rows_csv(args.csv, *_plan_csv_rows(plan))
-        lines.append(f"wrote {args.csv}")
-    doc = _doc(args, "table2",
-               {"d": 7, "k": 1, "e_lo": e_lo, "e_hi": e_hi,
-                "target": str(DIM7_TARGET), "search": _search_echo(params)},
-               plan, verdict=verdict)
-    return _emit(args, doc, lines)
+    header = f"certified covering of [{e_lo}, {e_hi}] against {DIM7_TARGET}:"
+    params = {"d": 7, "k": 1, "e_lo": e_lo, "e_hi": e_hi, "target": str(DIM7_TARGET),
+              "search": _search_echo(params)}
+    return _emit_plan(args, "table2", header, params, plan)
 
 
 def cmd_series(args) -> int:

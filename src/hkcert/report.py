@@ -12,6 +12,8 @@ declared type picks the value's form.
   list, and ``X | None`` as ``null`` or X's form.
 - ``int``, ``str``, ``bool`` and ``float`` pass through.
 - An ``objective`` field holds a bound descriptor and is kept verbatim.
+- A gap run also reads the single-e gap ``{"e": n, "reason": r}`` of
+  reports written before gaps became runs, as the run [n, n].
 
 A :class:`ReportDocument` is written by the same rule; its ``payload`` field,
 declared ``object``, holds any payload kind together with its tag.
@@ -31,7 +33,7 @@ from functools import cache
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .certify import Certificate, CoveragePlan, ProofReport
+from .certify import Certificate, CoveragePlan, GapEntry, GapRun, ProofReport
 from .search import Candidate, GridAxis, Objective, SearchParams
 from .targets import QuadricIdentityReport
 
@@ -236,6 +238,9 @@ def _codec(tp):
         return _enc, _dec
     if tp is object:  # ReportDocument.payload: any payload kind, tagged
         return _write_payload, _read_payload
+    if tp is GapRun:  # reports written before gap runs hold {"e", "reason"}
+        write, read = _dataclass_codec(tp)
+        return write, lambda data: GapEntry(**data) if "e" in data else read(data)
     if is_dataclass(tp):
         return _dataclass_codec(tp)
     args = get_args(tp)

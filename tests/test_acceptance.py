@@ -203,7 +203,7 @@ def test_criterion_09_dimension_eight_partial():
         e_hi = large_e_threshold(8, DIM8_TARGET)
         assert e_hi == 41705
         plan = cover_range(8, 4, 6, e_hi, DIM8_TARGET)
-        assert [g.e for g in plan.gaps] == list(range(6, 21))
+        assert [e for g in plan.gaps for e in range(g.e_lo, g.e_hi + 1)] == list(range(6, 21))
         assert plan.covered_or_gapped()
         assert plan.intervals[0].e_lo == 21
         assert plan.intervals[-1].e_hi == e_hi

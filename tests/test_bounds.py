@@ -309,6 +309,19 @@ class TestMuSmall:
         assert v < 6
         assert v < mu_small_bound(6, 2, F("3.56745"))
 
+    @pytest.mark.parametrize(
+        "e,mu,message",
+        [(7, -3, "generator count mu must be a positive integer, got -3"),
+         (7, 0, "generator count mu must be a positive integer, got 0"),
+         (-7, 3, "multiplicity e must be positive, got -7"),
+         (0, 3, "multiplicity e must be positive, got 0")],
+    )
+    def test_rejects_what_bound_spec_rejects(self, e, mu, message):
+        with pytest.raises(ValueError, match=message):
+            MuSmallObjective(e, mu, 7)
+        with pytest.raises(ValueError, match=message):
+            BoundSpec(7, e, mu)
+
 
 class TestNotNormal:
     def test_values(self):

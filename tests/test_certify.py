@@ -14,6 +14,7 @@ from hkcert.bounds import (
 )
 from hkcert.certify import (
     CoveragePlan,
+    GapRun,
     certify_point,
     cover_range,
     objective_from_descriptor,
@@ -22,13 +23,26 @@ from hkcert.certify import (
 )
 from hkcert.report import loads
 from hkcert.search import SearchParams
-from hkcert.targets import TargetValue
+from hkcert.targets import TargetValue, wy_target
 
 F = Fraction
 DIM7_TARGET = F(71, 67)
 DIM8_TARGET = F(8341, 8064)
 
 FAST = SearchParams(grid=(80, 40), refine_rounds=2)
+NO_CERTIFICATE = "no certificate found at optimized witness"
+
+
+def assert_maximal(gaps):
+    """No two gap runs could merge: each is nonempty, and runs that touch
+    differ in reason."""
+    for run in gaps:
+        assert run.e_lo <= run.e_hi
+    for prev, nxt in zip(gaps, gaps[1:]):
+        assert nxt.e_lo > prev.e_hi
+        if nxt.e_lo == prev.e_hi + 1:
+            assert nxt.reason != prev.reason
+
 
 # One certificate of each objective kind, as written (schema "1") by the code
 # from before the bound families shared one term list.
@@ -138,9 +152,47 @@ class TestCoverRange:
     def test_dim8_gap_reporting(self):
         plan = cover_range(8, 4, 6, 25, DIM8_TARGET, FAST)
         assert not plan.complete
-        assert [g.e for g in plan.gaps] == list(range(6, 21))
+        assert [e for g in plan.gaps for e in range(g.e_lo, g.e_hi + 1)] == list(range(6, 21))
         assert plan.intervals[0].e_lo == 21
         assert plan.covered_or_gapped()
+
+    def test_gap_runs_of_the_dim8_covering(self):
+        # The runs of `cover --dim 8 --k 4 --e-lo 6 --e-hi 41705` at the
+        # default search.
+        plan = cover_range(8, 4, 6, 41705, DIM8_TARGET)
+        assert plan.gaps == (
+            GapRun(6, 6, "generator count e - 2 below k + 1 = 5"),
+            GapRun(7, 20, NO_CERTIFICATE),
+        )
+        assert_maximal(plan.gaps)
+        assert plan.covered_or_gapped()
+
+    def test_gap_run_of_the_dim10_covering(self):
+        plan = cover_range(10, 5, 240, 400, wy_target(10).value)
+        assert plan.gaps == (GapRun(240, 249, NO_CERTIFICATE),)
+        assert plan.intervals[0].e_lo == 250
+        assert plan.covered_or_gapped()
+
+    @pytest.mark.parametrize(
+        "e_lo,e_hi,run",
+        [(2, 5, (2, 5)), (2, 4, (2, 4)), (3, 6, (3, 6)), (6, 6, (6, 6))],
+    )
+    def test_generator_count_gap_is_one_run(self, e_lo, e_hi, run):
+        # With k = 4 every e <= k + 2 = 6 has too few generators; no search runs.
+        plan = cover_range(7, 4, e_lo, e_hi, DIM7_TARGET, FAST)
+        assert plan.gaps == (GapRun(*run, "generator count e - 2 below k + 1 = 5"),)
+        assert plan.intervals == ()
+        assert plan.covered_or_gapped()
+
+    def test_tiling_with_runs(self):
+        def plan(*gaps):
+            return CoveragePlan(7, 1, DIM7_TARGET, 6, 9, (), gaps)
+
+        assert plan(GapRun(6, 7, "x"), GapRun(8, 9, "y")).covered_or_gapped()
+        assert plan(GapRun(6, 9, "x")).covered_or_gapped()
+        assert not plan(GapRun(6, 7, "x"), GapRun(9, 9, "x")).covered_or_gapped()
+        assert not plan(GapRun(6, 8, "x"), GapRun(8, 9, "x")).covered_or_gapped()
+        assert not plan(GapRun(6, 10, "x")).covered_or_gapped()
 
     def test_dim8_interval_soundness(self):
         from hkcert.bounds import BoundSpec, general_bound
@@ -228,12 +280,18 @@ class TestProveDimension:
         report = prove_dimension(8, 4, FAST)
         assert report.verdict == "open"
         plan = next(c for c in report.cases if c.kind == "coverage").plan
-        assert [g.e for g in plan.gaps] == list(range(6, 21))
+        assert [e for g in plan.gaps for e in range(g.e_lo, g.e_hi + 1)] == list(range(6, 21))
         assert plan.intervals[0].e_lo == 21
         assert plan.e_hi == 41705
         assert plan.covered_or_gapped()
         mu_gap = [c for c in report.cases if c.kind == "gap" and "mu_lo" in c.parameters]
         assert len(mu_gap) == 1
+        # One gap case per run of the plan, keyed by exactly e_lo and e_hi.
+        run_cases = [c for c in report.cases if c.kind == "gap" and "e_lo" in c.parameters]
+        assert [(c.parameters, c.citation) for c in run_cases] == [
+            ({"e_lo": g.e_lo, "e_hi": g.e_hi}, g.reason) for g in plan.gaps
+        ]
+        assert_maximal(plan.gaps)
 
     def test_user_supplied_target(self):
         target = TargetValue(7, None, F(101, 100), "user-supplied")

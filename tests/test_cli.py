@@ -122,6 +122,21 @@ class TestSearchCommands:
         doc = loads(path.read_text())
         assert doc.payload.value >= 1.0604
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--mu", "-3", "--e", "7"], "generator count mu must be a positive integer"),
+         (["--mu", "3", "--e", "-7"], "multiplicity e must be positive")],
+        ids=["mu", "e"],
+    )
+    def test_optimize_mu_small_rejects_bad_input(self, capsys, flags, message):
+        code, out, err = run(
+            ["optimize", "--kind", "mu-small", *flags, "--grid", "20x10", "--rounds", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_optimize_general_requires_mu(self, capsys):
         code, _, err = run(["optimize", "--kind", "general", "--e", "21"], capsys)
         assert code == 2
@@ -138,6 +153,40 @@ class TestSearchCommands:
         assert "gap at e=6" in out
         doc = loads(path.read_text())
         assert doc.verdict == "gaps"
+
+    def test_cover_prints_one_line_per_gap_run(self, capsys):
+        code, out, _ = run(
+            ["cover", "--dim", "8", "--k", "4", "--e-lo", "6", "--e-hi", "25",
+             "--target", "8341/8064"] + SEARCH,
+            capsys,
+        )
+        assert code == 0
+        gap_lines = [line for line in out.splitlines() if "gap at" in line]
+        assert gap_lines == [
+            "  gap at e=6..6: generator count e - 2 below k + 1 = 5",
+            "  gap at e=7..20: no certificate found at optimized witness",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["prove", "--dim", "7", "--k", "1"], ["prove", "--dim", "8", "--k", "4"],
+         ["prove", "--dim", "2", "--k", "1"]],
+        ids=["dim7", "dim8", "dim2"],
+    )
+    def test_prove_prints_no_python_reprs(self, capsys, argv):
+        code, out, _ = run(argv + SEARCH, capsys)
+        assert code == 0
+        assert "Fraction(" not in out
+        assert "{" not in out and "'" not in out
+
+    def test_prove_prints_parameters_as_key_value(self, capsys):
+        code, out, _ = run(["prove", "--dim", "8", "--k", "4"] + SEARCH, capsys)
+        assert code == 0
+        assert "  threshold: threshold=41705 first_settled_ratio=331/320\n" in out
+        assert "  not-normal: k=4 bound=17/16 exceeds_target=True\n" in out
+        assert "  gap: mu_lo=4 mu_hi=4 (" in out
+        # The coverage's gap runs print once, under the coverage line.
+        assert out.count("gap at e=7..20") == 1
 
     def test_prove_dim7(self, capsys, tmp_path):
         path = tmp_path / "proof.json"

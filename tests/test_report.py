@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkcert.bounds import BoundSpec, GeneralBoundObjective, HBoundObjective
-from hkcert.certify import certify_point, cover_range, prove_dimension
+from hkcert.certify import GapRun, certify_point, cover_range, prove_dimension
 from hkcert.cli import main
 from hkcert.report import (
     ReportDocument,
@@ -81,8 +81,9 @@ class TestRoundTrip:
 
     def test_coverage_plan_with_gaps(self):
         plan = cover_range(8, 4, 6, 7, F(8341, 8064), FAST)
-        assert plan.gaps
-        _roundtrip(plan)
+        assert [e for g in plan.gaps for e in range(g.e_lo, g.e_hi + 1)] == [6, 7]
+        back = _roundtrip(plan)
+        assert back.payload.gaps == plan.gaps
 
     def test_proof_report(self):
         report = prove_dimension(2, 1, FAST)
@@ -119,6 +120,62 @@ class TestRoundTrip:
             parse({"schema_version": "1", "command": "x", "params": {},
                    "payload": {"payload_kind": "mystery"},
                    "verdict": None, "timestamp": None})
+
+
+# Reports written before gaps became runs: one gap record {"e", "reason"} per
+# multiplicity in a plan, and one gap case {"e": n} per multiplicity in a proof.
+SINGLE_E_PLAN = (
+    '{"command": "cover", "params": {}, "payload": {"dimension": 8, "e_hi": 8, "e_lo": 6, '
+    '"gaps": [{"e": 6, "reason": "generator count e - 2 = 4 below k + 1 = 5"}, '
+    '{"e": 7, "reason": "no certificate found at optimized witness"}, '
+    '{"e": 8, "reason": "no certificate found at optimized witness"}], "intervals": [], '
+    '"k": 4, "payload_kind": "coverage-plan", '
+    '"target": {"exact": "8341/8064", "float": 1.0343501984126984}}, '
+    '"schema_version": "1", "timestamp": null, "verdict": "gaps"}'
+)
+SINGLE_E_PROOF = (
+    '{"command": "prove", "params": {}, "payload": {"cases": [{"certificate": null, '
+    '"citation": null, "kind": "coverage", "parameters": {"e_hi": 8, "e_lo": 6}, '
+    '"plan": {"dimension": 8, "e_hi": 8, "e_lo": 6, "gaps": [{"e": 6, "reason": '
+    '"generator count e - 2 = 4 below k + 1 = 5"}, {"e": 7, "reason": "no certificate '
+    'found at optimized witness"}, {"e": 8, "reason": "no certificate found at optimized '
+    'witness"}], "intervals": [], "k": 4, "target": {"exact": "8341/8064", "float": '
+    '1.0343501984126984}}}, {"certificate": null, "citation": "generator count e - 2 = 4 '
+    'below k + 1 = 5", "kind": "gap", "parameters": {"e": 6}, "plan": null}, '
+    '{"certificate": null, "citation": "no certificate found at optimized witness", '
+    '"kind": "gap", "parameters": {"e": 7}, "plan": null}, {"certificate": null, '
+    '"citation": "no certificate found at optimized witness", "kind": "gap", '
+    '"parameters": {"e": 8}, "plan": null}], "dimension": 8, "hypotheses": [], "k": 4, '
+    '"payload_kind": "proof-report", "target": {"characteristic": null, "dimension": 8, '
+    '"provenance": "user-supplied", "value": {"exact": "8341/8064", "float": '
+    '1.0343501984126984}}, "verdict": "open"}, "schema_version": "1", "timestamp": null, '
+    '"verdict": "open"}'
+)
+SINGLE_E_RUNS = (
+    GapRun(6, 6, "generator count e - 2 = 4 below k + 1 = 5"),
+    GapRun(7, 7, "no certificate found at optimized witness"),
+    GapRun(8, 8, "no certificate found at optimized witness"),
+)
+
+
+class TestSingleEGapReports:
+    def test_plan_gaps_read_as_runs_of_one(self):
+        plan = loads(SINGLE_E_PLAN).payload
+        assert plan.gaps == SINGLE_E_RUNS
+        assert plan.covered_or_gapped()
+        # Written back, the gaps take the run form.
+        again = json.loads(dumps(loads(SINGLE_E_PLAN)))["payload"]["gaps"]
+        assert again[0] == {"e_lo": 6, "e_hi": 6,
+                            "reason": "generator count e - 2 = 4 below k + 1 = 5"}
+
+    def test_proof_gap_cases_read_as_they_are(self):
+        proof = loads(SINGLE_E_PROOF).payload
+        assert proof.verdict == "open"
+        (plan,) = [c.plan for c in proof.cases if c.kind == "coverage"]
+        assert plan.gaps == SINGLE_E_RUNS
+        assert [c.parameters for c in proof.cases if c.kind == "gap"] == [
+            {"e": 6}, {"e": 7}, {"e": 8}
+        ]
 
 
 # Huge, tiny, negative and integer-valued rationals, all within float range.
