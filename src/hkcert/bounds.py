@@ -36,14 +36,14 @@ derives both its exact and its float evaluator from that list.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .search import GridAxis, SearchParams, nu_vector, optimize_bound
+from .search import nu_vector
 from .volume import nu_exact, to_rational
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "range_min",
     "mu_small_bound",
     "not_normal_bound",
-    "phi_envelope",
     "HBoundObjective",
     "GeneralBoundObjective",
     "MuSmallObjective",
@@ -435,8 +434,9 @@ def MuSmallObjective(e, mu: int, d: int = 7) -> LinearBound:
 def NoRootsObjective(e, offsets, d: int, t_arg) -> LinearBound:
     """phi bound with the grid's t-axis read as t0, at a fixed argument t_arg.
 
-    Scanning (s, t0) for a fixed ``t_arg`` gives the certified envelope its
-    candidates; exact(s, t0) is noroots_bound at EvalPoint(s, t_arg, t0).
+    exact(s, t0) is noroots_bound at EvalPoint(s, t_arg, t0), and
+    :func:`hkcert.certify.objective_from_descriptor` rebuilds this bound
+    from a ``noroots`` certificate.
     """
     e, t_arg = to_rational(e), to_rational(t_arg)
     if not 0 <= t_arg <= 1:
@@ -553,74 +553,3 @@ def not_normal_bound(k: int) -> Fraction:
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     return 1 + Fraction(1, 2**k)
-
-
-# --------------------------------------------------------------------------
-# Certified lower envelope of phi.
-
-
-@lru_cache(maxsize=64)
-def _envelope_table(
-    e: Fraction,
-    offsets: tuple[Fraction, ...],
-    d: int,
-    params: SearchParams,
-) -> tuple[tuple[Fraction, Fraction], ...]:
-    """For each node tau of a fixed [0,1] grid, the exact best of
-    -tau + e (nu(s) - sum nu(s-a) - nu(s-tau)) over a refined s search.
-
-    The tau grid does not depend on the envelope argument t, which is what
-    makes the envelope monotone by construction.
-    """
-    ns, nt = params.grid
-    inner_params = replace(params, t_range=(Fraction(0), Fraction(0)), grid=(ns, 2))
-    # 1-D refined search in s at fixed tau (argument value is irrelevant to
-    # the maximizer, so scan with t_arg = 1 and subtract it back).
-    objective = NoRootsObjective(e, offsets, d, 1)
-    table = []
-    for j in range(nt):
-        tau = Fraction(j, nt - 1)
-        cand = optimize_bound(
-            objective, replace(inner_params, t_range=(tau, tau))
-        )
-        g = objective.exact(cand.s_exact, tau) - 1  # = -tau + e * inner
-        table.append((tau, g))
-    return tuple(table)
-
-
-def phi_envelope(
-    t,
-    e,
-    offsets: Sequence,
-    d: int,
-    params: SearchParams | None = None,
-) -> Fraction:
-    """Certified lower bound for the interpolation function phi at argument t.
-
-    Maximizes the exact phi bound over grid candidates (s, t0 <= t) and
-    clamps at 0 (= phi(0)).  The t0 candidates come from a fixed absolute
-    grid on [0, 1] plus t0 = t itself, and each candidate's value grows
-    pointwise with t, so the envelope is nondecreasing in t by construction.
-    Never exceeds the true supremum: every reported value is an exact
-    evaluation of the bound at an admissible rational point.
-    """
-    t = to_rational(t)
-    if not 0 <= t <= 1:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    e = to_rational(e)
-    offs = _check_offsets(offsets)
-    params = params or SearchParams(grid=(120, 33), refine_rounds=2)
-
-    best = Fraction(0)
-    for tau, g in _envelope_table(e, offs, d, params):
-        if tau <= t:
-            best = max(best, t + g)
-
-    # t0 = t on a fixed s grid (no refinement, so the candidate set is
-    # t-independent and the pointwise-monotone argument still applies).
-    s_lo, s_hi = params.resolved_s_range(d)
-    ns, _ = params.grid
-    at_t = NoRootsObjective(e, offs, d, t)
-    for s in GridAxis(s_lo, s_hi, ns, params.max_denominator).nodes():
-        best = max(best, at_t.exact(s, t))
-    return best

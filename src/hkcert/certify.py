@@ -87,9 +87,6 @@ class Certificate:
     target: Fraction
     verdict: bool
 
-    def margin(self) -> Fraction:
-        return self.value - self.target
-
 
 def certify_point(objective: Objective, s, t, target) -> Certificate:
     """Evaluate ``objective`` exactly at rational (s, t) and compare to target."""

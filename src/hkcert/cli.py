@@ -27,7 +27,7 @@ from .bounds import (
     s_bound,
 )
 from .certify import cover_range, prove_dimension
-from .search import SearchParams, optimize_bound
+from .search import SearchParams, nu_vector, optimize_bound
 from .targets import (
     TargetValue,
     ehk_quadric_dim7,
@@ -39,7 +39,6 @@ from .volume import (
     MAX_CACHED_DIMENSION,
     nu_density,
     nu_exact,
-    nu_float,
     to_rational,
 )
 
@@ -77,9 +76,9 @@ def _grid(text: str) -> tuple[int, int]:
 def _range_pair(text: str) -> tuple[Fraction, Fraction]:
     try:
         a, b = text.split(":")
-        return to_rational(a), to_rational(b)
     except ValueError:
         raise argparse.ArgumentTypeError(f"range must look like lo:hi, got {text!r}")
+    return _rational(a), _rational(b)
 
 
 def _check_dim(d: int) -> int:
@@ -115,6 +114,15 @@ _CONFIG_KEYS = {
 }
 
 
+def _config_rational(cfg: dict[str, str], key: str, default: str = "0") -> Fraction:
+    """The exact value of config key ``key``; a bad one raises ValueError."""
+    text = cfg.get(key, default)
+    try:
+        return to_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"config {key} is not an exact rational: {text!r} ({exc})")
+
+
 def search_params(args) -> SearchParams:
     """Defaults, overridden by the config file, overridden by CLI flags."""
     cfg = parse_config(args.config) if getattr(args, "config", None) else {}
@@ -125,15 +133,11 @@ def search_params(args) -> SearchParams:
     if "s_lo" in cfg or "s_hi" in cfg:
         if not ("s_lo" in cfg and "s_hi" in cfg):
             raise ValueError("config must set both s_lo and s_hi or neither")
-        params = replace(params, s_range=(to_rational(cfg["s_lo"]), to_rational(cfg["s_hi"])))
+        s_range = (_config_rational(cfg, "s_lo"), _config_rational(cfg, "s_hi"))
+        params = replace(params, s_range=s_range)
     if "t_lo" in cfg or "t_hi" in cfg:
-        params = replace(
-            params,
-            t_range=(
-                to_rational(cfg.get("t_lo", "0")),
-                to_rational(cfg.get("t_hi", "1")),
-            ),
-        )
+        t_range = (_config_rational(cfg, "t_lo"), _config_rational(cfg, "t_hi", "1"))
+        params = replace(params, t_range=t_range)
     if "grid_s" in cfg or "grid_t" in cfg:
         params = replace(
             params,
@@ -242,7 +246,7 @@ def cmd_nu(args) -> int:
     name = "nu-density" if args.density else "nu"
     lines = [f"{name}(s={s}, d={args.d}) = {_fmt(value)}"]
     if not args.density:
-        lines.append(f"float path: {nu_float(float(s), args.d)!r}")
+        lines.append(f"float path: {float(nu_vector(float(s), args.d))!r}")
     doc = _doc(args, "nu", {"d": args.d, "s": str(s), "density": args.density},
                rpt.ScalarResult(name, value))
     return _emit(args, doc, lines)

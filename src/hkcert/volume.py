@@ -1,4 +1,4 @@
-"""Exact hypercube-slice volumes, their density, and a float twin.
+"""Exact hypercube-slice volumes and their density.
 
 The central object is
 
@@ -18,21 +18,21 @@ it on integers: for s = p/q in lowest terms the sum is
 one integer numerator over one denominator, reduced once at the end.  Its
 slope, the Irwin-Hall density :func:`nu_density`, is a difference of two
 volumes one dimension down.  Everything here is computed in exact
-arithmetic except :func:`nu_float`, the floating twin; :class:`Polynomial`
-serves the series and closed forms in :mod:`hkcert.targets`.
+arithmetic; the float volume the search scans is
+:func:`hkcert.search.nu_vector`.  :class:`Polynomial` serves the series and
+closed forms in :mod:`hkcert.targets`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, floor, fsum, isnan
+from math import comb, factorial
 
 __all__ = [
     "Polynomial",
     "to_rational",
     "nu_exact",
-    "nu_float",
     "nu_density",
 ]
 
@@ -157,39 +157,6 @@ def nu_exact(s: Fraction | int | str, d: int) -> Fraction:
         term = comb(d, j) * (p - j * q) ** d
         total += -term if j & 1 else term
     return Fraction(total, _fact(d) * q**d)
-
-
-def _nu_float_half(x: float, d: int) -> float:
-    # x in [0, d/2]; summation via fsum so the alternating sum is exactly
-    # rounded, and the reflection keeps individual terms small.
-    terms = [
-        ((-1) ** j / (_fact(j) * _fact(d - j))) * (x - j) ** d
-        for j in range(floor(x) + 1)
-    ]
-    return fsum(terms)
-
-
-def nu_float(s: float, d: int) -> float:
-    """Floating twin of :func:`nu_exact`.
-
-    Evaluates on the reflected argument min(s, d - s) with exactly rounded
-    summation, so the alternating sum never cancels catastrophically.  The
-    terms still grow with d, and so does the absolute error against
-    :func:`nu_exact`: at most 1e-14 for d <= 12, 1e-13 for d <= 20, 1e-11
-    for d <= 32, 1e-8 for d <= 48 and 1e-6 for d <= 64 (the largest
-    dimension the CLI accepts).
-    """
-    _check_dimension(d)
-    s = float(s)
-    if isnan(s):
-        return s
-    if s <= 0.0:
-        return 0.0
-    if s >= d:
-        return 1.0
-    if 2.0 * s > d:
-        return 1.0 - _nu_float_half(d - s, d)
-    return _nu_float_half(s, d)
 
 
 def nu_density(s: Fraction | int | str, d: int) -> Fraction:

@@ -22,7 +22,6 @@ from hkcert.bounds import (
     mu_small_bound,
     noroots_bound,
     not_normal_bound,
-    phi_envelope,
     quadratic_in_e,
     range_min,
     s_bound,
@@ -332,36 +331,6 @@ class TestNotNormal:
     def test_rejects_k0(self):
         with pytest.raises(ValueError):
             not_normal_bound(0)
-
-
-class TestPhiEnvelope:
-    PARAMS = SearchParams(grid=(120, 21), refine_rounds=2)
-
-    def test_zero_at_origin(self):
-        assert phi_envelope(0, 6, (1, 1), 7, self.PARAMS) == 0
-
-    def test_value_at_one(self):
-        v = phi_envelope(1, 6, (1, 1), 7, self.PARAMS)
-        assert v >= F("1.335")
-        # Never exceeds the true supremum over the scanned family: spot-check
-        # against a much finer direct maximization of the t0 = t = 1 section.
-        assert v <= F("1.34")
-
-    def test_monotone_and_capped(self):
-        vals = [phi_envelope(F(j, 8), 6, (1, 1), 7, self.PARAMS) for j in range(9)]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
-        assert all(v <= vals[-1] for v in vals)
-
-    def test_lower_bounds_are_exact_evaluations(self):
-        # Each envelope value must be attained by the bound at some admissible
-        # point, hence dominated by a generous sup estimate: value <= t + e*nu-sum
-        # with all subtracted terms at their minimum 0.
-        v = phi_envelope(F(1, 2), 6, (1,), 7, self.PARAMS)
-        assert v <= F(1, 2) + 6
-
-    def test_rejects_t_outside_unit(self):
-        with pytest.raises(ValueError):
-            phi_envelope(F(3, 2), 6, (), 7, self.PARAMS)
 
 
 # Default search grids: s over [0, d + 1] with 200 nodes, t over [0, 1]

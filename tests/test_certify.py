@@ -62,7 +62,7 @@ class TestCertificates:
         )
         assert cert.verdict
         assert abs(float(cert.value) - 1.06447) < 1e-4
-        assert cert.margin() > 0
+        assert cert.value > cert.target
 
     def test_origin_fails(self):
         cert = certify_point(HBoundObjective(6, 7), 0, 0, DIM7_TARGET)

@@ -1,11 +1,13 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hkcert.bounds import h_bound
 from hkcert.cli import main
 from hkcert.report import loads
+from hkcert.search import nu_vector
 from hkcert.targets import ehk_quadric_dim7
 
 F = Fraction
@@ -26,6 +28,12 @@ class TestScalarCommands:
         code, out, _ = run(["nu", "--d", "2", "--s", "3/2"], capsys)
         assert code == 0
         assert "7/8" in out
+
+    def test_nu_prints_the_search_double_as_float_path(self, capsys):
+        code, out, _ = run(["nu", "--d", "7", "--s", "3"], capsys)
+        assert code == 0
+        want = repr(float(nu_vector(np.array(3.0), 7)))
+        assert out.splitlines()[1] == f"float path: {want}"
 
     def test_nu_density(self, capsys):
         code, out, _ = run(["nu", "--d", "1", "--s", "1/2", "--density"], capsys)
@@ -407,6 +415,19 @@ class TestSurface:
         assert err.startswith("error:") and message in err
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--s-range", "1/0:2"], ["--t-range", "0:1/0"]],
+        ids=["s-range", "t-range"],
+    )
+    def test_rejects_a_zero_denominator_in_a_range(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["surface", "--dim", "7", "--e", "7", "--grid", "4x4"] + flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flags[0]}: not an exact rational: '1/0'" in err
+        assert "Traceback" not in err
+
     def test_dim8_figure(self, capsys, tmp_path):
         path = tmp_path / "fig2.json"
         code, out, _ = run(
@@ -472,6 +493,20 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert "t range must lie in [0, 1]" in err
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [(["optimize", "--e", "7"], "s_lo = 1/0\ns_hi = 2\n", "s_lo"),
+         (["table1"], "t_hi = 1/0\n", "t_hi")],
+        ids=["optimize-s_lo", "table1-t_hi"],
+    )
+    def test_zero_denominator_in_config(self, capsys, tmp_path, command, text, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        code, out, err = run(command + ["--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: config {key} is not an exact rational: '1/0' (Fraction(1, 0))\n"
 
     def test_malformed_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "search.cfg"

@@ -2,8 +2,10 @@
 
     volume -> {targets, search} -> bounds -> certify -> report -> cli
 
-``search`` sits below ``bounds``: it is a generic optimizer over the
-``Objective`` protocol and owns the ``nu_vector`` kernel.  ``report``
+``volume`` is exact only and imports no numpy.  ``search`` sits below
+``bounds`` because it owns the float kernel ``nu_vector``, the one name
+``bounds`` takes from it; its optimizer is generic over the ``Objective``
+protocol, and ``bounds`` never runs it.  ``report``
 renders objectives it is handed and never builds one, so it does not
 import ``bounds``.  The package ``__init__`` and ``__main__`` re-export
 and dispatch, and stand outside the order.
@@ -13,7 +15,10 @@ No module starts a thread or a process: the float volume memo in
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import hkcert
 
@@ -68,6 +73,38 @@ def test_imports_point_strictly_down():
     for module, rank in LAYER.items():
         for target in relative_imports(module):
             assert LAYER[target] < rank, f"{module} imports {target}"
+
+
+def names_imported(module: str, source: str) -> set[str]:
+    """Names that ``module`` imports from the package module ``source``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == source
+        for alias in node.names
+    }
+
+
+def test_bounds_takes_only_the_float_kernel_from_search():
+    assert names_imported("bounds", "search") == {"nu_vector"}
+
+
+def test_volume_is_exact_only():
+    assert "numpy" not in absolute_imports("volume")
+
+
+@pytest.mark.parametrize("module", sorted(LAYER))
+def test_every_module_export_resolves(module):
+    mod = importlib.import_module(f"hkcert.{module}")
+    for name in getattr(mod, "__all__", ()):
+        assert hasattr(mod, name), f"hkcert.{module}.__all__ names {name}"
+
+
+def test_package_exports_resolve_once():
+    assert len(hkcert.__all__) == len(set(hkcert.__all__))
+    for name in hkcert.__all__:
+        assert hasattr(hkcert, name), f"hkcert.__all__ names {name}"
 
 
 def test_report_does_not_import_bounds():

@@ -19,14 +19,14 @@ from hkcert.search import (
     optimize_bound,
     rationalize,
 )
-from hkcert.volume import MAX_CACHED_DIMENSION, nu_exact, nu_float
+from hkcert.volume import MAX_CACHED_DIMENSION, nu_exact
 
 from oracles import best_rational_oracle, grid_nodes_oracle, nu_vector_oracle
 
 F = Fraction
 
-# Absolute error of nu_vector and nu_float against nu_exact: (largest d, bound).
-# The nu_float and nu_vector docstrings state the same bands.
+# Absolute error of nu_vector against nu_exact: (largest d, bound).  The
+# nu_vector docstring states the same bands.
 ERROR_BANDS = ((12, 1e-14), (20, 1e-13), (32, 1e-11), (48, 1e-8), (64, 1e-6))
 
 
@@ -71,14 +71,6 @@ class TestRationalize:
 
 
 class TestNuVector:
-    def test_matches_scalar_path(self):
-        rng = random.Random(12)
-        for d in range(1, 13):
-            xs = np.array([rng.uniform(-1, d + 1) for _ in range(200)])
-            got = nu_vector(xs, d)
-            want = np.array([nu_float(x, d) for x in xs])
-            assert np.max(np.abs(got - want)) <= 1e-12
-
     def test_exact_agreement(self):
         xs = np.array([0.0, 0.5, 3.5, 6.5, 7.0, -1.0, 8.0])
         got = nu_vector(xs, 7)
@@ -115,7 +107,6 @@ class TestNuVector:
         xs = np.array([float(p) for p in points])
         want = np.array([float(nu_exact(p, d)) for p in points])
         assert np.max(np.abs(nu_vector(xs, d) - want)) <= bound
-        assert max(abs(nu_float(x, d) - w) for x, w in zip(xs, want)) <= bound
 
 
 def _narrow_bands(d, rng):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkcert.search import nu_vector
 from hkcert.volume import (
     Polynomial,
     nu_density,
     nu_exact,
-    nu_float,
     to_rational,
 )
 
@@ -125,17 +125,24 @@ def test_monotonicity_property(s1, s2, d):
         assert v1 < v2
 
 
+def nu_point(s: float, d: int) -> float:
+    """The search's float volume at one point."""
+    return float(nu_vector(np.array(s), d))
+
+
 class TestNuFloat:
+    """The float volume :func:`hkcert.search.nu_vector`, one point at a time."""
+
     def test_clamps(self):
-        assert nu_float(7.0, 7) == 1.0
-        assert nu_float(-0.5, 4) == 0.0
+        assert nu_point(7.0, 7) == 1.0
+        assert nu_point(-0.5, 4) == 0.0
 
     def test_midpoint(self):
-        assert abs(nu_float(3.5, 7) - 0.5) <= 1e-12
+        assert abs(nu_point(3.5, 7) - 0.5) <= 1e-12
 
     def test_against_exact_path(self):
         want = float(nu_exact(F(2741180, 1000000), 7))
-        assert abs(nu_float(2.74118, 7) - want) <= 1e-12
+        assert abs(nu_point(2.74118, 7) - want) <= 1e-12
 
     def test_near_top_no_cancellation(self):
         # The dangerous region is s close to d, where naive summation loses
@@ -143,7 +150,7 @@ class TestNuFloat:
         for d in range(2, 13):
             for num in (4 * d - 1, 4 * d - 2, 4 * d - 3):
                 s = F(num, 4)
-                assert abs(nu_float(float(s), d) - float(nu_exact(s, d))) <= 1e-12
+                assert abs(nu_point(float(s), d) - float(nu_exact(s, d))) <= 1e-12
 
     def test_random_agreement(self):
         rng = random.Random(99)
@@ -151,7 +158,7 @@ class TestNuFloat:
             d = rng.randint(1, 12)
             s = rng.uniform(-1, d + 1)
             exact = nu_exact(F(s), d)
-            assert abs(nu_float(s, d) - float(exact)) <= 1e-12
+            assert abs(nu_point(s, d) - float(exact)) <= 1e-12
 
     def test_monte_carlo_sanity(self):
         rng = random.Random(5151)
@@ -164,7 +171,7 @@ class TestNuFloat:
             for _ in range(10):
                 block = npr.random((n // 10, d)).sum(axis=1)
                 hits += int((block <= s).sum())
-            assert abs(nu_float(s, d) - hits / n) <= 4 * 0.5 / 1000
+            assert abs(nu_point(s, d) - hits / n) <= 4 * 0.5 / 1000
 
 
 class TestPiecewise:
