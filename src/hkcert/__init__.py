@@ -3,122 +3,26 @@
 Exact hypercube-slice volumes, the parametric bound families built on them,
 a deterministic float-path search, exact rational certification of strict
 inequalities, and the dimension-by-dimension proof pipeline.
+
+Each public name is declared once, in the ``__all__`` of the module that
+defines it; the package re-exports every such name, in layer order.
 """
 
-from .bounds import (
-    BoundSpec,
-    EvalPoint,
-    GeneralBoundObjective,
-    HBoundObjective,
-    LinearBound,
-    LinearInEError,
-    MuSmallObjective,
-    NoRootsObjective,
-    e_max,
-    general_bound,
-    h_bound,
-    mu_small_bound,
-    noroots_bound,
-    not_normal_bound,
-    quadratic_in_e,
-    range_min,
-    s_bound,
-)
-from .certify import (
-    CaseEntry,
-    Certificate,
-    CoverageInterval,
-    CoveragePlan,
-    GapRun,
-    ProofReport,
-    certify_point,
-    cover_range,
-    objective_from_descriptor,
-    prove_dimension,
-    reverify_certificate,
-)
-from .report import (
-    ReportDocument,
-    ScalarResult,
-    SeriesResult,
-    SurfaceGrid,
-    TableResult,
-    surface_csv,
-    surface_grid,
-    surface_svg,
-)
-from .search import Candidate, SearchParams, nu_vector, optimize_bound, rationalize
-from .targets import (
-    QuadricIdentityReport,
-    TargetValue,
-    ehk_quadric_dim7,
-    large_e_threshold,
-    m_coeffs,
-    verify_quadric_identities,
-    wy_target,
-    zigzag_numbers,
-)
-from .volume import (
-    Polynomial,
-    nu_density,
-    nu_exact,
-    to_rational,
-)
+from . import bounds, certify, report, search, targets, volume
+from .volume import *  # noqa: F401,F403
+from .targets import *  # noqa: F401,F403
+from .search import *  # noqa: F401,F403
+from .bounds import *  # noqa: F401,F403
+from .certify import *  # noqa: F401,F403
+from .report import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundSpec",
-    "CaseEntry",
-    "Candidate",
-    "Certificate",
-    "CoverageInterval",
-    "CoveragePlan",
-    "EvalPoint",
-    "GapRun",
-    "GeneralBoundObjective",
-    "HBoundObjective",
-    "LinearBound",
-    "LinearInEError",
-    "MuSmallObjective",
-    "NoRootsObjective",
-    "Polynomial",
-    "ProofReport",
-    "QuadricIdentityReport",
-    "ReportDocument",
-    "ScalarResult",
-    "SearchParams",
-    "SeriesResult",
-    "SurfaceGrid",
-    "TableResult",
-    "TargetValue",
-    "certify_point",
-    "cover_range",
-    "e_max",
-    "ehk_quadric_dim7",
-    "general_bound",
-    "h_bound",
-    "large_e_threshold",
-    "m_coeffs",
-    "mu_small_bound",
-    "noroots_bound",
-    "not_normal_bound",
-    "nu_density",
-    "nu_exact",
-    "nu_vector",
-    "objective_from_descriptor",
-    "optimize_bound",
-    "prove_dimension",
-    "quadratic_in_e",
-    "range_min",
-    "rationalize",
-    "reverify_certificate",
-    "s_bound",
-    "surface_csv",
-    "surface_grid",
-    "surface_svg",
-    "to_rational",
-    "verify_quadric_identities",
-    "wy_target",
-    "zigzag_numbers",
+    *volume.__all__,
+    *targets.__all__,
+    *search.__all__,
+    *bounds.__all__,
+    *certify.__all__,
+    *report.__all__,
 ]

@@ -233,7 +233,8 @@ def cover_range(
         # Pick the shared witness: start from the point optimal for e1, then
         # chase the apex twice so one interval swallows as many e as possible.
         s0, t0 = witness_for(e1)
-        if not certified(e1, s0, t0).verdict:
+        lo_cert = certified(e1, s0, t0)
+        if not lo_cert.verdict:
             reason = "no certificate found at optimized witness"
             if gaps and (gaps[-1].e_hi, gaps[-1].reason) == (e1 - 1, reason):
                 gaps[-1] = replace(gaps[-1], e_hi=e1)  # extend the run
@@ -241,35 +242,35 @@ def cover_range(
                 gaps.append(GapRun(e1, e1, reason))
             e1 += 1
             continue
-        point = (s0, t0)
+        # lo_cert is always the certificate at e1 for the current witness.
         for _ in range(2):
             try:
-                vertex = e_max(*point, d, k)
+                vertex = e_max(s0, t0, d, k)
             except LinearInEError:
                 break
             e_mid = min(max(int(round(vertex)), e1), e_hi)
             trial = witness_for(e_mid)
-            if certified(e1, *trial).verdict:
-                point = trial
-            else:
+            trial_cert = lo_cert if trial == (s0, t0) else certified(e1, *trial)
+            if not trial_cert.verdict:
                 break
-        s0, t0 = point
+            (s0, t0), lo_cert = trial, trial_cert
 
-        lo_cert = certified(e1, s0, t0)
         # Largest certifiable e2: the bound is concave in e, so the certified
-        # set to the right of e1 is a contiguous run.
-        if certified(e_hi, s0, t0).verdict:
+        # set to the right of e1 is a contiguous run.  hi_cert is the
+        # certificate at e2.
+        hi_cert = lo_cert if e1 == e_hi else certified(e_hi, s0, t0)
+        if hi_cert.verdict:
             e2 = e_hi
         else:
-            lo, hi = e1, e_hi  # certified(lo) holds, certified(hi) fails
+            lo, hi, hi_cert = e1, e_hi, lo_cert  # lo certifies, hi does not
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if certified(mid, s0, t0).verdict:
-                    lo = mid
+                cert = certified(mid, s0, t0)
+                if cert.verdict:
+                    lo, hi_cert = mid, cert
                 else:
                     hi = mid
             e2 = lo
-        hi_cert = certified(e2, s0, t0)
         intervals.append(
             CoverageInterval(
                 e_lo=e1,

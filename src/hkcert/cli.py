@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import report as rpt
@@ -114,13 +115,13 @@ _CONFIG_KEYS = {
 }
 
 
-def _config_rational(cfg: dict[str, str], key: str, default: str = "0") -> Fraction:
-    """The exact value of config key ``key``; a bad one raises ValueError."""
+def _config_value(cfg: dict[str, str], key: str, parse, kind: str, default="0"):
+    """Config key ``key`` read by ``parse``; a bad value raises ValueError naming it."""
     text = cfg.get(key, default)
     try:
-        return to_rational(text)
+        return parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"config {key} is not an exact rational: {text!r} ({exc})")
+        raise ValueError(f"config {key} is not {kind}: {text!r} ({exc})")
 
 
 def search_params(args) -> SearchParams:
@@ -129,26 +130,25 @@ def search_params(args) -> SearchParams:
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    rational = partial(_config_value, cfg, parse=to_rational, kind="an exact rational")
+    integer = partial(_config_value, cfg, parse=int, kind="an integer")
     params = SearchParams()
     if "s_lo" in cfg or "s_hi" in cfg:
         if not ("s_lo" in cfg and "s_hi" in cfg):
             raise ValueError("config must set both s_lo and s_hi or neither")
-        s_range = (_config_rational(cfg, "s_lo"), _config_rational(cfg, "s_hi"))
-        params = replace(params, s_range=s_range)
+        params = replace(params, s_range=(rational("s_lo"), rational("s_hi")))
     if "t_lo" in cfg or "t_hi" in cfg:
-        t_range = (_config_rational(cfg, "t_lo"), _config_rational(cfg, "t_hi", "1"))
+        t_range = (rational("t_lo"), rational("t_hi", default="1"))
         params = replace(params, t_range=t_range)
     if "grid_s" in cfg or "grid_t" in cfg:
-        params = replace(
-            params,
-            grid=(int(cfg.get("grid_s", 200)), int(cfg.get("grid_t", 100))),
-        )
+        grid = (integer("grid_s", default="200"), integer("grid_t", default="100"))
+        params = replace(params, grid=grid)
     if "rounds" in cfg:
-        params = replace(params, refine_rounds=int(cfg["rounds"]))
+        params = replace(params, refine_rounds=integer("rounds"))
     if "shrink" in cfg:
-        params = replace(params, shrink_factor=int(cfg["shrink"]))
+        params = replace(params, shrink_factor=integer("shrink"))
     if "max_denominator" in cfg:
-        params = replace(params, max_denominator=int(cfg["max_denominator"]))
+        params = replace(params, max_denominator=integer("max_denominator"))
 
     if getattr(args, "s_range", None) is not None:
         params = replace(params, s_range=args.s_range)
@@ -224,15 +224,14 @@ def _emit_plan(args, command: str, header: str, params: dict, plan) -> int:
 
 
 def _search_echo(params: SearchParams) -> dict:
-    s_range = params.s_range
-    return {
-        "s_range": None if s_range is None else (str(s_range[0]), str(s_range[1])),
-        "t_range": (str(params.t_range[0]), str(params.t_range[1])),
-        "grid": params.grid,
-        "refine_rounds": params.refine_rounds,
-        "shrink_factor": params.shrink_factor,
-        "max_denominator": params.max_denominator,
-    }
+    """Every field of ``params``; an exact value is written as its ``p/q`` string."""
+
+    def echo(value):
+        if isinstance(value, tuple):
+            return tuple(echo(v) for v in value)
+        return str(value) if isinstance(value, Fraction) else value
+
+    return {f.name: echo(getattr(params, f.name)) for f in fields(SearchParams)}
 
 
 # --------------------------------------------------------------------------

@@ -167,6 +167,28 @@ class TestCoverRange:
         assert_maximal(plan.gaps)
         assert plan.covered_or_gapped()
 
+    def test_no_point_is_certified_twice(self, monkeypatch):
+        # The covering keeps each certificate it computes: the one at e1 and
+        # the one at e2 are those that decided the witness and the run.
+        from hkcert import certify
+
+        seen = []
+
+        def counting(objective, s, t, target):
+            seen.append((repr(objective.descriptor()), s, t))
+            return certify_point(objective, s, t, target)
+
+        monkeypatch.setattr(certify, "certify_point", counting)
+        plan = cover_range(8, 4, 6, 41705, DIM8_TARGET)
+        assert len(seen) == len(set(seen))
+
+        def at(e, iv):
+            objective = GeneralBoundObjective(BoundSpec(8, e, e - 2, 4))
+            return certify_point(objective, iv.s0, iv.t0, DIM8_TARGET)
+
+        for iv in plan.intervals:
+            assert (iv.lo_cert, iv.hi_cert) == (at(iv.e_lo, iv), at(iv.e_hi, iv))
+
     def test_gap_run_of_the_dim10_covering(self):
         plan = cover_range(10, 5, 240, 400, wy_target(10).value)
         assert plan.gaps == (GapRun(240, 249, NO_CERTIFICATE),)

@@ -508,6 +508,22 @@ class TestConfig:
         assert out == ""
         assert err == f"error: config {key} is not an exact rational: '1/0' (Fraction(1, 0))\n"
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [(["optimize", "--e", "7"], "grid_s", "ten"), (["table1"], "rounds", "2.5")],
+        ids=["optimize-grid_s", "table1-rounds"],
+    )
+    def test_non_integer_in_config(self, capsys, tmp_path, command, key, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code, out, err = run(command + ["--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: config {key} is not an integer: {value!r} "
+            f"(invalid literal for int() with base 10: {value!r})\n"
+        )
+
     def test_malformed_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "search.cfg"
         cfg.write_text("just some words\n")

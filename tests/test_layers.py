@@ -8,7 +8,8 @@
 protocol, and ``bounds`` never runs it.  ``report``
 renders objectives it is handed and never builds one, so it does not
 import ``bounds``.  The package ``__init__`` and ``__main__`` re-export
-and dispatch, and stand outside the order.
+and dispatch, and stand outside the order; ``__init__`` re-exports each
+module's ``__all__`` in layer order, and it alone star-imports.
 
 No module starts a thread or a process: the float volume memo in
 ``bounds`` takes no lock and must be called from one thread only.
@@ -105,6 +106,47 @@ def test_package_exports_resolve_once():
     assert len(hkcert.__all__) == len(set(hkcert.__all__))
     for name in hkcert.__all__:
         assert hasattr(hkcert, name), f"hkcert.__all__ names {name}"
+
+
+def module_exports() -> dict[str, list[str]]:
+    """Each module's ``__all__``, in layer order (``cli`` declares none)."""
+    return {
+        module: list(getattr(importlib.import_module(f"hkcert.{module}"), "__all__", ()))
+        for module in LAYER
+    }
+
+
+def test_package_reexports_every_module_export_in_layer_order():
+    assert hkcert.__all__ == [name for names in module_exports().values() for name in names]
+
+
+def test_no_name_is_exported_by_two_modules():
+    # The package star-imports the modules in turn, so a later module's
+    # name would silently shadow an earlier one's.
+    owners: dict[str, str] = {}
+    for module, names in module_exports().items():
+        for name in names:
+            assert name not in owners, f"{name} in {owners.get(name)} and {module}"
+            owners[name] = module
+
+
+def test_only_the_package_star_imports():
+    # names_imported reads explicit names, so a star import in a layer
+    # module would slip past the checks on what it takes from below.
+    starring = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and any(a.name == "*" for a in node.names)
+    }
+    assert starring == {"__init__"}
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_report_does_not_import_bounds():
