@@ -39,6 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -207,6 +208,19 @@ _MEMO_CELLS = 100_000
 _VOLUMES = _VolumeMemo(_MEMO_CELLS)
 
 
+def _check_dimension(d) -> None:
+    # The message nu_exact gives, raised when the bound is built rather than
+    # when it is first evaluated.
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+
+
+def _fold(num: int, den: int, n: int, m: int) -> tuple[int, int]:
+    """num/den + n/m as one integer pair over lcm(den, m), unreduced."""
+    g = gcd(den, m)
+    return num * (m // g) + n * (den // g), den // g * m
+
+
 class LinearInEError(ValueError):
     """The bound degenerates to a linear function of e (no parabola vertex)."""
 
@@ -261,8 +275,7 @@ class BoundSpec:
     extra: tuple[tuple[int, Fraction], ...] = field(default_factory=tuple)
 
     def __init__(self, dimension, e, mu, k=0, extra=()):
-        if not isinstance(dimension, int) or dimension < 1:
-            raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
+        _check_dimension(dimension)
         e = to_rational(e)
         if e <= 0:
             raise ValueError(f"multiplicity e must be positive, got {e}")
@@ -297,8 +310,11 @@ class LinearBound:
     float(e) - 4, as in the written-out H_e formula.  ``wt`` is -1 or 0,
     and t ranges over [0, t_hi].  Both evaluators loop over the one term
     list and skip zero weights, so a float cell is the same double as the
-    bound's written-out formula would give.  ``desc`` is the descriptor a
-    certificate stores; :func:`hkcert.certify.objective_from_descriptor`
+    bound's written-out formula would give.  The exact evaluator adds the
+    integer numerators of its terms, e, c0 and ct*t over one common
+    denominator and builds one Fraction, the value in lowest terms.  ``d``
+    must be a positive integer in every family.  ``desc`` is the descriptor
+    a certificate stores; :func:`hkcert.certify.objective_from_descriptor`
     rebuilds the bound from it.
     """
 
@@ -312,6 +328,7 @@ class LinearBound:
     desc: dict = field(compare=False, repr=False)
 
     def __init__(self, d, e, c0, ct, terms, wt, t_hi, desc):
+        _check_dimension(d)
         # One dict update in place of eight frozen setattr calls: every
         # certificate written or re-verified builds one of these.
         self.__dict__.update(
@@ -327,28 +344,34 @@ class LinearBound:
 
     def exact(self, s, t) -> Fraction:
         s, t = to_rational(s), to_rational(t)
-        if s < 0:
+        # Signs read off the numerators: a comparison with 0 costs as much
+        # as a Fraction operation.
+        if s.numerator < 0:
             raise ValueError(f"s must be >= 0, got {s}")
-        if not 0 <= t <= self.t_hi:
+        if t.numerator < 0 or t > self.t_hi:
             raise ValueError(f"t must lie in [0, {self.t_hi}], got {t}")
-        d, e = self.d, self.e
-        inner = 0
+        d, en, ed = self.d, self.e.numerator, self.e.denominator
+        # Each Fraction operation costs about a microsecond, so the value is
+        # kept as one integer pair num/den: each volume's numerator and
+        # denominator are folded in, and one Fraction is built at the end.
+        num, den = 0, 1
         for w, we, a in self.terms:
-            if we:
-                w = w + we * e
-            if not w:
-                continue
-            # Each Fraction operation costs about a microsecond, so unit
-            # weights skip a multiplication, a = 0 skips s - 0, and the first
-            # term skips an addition to 0.
-            v = nu_exact(s - a if a else s, d)
-            if w != 1:
-                v = -v if w == -1 else w * v
-            inner = inner + v if inner else v
+            # The weight w + we*e, as wn/wd.
+            wn, wd = (w * ed + we * en, ed) if we else (w, 1)
+            if wn:
+                v = nu_exact(s - a if a else s, d)
+                num, den = _fold(num, den, wn * v.numerator, wd * v.denominator)
         if self.wt:
-            inner -= nu_exact(s - t, d)
-        value = e * inner
-        return value + self.c0 + self.ct * t if self.c0 or self.ct else value
+            v = nu_exact(s - t, d)
+            num, den = _fold(num, den, self.wt * v.numerator, v.denominator)
+        num, den = num * en, den * ed
+        c0, ct = self.c0, self.ct
+        if c0:
+            num, den = _fold(num, den, c0.numerator, c0.denominator)
+        if ct:
+            ctn, ctd = ct.numerator * t.numerator, ct.denominator * t.denominator
+            num, den = _fold(num, den, ctn, ctd)
+        return Fraction(num, den)
 
     def vector(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Values on the grid s[:, None] x t[None, :], shape (len(s), len(t)).

@@ -15,7 +15,10 @@ it on integers: for s = p/q in lowest terms the sum is
 
     nu(s, d) = [ sum_{j=0}^{floor(p/q)} (-1)^j C(d, j) (p - j q)^d ] / (d! q^d),
 
-one integer numerator over one denominator, reduced once at the end.  Its
+one integer numerator over one denominator, reduced once at the end.  The
+volume is symmetric, nu(s, d) = 1 - nu(d - s, d), so above the midpoint
+d/2 it sums at d - s instead, which has at most half the terms; the
+binomials C(d, j) come from a table built once, as the factorials do.  Its
 slope, the Irwin-Hall density :func:`nu_density`, is a difference of two
 volumes one dimension down.  Everything here is computed in exact
 arithmetic; the float volume the search scans is
@@ -36,14 +39,25 @@ __all__ = [
     "nu_density",
 ]
 
-# Factorials cached as exact integers; dimensions beyond the cache are close
-# to meaningless for these volumes and are rejected by the CLI layer.
+# Factorials and binomial rows cached as exact integers; dimensions beyond
+# the cache are close to meaningless for these volumes and are rejected by
+# the CLI layer.
 MAX_CACHED_DIMENSION = 64
 _FACT = tuple(factorial(n) for n in range(MAX_CACHED_DIMENSION + 1))
+_BINOM = tuple(
+    tuple(comb(n, j) for j in range(n + 1)) for n in range(MAX_CACHED_DIMENSION + 1)
+)
 
 
 def _fact(n: int) -> int:
     return _FACT[n] if n <= MAX_CACHED_DIMENSION else factorial(n)
+
+
+def _binom(n: int) -> tuple[int, ...]:
+    """The row C(n, 0), ..., C(n, n)."""
+    if n <= MAX_CACHED_DIMENSION:
+        return _BINOM[n]
+    return tuple(comb(n, j) for j in range(n + 1))
 
 
 def to_rational(value: Fraction | int | str) -> Fraction:
@@ -141,7 +155,10 @@ def nu_exact(s: Fraction | int | str, d: int) -> Fraction:
         nu(s, d) = sum_{j=0}^{floor(p/q)} (-1)^j C(d, j) (p - j q)^d / (d! q^d),
 
     so the only Fraction built is the result (reduced once, hence equal to
-    the per-term rational sum).
+    the per-term rational sum).  Above the midpoint, 2p > dq, the sum runs
+    at d - s = (dq - p)/q over the same denominator and the result is
+    (d! q^d - total) / (d! q^d), by nu(s) = 1 - nu(d - s); so no sum has
+    more than d/2 + 1 terms.
     """
     _check_dimension(d)
     s = to_rational(s)
@@ -150,13 +167,18 @@ def nu_exact(s: Fraction | int | str, d: int) -> Fraction:
         return Fraction(0)
     if p >= d * q:
         return Fraction(1)
+    reflect = 2 * p > d * q
+    if reflect:
+        p = d * q - p
+    binom = _binom(d)
     total = 0
     # At integer s the j = s term is (p - jq)^d = 0, so the inclusive floor
     # needs no case split.
     for j in range(p // q + 1):
-        term = comb(d, j) * (p - j * q) ** d
+        term = binom[j] * (p - j * q) ** d
         total += -term if j & 1 else term
-    return Fraction(total, _fact(d) * q**d)
+    den = _fact(d) * q**d
+    return Fraction(den - total if reflect else total, den)
 
 
 def nu_density(s: Fraction | int | str, d: int) -> Fraction:

@@ -8,8 +8,9 @@ divides truncated power series, and the approximation oracle enumerates
 denominators.  The grid-node and vector-volume references are the plain
 Fraction-per-node and unmasked forms of the search fast path, and the four
 bound-vector references are each bound's float formula written out by
-hand; the fast path must match all of them bit for bit.  They are
-deliberately slow and simple.
+hand; the fast path must match all of them bit for bit.  The four
+bound-exact references are the same formulas in Fractions, over the
+Fraction-sum volume oracle.  They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -234,3 +235,43 @@ def noroots_vector_oracle(e, offsets, d, t_arg, s, t0):
     for a in offsets:
         base = base - nu(s - a, d)
     return (t_arg - t0[None, :]) + e * (base[:, None] - nu(s[:, None] - t0[None, :], d))
+
+
+# ---------------------------------------------------------------------------
+# Each bound's exact formula, written out by hand in Fractions at one point.
+# Parameters are Fractions or integers (order values included).
+
+
+def h_exact_oracle(e, d, s, t):
+    """H_e: 1 - t/2 + e (nu(s) - (e-4) nu(s-1) - nu(s-1/2) - nu(s-t))."""
+    nu = nu_exact_oracle
+    e, s, t = Fraction(e), Fraction(s), Fraction(t)
+    inner = nu(s, d) - (e - 4) * nu(s - 1, d) - nu(s - Fraction(1, 2), d) - nu(s - t, d)
+    return 1 - t / 2 + e * inner
+
+
+def general_exact_oracle(e, d, mu, k, extra, s, t):
+    """1 - t/2^k + e (nu(s) - (mu-k-1) nu(s-1) - k nu(s-1/2) - sum m nu(s-a) - nu(s-t))."""
+    nu = nu_exact_oracle
+    e, s, t = Fraction(e), Fraction(s), Fraction(t)
+    inner = nu(s, d) - (mu - k - 1) * nu(s - 1, d) - k * nu(s - Fraction(1, 2), d)
+    for mult, a in extra:
+        inner -= mult * nu(s - Fraction(a), d)
+    return 1 - t / 2**k + e * (inner - nu(s - t, d))
+
+
+def mu_small_exact_oracle(e, mu, d, s):
+    """e (nu(s) - mu nu(s-1))."""
+    nu = nu_exact_oracle
+    e, s = Fraction(e), Fraction(s)
+    return e * (nu(s, d) - mu * nu(s - 1, d))
+
+
+def noroots_exact_oracle(e, offsets, d, t_arg, s, t0):
+    """t_arg - t0 + e (nu(s) - sum nu(s-a) - nu(s-t0))."""
+    nu = nu_exact_oracle
+    e, s, t0 = Fraction(e), Fraction(s), Fraction(t0)
+    inner = nu(s, d)
+    for a in offsets:
+        inner -= nu(s - Fraction(a), d)
+    return Fraction(t_arg) - t0 + e * (inner - nu(s - t0, d))

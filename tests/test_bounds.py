@@ -32,9 +32,13 @@ from hkcert.targets import wy_target
 from hkcert.volume import nu_exact
 
 from oracles import (
+    general_exact_oracle,
     general_vector_oracle,
+    h_exact_oracle,
     h_vector_oracle,
+    mu_small_exact_oracle,
     mu_small_vector_oracle,
+    noroots_exact_oracle,
     noroots_vector_oracle,
 )
 
@@ -387,7 +391,73 @@ VECTOR_CASES = {
 }
 
 
+def _exact_cases(d):
+    """Each family at an integer and a rational e, with its written-out
+    Fraction formula."""
+    third, quarter = ((2, F(1, 3)),), ((1, F(3, 4)),)
+    return [
+        (HBoundObjective(7, d), lambda s, t: h_exact_oracle(7, d, s, t)),
+        (HBoundObjective(F(13, 3), d), lambda s, t: h_exact_oracle(F(13, 3), d, s, t)),
+        (
+            GeneralBoundObjective(BoundSpec(d, 21, 19, 4, third)),
+            lambda s, t: general_exact_oracle(21, d, 19, 4, third, s, t),
+        ),
+        (
+            GeneralBoundObjective(BoundSpec(d, F(13, 3), 5, 2, quarter)),
+            lambda s, t: general_exact_oracle(F(13, 3), d, 5, 2, quarter, s, t),
+        ),
+        (MuSmallObjective(6, 3, d), lambda s, t: mu_small_exact_oracle(6, 3, d, s)),
+        (
+            MuSmallObjective(F(13, 3), 1, d),
+            lambda s, t: mu_small_exact_oracle(F(13, 3), 1, d, s),
+        ),
+        (
+            NoRootsObjective(6, (1, F(1, 2)), d, F(3, 4)),
+            lambda s, t: noroots_exact_oracle(6, (1, F(1, 2)), d, F(3, 4), s, t),
+        ),
+        (
+            NoRootsObjective(F(13, 3), (0, F(1, 3)), d, 1),
+            lambda s, t: noroots_exact_oracle(F(13, 3), (0, F(1, 3)), d, 1, s, t),
+        ),
+    ]
+
+
+def _exact_points(d, t_hi, rng):
+    """(s, t) pairs: s at two integers, two half-integers and two random
+    points with denominators up to 10^6 in [0, d + 1], and t at 0, t_hi and
+    a random point of [0, t_hi]."""
+    s_points = [F(rng.randint(0, d + 1)) for _ in range(2)]
+    s_points += [F(2 * rng.randint(0, d) + 1, 2) for _ in range(2)]
+    for _ in range(2):
+        q = rng.randint(1, 10**6)
+        s_points.append(F(rng.randint(0, (d + 1) * q), q))
+    q = rng.randint(1, 10**6)
+    t_points = [F(0), F(t_hi), F(t_hi) * F(rng.randint(0, q), q)]
+    return [(s, t) for s in s_points for t in t_points]
+
+
 class TestLinearBound:
+    @pytest.mark.parametrize("d", [*range(1, 13), 30, 64])
+    def test_exact_matches_hand_formula(self, d):
+        rng = random.Random(7919 * d)
+        for objective, formula in _exact_cases(d):
+            for s, t in _exact_points(d, objective.t_hi, rng):
+                got, want = objective.exact(s, t), formula(s, t)
+                assert type(got) is F
+                assert got == want, (objective.descriptor(), s, t)
+
+    @pytest.mark.parametrize("d", [0, -3, True, 7.0])
+    def test_every_family_rejects_a_bad_dimension(self, d):
+        builders = [
+            lambda: HBoundObjective(7, d),
+            lambda: GeneralBoundObjective(BoundSpec(d, 7, 5, 1)),
+            lambda: MuSmallObjective(7, 3, d),
+            lambda: NoRootsObjective(7, (1,), d, F(1, 2)),
+        ]
+        for build in builders:
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                build()
+
     @pytest.mark.parametrize("case", VECTOR_CASES.values(), ids=VECTOR_CASES.keys())
     def test_vector_matches_hand_formula_bit_for_bit(self, case):
         objective, formula = case

@@ -115,6 +115,14 @@ class TestCertificates:
         assert objective.descriptor() == cert.objective
         assert certify_point(objective, cert.s, cert.t, cert.target) == cert
 
+    @pytest.mark.parametrize("d", ["0", -3])
+    @pytest.mark.parametrize("text", SCHEMA1_CERTIFICATES)
+    def test_reverify_rejects_a_tampered_dimension(self, text, d):
+        cert = loads(text).payload
+        tampered = replace(cert, objective={**cert.objective, "d": d})
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            reverify_certificate(tampered)
+
     def test_unknown_descriptor_kind(self):
         with pytest.raises(ValueError):
             objective_from_descriptor({"kind": "mystery"})

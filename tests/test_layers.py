@@ -91,6 +91,12 @@ def test_bounds_takes_only_the_float_kernel_from_search():
     assert names_imported("bounds", "search") == {"nu_vector"}
 
 
+def test_bounds_takes_only_the_exact_kernel_from_volume():
+    # Exact volumes reach the bounds only through nu_exact, one call per
+    # volume, as the benchmark's tracer counts them.
+    assert names_imported("bounds", "volume") == {"nu_exact", "to_rational"}
+
+
 def test_volume_is_exact_only():
     assert "numpy" not in absolute_imports("volume")
 

@@ -27,15 +27,18 @@ F = Fraction
 
 
 def fraction_sum_points(d: int) -> list[Fraction]:
-    """Points in and around [0, d]: every integer from -1 to d + 1, and s
-    with denominators 1, <= 997, <= 10^6, <= 10^12 (a witness s minus a
-    witness t, as the bounds evaluate it) and 2^200."""
+    """Points in and around [0, d]: every integer from -1 to d + 1; both
+    sides of the midpoint d/2, where nu_exact switches to summing at d - s,
+    and just below d; and s with denominators 1, <= 997, <= 10^6, <= 10^12
+    (a witness s minus a witness t, as the bounds evaluate it) and 2^200."""
     rng = random.Random(4099 * d)
 
     def draw(den):
         return F(rng.randint(-den, (d + 1) * den), den)
 
     points = [F(n) for n in range(-1, d + 2)]
+    eps = F(1, 10**6)
+    points += [F(d, 2), F(d, 2) - eps, F(d, 2) + eps, d - eps]
     for _ in range(4):
         points.append(draw(rng.randint(1, 997)))
         points.append(draw(rng.randint(1, 10**6)))
