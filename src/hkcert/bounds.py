@@ -211,7 +211,7 @@ _VOLUMES = _VolumeMemo(_MEMO_CELLS)
 def _check_dimension(d) -> None:
     # The message nu_exact gives, raised when the bound is built rather than
     # when it is first evaluated.
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+    if type(d) is not int or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
 
 
@@ -279,15 +279,15 @@ class BoundSpec:
         e = to_rational(e)
         if e <= 0:
             raise ValueError(f"multiplicity e must be positive, got {e}")
-        if not isinstance(mu, int) or mu < 1:
+        if type(mu) is not int or mu < 1:
             raise ValueError(f"generator count mu must be a positive integer, got {mu!r}")
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError(f"root count k must be a nonnegative integer, got {k!r}")
         if k >= 1 and mu < k + 1:
             raise ValueError(f"root count k={k} requires mu >= k+1, got mu={mu}")
         norm = []
         for mult, a in extra:
-            if not isinstance(mult, int) or mult < 1:
+            if type(mult) is not int or mult < 1:
                 raise ValueError(f"extra multiplicity must be a positive integer, got {mult!r}")
             a = to_rational(a)
             if not 0 <= a <= 1:
@@ -313,9 +313,10 @@ class LinearBound:
     bound's written-out formula would give.  The exact evaluator adds the
     integer numerators of its terms, e, c0 and ct*t over one common
     denominator and builds one Fraction, the value in lowest terms.  ``d``
-    must be a positive integer in every family.  ``desc`` is the descriptor
-    a certificate stores; :func:`hkcert.certify.objective_from_descriptor`
-    rebuilds the bound from it.
+    must be a positive integer in every family.  ``desc``, the descriptor a
+    certificate stores, holds ``kind`` and the family constructor's
+    arguments by parameter name; :func:`hkcert.certify.objective_from_descriptor`
+    calls that constructor with them.
     """
 
     d: int
@@ -454,16 +455,15 @@ def MuSmallObjective(e, mu: int, d: int = 7) -> LinearBound:
     return LinearBound(d, e, 0, 0, terms, 0, 1, desc)
 
 
-def NoRootsObjective(e, offsets, d: int, t_arg) -> LinearBound:
-    """phi bound with the grid's t-axis read as t0, at a fixed argument t_arg.
+def NoRootsObjective(e, offsets, d: int, t) -> LinearBound:
+    """phi bound with the grid's t-axis read as t0, at a fixed argument t.
 
-    exact(s, t0) is noroots_bound at EvalPoint(s, t_arg, t0), and
-    :func:`hkcert.certify.objective_from_descriptor` rebuilds this bound
-    from a ``noroots`` certificate.
+    exact(s, t0) is noroots_bound at EvalPoint(s, t, t0).  The argument is
+    named ``t``, as the descriptor key that stores it.
     """
-    e, t_arg = to_rational(e), to_rational(t_arg)
-    if not 0 <= t_arg <= 1:
-        raise ValueError(f"t must lie in [0, 1], got {t_arg}")
+    e, t = to_rational(e), to_rational(t)
+    if not 0 <= t <= 1:
+        raise ValueError(f"t must lie in [0, 1], got {t}")
     offsets = _check_offsets(offsets)
     terms = ((1, 0, 0),) + tuple((-1, 0, a) for a in offsets)
     desc = {
@@ -471,9 +471,9 @@ def NoRootsObjective(e, offsets, d: int, t_arg) -> LinearBound:
         "e": str(e),
         "offsets": [str(a) for a in offsets],
         "d": d,
-        "t": str(t_arg),
+        "t": str(t),
     }
-    return LinearBound(d, e, t_arg, -1, terms, -1, t_arg, desc)
+    return LinearBound(d, e, t, -1, terms, -1, t, desc)
 
 
 # --------------------------------------------------------------------------
@@ -573,6 +573,6 @@ def mu_small_bound(e, mu: int, s, d: int = 7) -> Fraction:
 
 def not_normal_bound(k: int) -> Fraction:
     """Escape-hatch bound 1 + 1/2^k when the k-th quadratic extension is not normal."""
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     return 1 + Fraction(1, 2**k)

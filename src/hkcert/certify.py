@@ -50,30 +50,27 @@ __all__ = [
 CITED_E_MAX = 5
 
 
+def _general(d, e, mu, k, extra) -> Objective:
+    return GeneralBoundObjective(BoundSpec(d, e, mu, k, extra))
+
+
+# The constructor of each descriptor kind; the other keys are its arguments.
+_FAMILIES = {
+    "h": HBoundObjective,
+    "general": _general,
+    "mu-small": MuSmallObjective,
+    "noroots": NoRootsObjective,
+}
+
+
 def objective_from_descriptor(desc: Mapping) -> Objective:
-    """Rebuild a search objective from its serialized descriptor."""
-    kind = desc["kind"]
-    if kind == "h":
-        return HBoundObjective(Fraction(desc["e"]), int(desc["d"]))
-    if kind == "general":
-        spec = BoundSpec(
-            dimension=int(desc["d"]),
-            e=Fraction(desc["e"]),
-            mu=int(desc["mu"]),
-            k=int(desc["k"]),
-            extra=tuple((int(m), Fraction(a)) for m, a in desc.get("extra", ())),
-        )
-        return GeneralBoundObjective(spec)
-    if kind == "mu-small":
-        return MuSmallObjective(Fraction(desc["e"]), int(desc["mu"]), int(desc["d"]))
-    if kind == "noroots":
-        return NoRootsObjective(
-            Fraction(desc["e"]),
-            tuple(Fraction(a) for a in desc["offsets"]),
-            int(desc["d"]),
-            Fraction(desc["t"]),
-        )
-    raise ValueError(f"unknown objective kind {kind!r}")
+    """Rebuild a search objective by calling its family's constructor with
+    the descriptor's keys other than ``kind``."""
+    params = dict(desc)
+    kind = params.pop("kind", None)
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown objective kind {kind!r}")
+    return _FAMILIES[kind](**params)
 
 
 @dataclass(frozen=True)
@@ -105,10 +102,14 @@ def certify_point(objective: Objective, s, t, target) -> Certificate:
 def reverify_certificate(cert: Certificate) -> bool:
     """Recompute the certificate from its serialized objective alone.
 
-    True iff the independent exact re-evaluation reproduces the stored value
-    bit for bit and the stored verdict matches the exact comparison.
+    True iff the rebuilt objective writes the stored descriptor back (so a
+    default filled in or ``"e": "14/2"`` fails), its exact re-evaluation
+    reproduces the stored value bit for bit, and the stored verdict matches
+    the exact comparison.
     """
     objective = objective_from_descriptor(cert.objective)
+    if objective.descriptor() != cert.objective:
+        return False
     value = objective.exact(cert.s, cert.t)
     return value == cert.value and cert.verdict == (value > cert.target)
 
@@ -207,7 +208,7 @@ def cover_range(
         raise ValueError(f"empty multiplicity range [{e_lo}, {e_hi}]")
     if e_lo < 2:
         raise ValueError(f"multiplicities start at 2, got e_lo = {e_lo}")
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     target = to_rational(target)
     if target <= 1:

@@ -79,6 +79,20 @@ class TestBoundSpec:
         with pytest.raises(ValueError):
             BoundSpec(7, 6, 4, 1, extra=((1, F(3, 2)),))
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [((7, 7, True), "generator count mu"),
+         ((7, 7, 5.0), "generator count mu"),
+         ((7, 7, 5, True), "root count k"),
+         ((7, 7, 5, 1.0), "root count k"),
+         ((7, 7, 5, 1, ((True, F(1, 3)),)), "extra multiplicity"),
+         ((7, 7, 5, 1, ((2.0, F(1, 3)),)), "extra multiplicity")],
+    )
+    def test_rejects_counts_that_are_not_plain_integers(self, args, message):
+        # True is an int equal to 1, so it would build a count-1 bound.
+        with pytest.raises(ValueError, match=message):
+            BoundSpec(*args)
+
 
 class TestNoRoots:
     def test_single_generator_value(self):
@@ -335,6 +349,11 @@ class TestNotNormal:
     def test_rejects_k0(self):
         with pytest.raises(ValueError):
             not_normal_bound(0)
+
+    @pytest.mark.parametrize("k", [True, 1.0])
+    def test_rejects_k_not_a_plain_integer(self, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            not_normal_bound(k)
 
 
 # Default search grids: s over [0, d + 1] with 200 nodes, t over [0, 1]

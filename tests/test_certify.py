@@ -1,3 +1,5 @@
+import inspect
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +15,7 @@ from hkcert.bounds import (
     h_bound,
 )
 from hkcert.certify import (
+    _FAMILIES,
     CoveragePlan,
     GapRun,
     certify_point,
@@ -55,6 +58,46 @@ SCHEMA1_CERTIFICATES = [
 ]
 
 
+# One objective of each descriptor kind.
+ONE_OF_EACH_FAMILY = [
+    HBoundObjective(F(13, 2), 7),
+    GeneralBoundObjective(BoundSpec(8, 21, 19, 4, extra=((2, F(1, 3)),))),
+    MuSmallObjective(6, 3, 7),
+    NoRootsObjective(6, (F(1), F(1, 2)), 7, F(3, 4)),
+]
+
+
+def tampered_descriptors(desc):
+    """(label, descriptor) pairs, each changing one field of ``desc`` to a
+    form its family's constructor never writes."""
+    e = F(desc["e"])
+    out = [
+        ("float-e", {**desc, "e": float(e)}),
+        ("decimal-e", {**desc, "e": f"{float(e):.4f}"}),
+        ("unreduced-e", {**desc, "e": f"{2 * e.numerator}/{2 * e.denominator}"}),
+        ("unknown-key", {**desc, "z": 1}),
+    ]
+    out += [
+        (f"missing-{key}", {k: v for k, v in desc.items() if k != key})
+        for key in sorted(desc.keys() - {"kind"})
+    ]
+    for key in ("mu", "k"):
+        if key in desc:
+            out += [(f"float-{key}", {**desc, key: float(desc[key])}),
+                    (f"bool-{key}", {**desc, key: True})]
+    if desc.get("extra"):
+        extra = [[float(m), a] for m, a in desc["extra"]]
+        out.append(("float-extra-multiplicity", {**desc, "extra": extra}))
+    return out
+
+
+TAMPERED = [
+    pytest.param(text, desc, id=f"cert{i}-{label}")
+    for i, text in enumerate(SCHEMA1_CERTIFICATES)
+    for label, desc in tampered_descriptors(json.loads(text)["payload"]["objective"])
+]
+
+
 class TestCertificates:
     def test_reference_point_certifies(self):
         cert = certify_point(
@@ -91,15 +134,7 @@ class TestCertificates:
         flipped = replace(cert, target=cert.value + 1, verdict=True)
         assert not reverify_certificate(flipped)
 
-    @pytest.mark.parametrize(
-        "objective",
-        [
-            HBoundObjective(F(13, 2), 7),
-            GeneralBoundObjective(BoundSpec(8, 21, 19, 4, extra=((2, F(1, 3)),))),
-            MuSmallObjective(6, 3, 7),
-            NoRootsObjective(6, (F(1), F(1, 2)), 7, F(3, 4)),
-        ],
-    )
+    @pytest.mark.parametrize("objective", ONE_OF_EACH_FAMILY)
     def test_descriptor_roundtrip(self, objective):
         rebuilt = objective_from_descriptor(objective.descriptor())
         assert rebuilt == objective
@@ -115,13 +150,34 @@ class TestCertificates:
         assert objective.descriptor() == cert.objective
         assert certify_point(objective, cert.s, cert.t, cert.target) == cert
 
-    @pytest.mark.parametrize("d", ["0", -3])
+    @pytest.mark.parametrize("d", ["0", -3, 7.9, 7.5, True])
     @pytest.mark.parametrize("text", SCHEMA1_CERTIFICATES)
     def test_reverify_rejects_a_tampered_dimension(self, text, d):
         cert = loads(text).payload
         tampered = replace(cert, objective={**cert.objective, "d": d})
         with pytest.raises(ValueError, match="dimension must be a positive integer"):
             reverify_certificate(tampered)
+
+    @pytest.mark.parametrize("text,desc", TAMPERED)
+    def test_reverify_rejects_a_tampered_descriptor(self, text, desc):
+        # The stored value is the untampered objective's, so a reader that
+        # coerced the field back would re-verify the certificate.
+        cert = replace(loads(text).payload, objective=desc)
+        try:
+            assert not reverify_certificate(cert)
+        except (TypeError, ValueError):
+            pass
+
+    def test_every_family_has_a_descriptor_to_test(self):
+        assert {o.descriptor()["kind"] for o in ONE_OF_EACH_FAMILY} == _FAMILIES.keys()
+        assert {json.loads(t)["payload"]["objective"]["kind"]
+                for t in SCHEMA1_CERTIFICATES} == _FAMILIES.keys()
+
+    @pytest.mark.parametrize("objective", ONE_OF_EACH_FAMILY)
+    def test_descriptor_keys_are_the_constructor_parameters(self, objective):
+        desc = objective.descriptor()
+        family = _FAMILIES[desc["kind"]]
+        assert desc.keys() - {"kind"} == inspect.signature(family).parameters.keys()
 
     def test_unknown_descriptor_kind(self):
         with pytest.raises(ValueError):
@@ -255,7 +311,7 @@ class TestCoverRange:
         with pytest.raises(ValueError, match="multiplicities start at 2"):
             cover_range(7, 1, e_lo, 14, DIM7_TARGET, FAST)
 
-    @pytest.mark.parametrize("k", [-1, F(1, 2), 1.0])
+    @pytest.mark.parametrize("k", [-1, F(1, 2), 1.0, True])
     def test_rejects_k_not_a_nonnegative_integer(self, k):
         with pytest.raises(ValueError, match="k must be a nonnegative integer"):
             cover_range(7, k, 13, 14, DIM7_TARGET, FAST)

@@ -12,7 +12,9 @@ and dispatch, and stand outside the order; ``__init__`` re-exports each
 module's ``__all__`` in layer order, and it alone star-imports.
 
 No module starts a thread or a process: the float volume memo in
-``bounds`` takes no lock and must be called from one thread only.
+``bounds`` takes no lock and must be called from one thread only.  No
+module runs code built from text: each reader calls the constructors of
+the records it reads.
 """
 
 import ast
@@ -38,6 +40,7 @@ PACKAGE = Path(hkcert.__file__).parent
 
 
 CONCURRENCY = {"threading", "concurrent", "multiprocessing", "_thread"}
+CODE_FROM_TEXT = {"exec", "eval", "compile"}
 
 
 def absolute_imports(module: str) -> set[str]:
@@ -172,3 +175,14 @@ def test_order_is_the_one_the_code_has():
 def test_no_module_imports_threads_or_processes():
     for path in PACKAGE.glob("*.py"):
         assert not absolute_imports(path.stem) & CONCURRENCY, path.name
+
+
+def test_no_module_runs_code_built_from_text():
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        called = {
+            node.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert not called & CODE_FROM_TEXT, path.name
