@@ -45,7 +45,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .search import nu_vector
-from .volume import nu_exact, to_rational
+# _check_dimension is nu_exact's own check, run here when a bound is built.
+from .volume import _check_dimension, nu_exact, to_rational
 
 __all__ = [
     "LinearInEError",
@@ -206,13 +207,6 @@ class _VolumeMemo:
 # 200 x 100 grid that an optimization with three refinement rounds scans.
 _MEMO_CELLS = 100_000
 _VOLUMES = _VolumeMemo(_MEMO_CELLS)
-
-
-def _check_dimension(d) -> None:
-    # The message nu_exact gives, raised when the bound is built rather than
-    # when it is first evaluated.
-    if type(d) is not int or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
 
 
 def _fold(num: int, den: int, n: int, m: int) -> tuple[int, int]:

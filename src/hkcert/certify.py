@@ -25,7 +25,7 @@ from .bounds import (
     not_normal_bound,
 )
 from .search import Objective, SearchParams, optimize_bound
-from .targets import TargetValue, large_e_threshold, wy_target
+from .targets import TargetValue, dimension_target, large_e_threshold
 # nu_exact is imported by name for perfbench, whose tracer test checks that
 # the tracer rebinds it in this module too.
 from .volume import _fact, nu_exact, to_rational  # noqa: F401
@@ -353,15 +353,14 @@ def prove_dimension(
     run of uncovered multiplicities.  Verdict is "proved" exactly when no gap
     cases remain; gaps are data, not failures.
     """
+    if type(d) is not int or type(k) is not int:
+        raise ValueError(f"dimension and k must be integers, got d={d!r}, k={k!r}")
     if d < 2:
         raise ValueError("the pipeline needs dimension >= 2")
     if k < 1:
         raise ValueError("k must be >= 1")
     params = params or SearchParams()
-    if target is None:
-        # Dimension 7 has a transcribed closed form whose worst case over
-        # odd characteristics sits at p = 3; other dimensions use 1 + m_d.
-        target = wy_target(d, 3) if d == 7 else wy_target(d)
+    target = target or dimension_target(d)
     tgt = target.value
 
     hypotheses = tuple(h.format(cited=CITED_E_MAX) for h in _STANDING_HYPOTHESES)

@@ -12,7 +12,6 @@ import argparse
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 from . import report as rpt
@@ -31,10 +30,11 @@ from .certify import cover_range, prove_dimension
 from .search import SearchParams, nu_vector, optimize_bound
 from .targets import (
     TargetValue,
+    dimension_target,
     ehk_quadric_dim7,
+    large_e_threshold,
     m_coeffs,
     verify_quadric_identities,
-    wy_target,
 )
 from .volume import (
     MAX_CACHED_DIMENSION,
@@ -55,8 +55,10 @@ TABLE1_POINTS: dict[int, tuple[str, str]] = {
     12: ("2.43609", "0.658519"),
 }
 
-TABLE2_RANGE = (13, 5340)
-DIM7_TARGET = Fraction(71, 67)
+DIM7_TARGET = dimension_target(7).value
+# The range covering starts where the single-e table ends and stops at the
+# factorial threshold, above which e/7! alone beats the target.
+TABLE2_RANGE = (max(TABLE1_POINTS) + 1, large_e_threshold(7, DIM7_TARGET))
 
 
 def _rational(text: str) -> Fraction:
@@ -102,65 +104,53 @@ def parse_config(path: str | Path) -> dict[str, str]:
     return out
 
 
+# Config key -> (SearchParams field, place in that field's pair or None,
+# parser, what the parser reads).
 _CONFIG_KEYS = {
-    "s_lo",
-    "s_hi",
-    "t_lo",
-    "t_hi",
-    "grid_s",
-    "grid_t",
-    "rounds",
-    "shrink",
-    "max_denominator",
+    "s_lo": ("s_range", 0, to_rational, "an exact rational"),
+    "s_hi": ("s_range", 1, to_rational, "an exact rational"),
+    "t_lo": ("t_range", 0, to_rational, "an exact rational"),
+    "t_hi": ("t_range", 1, to_rational, "an exact rational"),
+    "grid_s": ("grid", 0, int, "an integer"),
+    "grid_t": ("grid", 1, int, "an integer"),
+    "rounds": ("refine_rounds", None, int, "an integer"),
+    "shrink": ("shrink_factor", None, int, "an integer"),
+    "max_denominator": ("max_denominator", None, int, "an integer"),
 }
 
 
-def _config_value(cfg: dict[str, str], key: str, parse, kind: str, default="0"):
-    """Config key ``key`` read by ``parse``; a bad value raises ValueError naming it."""
-    text = cfg.get(key, default)
-    try:
-        return parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"config {key} is not {kind}: {text!r} ({exc})")
-
-
 def search_params(args) -> SearchParams:
-    """Defaults, overridden by the config file, overridden by CLI flags."""
+    """Defaults, overridden by the config file, overridden by CLI flags.
+
+    A key the config leaves out keeps the :class:`SearchParams` default, and
+    each search flag's dest is the field it sets.
+    """
     cfg = parse_config(args.config) if getattr(args, "config", None) else {}
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    rational = partial(_config_value, cfg, parse=to_rational, kind="an exact rational")
-    integer = partial(_config_value, cfg, parse=int, kind="an integer")
-    params = SearchParams()
-    if "s_lo" in cfg or "s_hi" in cfg:
-        if not ("s_lo" in cfg and "s_hi" in cfg):
-            raise ValueError("config must set both s_lo and s_hi or neither")
-        params = replace(params, s_range=(rational("s_lo"), rational("s_hi")))
-    if "t_lo" in cfg or "t_hi" in cfg:
-        t_range = (rational("t_lo"), rational("t_hi", default="1"))
-        params = replace(params, t_range=t_range)
-    if "grid_s" in cfg or "grid_t" in cfg:
-        grid = (integer("grid_s", default="200"), integer("grid_t", default="100"))
-        params = replace(params, grid=grid)
-    if "rounds" in cfg:
-        params = replace(params, refine_rounds=integer("rounds"))
-    if "shrink" in cfg:
-        params = replace(params, shrink_factor=integer("shrink"))
-    if "max_denominator" in cfg:
-        params = replace(params, max_denominator=integer("max_denominator"))
-
-    if getattr(args, "s_range", None) is not None:
-        params = replace(params, s_range=args.s_range)
-    if getattr(args, "t_range", None) is not None:
-        params = replace(params, t_range=args.t_range)
-    if getattr(args, "grid", None) is not None:
-        params = replace(params, grid=args.grid)
-    if getattr(args, "rounds", None) is not None:
-        params = replace(params, refine_rounds=args.rounds)
-    if getattr(args, "max_denominator", None) is not None:
-        params = replace(params, max_denominator=args.max_denominator)
-    return params
+    if ("s_lo" in cfg) != ("s_hi" in cfg):
+        raise ValueError("config must set both s_lo and s_hi or neither")
+    values = {}
+    for key, (name, place, parse, kind) in _CONFIG_KEYS.items():
+        if key not in cfg:
+            continue
+        try:
+            value = parse(cfg[key])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"config {key} is not {kind}: {cfg[key]!r} ({exc})")
+        if place is not None:
+            pair = list(values.get(name) or getattr(SearchParams, name) or (None, None))
+            pair[place] = value
+            value = tuple(pair)
+        values[name] = value
+    flags = {
+        f.name: getattr(args, f.name)
+        for f in fields(SearchParams)
+        if getattr(args, f.name, None) is not None
+    }
+    # The config is checked on its own before the flags override it.
+    return replace(SearchParams(**values), **flags)
 
 
 def _emit(args, doc: rpt.ReportDocument, extra_lines=()):
@@ -298,6 +288,11 @@ def cmd_rangemin(args) -> int:
 
 
 def _objective_from_args(kind: str, d: int, e, mu: int | None, k: int):
+    # H_e fixes mu = e - 2 and k = 1; the root-free mu-small bound takes no k.
+    if kind == "h" and mu is not None:
+        raise ValueError("--mu does not apply to the h bound, which takes mu = e - 2")
+    if kind in ("h", "mu-small") and k != 1:
+        raise ValueError(f"--k does not apply to the {kind} bound")
     if kind == "h":
         return HBoundObjective(e, d)
     if mu is None:
@@ -460,10 +455,7 @@ def cmd_surface(args) -> int:
     # out of order.
     params = replace(search_params(args), grid=args.grid or (120, 120))
     grid = rpt.surface_grid(
-        _objective_from_args(kind, args.dim, args.e, args.mu, args.k),
-        grid=params.grid,
-        s_range=params.s_range,
-        t_range=params.t_range,
+        _objective_from_args(kind, args.dim, args.e, args.mu, args.k), params
     )
     value, s_at, t_at = grid.max_cell()
     lines = [f"grid max {value!r} at s={s_at} t={t_at}"]
@@ -471,11 +463,7 @@ def cmd_surface(args) -> int:
         Path(args.out).write_text(rpt.surface_csv(grid))
         lines.append(f"wrote {args.out}")
     if args.svg:
-        target = args.target
-        if target is None and args.dim == 7:
-            target = DIM7_TARGET
-        elif target is None:
-            target = wy_target(args.dim).value
+        target = args.target if args.target is not None else dimension_target(args.dim).value
         Path(args.svg).write_text(rpt.surface_svg(grid, target))
         lines.append(f"wrote {args.svg}")
     doc = _doc(args, "surface",
@@ -499,8 +487,8 @@ def _add_common(sub, grid=False, search=False):
         sub.add_argument("--s-range", type=_range_pair, default=None, metavar="LO:HI")
         sub.add_argument("--t-range", type=_range_pair, default=None, metavar="LO:HI")
     if search:
-        sub.add_argument("--rounds", type=int, default=None,
-                         help="refinement rounds")
+        sub.add_argument("--rounds", dest="refine_rounds", metavar="ROUNDS",
+                         type=int, default=None, help="refinement rounds")
         sub.add_argument("--max-denominator", type=int, default=None)
         sub.add_argument("--config", help="key = value file overriding search defaults")
 

@@ -133,28 +133,18 @@ class SurfaceGrid:
         return best
 
 
-def surface_grid(
-    objective: Objective,
-    grid: tuple[int, int] = (120, 120),
-    s_range=None,
-    t_range=(0, 1),
-    max_denominator: int = 10**6,
-) -> SurfaceGrid:
-    """Evaluate ``objective`` on a rectangular grid (float fast path).
+def surface_grid(objective: Objective, params: SearchParams) -> SurfaceGrid:
+    """Evaluate ``objective`` on the grid of ``params`` (float fast path).
 
-    ``s_range=None`` means [0, d+1].  The ranges and the grid are checked
-    as :class:`~hkcert.search.SearchParams` checks them, and the grid nodes
-    are exact rationals, the same construction the optimizer scans, so a
-    grid maximum matches an unrefined optimizer run at the same resolution.
+    The grid nodes are exact rationals, the same construction the optimizer
+    scans, so a grid maximum matches an unrefined optimizer run with the
+    same ``params``.
     """
-    params = SearchParams(
-        s_range=s_range, t_range=t_range, grid=grid, max_denominator=max_denominator
-    )
     s_lo, s_hi = params.resolved_s_range(objective.dimension)
     t_lo, t_hi = params.t_range
     ns, nt = params.grid
-    s_axis = GridAxis(s_lo, s_hi, ns, max_denominator)
-    t_axis = GridAxis(t_lo, t_hi, nt, max_denominator)
+    s_axis = GridAxis(s_lo, s_hi, ns, params.max_denominator)
+    t_axis = GridAxis(t_lo, t_hi, nt, params.max_denominator)
     vals = objective.vector(s_axis.floats, t_axis.floats)
     return SurfaceGrid(
         objective=objective.descriptor(),

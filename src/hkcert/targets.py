@@ -34,6 +34,7 @@ __all__ = [
     "QuadricIdentityReport",
     "verify_quadric_identities",
     "wy_target",
+    "dimension_target",
     "large_e_threshold",
 ]
 
@@ -182,6 +183,15 @@ def wy_target(d: int, p: int | None = None) -> TargetValue:
         value=1 + m_coeffs(d)[-1],
         provenance="series",
     )
+
+
+def dimension_target(d: int) -> TargetValue:
+    """The target a proof in dimension d certifies against by default.
+
+    Dimension 7 has a transcribed closed form whose worst case over odd
+    characteristics sits at p = 3, giving 71/67; other dimensions use 1 + m_d.
+    """
+    return wy_target(d, 3) if d == 7 else wy_target(d)
 
 
 def large_e_threshold(d: int, target) -> int:

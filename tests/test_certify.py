@@ -389,3 +389,11 @@ class TestProveDimension:
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError):
             prove_dimension(1, 1, FAST)
+
+    @pytest.mark.parametrize(
+        "d, k", [(7.0, 1), (7.5, 1), (7, 1.0), (7, True)],
+        ids=["d-float", "d-fraction", "k-float", "k-bool"],
+    )
+    def test_rejects_counts_that_are_not_plain_integers(self, d, k):
+        with pytest.raises(ValueError, match=f"must be integers, got d={d!r}, k={k!r}"):
+            prove_dimension(d, k, FAST)

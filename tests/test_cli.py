@@ -1,13 +1,15 @@
+import argparse
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hkcert.bounds import h_bound
-from hkcert.cli import main
+from hkcert.cli import _CONFIG_KEYS, build_parser, main, search_params
 from hkcert.report import loads
-from hkcert.search import nu_vector
+from hkcert.search import SearchParams, nu_vector
 from hkcert.targets import ehk_quadric_dim7
 
 F = Fraction
@@ -144,6 +146,20 @@ class TestSearchCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--kind", "h", "--mu", "2"], "--mu"),
+         (["--kind", "h", "--k", "3"], "--k"),
+         (["--kind", "h", "--k", "3", "--mu", "2"], "--mu"),
+         (["--kind", "mu-small", "--mu", "2", "--k", "3"], "--k")],
+        ids=["h-mu", "h-k", "h-k-mu", "mu-small-k"],
+    )
+    def test_optimize_rejects_a_flag_its_kind_ignores(self, capsys, flags, named):
+        code, out, err = run(["optimize", "--e", "7", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {named} does not apply")
 
     def test_optimize_general_requires_mu(self, capsys):
         code, _, err = run(["optimize", "--kind", "general", "--e", "21"], capsys)
@@ -386,6 +402,22 @@ class TestSurface:
         assert svg_path.read_text().startswith("<svg")
 
     @pytest.mark.parametrize(
+        "bound, target",
+        [(["--dim", "7", "--e", "6", "--grid", "24x20"], "71/67"),
+         (["--dim", "8", "--e", "21", "--mu", "19", "--k", "4", "--grid", "60x40"],
+          "8341/8064")],
+        ids=["d7", "d8"],
+    )
+    def test_svg_marks_the_dimension_target_by_default(self, capsys, tmp_path, bound, target):
+        svgs = []
+        for extra in ([], ["--target", target]):
+            path = tmp_path / f"fig{len(svgs)}.svg"
+            assert run(["surface", *bound, "--svg", str(path), *extra], capsys)[0] == 0
+            svgs.append(path.read_text())
+        assert svgs[0] == svgs[1]
+        assert "stroke-width" in svgs[0]
+
+    @pytest.mark.parametrize(
         "flags",
         [["--config", "search.cfg"], ["--rounds", "9"], ["--workers", "4"],
          ["--max-denominator", "3"], ["--seed", "1"]],
@@ -531,6 +563,75 @@ class TestConfig:
             ["optimize", "--kind", "h", "--e", "7", "--config", str(cfg)], capsys
         )
         assert code == 2
+
+
+# Config key -> (config text, the fields it sets, the flag that overrides
+# it, the fields that flag sets); shrink has no flag.
+CONFIG_CASES = {
+    "s_lo": ("s_lo = 1/3\ns_hi = 4", {"s_range": (F(1, 3), F(4))},
+             ["--s-range", "1:2"], {"s_range": (F(1), F(2))}),
+    "s_hi": ("s_lo = 1\ns_hi = 7/2", {"s_range": (F(1), F(7, 2))},
+             ["--s-range", "1/2:2"], {"s_range": (F(1, 2), F(2))}),
+    "t_lo": ("t_lo = 1/4", {"t_range": (F(1, 4), F(1))},
+             ["--t-range", "0:1/2"], {"t_range": (F(0), F(1, 2))}),
+    "t_hi": ("t_hi = 3/4", {"t_range": (F(0), F(3, 4))},
+             ["--t-range", "1/8:1/2"], {"t_range": (F(1, 8), F(1, 2))}),
+    "grid_s": ("grid_s = 30", {"grid": (30, 100)}, ["--grid", "7x9"], {"grid": (7, 9)}),
+    "grid_t": ("grid_t = 40", {"grid": (200, 40)}, ["--grid", "9x7"], {"grid": (9, 7)}),
+    "rounds": ("rounds = 1", {"refine_rounds": 1}, ["--rounds", "2"], {"refine_rounds": 2}),
+    "shrink": ("shrink = 7", {"shrink_factor": 7}, None, None),
+    "max_denominator": ("max_denominator = 1000", {"max_denominator": 1000},
+                        ["--max-denominator", "99"], {"max_denominator": 99}),
+}
+
+
+@pytest.mark.parametrize("key", CONFIG_CASES)
+def test_config_key_sets_its_field_and_its_flag_wins(tmp_path, key):
+    text, sets, flag, flag_sets = CONFIG_CASES[key]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text + "\n")
+    argv = ["optimize", "--e", "7", "--config", str(cfg)]
+    parser = build_parser()
+    assert search_params(parser.parse_args(argv)) == replace(SearchParams(), **sets)
+    if flag is not None:
+        params = search_params(parser.parse_args(argv + flag))
+        assert params == replace(SearchParams(), **flag_sets)
+
+
+# Every option of every subcommand; a change that adds or removes a knob
+# changes this table.
+COMMON = {"-h", "--help", "--json", "--no-timestamp"}
+GRID = COMMON | {"--grid", "--s-range", "--t-range"}
+SEARCH_KNOBS = GRID | {"--rounds", "--max-denominator", "--config"}
+OPTIONS = {
+    "nu": COMMON | {"--d", "--s", "--density"},
+    "bound": COMMON | {"--d", "--e", "--mu", "--k", "--s", "--t", "--pre-rescale"},
+    "hbound": COMMON | {"--e", "--s", "--t", "--d"},
+    "emax": COMMON | {"--s0", "--t0", "--d"},
+    "rangemin": COMMON | {"--e1", "--e2", "--s0", "--t0", "--d"},
+    "optimize": SEARCH_KNOBS | {"--kind", "--e", "--mu", "--k", "--d"},
+    "cover": SEARCH_KNOBS | {"--csv", "--dim", "--k", "--e-lo", "--e-hi", "--target"},
+    "prove": SEARCH_KNOBS | {"--dim", "--k", "--target"},
+    "table1": SEARCH_KNOBS | {"--csv"},
+    "table2": SEARCH_KNOBS | {"--csv"},
+    "series": COMMON | {"--max"},
+    "quadric": COMMON | {"--p", "--check-identities"},
+    "surface": GRID | {"--dim", "--e", "--mu", "--k", "--out", "--csv", "--svg", "--target"},
+}
+
+
+def test_every_knob_is_pinned():
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {flag for action in sub._actions for flag in action.option_strings}
+        for name, sub in subs.choices.items()
+    }
+    assert options == OPTIONS
+    assert set(_CONFIG_KEYS) == set(CONFIG_CASES) == {
+        "s_lo", "s_hi", "t_lo", "t_hi", "grid_s", "grid_t", "rounds", "shrink",
+        "max_denominator",
+    }
 
 
 def test_quadric_float_value_matches_library(capsys):

@@ -220,6 +220,10 @@ class TestSearchParams:
         with pytest.raises(ValueError):
             SearchParams(grid=(1, 10))
         with pytest.raises(ValueError):
+            SearchParams(grid=(10, 1))
+        with pytest.raises(ValueError):
+            SearchParams(s_range=(F(3), F(2)))
+        with pytest.raises(ValueError):
             SearchParams(t_range=(F(1), F(0)))
         with pytest.raises(ValueError):
             SearchParams(refine_rounds=-1)

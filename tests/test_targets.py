@@ -4,6 +4,7 @@ import pytest
 
 from hkcert.targets import (
     TargetValue,
+    dimension_target,
     ehk_quadric_dim7,
     large_e_threshold,
     m_coeffs,
@@ -117,6 +118,18 @@ class TestWyTarget:
             TargetValue(3, None, F(1), "series")
         with pytest.raises(ValueError):
             TargetValue(3, None, F(3, 2), "mystery")
+
+
+class TestDimensionTarget:
+    def test_dimension7_is_the_quadric_at_three(self):
+        target = dimension_target(7)
+        assert target == wy_target(7, 3)
+        assert target.value == F(71, 67)
+
+    @pytest.mark.parametrize("d", [2, 6, 8, 10])
+    def test_other_dimensions_use_the_series(self, d):
+        assert dimension_target(d) == wy_target(d)
+        assert dimension_target(d).provenance == "series"
 
 
 class TestThreshold:
