@@ -21,9 +21,10 @@ between Hilbert-Kunz multiplicities of radical extensions:
 for 0 <= t0 <= t <= 1 and order values a_i of the non-distinguished
 generators; phi(1) is the Hilbert-Kunz multiplicity itself.
 
-The worst case mu = e - 2 with k = 1 gives the single-variable-e family
-H_e(s, t) used by the dimension-7 search, which is a downward parabola in e
-with apex at the ratio exposed by :func:`e_max`.
+The worst case mu = e - 2 gives, for each k, a family in e alone
+(:func:`HBoundObjective`; k = 1 is H_e(s, t) of the dimension-7 search).
+Every covering uses it; it is a downward parabola in e with apex at the
+ratio exposed by :func:`e_max`.
 
 Every one of these bounds has the shape
 
@@ -68,9 +69,8 @@ __all__ = [
     "NoRootsObjective",
 ]
 
-# Shared constants, so the constructors below build no Fractions of their own.
+# A shared constant, so the constructors below build no Fractions of their own.
 _HALF = Fraction(1, 2)
-_MINUS_HALF = Fraction(-1, 2)
 
 
 @lru_cache(maxsize=None)
@@ -299,17 +299,19 @@ class LinearBound:
     """c0 + ct*t + e (sum_i (w_i + we_i*e) nu(s - a_i) + wt*nu(s - t)), nu in dimension d.
 
     ``terms`` holds the triples (w, we, a).  The coefficient ``we`` of e in a
-    weight is nonzero only for H_e, whose generator count mu = e - 2 puts e
-    into the weight of nu(s - 1); keeping it apart makes the float weight
-    float(e) - 4, as in the written-out H_e formula.  ``wt`` is -1 or 0,
+    weight is nonzero only for the worst case (:func:`HBoundObjective`),
+    whose generator count mu = e - 2 puts e into the weight of nu(s - 1);
+    keeping it apart makes the float weight k + 3 - float(e), as in the
+    written-out H_e formula, and the same double as the master family's
+    integer weight at an integer e.  ``wt`` is -1 or 0,
     and t ranges over [0, t_hi].  Both evaluators loop over the one term
     list and skip zero weights, so a float cell is the same double as the
     bound's written-out formula would give.  The exact evaluator adds the
     integer numerators of its terms, e, c0 and ct*t over one common
     denominator and builds one Fraction, the value in lowest terms.  ``d``
-    must be a positive integer in every family.  ``desc``, the descriptor a
-    certificate stores, holds ``kind`` and the family constructor's
-    arguments by parameter name; :func:`hkcert.certify.objective_from_descriptor`
+    must be an integer from 1 to 64 in every family.  ``desc``, the
+    descriptor a certificate stores, holds ``kind`` and the family
+    constructor's arguments by parameter name; :func:`hkcert.certify.objective_from_descriptor`
     calls that constructor with them.
     """
 
@@ -411,17 +413,30 @@ class LinearBound:
 # The four bound families, as term lists.
 
 
-def HBoundObjective(e, d: int = 7) -> LinearBound:
-    """H_e(s, t) = 1 - t/2 + e (nu(s) - (e-4) nu(s-1) - nu(s-1/2) - nu(s-t)).
+def HBoundObjective(e, d: int = 7, k: int = 1) -> LinearBound:
+    """The worst case mu = e - 2 of the master family with k square roots,
 
-    This is the master family with mu = e - 2 and one square root; e may be
-    any rational >= 4 (the parabola analysis treats it continuously).
+        1 - t/2^k + e (nu(s) - (e-k-3) nu(s-1) - k nu(s-1/2) - nu(s-t)),
+
+    whose k = 1 instance is H_e(s, t) = 1 - t/2 + e (nu(s) - (e-4) nu(s-1)
+    - nu(s-1/2) - nu(s-t)).  e may be any rational >= k + 3 (the parabola
+    analysis treats it continuously).  The descriptor states k only when
+    it is not 1, so H_e descriptors, which never state k, read back as
+    they were written.
     """
+    if type(k) is not int or k < 0:
+        raise ValueError(f"root count k must be a nonnegative integer, got {k!r}")
     e = to_rational(e)
-    if e < 4:
-        raise ValueError(f"H_e needs e >= 4 so that mu = e - 2 >= 2, got {e}")
+    # e < k + 3, compared on integers: a Fraction comparison is several
+    # times slower, and every certificate of a covering builds one of these.
+    if e.numerator < (k + 3) * e.denominator:
+        raise ValueError(
+            f"the worst case needs e >= k + 3 so that mu = e - 2 >= k + 1, got e={e}, k={k}"
+        )
     desc = {"kind": "h", "e": str(e), "d": d}
-    return LinearBound(d, e, 1, _MINUS_HALF, _worst_case_terms(1), -1, 1, desc)
+    if k != 1:
+        desc["k"] = k
+    return LinearBound(d, e, 1, _minus_half_power(k), _worst_case_terms(k), -1, 1, desc)
 
 
 def GeneralBoundObjective(spec: BoundSpec) -> LinearBound:

@@ -28,7 +28,7 @@ from .search import Objective, SearchParams, optimize_bound
 from .targets import TargetValue, dimension_target, large_e_threshold
 # nu_exact is imported by name for perfbench, whose tracer test checks that
 # the tracer rebinds it in this module too.
-from .volume import _fact, nu_exact, to_rational  # noqa: F401
+from .volume import _check_dimension, _fact, nu_exact, to_rational  # noqa: F401
 
 __all__ = [
     "Certificate",
@@ -177,14 +177,6 @@ class CoveragePlan:
         return cursor == self.e_hi + 1
 
 
-def _objective_for(d: int, e: int, k: int) -> Objective:
-    # k = 1 with mu = e - 2 is exactly the H_e family; keep that descriptor
-    # so dimension-7 certificates read naturally.
-    if k == 1:
-        return HBoundObjective(e, d)
-    return GeneralBoundObjective(BoundSpec(dimension=d, e=e, mu=e - 2, k=k))
-
-
 def cover_range(
     d: int,
     k: int,
@@ -202,8 +194,10 @@ def cover_range(
     failures, so callers can report unresolved cases.  The target must
     exceed 1, as every :class:`~hkcert.targets.TargetValue` does, the range
     must start at 2 or above (a non-regular ring has multiplicity at least
-    2), and k must be a nonnegative integer.
+    2), and k must be a nonnegative integer.  Every e is bounded by the
+    worst case mu = e - 2, :func:`~hkcert.bounds.HBoundObjective` at k.
     """
+    _check_dimension(d)
     if e_lo > e_hi:
         raise ValueError(f"empty multiplicity range [{e_lo}, {e_hi}]")
     if e_lo < 2:
@@ -216,11 +210,11 @@ def cover_range(
     params = params or SearchParams()
 
     def witness_for(e_at: int) -> tuple[Fraction, Fraction]:
-        cand = optimize_bound(_objective_for(d, e_at, k), params)
+        cand = optimize_bound(HBoundObjective(e_at, d, k), params)
         return cand.s_exact, cand.t_exact
 
     def certified(e_at: int, s0: Fraction, t0: Fraction) -> Certificate:
-        return certify_point(_objective_for(d, e_at, k), s0, t0, target)
+        return certify_point(HBoundObjective(e_at, d, k), s0, t0, target)
 
     intervals: list[CoverageInterval] = []
     gaps: list[GapRun] = []
@@ -306,7 +300,7 @@ class CaseEntry:
 
     kind is "cited", "threshold", "mu-small", "not-normal", "coverage" or
     "gap"; computed rungs carry a certificate, cited rungs a citation anchor,
-    the coverage rung the full plan.
+    the coverage rung the full plan, whose gap runs no gap case repeats.
     """
 
     kind: str
@@ -349,12 +343,14 @@ def prove_dimension(
     Cases, in order: cited multiplicities e <= 5; the large-e factorial
     threshold; root-free optimization for generator counts mu <= 3; the
     non-normal escape hatch 1 + 1/2^k; certified coverage of the remaining
-    multiplicity range with the worst case mu = e - 2, with one gap case per
-    run of uncovered multiplicities.  Verdict is "proved" exactly when no gap
-    cases remain; gaps are data, not failures.
+    multiplicity range with the worst case mu = e - 2, whose plan holds the
+    runs of uncovered multiplicities.  Verdict is "proved" exactly when no
+    gap case remains and the coverage is complete; gaps are data, not
+    failures.
     """
     if type(d) is not int or type(k) is not int:
         raise ValueError(f"dimension and k must be integers, got d={d!r}, k={k!r}")
+    _check_dimension(d)
     if d < 2:
         raise ValueError("the pipeline needs dimension >= 2")
     if k < 1:
@@ -457,12 +453,9 @@ def prove_dimension(
                 plan=plan,
             )
         )
-        cases += [
-            CaseEntry(kind="gap", parameters={"e_lo": g.e_lo, "e_hi": g.e_hi}, citation=g.reason)
-            for g in plan.gaps
-        ]
 
-    verdict = "proved" if not any(c.kind == "gap" for c in cases) else "open"
+    proved = all(c.kind != "gap" and (c.plan is None or c.plan.complete) for c in cases)
+    verdict = "proved" if proved else "open"
     return ProofReport(
         dimension=d,
         k=k,

@@ -36,12 +36,7 @@ from .targets import (
     m_coeffs,
     verify_quadric_identities,
 )
-from .volume import (
-    MAX_CACHED_DIMENSION,
-    nu_density,
-    nu_exact,
-    to_rational,
-)
+from .volume import nu_density, nu_exact, to_rational
 
 # Reference witnesses for the dimension-7 single-multiplicity table: for each
 # e, a near-optimal (s, t) as exact decimals.
@@ -82,12 +77,6 @@ def _range_pair(text: str) -> tuple[Fraction, Fraction]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"range must look like lo:hi, got {text!r}")
     return _rational(a), _rational(b)
-
-
-def _check_dim(d: int) -> int:
-    if not 1 <= d <= MAX_CACHED_DIMENSION:
-        raise ValueError(f"dimension must be in [1, {MAX_CACHED_DIMENSION}]")
-    return d
 
 
 def parse_config(path: str | Path) -> dict[str, str]:
@@ -229,7 +218,6 @@ def _search_echo(params: SearchParams) -> dict:
 
 
 def cmd_nu(args) -> int:
-    _check_dim(args.d)
     s = args.s
     value = nu_density(s, args.d) if args.density else nu_exact(s, args.d)
     name = "nu-density" if args.density else "nu"
@@ -242,7 +230,6 @@ def cmd_nu(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    _check_dim(args.d)
     spec = BoundSpec(args.d, args.e, args.mu, args.k)
     value = general_bound(spec, args.s, args.t)
     lines = [f"bound(d={args.d}, e={args.e}, mu={args.mu}, k={args.k}, "
@@ -259,7 +246,6 @@ def cmd_bound(args) -> int:
 
 
 def cmd_hbound(args) -> int:
-    _check_dim(args.d)
     value = h_bound(args.e, args.s, args.t, args.d)
     doc = _doc(args, "hbound",
                {"d": args.d, "e": str(args.e), "s": str(args.s), "t": str(args.t)},
@@ -268,7 +254,6 @@ def cmd_hbound(args) -> int:
 
 
 def cmd_emax(args) -> int:
-    _check_dim(args.d)
     value = e_max(args.s0, args.t0, args.d)
     doc = _doc(args, "emax", {"d": args.d, "s0": str(args.s0), "t0": str(args.t0)},
                rpt.ScalarResult("e-max", value))
@@ -276,7 +261,6 @@ def cmd_emax(args) -> int:
 
 
 def cmd_rangemin(args) -> int:
-    _check_dim(args.d)
     value = range_min(args.e1, args.e2, args.s0, args.t0, args.d)
     doc = _doc(
         args, "rangemin",
@@ -288,13 +272,13 @@ def cmd_rangemin(args) -> int:
 
 
 def _objective_from_args(kind: str, d: int, e, mu: int | None, k: int):
-    # H_e fixes mu = e - 2 and k = 1; the root-free mu-small bound takes no k.
+    # The worst case h fixes mu = e - 2; the root-free mu-small bound takes no k.
     if kind == "h" and mu is not None:
         raise ValueError("--mu does not apply to the h bound, which takes mu = e - 2")
-    if kind in ("h", "mu-small") and k != 1:
-        raise ValueError(f"--k does not apply to the {kind} bound")
+    if kind == "mu-small" and k != 1:
+        raise ValueError("--k does not apply to the mu-small bound")
     if kind == "h":
-        return HBoundObjective(e, d)
+        return HBoundObjective(e, d, k)
     if mu is None:
         raise ValueError(f"--mu is required for the {kind} bound")
     if kind == "general":
@@ -305,7 +289,6 @@ def _objective_from_args(kind: str, d: int, e, mu: int | None, k: int):
 
 
 def cmd_optimize(args) -> int:
-    _check_dim(args.d)
     objective = _objective_from_args(args.kind, args.d, args.e, args.mu, args.k)
     params = search_params(args)
     cand = optimize_bound(objective, params)
@@ -323,7 +306,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    _check_dim(args.dim)
     params = search_params(args)
     plan = cover_range(args.dim, args.k, args.e_lo, args.e_hi, args.target, params)
     header = (f"covering e in [{args.e_lo}, {args.e_hi}] against {args.target} "
@@ -334,7 +316,6 @@ def cmd_cover(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    _check_dim(args.dim)
     target = None
     if args.target is not None:
         target = TargetValue(args.dim, None, args.target, "user-supplied")
@@ -359,9 +340,7 @@ def cmd_prove(args) -> int:
                 f"{float(c.value):.6f} > target? {c.verdict}"
             )
         elif case.kind == "gap":
-            # The coverage's own gap runs are printed with its plan above.
-            if case.parameters.keys() != {"e_lo", "e_hi"}:
-                lines.append(f"  gap: {_key_values(case.parameters)} ({case.citation})")
+            lines.append(f"  gap: {_key_values(case.parameters)} ({case.citation})")
         else:
             lines.append(f"  {case.kind}: {_key_values(case.parameters) or case.citation}")
     lines.append(f"verdict: {report.verdict}")
@@ -448,9 +427,8 @@ def cmd_quadric(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    _check_dim(args.dim)
-    # Without --mu, k = 1 means the worst case mu = e - 2, which is H_e.
-    kind = "h" if args.mu is None and args.k == 1 else "general"
+    # Without --mu, the worst case mu = e - 2.
+    kind = "h" if args.mu is None else "general"
     # SearchParams rejects grids below 2x2 and ranges out of the domain or
     # out of order.
     params = replace(search_params(args), grid=args.grid or (120, 120))

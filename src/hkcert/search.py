@@ -61,7 +61,7 @@ def nu_vector(x: np.ndarray, d: int) -> np.ndarray:
     still grow with d, and so does the absolute error against
     :func:`~hkcert.volume.nu_exact`: at most 1e-14 for d <= 12, 1e-13 for
     d <= 20, 1e-11 for d <= 32, 1e-8 for d <= 48 and 1e-6 for d <= 64 (the
-    largest dimension the CLI accepts).
+    largest dimension the exact volumes accept).
 
     The sum stops at its last nonzero term: once every reflected argument
     is at most j, term j and all later ones are +0.0, and adding +0.0 to

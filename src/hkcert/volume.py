@@ -39,9 +39,10 @@ __all__ = [
     "nu_density",
 ]
 
-# Factorials and binomial rows cached as exact integers; dimensions beyond
-# the cache are close to meaningless for these volumes and are rejected by
-# the CLI layer.
+# Factorials and binomial rows cached as exact integers.  The volumes take
+# no dimension beyond the cache (:func:`_check_dimension`): the float
+# path's error bound is tested up to it, and past it the volumes are close
+# to meaningless.
 MAX_CACHED_DIMENSION = 64
 _FACT = tuple(factorial(n) for n in range(MAX_CACHED_DIMENSION + 1))
 _BINOM = tuple(
@@ -51,13 +52,6 @@ _BINOM = tuple(
 
 def _fact(n: int) -> int:
     return _FACT[n] if n <= MAX_CACHED_DIMENSION else factorial(n)
-
-
-def _binom(n: int) -> tuple[int, ...]:
-    """The row C(n, 0), ..., C(n, n)."""
-    if n <= MAX_CACHED_DIMENSION:
-        return _BINOM[n]
-    return tuple(comb(n, j) for j in range(n + 1))
 
 
 def to_rational(value: Fraction | int | str) -> Fraction:
@@ -80,8 +74,10 @@ def to_rational(value: Fraction | int | str) -> Fraction:
 
 def _check_dimension(d: int) -> None:
     # One type test rather than two isinstance tests: every bound built runs it.
-    if type(d) is not int or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+    if type(d) is not int or not 1 <= d <= MAX_CACHED_DIMENSION:
+        raise ValueError(
+            f"dimension must be a positive integer at most {MAX_CACHED_DIMENSION}, got {d!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ def nu_exact(s: Fraction | int | str, d: int) -> Fraction:
     reflect = 2 * p > d * q
     if reflect:
         p = d * q - p
-    binom = _binom(d)
+    binom = _BINOM[d]
     total = 0
     # At integer s the j = s term is (p - jq)^d = 0, so the inclusive floor
     # needs no case split.

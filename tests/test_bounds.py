@@ -505,6 +505,37 @@ class TestLinearBound:
             "kind": "noroots", "e": "6", "offsets": ["1", "1/2"], "d": 7, "t": "3/4",
         }
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 12),
+        k=st.integers(0, 5),
+        above=st.integers(0, 50_000),
+        s=st.lists(st.floats(0, 13), min_size=1, max_size=12),
+        t=st.lists(st.floats(0, 1), min_size=1, max_size=8),
+        point=st.tuples(
+            st.fractions(0, 13, max_denominator=10**6),
+            st.fractions(0, 1, max_denominator=10**6),
+        ),
+    )
+    def test_worst_case_is_the_master_family_at_mu_e_minus_2(self, d, k, above, s, t, point):
+        e = k + 3 + above
+        worst = HBoundObjective(e, d, k)
+        master = GeneralBoundObjective(BoundSpec(d, e, e - 2, k))
+        s, t = np.array(sorted(s)), np.array(sorted(t))
+        assert worst.vector(s, t).tobytes() == master.vector(s, t).tobytes()
+        assert worst.exact(*point) == master.exact(*point)
+
+    @pytest.mark.parametrize(
+        "e, k, message",
+        [(5, 3, "the worst case needs e >= k"), (F(5, 2), 0, "the worst case needs e >= k"),
+         (21, -1, "nonnegative integer"), (21, 4.0, "nonnegative integer"),
+         (21, True, "nonnegative integer")],
+        ids=["e-below-k+3", "e-below-3", "k-negative", "k-float", "k-bool"],
+    )
+    def test_worst_case_rejects_bad_e_or_k(self, e, k, message):
+        with pytest.raises(ValueError, match=message):
+            HBoundObjective(e, 8, k)
+
     def test_zero_weight_skipped_exactly(self):
         # mu - k - 1 = 0: the nu(s - 1) term drops out of both evaluators.
         objective = GeneralBoundObjective(BoundSpec(8, 8, 6, 5))

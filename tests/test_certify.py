@@ -58,12 +58,39 @@ SCHEMA1_CERTIFICATES = [
 ]
 
 
+# The report of `cover --dim 8 --k 4 --e-lo 21 --e-hi 41 --target 8341/8064
+# --no-timestamp` (schema "1") as written when coverings at k != 1 stored the
+# worst case as a `general` descriptor with mu = e - 2.
+GENERAL_WORST_CASE_COVER = (
+    '{"command": "cover", "params": {"dim": 8, "e_hi": 41, "e_lo": 21, "k": 4, "search": {"gr'
+    'id": [200, 100], "max_denominator": 1000000, "refine_rounds": 3, "s_range": null, "shrin'
+    'k_factor": 5, "t_range": ["0", "1"]}, "target": "8341/8064"}, "payload": {"dimension": 8'
+    ', "e_hi": 41, "e_lo": 21, "gaps": [], "intervals": [{"certified_min": {"exact": "2367362'
+    '4406926208902379924343764083480434660351/22875294827635440358526506264715021808000000000'
+    '", "float": 1.0348992039362184}, "e_hi": 41, "e_lo": 21, "hi_cert": {"objective": {"d": '
+    '8, "e": "41", "extra": [], "k": 4, "kind": "general", "mu": 39}, "s": {"exact": "2169/99'
+    '5", "float": 2.1798994974874373}, "t": {"exact": "70/99", "float": 0.7070707070707071}, '
+    '"target": {"exact": "8341/8064", "float": 1.0343501984126984}, "value": {"exact": "23673'
+    '624406926208902379924343764083480434660351/228752948276354403585265062647150218080000000'
+    '00", "float": 1.0348992039362184}, "verdict": true}, "lo_cert": {"objective": {"d": 8, "'
+    'e": "21", "extra": [], "k": 4, "kind": "general", "mu": 19}, "s": {"exact": "2169/995", '
+    '"float": 2.1798994974874373}, "t": {"exact": "70/99", "float": 0.7070707070707071}, "tar'
+    'get": {"exact": "8341/8064", "float": 1.0343501984126984}, "value": {"exact": "112791127'
+    '8799110868987604780966807542529048551/1089299753696925731358405060224524848000000000", "'
+    'float": 1.0354461891422846}, "verdict": true}, "s0": {"exact": "2169/995", "float": 2.17'
+    '98994974874373}, "t0": {"exact": "70/99", "float": 0.7070707070707071}}], "k": 4, "paylo'
+    'ad_kind": "coverage-plan", "target": {"exact": "8341/8064", "float": 1.0343501984126984}'
+    '}, "schema_version": "1", "timestamp": null, "verdict": "complete"}'
+)
+
+
 # One objective of each descriptor kind.
 ONE_OF_EACH_FAMILY = [
     HBoundObjective(F(13, 2), 7),
     GeneralBoundObjective(BoundSpec(8, 21, 19, 4, extra=((2, F(1, 3)),))),
     MuSmallObjective(6, 3, 7),
     NoRootsObjective(6, (F(1), F(1, 2)), 7, F(3, 4)),
+    HBoundObjective(21, 8, 4),
 ]
 
 
@@ -176,8 +203,38 @@ class TestCertificates:
     @pytest.mark.parametrize("objective", ONE_OF_EACH_FAMILY)
     def test_descriptor_keys_are_the_constructor_parameters(self, objective):
         desc = objective.descriptor()
-        family = _FAMILIES[desc["kind"]]
-        assert desc.keys() - {"kind"} == inspect.signature(family).parameters.keys()
+        keys = inspect.signature(_FAMILIES[desc["kind"]]).parameters.keys()
+        if desc["kind"] == "h" and objective.ct == F(-1, 2):
+            # The worst case (ct = -1/2^k) leaves out k exactly when k = 1,
+            # as every H_e descriptor was written.
+            keys -= {"k"}
+        assert desc.keys() - {"kind"} == keys
+
+    def test_reverifies_general_worst_case_certificates(self):
+        plan = loads(GENERAL_WORST_CASE_COVER).payload
+        (iv,) = plan.intervals
+        for cert in (iv.lo_cert, iv.hi_cert):
+            desc = cert.objective
+            assert desc["kind"] == "general" and F(desc["e"]) == desc["mu"] + 2
+            assert reverify_certificate(cert)
+            worst = HBoundObjective(desc["e"], 8, 4)
+            assert worst.exact(cert.s, cert.t) == cert.value
+        # Today's covering finds the same interval at the same witness.
+        now = cover_range(8, 4, 21, 41, plan.target)
+        assert [(v.e_lo, v.e_hi, v.s0, v.t0, v.certified_min) for v in now.intervals] == [
+            (iv.e_lo, iv.e_hi, iv.s0, iv.t0, iv.certified_min)
+        ]
+
+    def test_an_h_descriptor_stating_k_1_fails_reverification(self):
+        # HBoundObjective leaves out k = 1, so it writes such a descriptor back
+        # without it.
+        cert = loads(SCHEMA1_CERTIFICATES[0]).payload
+        stated = replace(cert, objective={**cert.objective, "k": 1})
+        assert objective_from_descriptor(stated.objective) == objective_from_descriptor(
+            cert.objective
+        )
+        assert reverify_certificate(cert)
+        assert not reverify_certificate(stated)
 
     def test_unknown_descriptor_kind(self):
         with pytest.raises(ValueError):
@@ -247,11 +304,17 @@ class TestCoverRange:
         assert len(seen) == len(set(seen))
 
         def at(e, iv):
-            objective = GeneralBoundObjective(BoundSpec(8, e, e - 2, 4))
-            return certify_point(objective, iv.s0, iv.t0, DIM8_TARGET)
+            return certify_point(HBoundObjective(e, 8, 4), iv.s0, iv.t0, DIM8_TARGET)
 
         for iv in plan.intervals:
             assert (iv.lo_cert, iv.hi_cert) == (at(iv.e_lo, iv), at(iv.e_hi, iv))
+
+    @pytest.mark.parametrize("d", [0, 65, 7.5, True])
+    def test_rejects_a_bad_dimension(self, d):
+        # [2, 3] lies inside the generator-count gap at k = 2, so the
+        # covering builds no bound that would check d.
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            cover_range(d, 2, 2, 3, 2)
 
     def test_gap_run_of_the_dim10_covering(self):
         plan = cover_range(10, 5, 240, 400, wy_target(10).value)
@@ -372,11 +435,8 @@ class TestProveDimension:
         assert plan.covered_or_gapped()
         mu_gap = [c for c in report.cases if c.kind == "gap" and "mu_lo" in c.parameters]
         assert len(mu_gap) == 1
-        # One gap case per run of the plan, keyed by exactly e_lo and e_hi.
-        run_cases = [c for c in report.cases if c.kind == "gap" and "e_lo" in c.parameters]
-        assert [(c.parameters, c.citation) for c in run_cases] == [
-            ({"e_lo": g.e_lo, "e_hi": g.e_hi}, g.reason) for g in plan.gaps
-        ]
+        # The plan states its gap runs once: no gap case repeats one.
+        assert not [c for c in report.cases if c.kind == "gap" and "e_lo" in c.parameters]
         assert_maximal(plan.gaps)
 
     def test_user_supplied_target(self):

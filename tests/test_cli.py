@@ -150,16 +150,25 @@ class TestSearchCommands:
     @pytest.mark.parametrize(
         "flags, named",
         [(["--kind", "h", "--mu", "2"], "--mu"),
-         (["--kind", "h", "--k", "3"], "--k"),
          (["--kind", "h", "--k", "3", "--mu", "2"], "--mu"),
          (["--kind", "mu-small", "--mu", "2", "--k", "3"], "--k")],
-        ids=["h-mu", "h-k", "h-k-mu", "mu-small-k"],
+        ids=["h-mu", "h-k-mu", "mu-small-k"],
     )
     def test_optimize_rejects_a_flag_its_kind_ignores(self, capsys, flags, named):
         code, out, err = run(["optimize", "--e", "7", *flags], capsys)
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {named} does not apply")
+
+    def test_optimize_h_takes_k(self, capsys, tmp_path):
+        # --kind h is the worst case mu = e - 2 at any k.
+        found = []
+        for flags in (["--kind", "h"], ["--kind", "general", "--mu", "19"]):
+            path = tmp_path / f"opt{len(found)}.json"
+            argv = ["optimize", *flags, "--k", "4", "--e", "21", "--d", "8", "--json", str(path)]
+            assert run(argv + SEARCH, capsys)[0] == 0
+            found.append(loads(path.read_text()).payload)
+        assert found[0] == found[1]
 
     def test_optimize_general_requires_mu(self, capsys):
         code, _, err = run(["optimize", "--kind", "general", "--e", "21"], capsys)
@@ -618,6 +627,36 @@ OPTIONS = {
     "quadric": COMMON | {"--p", "--check-identities"},
     "surface": GRID | {"--dim", "--e", "--mu", "--k", "--out", "--csv", "--svg", "--target"},
 }
+
+
+# Each subcommand that takes a dimension, with valid other arguments and its
+# dimension flag last.
+WITH_DIMENSION = {
+    "nu": ["--s", "1", "--d"],
+    "bound": ["--e", "21", "--mu", "19", "--k", "4", "--s", "2", "--t", "1/2", "--d"],
+    "hbound": ["--e", "7", "--s", "2", "--t", "1/2", "--d"],
+    "emax": ["--s0", "2.34", "--t0", "0.62", "--d"],
+    "rangemin": ["--e1", "13", "--e2", "19", "--s0", "2.34", "--t0", "0.62", "--d"],
+    "optimize": ["--e", "7", "--d"],
+    "cover": ["--k", "1", "--e-lo", "7", "--e-hi", "8", "--target", "71/67", "--dim"],
+    "prove": ["--k", "1", "--dim"],
+    "surface": ["--e", "7", "--dim"],
+}
+
+
+def test_every_dimension_flag_is_listed():
+    assert set(WITH_DIMENSION) == {
+        name for name, options in OPTIONS.items() if options & {"--d", "--dim"}
+    }
+
+
+@pytest.mark.parametrize("d", ["0", "65"])
+@pytest.mark.parametrize("command", WITH_DIMENSION)
+def test_rejects_a_dimension_outside_1_to_64(capsys, command, d):
+    code, out, err = run([command, *WITH_DIMENSION[command], d], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: dimension must be a positive integer at most 64, got {d}\n"
 
 
 def test_every_knob_is_pinned():

@@ -10,24 +10,29 @@ on purpose recomputes the digests with
     sha256sum out.json
     head -n -1 out.txt | sha256sum   # stdout without its "wrote" line
 
-and says in CHANGES.md why the report moved.
+and says in CHANGES.md why the report moved.  Every certificate in each
+report must also re-verify from the report alone, so a re-pinned digest
+never pins a report that fails to.
 """
 
 import contextlib
 import hashlib
 import io
+from dataclasses import fields, is_dataclass
 
 import pytest
 
+from hkcert.certify import Certificate, reverify_certificate
 from hkcert.cli import main
+from hkcert.report import loads
 
 GOLDEN = {
-    "prove --dim 10 --k 5": "58da9259acc6a3ef0df34be09d7431af89b1c74404dad11cd430bd16f036a9a1",
+    "prove --dim 10 --k 5": "2a883839ce5286fdc88d97278e0d7990aa24f436893df267d0bb82e05734ebf9",
     "prove --dim 7 --k 1": "3d179feb6682d73f93159695ebe3083a8774aabd611d01ebd5549d7aacc8b393",
     "table1": "51904c75a9e008503714c5c4aeb4282d2ebee118e097b3163a6c0ecd67e26d52",
     "table2": "c42273748294d89c8fc8981adec06f3afa8f32df794a4aee22369527ddf18584",
     "cover --dim 8 --k 4 --e-lo 6 --e-hi 41705 --target 8341/8064": (
-        "09dd505480314978c22a387fc81bb990ab53a3a3bb1b5377554d5c2e6a517073"
+        "65a650f6a42e81d64a63387a1915f5c252d9787bde7ac1727a23f08055d17b0d"
     ),
     "prove --dim 7 --k 1 --rounds 5": (
         "0a129809254530c11f653557564a932363c567a3f7bda1e1f222986c7cf99729"
@@ -35,9 +40,9 @@ GOLDEN = {
     # Optimizations that scan more boxes than the volume memo holds, and
     # many coverings of one dimension.
     "prove --dim 8 --k 4 --rounds 7": (
-        "557758b6fd3a334742b1d82b68c6d76113b854fa22954362f8bb43b2e9b19fc4"
+        "3a48547bda80f39b1ac9a11bbe7bf583d59a8b5ca27131b04f5bf3d0a10dfc71"
     ),
-    "prove --dim 9 --k 2": "170e4132ff9e9538d5b0f1ccb1a46049fc0ce23524a001a9f5b2771acfb7349b",
+    "prove --dim 9 --k 2": "ca803a0e6c50391b5d7a0779f0c2ec73f98a2cbcc9c6a8cd19c69f5e2b227a95",
     # One command for each payload kind the reports above do not contain.
     "nu --d 7 --s 7/2": "5caed7c0582f162f223a9c43450c0f4b3deb2452bbd86021c70d07f26a1687eb",
     "series --max 10": "1c7d35af6aef6cce8264030dab03b2bdd32f00c18ec5617cdd52adc47e5baa1c",
@@ -65,12 +70,25 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _certificates(value):
+    """Every Certificate held in ``value``, a payload read back from JSON."""
+    if isinstance(value, Certificate):
+        yield value
+    elif is_dataclass(value):
+        for f in fields(value):
+            yield from _certificates(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _certificates(item)
+
+
 @pytest.mark.parametrize("command", GOLDEN, ids=GOLDEN)
 def test_report_digest(command, tmp_path):
     path = tmp_path / "report.json"
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main([*command.split(), "--json", str(path), "--no-timestamp"]) == 0
+    assert all(map(reverify_certificate, _certificates(loads(path.read_text()).payload)))
     assert _sha256(path.read_bytes()) == GOLDEN[command]
     if command in STDOUT:
         out = stdout.getvalue()

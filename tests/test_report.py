@@ -244,9 +244,18 @@ class TestSurfaceGrid:
         grid = surface_grid(H77, SearchParams(grid=(2, 2), s_range=(0, 0), t_range=(0, 0)))
         assert all(v == 1.0 for row in grid.values for v in row)
 
-    def test_requires_mu_for_other_k(self, capsys):
-        assert main(["surface", "--dim", "8", "--e", "21", "--k", "4"]) == 2
-        assert "--mu is required" in capsys.readouterr().err
+    def test_worst_case_at_any_k(self, tmp_path):
+        # Without --mu, surface scans the worst case mu = e - 2 at any --k.
+        grids = []
+        for mu in ([], ["--mu", "19"]):
+            path = tmp_path / f"surface{len(grids)}.json"
+            argv = ["surface", "--dim", "8", "--e", "21", "--k", "4", *mu, "--json", str(path)]
+            assert main(argv) == 0
+            grids.append(loads(path.read_text()).payload)
+        worst, general = grids
+        assert worst.objective == {"kind": "h", "e": "21", "d": 8, "k": 4}
+        assert (worst.s_axis, worst.t_axis) == (general.s_axis, general.t_axis)
+        assert worst.values == general.values
 
 
 class TestRenderings:
