@@ -8,7 +8,9 @@ list of (field, writer, reader), built once; writing loops over it, and
 reading loops over it and calls the class's constructor with the fields.
 
 - ``Fraction``: ``{"exact": "71/67", "float": 1.0597...}``.  The string is
-  authoritative and always in lowest terms, the float is a human-reading aid.
+  authoritative, the float is a human-reading aid.  The reader accepts only
+  the lowest-terms string that ``str(Fraction)`` writes ("7/2", "-3", "0"),
+  and rejects "2.5", "14/2", "+3" and the like with a ``ValueError``.
 - ``dict``: value by value, Fractions as above and tuples as lists.
 - A nested dataclass is written by the same rule, ``tuple[X, ...]`` as a
   list, and ``X | None`` as ``null`` or X's form.
@@ -21,6 +23,7 @@ A :class:`ReportDocument` is written by the same rule; its ``payload`` field,
 declared ``object``, holds any payload kind together with its tag.
 ``parse(serialize(doc))`` reproduces the document exactly for every payload
 kind, and a field added to a payload dataclass needs no change here.
+:func:`dumps` writes a document as one line of JSON with sorted keys.
 """
 
 from __future__ import annotations
@@ -77,6 +80,21 @@ def _enc(value):
     return value
 
 
+def _fraction(text: str) -> Fraction:
+    """The Fraction whose ``str`` is ``text``, read without the regex of
+    ``Fraction(str)``."""
+    try:
+        n, slash, d = text.partition("/")
+        value = Fraction(int(n), int(d)) if slash else Fraction(int(n))
+        # int() also takes signs, spaces and underscores, and the quotient
+        # is reduced: comparing with str(value) leaves only the written form.
+        if str(value) == text:
+            return value
+    except (AttributeError, ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"not an exact fraction in lowest terms: {text!r}")
+
+
 _FRACTION_KEYS = frozenset(("exact", "float"))
 
 
@@ -84,7 +102,7 @@ def _dec(value):
     """Inverse of :func:`_enc`; tuples come back as tuples."""
     if isinstance(value, dict):
         if value.keys() == _FRACTION_KEYS:
-            return Fraction(value["exact"])
+            return _fraction(value["exact"])
         return {k: _dec(v) for k, v in value.items()}
     if isinstance(value, list):
         return tuple(_dec(v) for v in value)
@@ -221,7 +239,7 @@ def _codec(tp):
     if tp in (int, str, bool, float, NoneType):
         return None
     if tp is Fraction:
-        return _fraction_json, lambda data: Fraction(data["exact"])
+        return _fraction_json, lambda data: _fraction(data["exact"])
     if tp is dict:
         return _enc, _dec
     if tp is object:  # ReportDocument.payload: any payload kind, tagged
@@ -275,7 +293,7 @@ def parse(data: dict) -> ReportDocument:
 
 
 def dumps(doc: ReportDocument) -> str:
-    return json.dumps(serialize(doc), indent=2, sort_keys=True)
+    return json.dumps(serialize(doc), sort_keys=True)
 
 
 def loads(text: str) -> ReportDocument:

@@ -42,11 +42,6 @@ class TestScalarCommands:
         assert code == 0
         assert "= 1 " in out
 
-    def test_nu_rejects_bad_dimension(self, capsys):
-        code, _, err = run(["nu", "--d", "65", "--s", "1"], capsys)
-        assert code == 2
-        assert "dimension" in err
-
     def test_quadric(self, capsys):
         code, out, _ = run(["quadric", "--p", "3"], capsys)
         assert code == 0

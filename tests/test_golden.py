@@ -27,33 +27,33 @@ from hkcert.cli import main
 from hkcert.report import loads
 
 GOLDEN = {
-    "prove --dim 10 --k 5": "2a883839ce5286fdc88d97278e0d7990aa24f436893df267d0bb82e05734ebf9",
-    "prove --dim 7 --k 1": "3d179feb6682d73f93159695ebe3083a8774aabd611d01ebd5549d7aacc8b393",
-    "table1": "51904c75a9e008503714c5c4aeb4282d2ebee118e097b3163a6c0ecd67e26d52",
-    "table2": "c42273748294d89c8fc8981adec06f3afa8f32df794a4aee22369527ddf18584",
+    "prove --dim 10 --k 5": "3a84c8f3634e839f624c842ab028a713df93c88fc25b3833ca1f0565e31cfa1f",
+    "prove --dim 7 --k 1": "83f977b55dce0fed61f79a0159f743d34e4f10730fa2bc693cc153d855860dfa",
+    "table1": "a032cad17f5b77ec0236a98102e8deb44d0f3bfb2102a3a4aba22fa39df6477a",
+    "table2": "74f1b145facf7b6518668de512615bb23560470dabc9be2bd4f4cce32666c5fc",
     "cover --dim 8 --k 4 --e-lo 6 --e-hi 41705 --target 8341/8064": (
-        "65a650f6a42e81d64a63387a1915f5c252d9787bde7ac1727a23f08055d17b0d"
+        "5913e7ea18fda345ea93edda4711c03bce2097049417db79b7a09197dbe8a84b"
     ),
     "prove --dim 7 --k 1 --rounds 5": (
-        "0a129809254530c11f653557564a932363c567a3f7bda1e1f222986c7cf99729"
+        "a2b892e9095921031181dac0da4c1f262231c44791bed5563e69e27425f2c1ec"
     ),
     # Optimizations that scan more boxes than the volume memo holds, and
     # many coverings of one dimension.
     "prove --dim 8 --k 4 --rounds 7": (
-        "3a48547bda80f39b1ac9a11bbe7bf583d59a8b5ca27131b04f5bf3d0a10dfc71"
+        "7f7047003c5f8f48cc145c5f2f4330ca58a6fcb173d66bf383db147a942ff2de"
     ),
-    "prove --dim 9 --k 2": "ca803a0e6c50391b5d7a0779f0c2ec73f98a2cbcc9c6a8cd19c69f5e2b227a95",
+    "prove --dim 9 --k 2": "2b858af6c2d35259a612559e2f229652e09081516a14c8d07d90b307842e1d2a",
     # One command for each payload kind the reports above do not contain.
-    "nu --d 7 --s 7/2": "5caed7c0582f162f223a9c43450c0f4b3deb2452bbd86021c70d07f26a1687eb",
-    "series --max 10": "1c7d35af6aef6cce8264030dab03b2bdd32f00c18ec5617cdd52adc47e5baa1c",
+    "nu --d 7 --s 7/2": "389d14c0c7bda50ed22197c55d4a82108d3975cd7f3a860a2a628045be4a3bc3",
+    "series --max 10": "2d3881f826bc8192261eededcd67da84232559a1870affecfe272dfb65086b42",
     "quadric --check-identities": (
-        "6b29cd365adebcf81b0a790f3bfca7159173ceb28d7319ecab983494e50c0659"
+        "7ba74791f47a99e75280c794f07006b496325abe17be7e62dcadb1eddcfb7759"
     ),
     "optimize --kind h --e 13/3": (
-        "674d573168ffc7358c2dec633ac502906781fa33f143783b728650fc8f4eb356"
+        "6c890e48be198d5885e391d52e662bd280cb96e63820eafc1a76184fa2bdb338"
     ),
     "surface --dim 7 --e 7 --grid 40x30": (
-        "1d80cd9f5d84cc184ddc4deb2f4ed6c156320188a76b8ef5346645d5cb9e1dc6"
+        "c74df4a0db48230fcd3b14cee50515df7cc420da5aefe98b7e546dba2d26eda1"
     ),
 }
 

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,8 +32,11 @@ H77 = HBoundObjective(7, 7)
 
 def _roundtrip(payload, verdict=None):
     doc = ReportDocument.build("test", {"alpha": "1/3", "n": 4}, payload, verdict)
-    again = loads(dumps(doc))
+    text = dumps(doc)
+    again = loads(text)
     assert again == doc
+    # Reports were once written indented; that form still reads the same.
+    assert loads(json.dumps(json.loads(text), indent=2, sort_keys=True)) == again
     return again
 
 
@@ -178,6 +182,22 @@ class TestSingleEGapReports:
         ]
 
 
+# Strings that Fraction(str) reads but str(Fraction) never writes, a zero
+# denominator and a signed one.
+NOT_WRITTEN = ["2.5", "14/2", " 7/2", "+3", "1_000", "7/0", "7/-2", "1e3"]
+
+
+@pytest.mark.parametrize("field", ["payload", "params"])
+@pytest.mark.parametrize("text", NOT_WRITTEN)
+def test_reader_takes_only_the_written_fraction_form(text, field):
+    doc = ReportDocument.build("test", {"x": F(7, 2)}, ScalarResult("x", F(7, 2)),
+                               timestamp=False)
+    data = serialize(doc)
+    (data["payload"]["value"] if field == "payload" else data["params"]["x"])["exact"] = text
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        loads(json.dumps(data))
+
+
 # Huge, tiny, negative and integer-valued rationals, all within float range.
 FRACTIONS = st.one_of(
     st.integers(-(10**300), 10**300).map(F),
@@ -295,5 +315,6 @@ def test_json_is_sorted_and_stable():
                                ScalarResult("x", F(3, 4)), timestamp=False)
     text = dumps(doc)
     assert text == dumps(doc)
+    assert "\n" not in text
     data = json.loads(text)
     assert list(data) == sorted(data)
