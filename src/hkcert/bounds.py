@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -51,17 +51,13 @@ from .volume import _check_dimension, nu_exact, to_rational
 
 __all__ = [
     "LinearInEError",
-    "EvalPoint",
     "BoundSpec",
     "LinearBound",
-    "noroots_bound",
-    "general_bound",
     "s_bound",
     "h_bound",
     "quadratic_in_e",
     "e_max",
     "range_min",
-    "mu_small_bound",
     "not_normal_bound",
     "HBoundObjective",
     "GeneralBoundObjective",
@@ -225,32 +221,6 @@ def _check_offsets(offsets: Iterable) -> tuple[Fraction, ...]:
         if not 0 <= a <= 1:
             raise ValueError(f"order value {a} outside [0, 1]")
     return out
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    """Evaluation point (s, t, t0) with 0 <= t0 <= t <= 1 and s >= 0.
-
-    t0 defaults to t, which is the single-parameter form of the phi bound.
-    """
-
-    s: Fraction
-    t: Fraction
-    t0: Fraction = None  # type: ignore[assignment]
-
-    def __init__(self, s, t, t0=None):
-        s = to_rational(s)
-        t = to_rational(t)
-        t0 = t if t0 is None else to_rational(t0)
-        if s < 0:
-            raise ValueError(f"s must be >= 0, got {s}")
-        if not 0 <= t <= 1:
-            raise ValueError(f"t must lie in [0, 1], got {t}")
-        if not 0 <= t0 <= t:
-            raise ValueError(f"need 0 <= t0 <= t, got t0={t0}, t={t}")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "t0", t0)
 
 
 @dataclass(frozen=True)
@@ -465,12 +435,19 @@ def MuSmallObjective(e, mu: int, d: int = 7) -> LinearBound:
 
 
 def NoRootsObjective(e, offsets, d: int, t) -> LinearBound:
-    """phi bound with the grid's t-axis read as t0, at a fixed argument t.
+    """phi bound with the grid's t-axis read as t0, at a fixed argument t:
 
-    exact(s, t0) is noroots_bound at EvalPoint(s, t, t0).  The argument is
-    named ``t``, as the descriptor key that stores it.
+        exact(s, t0) = t - t0 + e (nu(s) - sum_i nu(s - a_i) - nu(s - t0))
+
+    for s >= 0 and 0 <= t0 <= t.  ``offsets`` holds the order values a_i of
+    the generators other than the distinguished one, so a ring with mu
+    generators passes mu - 1 of them.  With t = 1 this bounds the
+    Hilbert-Kunz multiplicity itself.  The argument is named ``t``, as the
+    descriptor key that stores it.
     """
     e, t = to_rational(e), to_rational(t)
+    if e <= 0:
+        raise ValueError(f"multiplicity e must be positive, got {e}")
     if not 0 <= t <= 1:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     offsets = _check_offsets(offsets)
@@ -489,34 +466,14 @@ def NoRootsObjective(e, offsets, d: int, t) -> LinearBound:
 # Exact values at one point.
 
 
-def noroots_bound(
-    e: Fraction | int | str,
-    offsets: Sequence,
-    d: int,
-    point: EvalPoint,
-) -> Fraction:
-    """Exact phi(t) lower bound t - t0 + e (nu(s) - sum nu(s-a) - nu(s-t0)).
-
-    ``offsets`` holds the order values of the generators other than the
-    distinguished one, so a ring with mu generators passes mu - 1 of them.
-    With t = 1 this bounds the Hilbert-Kunz multiplicity itself.
-    """
-    return NoRootsObjective(e, offsets, d, point.t).exact(point.s, point.t0)
-
-
-def general_bound(spec: BoundSpec, s, t) -> Fraction:
-    """Exact value of 1 - t/2^k + e (nu(s) - (mu-k-1)nu(s-1) - k nu(s-1/2) - nu(s-t))."""
-    return GeneralBoundObjective(spec).exact(s, t)
-
-
 def s_bound(spec: BoundSpec, s, t) -> Fraction:
     """Pre-rescaling bound 1 - t + 2^k e (...): what the k-th extension satisfies.
 
-    Related to :func:`general_bound` by general = 1 + (s_bound - 1) / 2^k.
+    Related to the master family G by G = 1 + (s_bound - 1) / 2^k.
     """
     if spec.k == 0:
         raise ValueError("the pre-rescaling bound requires k >= 1")
-    return 1 + 2**spec.k * (general_bound(spec, s, t) - 1)
+    return 1 + 2**spec.k * (GeneralBoundObjective(spec).exact(s, t) - 1)
 
 
 def h_bound(e, s, t, d: int = 7) -> Fraction:
@@ -532,22 +489,24 @@ def h_bound(e, s, t, d: int = 7) -> Fraction:
 def quadratic_in_e(s, t, d: int = 7, k: int = 1) -> tuple[Fraction, Fraction, Fraction]:
     """Coefficients (a, b, c) of the worst case mu = e - 2 as a e^2 + b e + c.
 
-    The master family with mu = e - 2 and k square roots; k = 1 is H_e.
-    a sums the e-parts we of the term weights and b the rest, less
-    nu(s-t); so a = -nu(s-1) <= 0, the family is concave in e and interval
+    Read off the terms of :func:`HBoundObjective`, which do not depend on e,
+    so it is built at its least e, k + 3, and checks d and k.  a sums the
+    e-parts we of the term weights, b the rest and wt nu(s-t), and c is
+    c0 + ct*t; so a = -nu(s-1) <= 0, the family is concave in e and interval
     minima sit at the endpoints.
     """
+    worst = HBoundObjective(k + 3, d, k)
     s, t = to_rational(s), to_rational(t)
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
     if not 0 <= t <= 1:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     a = b = 0
-    for w, we, x in _worst_case_terms(k):
+    for w, we, x in worst.terms:
         v = nu_exact(s - x, d)
         a += we * v
         b += w * v
-    return a, b - nu_exact(s - t, d), 1 - t / 2**k
+    return a, b + worst.wt * nu_exact(s - t, d), worst.c0 + worst.ct * t
 
 
 def e_max(s0, t0, d: int = 7, k: int = 1) -> Fraction:
@@ -573,11 +532,6 @@ def range_min(e1, e2, s0, t0, d: int = 7) -> Fraction:
     if e1 > e2:
         raise ValueError(f"need e1 <= e2, got {e1} > {e2}")
     return min(h_bound(e1, s0, t0, d), h_bound(e2, s0, t0, d))
-
-
-def mu_small_bound(e, mu: int, s, d: int = 7) -> Fraction:
-    """Root-free bound e (nu(s) - mu nu(s-1)) for small generator counts."""
-    return MuSmallObjective(e, mu, d).exact(s, 0)
 
 
 def not_normal_bound(k: int) -> Fraction:

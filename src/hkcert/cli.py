@@ -21,7 +21,6 @@ from .bounds import (
     HBoundObjective,
     MuSmallObjective,
     e_max,
-    general_bound,
     h_bound,
     range_min,
     s_bound,
@@ -231,7 +230,7 @@ def cmd_nu(args) -> int:
 
 def cmd_bound(args) -> int:
     spec = BoundSpec(args.d, args.e, args.mu, args.k)
-    value = general_bound(spec, args.s, args.t)
+    value = GeneralBoundObjective(spec).exact(args.s, args.t)
     lines = [f"bound(d={args.d}, e={args.e}, mu={args.mu}, k={args.k}, "
              f"s={args.s}, t={args.t}) = {_fmt(value)}"]
     if args.pre_rescale:
@@ -356,9 +355,10 @@ def cmd_table1(args) -> int:
     lines = ["single-multiplicity table, dimension 7:"]
     for e, (s_txt, t_txt) in TABLE1_POINTS.items():
         s, t = to_rational(s_txt), to_rational(t_txt)
-        reference = h_bound(e, s, t, 7)
-        cand = optimize_bound(HBoundObjective(e, 7), params)
-        found = HBoundObjective(e, 7).exact(cand.s_exact, cand.t_exact)
+        objective = HBoundObjective(e, 7)
+        reference = objective.exact(s, t)
+        cand = optimize_bound(objective, params)
+        found = objective.exact(cand.s_exact, cand.t_exact)
         rows.append(
             {
                 "e": e,
@@ -432,11 +432,11 @@ def cmd_surface(args) -> int:
     # SearchParams rejects grids below 2x2 and ranges out of the domain or
     # out of order.
     params = replace(search_params(args), grid=args.grid or (120, 120))
-    grid = rpt.surface_grid(
-        _objective_from_args(kind, args.dim, args.e, args.mu, args.k), params
-    )
-    value, s_at, t_at = grid.max_cell()
-    lines = [f"grid max {value!r} at s={s_at} t={t_at}"]
+    objective = _objective_from_args(kind, args.dim, args.e, args.mu, args.k)
+    grid = rpt.surface_grid(objective, params)
+    # The optimizer's first round scans the very grid just evaluated.
+    best = optimize_bound(objective, replace(params, refine_rounds=0))
+    lines = [f"grid max {best.value!r} at s={best.s_exact} t={best.t_exact}"]
     if args.out:
         Path(args.out).write_text(rpt.surface_csv(grid))
         lines.append(f"wrote {args.out}")

@@ -142,14 +142,6 @@ class SurfaceGrid:
     t_axis: tuple[Fraction, ...]
     values: tuple[tuple[float, ...], ...]
 
-    def max_cell(self) -> tuple[float, Fraction, Fraction]:
-        best = None
-        for i, row in enumerate(self.values):
-            for j, v in enumerate(row):
-                if best is None or v > best[0]:
-                    best = (v, self.s_axis[i], self.t_axis[j])
-        return best
-
 
 def surface_grid(objective: Objective, params: SearchParams) -> SurfaceGrid:
     """Evaluate ``objective`` on the grid of ``params`` (float fast path).

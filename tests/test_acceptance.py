@@ -11,17 +11,16 @@ from fractions import Fraction
 
 from hkcert.bounds import (
     BoundSpec,
+    GeneralBoundObjective,
     HBoundObjective,
+    MuSmallObjective,
+    NoRootsObjective,
     e_max,
-    general_bound,
     h_bound,
-    mu_small_bound,
-    noroots_bound,
     quadratic_in_e,
     range_min,
     s_bound,
 )
-from hkcert.bounds import EvalPoint
 from hkcert.certify import cover_range, prove_dimension, reverify_certificate
 from hkcert.search import SearchParams, optimize_bound
 from hkcert.targets import (
@@ -147,7 +146,7 @@ def test_criterion_05_dimension_seven_proof():
             (2, "3.56745", "1.84215"),
             (3, "3.32317", "1.33532"),
         ):
-            value = mu_small_bound(6, mu, F(s_txt))
+            value = MuSmallObjective(6, mu).exact(F(s_txt), 0)
             assert abs(float(value) - float(reference)) <= 1e-4, f"mu={mu}"
 
         assert large_e_threshold(7, DIM7_TARGET) == 5340
@@ -193,7 +192,8 @@ def test_criterion_08_figure_values():
         v7 = h_bound(7, F("2.74118"), F("0.779643"))
         assert abs(float(v7) - 1.06056) <= 1e-4
 
-        v8 = general_bound(BoundSpec(8, 21, 19, 4), F("2.17991"), F("0.706957"))
+        dim8 = GeneralBoundObjective(BoundSpec(8, 21, 19, 4))
+        v8 = dim8.exact(F("2.17991"), F("0.706957"))
         assert abs(float(v8) - 1.03545) <= 1e-4
         assert v8 > DIM8_TARGET
 
@@ -227,7 +227,8 @@ def test_criterion_10_property_suites():
             spec = BoundSpec(d, rng.randint(1, 500), mu, k)
             s = F(rng.randint(0, 10 * d), 10)
             t = F(rng.randint(0, 100), 100)
-            assert general_bound(spec, s, t) == 1 + (s_bound(spec, s, t) - 1) / 2**k
+            value = GeneralBoundObjective(spec).exact(s, t)
+            assert value == 1 + (s_bound(spec, s, t) - 1) / 2**k
 
         # k = 0 reduction to the root-free form.
         for _ in range(30):
@@ -237,8 +238,8 @@ def test_criterion_10_property_suites():
             spec = BoundSpec(d, e, mu, 0)
             s = F(rng.randint(0, 10 * d), 10)
             t = F(rng.randint(0, 100), 100)
-            expected = noroots_bound(e, (1,) * (mu - 1), d, EvalPoint(s, 1, t))
-            assert general_bound(spec, s, t) == expected
+            expected = NoRootsObjective(e, (1,) * (mu - 1), d, 1).exact(s, t)
+            assert GeneralBoundObjective(spec).exact(s, t) == expected
 
         # Monotone in the generator count.
         for _ in range(30):
@@ -248,9 +249,8 @@ def test_criterion_10_property_suites():
             e = rng.randint(1, 200)
             s = F(rng.randint(0, 10 * d), 10)
             t = F(rng.randint(0, 100), 100)
-            assert general_bound(BoundSpec(d, e, mu + 1, k), s, t) <= general_bound(
-                BoundSpec(d, e, mu, k), s, t
-            )
+            more = GeneralBoundObjective(BoundSpec(d, e, mu + 1, k))
+            assert more.exact(s, t) <= GeneralBoundObjective(BoundSpec(d, e, mu, k)).exact(s, t)
 
         # Parabola identity at five random rational e.
         s, t = F(rng.randint(11, 70), 10), F(rng.randint(0, 100), 100)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hkcert import bounds
 from hkcert.bounds import (
     BoundSpec,
-    EvalPoint,
     GeneralBoundObjective,
     HBoundObjective,
     LinearBound,
@@ -17,10 +16,7 @@ from hkcert.bounds import (
     MuSmallObjective,
     NoRootsObjective,
     e_max,
-    general_bound,
     h_bound,
-    mu_small_bound,
-    noroots_bound,
     not_normal_bound,
     quadratic_in_e,
     range_min,
@@ -45,24 +41,6 @@ from oracles import (
 F = Fraction
 DIM7_TARGET = F(71, 67)
 DIM8_TARGET = F(8341, 8064)
-
-
-class TestEvalPoint:
-    def test_t0_defaults_to_t(self):
-        p = EvalPoint(F(2), F(1, 2))
-        assert p.t0 == F(1, 2)
-
-    def test_rejects_t0_above_t(self):
-        with pytest.raises(ValueError):
-            EvalPoint(F(2), F(1, 2), F(3, 4))
-
-    def test_rejects_negative_s(self):
-        with pytest.raises(ValueError):
-            EvalPoint(F(-1), F(1, 2))
-
-    def test_rejects_t_outside_unit(self):
-        with pytest.raises(ValueError):
-            EvalPoint(F(1), F(3, 2))
 
 
 class TestBoundSpec:
@@ -97,44 +75,60 @@ class TestBoundSpec:
 class TestNoRoots:
     def test_single_generator_value(self):
         # 6 (nu(4) - nu(3)) in dimension 7, an exact rational.
-        v = noroots_bound(6, (), 7, EvalPoint(4, 1, 1))
+        v = NoRootsObjective(6, (), 7, 1).exact(4, 1)
         assert v == 6 * (nu_exact(4, 7) - nu_exact(3, 7)) == F(302, 105)
         assert abs(float(v) - 2.87619) < 1e-4
 
     def test_dimension_one_unit(self):
-        assert noroots_bound(1, (), 1, EvalPoint(1, 1, 1)) == 1
+        assert NoRootsObjective(1, (), 1, 1).exact(1, 1) == 1
 
     def test_two_generators_value(self):
-        v = noroots_bound(6, (1,), 7, EvalPoint(F("3.56745"), 1, 1))
+        v = NoRootsObjective(6, (1,), 7, 1).exact(F("3.56745"), 1)
         assert abs(float(v) - 1.84215) < 1e-4
 
     def test_slack_term(self):
         # t enters only through t - t0.
-        base = noroots_bound(6, (1,), 7, EvalPoint(3, F(1, 2), F(1, 2)))
-        lifted = noroots_bound(6, (1,), 7, EvalPoint(3, 1, F(1, 2)))
+        base = NoRootsObjective(6, (1,), 7, F(1, 2)).exact(3, F(1, 2))
+        lifted = NoRootsObjective(6, (1,), 7, 1).exact(3, F(1, 2))
         assert lifted == base + F(1, 2)
 
     def test_rejects_offset_outside_unit(self):
         with pytest.raises(ValueError):
-            noroots_bound(6, (F(5, 4),), 7, EvalPoint(3, 1, 1))
+            NoRootsObjective(6, (F(5, 4),), 7, 1)
+
+    @pytest.mark.parametrize(
+        "t,point,message",
+        [(F(1, 2), (F(-1), F(1, 2)), "s must be >= 0"),
+         (F(3, 2), None, r"t must lie in \[0, 1\]"),
+         (F(1, 2), (F(2), F(3, 4)), r"t must lie in \[0, 1/2\]")],
+        ids=["s-negative", "t-above-1", "t0-above-t"],
+    )
+    def test_rejects_points_outside_the_domain(self, t, point, message):
+        with pytest.raises(ValueError, match=message):
+            NoRootsObjective(6, (1,), 7, t).exact(*(point or (2, 0)))
+
+    @pytest.mark.parametrize("e", [-1, 0, F(-1, 2)])
+    def test_rejects_nonpositive_e(self, e):
+        with pytest.raises(ValueError, match=f"multiplicity e must be positive, got {e}"):
+            NoRootsObjective(e, (), 7, 1)
 
 
 class TestGeneralBound:
     def test_table_row_e6(self):
         spec = BoundSpec(7, 6, 4, 1)
-        v = general_bound(spec, F("2.84243"), F("0.8"))
+        v = GeneralBoundObjective(spec).exact(F("2.84243"), F("0.8"))
         assert abs(float(v) - 1.06447) < 1e-4
         assert v > DIM7_TARGET
 
     def test_figure_dim8_point(self):
         spec = BoundSpec(8, 21, 19, 4)
-        v = general_bound(spec, F("2.17991"), F("0.706957"))
+        v = GeneralBoundObjective(spec).exact(F("2.17991"), F("0.706957"))
         assert abs(float(v) - 1.03545) < 1e-4
         assert v > DIM8_TARGET
 
     def test_origin_is_one(self):
         for spec in (BoundSpec(7, 6, 4, 1), BoundSpec(5, 3, 2), BoundSpec(8, 21, 19, 4)):
-            assert general_bound(spec, 0, 0) == 1
+            assert GeneralBoundObjective(spec).exact(0, 0) == 1
 
     def test_k0_matches_noroots(self):
         rng = random.Random(2)
@@ -145,14 +139,14 @@ class TestGeneralBound:
             s = F(rng.randint(0, 10 * d), 10)
             t = F(rng.randint(0, 10), 10)
             spec = BoundSpec(d, e, mu, 0)
-            expected = noroots_bound(e, (1,) * (mu - 1), d, EvalPoint(s, 1, t))
-            assert general_bound(spec, s, t) == expected
+            expected = NoRootsObjective(e, (1,) * (mu - 1), d, 1).exact(s, t)
+            assert GeneralBoundObjective(spec).exact(s, t) == expected
 
     def test_extra_order_values_subtract(self):
-        plain = BoundSpec(7, 6, 4, 1)
-        extra = BoundSpec(7, 6, 4, 1, extra=((2, F(1, 3)),))
+        plain = GeneralBoundObjective(BoundSpec(7, 6, 4, 1))
+        extra = GeneralBoundObjective(BoundSpec(7, 6, 4, 1, extra=((2, F(1, 3)),)))
         s, t = F(3), F(1, 2)
-        diff = general_bound(plain, s, t) - general_bound(extra, s, t)
+        diff = plain.exact(s, t) - extra.exact(s, t)
         assert diff == 6 * 2 * nu_exact(s - F(1, 3), 7)
 
 
@@ -169,7 +163,7 @@ def test_rescaling_identity(d, e, mu, k, s, t):
     if mu < k + 1:
         mu = k + 1
     spec = BoundSpec(d, e, mu, k)
-    assert general_bound(spec, s, t) == 1 + (s_bound(spec, s, t) - 1) / 2**k
+    assert GeneralBoundObjective(spec).exact(s, t) == 1 + (s_bound(spec, s, t) - 1) / 2**k
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,8 +178,8 @@ def test_rescaling_identity(d, e, mu, k, s, t):
 def test_mu_monotone(d, e, mu, k, s, t):
     if mu < k + 1:
         mu = k + 1
-    lo = general_bound(BoundSpec(d, e, mu, k), s, t)
-    hi = general_bound(BoundSpec(d, e, mu + 1, k), s, t)
+    lo = GeneralBoundObjective(BoundSpec(d, e, mu, k)).exact(s, t)
+    hi = GeneralBoundObjective(BoundSpec(d, e, mu + 1, k)).exact(s, t)
     assert hi <= lo
 
 
@@ -200,12 +194,12 @@ class TestSBound:
     def test_table_row_rescaling(self):
         spec = BoundSpec(7, 6, 4, 1)
         s, t = F("2.84243"), F("0.8")
-        assert s_bound(spec, s, t) == 1 + 2 * (general_bound(spec, s, t) - 1)
+        assert s_bound(spec, s, t) == 1 + 2 * (GeneralBoundObjective(spec).exact(s, t) - 1)
 
     def test_figure_dim8_rescaling(self):
         spec = BoundSpec(8, 21, 19, 4)
         s, t = F("2.17991"), F("0.706957")
-        assert s_bound(spec, s, t) == 1 + 16 * (general_bound(spec, s, t) - 1)
+        assert s_bound(spec, s, t) == 1 + 16 * (GeneralBoundObjective(spec).exact(s, t) - 1)
 
 
 class TestHBound:
@@ -224,13 +218,14 @@ class TestHBound:
     def test_origin(self):
         assert h_bound(6, 0, 0) == 1
 
-    def test_matches_general_bound(self):
+    def test_matches_the_master_family(self):
         rng = random.Random(4)
         for _ in range(30):
             e = rng.randint(4, 200)
             s = F(rng.randint(0, 80), 10)
             t = F(rng.randint(0, 10), 10)
-            assert h_bound(e, s, t) == general_bound(BoundSpec(7, e, e - 2, 1), s, t)
+            master = GeneralBoundObjective(BoundSpec(7, e, e - 2, 1))
+            assert h_bound(e, s, t) == master.exact(s, t)
 
     def test_rejects_small_e(self):
         with pytest.raises(ValueError):
@@ -257,7 +252,8 @@ class TestQuadraticInE:
         s, t = F("2.61"), F("0.43")
         a, b, c = quadratic_in_e(s, t, d, k)
         for e in range(k + 3, k + 40, 7):
-            assert a * e**2 + b * e + c == general_bound(BoundSpec(d, e, e - 2, k), s, t)
+            master = GeneralBoundObjective(BoundSpec(d, e, e - 2, k))
+            assert a * e**2 + b * e + c == master.exact(s, t)
         assert e_max(s, t, d, k) == -b / (2 * a)
 
     def test_linear_when_s_at_most_one(self):
@@ -272,6 +268,14 @@ class TestQuadraticInE:
             a, _, _ = quadratic_in_e(s, t)
             assert a <= 0
             assert a == -nu_exact(s - 1, 7)
+
+
+    @pytest.mark.parametrize("k", [-1, True, 1.5], ids=["negative", "bool", "float"])
+    def test_rejects_a_root_count_the_worst_case_rejects(self, k):
+        # At k = 1.5 the coefficients would be floats, and e_max's vertex too.
+        for coefficients_or_vertex in (quadratic_in_e, e_max):
+            with pytest.raises(ValueError, match="root count k must be a nonnegative integer"):
+                coefficients_or_vertex(F("2.34"), F("0.62"), 7, k)
 
 
 class TestEMax:
@@ -317,14 +321,14 @@ class TestMuSmall:
         [(1, "4", "2.87619"), (2, "3.56745", "1.84215"), (3, "3.32317", "1.33532")],
     )
     def test_reference_values(self, mu, s, reference):
-        v = mu_small_bound(6, mu, F(s))
+        v = MuSmallObjective(6, mu).exact(F(s), 0)
         assert abs(float(v) - float(reference)) < 1e-4
 
     def test_full_cube_suboptimal(self):
-        v = mu_small_bound(6, 2, 7)
+        v = MuSmallObjective(6, 2).exact(7, 0)
         assert v == 6 * (1 - 2 * nu_exact(6, 7))
         assert v < 6
-        assert v < mu_small_bound(6, 2, F("3.56745"))
+        assert v < MuSmallObjective(6, 2).exact(F("3.56745"), 0)
 
     @pytest.mark.parametrize(
         "e,mu,message",
@@ -544,10 +548,6 @@ class TestLinearBound:
             nu_exact(s, 8) - 5 * nu_exact(s - F(1, 2), 8) - nu_exact(s - t, 8)
         )
         assert objective.exact(s, t) == 1 - t / 32 + 8 * inner
-
-    def test_noroots_rejects_t0_above_argument(self):
-        with pytest.raises(ValueError):
-            NoRootsObjective(6, (1,), 7, F(1, 2)).exact(F(2), F(3, 4))
 
 
 @pytest.fixture

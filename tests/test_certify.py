@@ -344,13 +344,12 @@ class TestCoverRange:
         assert not plan(GapRun(6, 10, "x")).covered_or_gapped()
 
     def test_dim8_interval_soundness(self):
-        from hkcert.bounds import BoundSpec, general_bound
-
         plan = cover_range(8, 4, 21, 60, DIM8_TARGET, FAST)
         assert plan.complete
         for iv in plan.intervals:
             for e in range(iv.e_lo, iv.e_hi + 1):
-                value = general_bound(BoundSpec(8, e, e - 2, 4), iv.s0, iv.t0)
+                master = GeneralBoundObjective(BoundSpec(8, e, e - 2, 4))
+                value = master.exact(iv.s0, iv.t0)
                 assert value >= iv.certified_min
 
     def test_determinism(self):

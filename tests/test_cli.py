@@ -392,6 +392,11 @@ class TestTables:
 
 
 class TestSurface:
+    def test_prints_the_first_grid_maximum(self, capsys):
+        code, out, _ = run(["surface", "--dim", "7", "--e", "7", "--grid", "40x30"], capsys)
+        assert code == 0
+        assert "grid max 1.0558526918904545 at s=8/3 t=20/29" in out.splitlines()
+
     def test_writes_csv_and_svg(self, capsys, tmp_path):
         csv_path = tmp_path / "fig.csv"
         svg_path = tmp_path / "fig.svg"
@@ -472,7 +477,7 @@ class TestSurface:
         )
         assert code == 0
         doc = loads(path.read_text())
-        assert doc.payload.max_cell()[0] >= 1.0350
+        assert max(map(max, doc.payload.values)) >= 1.0350
 
 
 class TestConfig:

@@ -189,3 +189,61 @@ def test_no_module_runs_code_built_from_text():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         }
         assert not called & CODE_FROM_TEXT, path.name
+
+
+BENCHMARK_DIR = PACKAGE.parent.parent / "perfbench"
+
+
+def _hkcert_module_named(node) -> str | None:
+    """``X`` when ``node`` is ``importlib.import_module("hkcert.X")``."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "import_module"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and str(node.args[0].value).startswith("hkcert.")
+    ):
+        return node.args[0].value.split(".", 1)[1]
+    return None
+
+
+def benchmark_reads() -> set[tuple[str, str]]:
+    """(module, name) for each ``hkcert.<module>.<name>`` the benchmark reads:
+    through ``from hkcert import <module>``, a module bound from
+    ``importlib.import_module("hkcert.<module>")``, or ``from hkcert.<module>
+    import <name>``."""
+    reads = set()
+    for path in sorted(BENCHMARK_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> hkcert module, over the whole file
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "hkcert":
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hkcert."):
+                module = node.module.split(".", 1)[1]
+                reads.update((module, a.name) for a in node.names)
+            elif isinstance(node, ast.Assign) and _hkcert_module_named(node.value):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        modules[target.id] = _hkcert_module_named(node.value)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                reads.add((modules[node.value.id], node.attr))
+            elif _hkcert_module_named(node.value):
+                reads.add((_hkcert_module_named(node.value), node.attr))
+    return reads
+
+
+def test_every_name_the_benchmark_reads_still_resolves():
+    # The benchmark runs unchanged against each version of the package, so
+    # deleting a name it reads would break it.
+    reads = benchmark_reads()
+    assert {("bounds", "h_bound"), ("certify", "GapEntry"), ("certify", "nu_exact"),
+            ("report", "loads")} <= reads
+    for module, name in sorted(reads):
+        assert hasattr(importlib.import_module(f"hkcert.{module}"), name), (
+            f"the benchmark reads hkcert.{module}.{name}"
+        )
