@@ -40,7 +40,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable
 
 import numpy as np
@@ -205,6 +206,70 @@ _MEMO_CELLS = 100_000
 _VOLUMES = _VolumeMemo(_MEMO_CELLS)
 
 
+class _WitnessMemo:
+    """Exact slice volumes of the last ``capacity`` witnesses, oldest
+    evicted first.
+
+    A covering certifies a run of multiplicities at one witness (s, t), and
+    the volumes nu(s - a_i) and nu(s - t) do not depend on e.  An entry is
+    keyed by d, s and t as integer pairs, with no t when nu(s - t) is not
+    read, and holds the shifts a_i it was computed for and those volumes as
+    integer numerators over one common denominator.  Only the integers are
+    hashed, as hashing a Fraction shift costs as much as the lookup.  A
+    lookup with other shifts replaces the entry, computing only the volumes
+    it lacks; so a zero weight at e = k + 3 (:func:`HBoundObjective`)
+    costs one volume more at that witness, not four.  A miss calls
+    :func:`~hkcert.volume.nu_exact` once per volume computed; a hit calls
+    nothing and returns the integers a miss computes from the same exact
+    arguments, so no result depends on the memo.  It holds volumes only,
+    never a bound's value.  The memo takes no lock; no hkcert module starts
+    a thread (``tests/test_layers.py``).
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.entries: dict = {}
+
+    def get(self, d: int, s: Fraction, shifts: list, t: Fraction | None):
+        """(shifts, D, nums): nu(s - a, d) = nums[i]/D for the i-th shift
+        a, and, unless t is None, nu(s - t, d) = nums[-1]/D.  The entry
+        keeps ``shifts``, so callers pass a list they build per call."""
+        if t is None:
+            key = (d, s.numerator, s.denominator)
+        else:
+            key = (d, s.numerator, s.denominator, t.numerator, t.denominator)
+        entry = self.entries.get(key)
+        if entry is None:
+            vols = [nu_exact(s - a if a else s, d).as_integer_ratio() for a in shifts]
+            if t is not None:
+                vols.append(nu_exact(s - t, d).as_integer_ratio())
+        elif entry[0] == shifts:
+            return entry
+        else:
+            # The witness with other shifts: its volumes are reused, over
+            # its denominator, and only the shifts it lacks are computed.
+            have, den, nums = entry
+            old = dict(zip(have, nums))
+            vols = [
+                (old[a], den) if a in old else nu_exact(s - a if a else s, d).as_integer_ratio()
+                for a in shifts
+            ]
+            if t is not None:
+                vols.append((nums[-1], den))
+        den = lcm(*[m for _, m in vols])
+        entry = shifts, den, tuple([n * (den // m) for n, m in vols])
+        self.entries[key] = entry
+        if len(self.entries) > self.capacity:
+            del self.entries[next(iter(self.entries))]
+        return entry
+
+
+# A covering's lo and hi certificates, its apex chase and its binary search
+# all read the witness certified last.
+_WITNESS_CAPACITY = 8
+_WITNESSES = _WitnessMemo(_WITNESS_CAPACITY)
+
+
 def _fold(num: int, den: int, n: int, m: int) -> tuple[int, int]:
     """num/den + n/m as one integer pair over lcm(den, m), unreduced."""
     g = gcd(den, m)
@@ -278,7 +343,13 @@ class LinearBound:
     list and skip zero weights, so a float cell is the same double as the
     bound's written-out formula would give.  The exact evaluator adds the
     integer numerators of its terms, e, c0 and ct*t over one common
-    denominator and builds one Fraction, the value in lowest terms.  ``d``
+    denominator and builds one Fraction, the value in lowest terms.  It
+    reads the slice volumes of its nonzero-weight terms and nu(s - t) from
+    a memo of the last few witnesses (``_WITNESSES``), as integer numerators
+    over one denominator, so the certificates of a run of e at one (s, t)
+    compute them once.  A hit returns the integers that recomputing
+    :func:`~hkcert.volume.nu_exact` from the same exact s, t, a_i and d
+    gives; it never reads a stored certificate value.  ``d``
     must be an integer from 1 to 64 in every family.  ``desc``, the
     descriptor a certificate stores, holds ``kind`` and the family
     constructor's arguments by parameter name; :func:`hkcert.certify.objective_from_descriptor`
@@ -311,33 +382,37 @@ class LinearBound:
 
     def exact(self, s, t) -> Fraction:
         s, t = to_rational(s), to_rational(t)
-        # Signs read off the numerators: a comparison with 0 costs as much
-        # as a Fraction operation.
+        # Signs, and t <= t_hi, read off the integers: a Fraction comparison
+        # costs as much as a Fraction operation.
         if s.numerator < 0:
             raise ValueError(f"s must be >= 0, got {s}")
-        if t.numerator < 0 or t > self.t_hi:
+        tn, td, t_hi = t.numerator, t.denominator, self.t_hi
+        if tn < 0 or tn * t_hi.denominator > t_hi.numerator * td:
             raise ValueError(f"t must lie in [0, {self.t_hi}], got {t}")
-        d, en, ed = self.d, self.e.numerator, self.e.denominator
+        en, ed = self.e.numerator, self.e.denominator
         # Each Fraction operation costs about a microsecond, so the value is
-        # kept as one integer pair num/den: each volume's numerator and
-        # denominator are folded in, and one Fraction is built at the end.
-        num, den = 0, 1
+        # kept as one integer pair num/den, and one Fraction is built at the
+        # end.  The weights w + we*e of the nonzero-weight terms, and wt,
+        # are numerators over ed; the volumes are numerators over D.
+        weights, shifts = [], []
         for w, we, a in self.terms:
-            # The weight w + we*e, as wn/wd.
-            wn, wd = (w * ed + we * en, ed) if we else (w, 1)
+            wn = w * ed + we * en
             if wn:
-                v = nu_exact(s - a if a else s, d)
-                num, den = _fold(num, den, wn * v.numerator, wd * v.denominator)
+                weights.append(wn)
+                shifts.append(a)
         if self.wt:
-            v = nu_exact(s - t, d)
-            num, den = _fold(num, den, self.wt * v.numerator, v.denominator)
-        num, den = num * en, den * ed
+            weights.append(self.wt * ed)
+        _, den, vols = _WITNESSES.get(self.d, s, shifts, t if self.wt else None)
+        # e (sum of weights times volumes) = en * sum / (ed * ed * D).
+        num, den = en * sum(map(mul, weights, vols)), ed * ed * den
+        # c0 + ct*t over small integers first, then one fold into num/den.
         c0, ct = self.c0, self.ct
-        if c0:
-            num, den = _fold(num, den, c0.numerator, c0.denominator)
         if ct:
-            ctn, ctd = ct.numerator * t.numerator, ct.denominator * t.denominator
-            num, den = _fold(num, den, ctn, ctd)
+            c0n, c0d = _fold(c0.numerator, c0.denominator, ct.numerator * tn, ct.denominator * td)
+        else:
+            c0n, c0d = c0.numerator, c0.denominator
+        if c0n:
+            num, den = _fold(num, den, c0n, c0d)
         return Fraction(num, den)
 
     def vector(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -501,12 +576,14 @@ def quadratic_in_e(s, t, d: int = 7, k: int = 1) -> tuple[Fraction, Fraction, Fr
         raise ValueError(f"s must be >= 0, got {s}")
     if not 0 <= t <= 1:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    a = b = 0
-    for w, we, x in worst.terms:
-        v = nu_exact(s - x, d)
-        a += we * v
-        b += w * v
-    return a, b + worst.wt * nu_exact(s - t, d), worst.c0 + worst.ct * t
+    # The volumes come from the witness memo, as exact reads them: above
+    # e = k + 3 exact's nonzero-weight terms are these, so the apex of a
+    # just-certified witness computes no volume.
+    terms = [term for term in worst.terms if term[0] or term[1]]
+    _, den, vols = _WITNESSES.get(d, s, [x for *_, x in terms], t)
+    a = sum(we * v for (_, we, _), v in zip(terms, vols))
+    b = sum(w * v for (w, _, _), v in zip(terms, vols)) + worst.wt * vols[-1]
+    return Fraction(a, den), Fraction(b, den), worst.c0 + worst.ct * t
 
 
 def e_max(s0, t0, d: int = 7, k: int = 1) -> Fraction:

@@ -105,7 +105,10 @@ def reverify_certificate(cert: Certificate) -> bool:
     True iff the rebuilt objective writes the stored descriptor back (so a
     default filled in or ``"e": "14/2"`` fails), its exact re-evaluation
     reproduces the stored value bit for bit, and the stored verdict matches
-    the exact comparison.
+    the exact comparison.  The re-evaluation may take its slice volumes
+    from the bounds' memo of recent witnesses; a hit there returns what
+    recomputing :func:`~hkcert.volume.nu_exact` from the same exact
+    integers gives, and never reads a stored certificate value.
     """
     objective = objective_from_descriptor(cert.objective)
     if objective.descriptor() != cert.objective:

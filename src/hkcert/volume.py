@@ -50,6 +50,10 @@ _BINOM = tuple(
 )
 
 
+# The clamped volumes, shared: a Fraction is immutable.
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _fact(n: int) -> int:
     return _FACT[n] if n <= MAX_CACHED_DIMENSION else factorial(n)
 
@@ -161,9 +165,9 @@ def nu_exact(s: Fraction | int | str, d: int) -> Fraction:
     s = to_rational(s)
     p, q = s.numerator, s.denominator
     if p <= 0:
-        return Fraction(0)
+        return _ZERO
     if p >= d * q:
-        return Fraction(1)
+        return _ONE
     reflect = 2 * p > d * q
     if reflect:
         p = d * q - p
@@ -174,7 +178,7 @@ def nu_exact(s: Fraction | int | str, d: int) -> Fraction:
     for j in range(p // q + 1):
         term = binom[j] * (p - j * q) ** d
         total += -term if j & 1 else term
-    den = _fact(d) * q**d
+    den = _FACT[d] * q**d  # d is at most MAX_CACHED_DIMENSION
     return Fraction(den - total if reflect else total, den)
 
 

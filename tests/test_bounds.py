@@ -22,7 +22,7 @@ from hkcert.bounds import (
     range_min,
     s_bound,
 )
-from hkcert.certify import cover_range, prove_dimension
+from hkcert.certify import certify_point, cover_range, prove_dimension, reverify_certificate
 from hkcert.search import GridAxis, SearchParams
 from hkcert.targets import wy_target
 from hkcert.volume import nu_exact
@@ -36,6 +36,7 @@ from oracles import (
     mu_small_vector_oracle,
     noroots_exact_oracle,
     noroots_vector_oracle,
+    nu_exact_oracle,
 )
 
 F = Fraction
@@ -548,6 +549,176 @@ class TestLinearBound:
             nu_exact(s, 8) - 5 * nu_exact(s - F(1, 2), 8) - nu_exact(s - t, 8)
         )
         assert objective.exact(s, t) == 1 - t / 32 + 8 * inner
+
+
+@pytest.fixture
+def witness_memo(monkeypatch):
+    """A fresh exact-volume memo for LinearBound.exact, of the fixed capacity."""
+    fresh = bounds._WitnessMemo(bounds._WITNESS_CAPACITY)
+    monkeypatch.setattr(bounds, "_WITNESSES", fresh)
+    return fresh
+
+
+@pytest.fixture
+def nu_exact_calls(monkeypatch):
+    """The arguments (x, d) of every nu_exact call the bounds make."""
+    calls = []
+    real = bounds.nu_exact
+
+    def counted(x, d):
+        calls.append((x, d))
+        return real(x, d)
+
+    monkeypatch.setattr(bounds, "nu_exact", counted)
+    return calls
+
+
+def _cold_exact(objective, s, t):
+    """objective.exact(s, t) on an empty witness memo."""
+    warm = bounds._WITNESSES
+    bounds._WITNESSES = bounds._WitnessMemo(bounds._WITNESS_CAPACITY)
+    try:
+        return objective.exact(s, t)
+    finally:
+        bounds._WITNESSES = warm
+
+
+def _quadratic_oracle(s, t, d, k):
+    """(a, b, c) of the worst case mu = e - 2, written out in Fractions."""
+    nu = lambda x: nu_exact_oracle(x, d)
+    return (
+        -nu(s - 1),
+        nu(s) + (k + 3) * nu(s - 1) - k * nu(s - F(1, 2)) - nu(s - t),
+        1 - t / 2**k,
+    )
+
+
+# Shift lists the phi bound takes: equal values in other orders, a repeated
+# shift, and shifts the master family also uses (1 and 1/2).
+_OFFSETS = [(), (1,), (F(1, 2),), (F(1, 3), 1), (1, F(1, 3)), (F(1, 2), F(1, 2))]
+_E_ABOVE = [0, 1, F(1, 2), F(7, 3), 40]
+
+
+def _family(kind, d, p):
+    """One objective of ``kind`` picked by the integer p, and its
+    written-out exact formula (s, t) -> value."""
+    k, e_above = p % 3, _E_ABOVE[p % len(_E_ABOVE)]
+    if kind == "h":  # e = k + 3 puts a zero weight on nu(s - 1)
+        e = k + 3 + e_above
+        return HBoundObjective(e, d, k), lambda s, t: general_exact_oracle(
+            e, d, e - 2, k, (), s, t
+        )
+    if kind == "general":
+        e, mu = 5 + e_above, k + 1 + p % 2
+        extra = ((2, F(1, 3)),) if p % 4 == 3 else ()
+        return GeneralBoundObjective(BoundSpec(d, e, mu, k, extra)), (
+            lambda s, t: general_exact_oracle(e, d, mu, k, extra, s, t)
+        )
+    if kind == "mu-small":  # reads no t
+        e, mu = 2 + e_above, 1 + p % 3
+        return MuSmallObjective(e, mu, d), lambda s, t: mu_small_exact_oracle(e, mu, d, s)
+    offsets = _OFFSETS[p % len(_OFFSETS)]
+    e = 1 + e_above
+    return NoRootsObjective(e, offsets, d, 1), lambda s, t: noroots_exact_oracle(
+        e, offsets, d, 1, s, t
+    )
+
+
+_DENOMINATORS = st.sampled_from([1, 2, 3, 8, 999_983])
+
+
+@st.composite
+def _rationals(draw, hi):
+    q = draw(_DENOMINATORS)
+    return F(draw(st.integers(0, hi * q)), q)
+
+
+class TestWitnessMemo:
+    """LinearBound.exact and quadratic_in_e read their exact slice volumes
+    from a memo of the last few witnesses: no value may differ from the
+    bound's written-out formula or from an evaluation on an empty memo."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s_pool=st.lists(_rationals(9), min_size=1, max_size=5),
+        t_pool=st.lists(_rationals(1), min_size=1, max_size=3),
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(["h", "general", "mu-small", "noroots", "quadratic"]),
+                st.sampled_from([3, 7]),
+                st.integers(0, 4),
+                st.integers(0, 2),
+                st.integers(0, 59),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_interleaved_calls_match_the_formulas_and_a_cold_memo(self, s_pool, t_pool, calls):
+        # Small pools make calls share s, (s, t) or d; a memo of three
+        # witnesses is outgrown by the pools, so entries are evicted.
+        small = bounds._WitnessMemo(3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_WITNESSES", small)
+            for kind, d, i, j, p in calls:
+                s, t = s_pool[i % len(s_pool)], t_pool[j % len(t_pool)]
+                if kind == "quadratic":
+                    k = p % 3
+                    got = quadratic_in_e(s, t, d, k)
+                    assert got == _quadratic_oracle(s, t, d, k), (s, t, d, k)
+                    assert all(type(x) is F for x in got)
+                    continue
+                objective, formula = _family(kind, d, p)
+                got = objective.exact(s, t)
+                assert type(got) is F
+                assert got == formula(s, t), (objective.descriptor(), s, t)
+                assert got == _cold_exact(objective, s, t)
+                assert len(small.entries) <= small.capacity
+
+    def test_second_certificate_at_a_witness_computes_no_volume(
+        self, witness_memo, nu_exact_calls
+    ):
+        s, t = F(37, 7), F(3, 11)
+        lo = certify_point(HBoundObjective(13, 7), s, t, DIM7_TARGET)
+        assert len(nu_exact_calls) == 4  # nu(s), nu(s - 1), nu(s - 1/2), nu(s - t)
+        hi = certify_point(HBoundObjective(5340, 7), s, t, DIM7_TARGET)
+        vertex = e_max(s, t, 7)
+        assert reverify_certificate(hi) and reverify_certificate(lo)
+        assert len(nu_exact_calls) == 4
+        assert hi.value == h_exact_oracle(5340, 7, s, t)
+        a, b, _ = _quadratic_oracle(s, t, 7, 1)
+        assert vertex == -b / (2 * a)
+
+    def test_a_zero_weight_costs_one_volume_more(self, witness_memo, nu_exact_calls):
+        # At e = k + 3 the nu(s - 1) weight is 0, so that volume is not
+        # computed; the next e at the witness computes it alone.
+        s, t = F(9, 2), F(1, 3)
+        HBoundObjective(5, 8, 2).exact(s, t)
+        assert [x for x, _ in nu_exact_calls] == [s, s - F(1, 2), s - t]
+        assert HBoundObjective(6, 8, 2).exact(s, t) == general_exact_oracle(6, 8, 4, 2, (), s, t)
+        assert [x for x, _ in nu_exact_calls[3:]] == [s - 1]
+        quadratic_in_e(s, t, 8, 2)
+        assert HBoundObjective(5, 8, 2).exact(s, t) == general_exact_oracle(5, 8, 3, 2, (), s, t)
+        assert len(nu_exact_calls) == 4
+
+    def test_oldest_witness_is_evicted_first(self, witness_memo, nu_exact_calls):
+        capacity = witness_memo.capacity
+        witnesses = [(F(i, 3), F(1, 2)) for i in range(1, 2 * capacity + 1)]
+        for s, t in witnesses:
+            HBoundObjective(7, 7).exact(s, t)
+            assert len(witness_memo.entries) <= capacity
+        calls = len(nu_exact_calls)
+        for s, t in witnesses[capacity:]:
+            HBoundObjective(8, 7).exact(s, t)
+        assert len(nu_exact_calls) == calls
+        HBoundObjective(8, 7).exact(*witnesses[0])
+        assert len(nu_exact_calls) == calls + 4
+
+    def test_prove_dimension_seven_volume_count(self, witness_memo, nu_exact_calls):
+        # Each covering interval's certificates, apex chase and binary
+        # search share their witness's volumes (718 calls without the memo).
+        assert prove_dimension(7, 1).verdict == "proved"
+        assert len(nu_exact_calls) == 98
 
 
 @pytest.fixture

@@ -96,8 +96,9 @@ def test_bounds_takes_only_the_float_kernel_from_search():
 
 def test_bounds_takes_only_the_exact_kernel_from_volume():
     # Exact volumes reach the bounds only through nu_exact, one call per
-    # volume, as the benchmark's tracer counts them; the bounds also run
-    # nu_exact's dimension check when they are built.
+    # volume computed, as the benchmark's tracer counts them (a witness
+    # memo hit computes none); the bounds also run nu_exact's dimension
+    # check when they are built.
     assert names_imported("bounds", "volume") == {
         "_check_dimension", "nu_exact", "to_rational"
     }
