@@ -112,23 +112,16 @@ class _VolumeMemo:
     :func:`~hkcert.search.nu_vector` call, which works element by element,
     so every cell is the double a full recomputation gives.
 
-    The new tile replaces its shape's tile, on a hit or a miss.  A new
-    shape evicts, least recently used first, tiles untouched since the
-    current optimization began, and is not kept if that frees too little
-    room; so an optimization with more boxes than the memo holds keeps its
-    first ones.  A request whose s axis is wider than the one before begins
-    an optimization, as refinement rounds only narrow the box.  The memo
-    takes no lock; no hkcert module starts a thread (``tests/test_layers.py``).
+    The new tile replaces its shape's tile, on a hit or a miss; a new
+    shape evicts tiles, least recently used first, until it fits.  The
+    memo takes no lock; no hkcert module starts a thread
+    (``tests/test_layers.py``).
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.cells = 0
-        # The optimization count, and the width of the last s axis asked for.
-        self._epoch = 0
-        self._width = 0.0
-        # shape -> (s, t, vols, the optimization count when a lookup last
-        # touched the tile), least recently used first.
+        # shape -> (s, t, vols), least recently used first.
         self._tiles: OrderedDict = OrderedDict()
 
     def get(self, d: int, s: np.ndarray, t: np.ndarray, whole_t: bool) -> np.ndarray:
@@ -136,25 +129,20 @@ class _VolumeMemo:
         if its t holds the very bytes of ``t``."""
         if not (len(s) and len(t)):
             return nu_vector(s[:, None] - t[None, :], d)
-        width = float(s[-1]) - float(s[0])
-        # Written so that a NaN width also begins an optimization.
-        if not width <= self._width:
-            self._epoch += 1
-        self._width = width
+        width = round(float(s[-1]) - float(s[0]), 9)
         if whole_t:
-            key = (d, len(s), round(width, 9), t.tobytes())
+            key = (d, len(s), width, t.tobytes())
         else:
             t_width = round(float(t[-1]) - float(t[0]), 9)
-            key = (d, len(s), round(width, 9), len(t), t_width)
+            key = (d, len(s), width, len(t), t_width)
         tile, m, n = self._tiles.get(key), 0, 0
         if tile is not None:
-            have_s, have_t, have, _ = tile
+            have_s, have_t, have = tile
             i, j, m = _overlap(have_s, s)
             k, l, n = (0, 0, len(t)) if whole_t else _overlap(have_t, t)
         if not m * n:
             vols = nu_vector(s[:, None] - t[None, :], d)
         elif m * n == len(s) * len(t):
-            self._tiles[key] = (have_s, have_t, have, self._epoch)
             self._tiles.move_to_end(key)
             return have
         else:
@@ -174,35 +162,21 @@ class _VolumeMemo:
         if vols.size > self.capacity:
             return vols
         # A shape's tiles are all of one size, so replacing one keeps
-        # ``cells``; a new shape must make room.
+        # ``cells``; a new shape evicts the oldest tiles until it fits.
         if self._tiles.pop(key, None) is None:
-            if not self._make_room(vols.size):
-                return vols
             self.cells += vols.size
+            while self.cells > self.capacity:
+                self.cells -= self._tiles.popitem(last=False)[1][2].size
         s, t = s.copy(), t.copy()
         s.flags.writeable = t.flags.writeable = False
-        self._tiles[key] = (s, t, vols, self._epoch)
+        self._tiles[key] = (s, t, vols)
         return vols
 
-    def _make_room(self, size: int) -> bool:
-        need = self.cells + size - self.capacity
-        victims = []
-        for key, (_, _, vols, used) in self._tiles.items():
-            if need <= 0:
-                break
-            if used < self._epoch:
-                victims.append(key)
-                need -= vols.size
-        if need > 0:
-            return False
-        for key in victims:
-            self.cells -= self._tiles.pop(key)[2].size
-        return True
 
-
-# 100,000 floats (800 KB) hold the volumes of the four boxes of the default
-# 200 x 100 grid that an optimization with three refinement rounds scans.
-_MEMO_CELLS = 100_000
+# 170,000 floats (1.4 MB) hold the volumes of the eight boxes of the default
+# 200 x 100 grid that an optimization with seven refinement rounds scans,
+# with their 3-shift 1-D tiles: 8 x (20,000 + 600) = 164,800 cells.
+_MEMO_CELLS = 170_000
 _VOLUMES = _VolumeMemo(_MEMO_CELLS)
 
 

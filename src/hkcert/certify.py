@@ -195,12 +195,16 @@ def cover_range(
     whose bound at the shared witness still exceeds the target exactly.
     Multiplicities that admit no certificate become gap runs rather than
     failures, so callers can report unresolved cases.  The target must
-    exceed 1, as every :class:`~hkcert.targets.TargetValue` does, the range
-    must start at 2 or above (a non-regular ring has multiplicity at least
-    2), and k must be a nonnegative integer.  Every e is bounded by the
-    worst case mu = e - 2, :func:`~hkcert.bounds.HBoundObjective` at k.
+    exceed 1, as every :class:`~hkcert.targets.TargetValue` does, e_lo and
+    e_hi must be integers, the range must start at 2 or above (a non-regular
+    ring has multiplicity at least 2), and k must be a nonnegative integer.
+    Every e is bounded by the worst case mu = e - 2,
+    :func:`~hkcert.bounds.HBoundObjective` at k.
     """
     _check_dimension(d)
+    for name, e in (("e_lo", e_lo), ("e_hi", e_hi)):
+        if type(e) is not int:
+            raise ValueError(f"{name} must be an integer, got {e!r}")
     if e_lo > e_hi:
         raise ValueError(f"empty multiplicity range [{e_lo}, {e_hi}]")
     if e_lo < 2:
@@ -240,18 +244,24 @@ def cover_range(
                 gaps.append(GapRun(e1, e1, reason))
             e1 += 1
             continue
-        # lo_cert is always the certificate at e1 for the current witness.
+        # lo_cert is always the certificate at e1 for the current witness,
+        # and e_opt the e whose optimization found that witness.
+        e_opt = e1
         for _ in range(2):
             try:
                 vertex = e_max(s0, t0, d, k)
             except LinearInEError:
                 break
             e_mid = min(max(int(round(vertex)), e1), e_hi)
+            # The optimizer is deterministic: optimizing e_opt again would
+            # return the witness held, so the chase is at its fixed point.
+            if e_mid == e_opt:
+                break
             trial = witness_for(e_mid)
             trial_cert = lo_cert if trial == (s0, t0) else certified(e1, *trial)
             if not trial_cert.verdict:
                 break
-            (s0, t0), lo_cert = trial, trial_cert
+            (s0, t0), lo_cert, e_opt = trial, trial_cert, e_mid
 
         # Largest certifiable e2: the bound is concave in e, so the certified
         # set to the right of e1 is a contiguous run.  hi_cert is the

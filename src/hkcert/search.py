@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm
+from math import lcm
 from typing import Protocol
 
 import numpy as np
@@ -31,24 +31,9 @@ __all__ = [
     "SearchParams",
     "Candidate",
     "GridAxis",
-    "rationalize",
     "nu_vector",
     "optimize_bound",
 ]
-
-
-def rationalize(x: float | int, max_denominator: int = 10**6) -> Fraction:
-    """Best rational approximation to ``x`` with denominator <= max_denominator.
-
-    Continued-fraction based (via Fraction.limit_denominator), so the result
-    is the true closest fraction under the denominator cap; printed decimals
-    like 0.779643 come back exactly as 779643/1000000 reduced.
-    """
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be >= 1")
-    if isinstance(x, float) and not isfinite(x):
-        raise ValueError(f"cannot rationalize non-finite value {x!r}")
-    return Fraction(x).limit_denominator(max_denominator)
 
 
 def nu_vector(x: np.ndarray, d: int) -> np.ndarray:
@@ -113,7 +98,8 @@ class SearchParams:
     are exact rationals; every node of a range wider than
     one point has a denominator of at most ``max_denominator`` (see
     :class:`GridAxis`), and its float is the correctly rounded value of
-    that exact node.
+    that exact node.  The grid counts, ``refine_rounds``, ``shrink_factor``
+    and ``max_denominator`` must be plain ints (not bool).
     """
 
     s_range: tuple[Fraction, Fraction] | None = None
@@ -138,6 +124,15 @@ class SearchParams:
             raise ValueError(f"t range must lie in [0, 1], got {lo}:{hi}")
         object.__setattr__(self, "t_range", (lo, hi))
         ns, nt = self.grid
+        for name, n in (
+            ("grid[0]", ns),
+            ("grid[1]", nt),
+            ("refine_rounds", self.refine_rounds),
+            ("shrink_factor", self.shrink_factor),
+            ("max_denominator", self.max_denominator),
+        ):
+            if type(n) is not int:
+                raise ValueError(f"{name} must be an integer, got {n!r}")
         if ns < 2 or nt < 2:
             raise ValueError("grid counts must be >= 2")
         if self.refine_rounds < 0 or self.shrink_factor < 2:

@@ -64,14 +64,14 @@ def to_rational(value: Fraction | int | str) -> Fraction:
     Accepts Fractions, integers, and strings ("7/8", "2.74118"); decimal
     strings convert exactly.  Binary floats are rejected so that inexact
     values cannot slip into a certification path unnoticed -- convert them
-    deliberately with :func:`hkcert.search.rationalize`.
+    deliberately, e.g. with ``Fraction(x).limit_denominator(n)``.
     """
     if type(value) is Fraction:  # immutable, so the value itself will do
         return value
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(
             f"refusing to coerce {value!r} to an exact rational; "
-            "use hkcert.search.rationalize() for floats"
+            "convert floats deliberately, e.g. Fraction(x).limit_denominator(n)"
         )
     return Fraction(value)
 

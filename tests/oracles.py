@@ -157,24 +157,6 @@ def sec_tan_series_oracle(n: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Best rational approximation by exhaustive denominator search.
-
-
-def best_rational_oracle(x: float, max_denominator: int) -> Fraction:
-    """Closest fraction to x with denominator <= max_denominator (ties: smaller q)."""
-    exact = Fraction(x)
-    best = None
-    for q in range(1, max_denominator + 1):
-        p = round(exact * q)
-        for pp in (p - 1, p, p + 1):
-            cand = Fraction(pp, q)
-            err = abs(cand - exact)
-            if best is None or err < best[0]:
-                best = (err, cand)
-    return best[1]
-
-
-# ---------------------------------------------------------------------------
 # Search fast-path references.
 
 

@@ -745,7 +745,7 @@ def nu_calls(monkeypatch):
 
 def _tiles(memo):
     """The memo's tiles as (key, s, t, vols) tuples."""
-    return [(key, s, t, vols) for key, (s, t, vols, _) in memo._tiles.items()]
+    return [(key, s, t, vols) for key, (s, t, vols) in memo._tiles.items()]
 
 
 def _assert_memo_within_capacity(memo):
@@ -794,6 +794,10 @@ class TestVolumeMemo:
                 (_noroots_case(e, (1, F(1, 2)), 8, F(3, 4)), small),
                 (_general_case(10, e + 240, e + 238, 5), _default_axes(10)),
                 (_general_case(8, e, 4, 1, ((2, F(1, 3)),)), narrow),
+                (_h_case(e, 9), _default_axes(9)),
+                (_h_case(e, 11), _default_axes(11)),
+                (_general_case(12, e + 10, e + 8, 3), _default_axes(12)),
+                (_h_case(e, 9), narrow),
             ]
             for case, (s, t) in calls:
                 _assert_bits(case, s, t)
@@ -824,8 +828,8 @@ class TestVolumeMemo:
         _assert_memo_within_capacity(memo)
 
     def test_grid_larger_than_the_memo_is_not_kept(self, memo):
-        s = GridAxis(F(0), F(8), 400, 10**6).floats
-        t = GridAxis(F(0), F(1), 300, 10**6).floats
+        s = GridAxis(F(0), F(8), 500, 10**6).floats
+        t = GridAxis(F(0), F(1), 400, 10**6).floats
         assert len(s) * len(t) > memo.capacity
         _assert_bits(_h_case(7, 7), s, t)
         assert all(vols.size < len(s) * len(t) for *_, vols in _tiles(memo))
@@ -837,8 +841,8 @@ class TestVolumeMemo:
         # or a tile reused at the wrong offset would show as a wrong count
         # or a wrong cell.  Three boxes share one node lattice, shifted by
         # whole nodes, so tiles are partly reused and replaced; the other
-        # three differ in width, so the memo sees optimizations begin and
-        # evicts.
+        # three differ in width, so they need tiles of their own and the
+        # memo evicts.
         small = bounds._VolumeMemo(3 * (40 * 20 + 3 * 40))
         monkeypatch.setattr(bounds, "_VOLUMES", small)
         jobs = []
@@ -969,25 +973,25 @@ class TestVolumeTiles:
         general = 2 * (3 * (3 + 2))
         assert sum(nu_calls) == mu_small + h + general
 
-    def test_boxes_beyond_the_memo_keep_the_first_ones(self, memo, nu_calls):
-        # Six nested boxes per optimization, of which the memo holds four,
-        # scanned e after e: least-recently-used eviction would drop each
-        # box just before the next e asks for it again.
+    def test_an_optimization_at_seven_rounds_fits(self, memo, nu_calls):
+        # The eight nested boxes of one optimization at --rounds 7, scanned
+        # e after e as a covering does: the memo holds all of them, so the
+        # second e computes no volume.
         s_full, t_full = _default_axes(7)
         nested = [(s_full, t_full)]
-        for r in range(1, 6):
+        for r in range(1, 8):
             width = F(8, 5**r)
             s = GridAxis(F(3) - width / 2, F(3) + width / 2, 200, 10**6).floats
             t = GridAxis(F(1, 2) - F(1, 2 * 5**r), F(1, 2) + F(1, 2 * 5**r), 100, 10**6)
             nested.append((s, t.floats))
-        for e in range(7, 12):
-            nu_calls.clear()
+        for e in (7, 8):
             for s, t in nested:
                 _assert_bits(_h_case(e, 7), s, t)
-        # By the last e, the first four boxes come from the memo, and of the
-        # last two only the 2-D volumes are computed: their small 1-D tiles
-        # still fit.
-        assert nu_calls == [200 * 100, 200 * 100]
+            if e == 7:
+                # A 1-D tile of three shifts and a 2-D tile per box.
+                assert sum(nu_calls) == 8 * (200 * 3 + 200 * 100)
+                nu_calls.clear()
+        assert nu_calls == []
         _assert_memo_within_capacity(memo)
 
 
@@ -1020,14 +1024,9 @@ class TestMemoInCoverings:
         assert counts[0] == 988_800
         assert counts[1] <= 164_090
 
-    def test_more_rounds_than_the_memo_holds(self, monkeypatch, nu_calls):
-        # Six boxes per optimization at --rounds 5: the memo keeps the
-        # first ones, so it computes far fewer volumes than no memo at all.
-        params = SearchParams(refine_rounds=5)
-        counts = []
-        for capacity in (0, bounds._MEMO_CELLS):
-            monkeypatch.setattr(bounds, "_VOLUMES", bounds._VolumeMemo(capacity))
-            nu_calls.clear()
-            prove_dimension(7, 1, params)
-            counts.append(sum(nu_calls))
-        assert counts[1] < 0.6 * counts[0]
+    @pytest.mark.parametrize("rounds, points", [(5, 1_789_330), (7, 2_739_330)])
+    def test_more_rounds_prove(self, memo, nu_calls, rounds, points):
+        # Six and eight boxes per optimization: the memo holds every box of
+        # one optimization, so the next e reuses them all.
+        prove_dimension(7, 1, SearchParams(refine_rounds=rounds))
+        assert sum(nu_calls) <= points

@@ -14,6 +14,7 @@ from hkcert.bounds import (
     NoRootsObjective,
     h_bound,
 )
+from hkcert.cli import TABLE2_RANGE
 from hkcert.certify import (
     _FAMILIES,
     CoveragePlan,
@@ -309,6 +310,46 @@ class TestCoverRange:
         for iv in plan.intervals:
             assert (iv.lo_cert, iv.hi_cert) == (at(iv.e_lo, iv), at(iv.e_hi, iv))
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda certify: certify.cover_range(7, 1, *TABLE2_RANGE, DIM7_TARGET),
+            lambda certify: certify.prove_dimension(7, 1),
+            lambda certify: certify.cover_range(8, 4, 6, 41705, DIM8_TARGET),
+            lambda certify: certify.prove_dimension(10, 5),
+        ],
+        ids=["table2", "prove-d7-k1", "cover-d8-k4", "prove-d10-k5"],
+    )
+    def test_no_e_is_optimized_twice(self, monkeypatch, run):
+        # The apex chase stops when the apex rounds to the e whose witness
+        # it holds: the optimizer is deterministic, so that e would return
+        # the same witness.
+        from hkcert import certify
+
+        real_cover, real_optimize = certify.cover_range, certify.optimize_bound
+        # The e optimized by each finished covering, and by the open one;
+        # prove_dimension also optimizes the mu-small rungs, outside them.
+        coverings, open_ = [], []
+
+        def cover(*args):
+            open_.append([])
+            try:
+                return real_cover(*args)
+            finally:
+                coverings.append(open_.pop())
+
+        def optimize(objective, params):
+            if open_:
+                open_[-1].append(objective.e)
+            return real_optimize(objective, params)
+
+        monkeypatch.setattr(certify, "cover_range", cover)
+        monkeypatch.setattr(certify, "optimize_bound", optimize)
+        run(certify)
+        assert coverings and all(coverings)
+        for es in coverings:
+            assert len(es) == len(set(es))
+
     @pytest.mark.parametrize("d", [0, 65, 7.5, True])
     def test_rejects_a_bad_dimension(self, d):
         # [2, 3] lies inside the generator-count gap at k = 2, so the
@@ -372,6 +413,13 @@ class TestCoverRange:
         # A non-regular ring has multiplicity at least 2.
         with pytest.raises(ValueError, match="multiplicities start at 2"):
             cover_range(7, 1, e_lo, 14, DIM7_TARGET, FAST)
+
+    @pytest.mark.parametrize("side", ["e_lo", "e_hi"])
+    @pytest.mark.parametrize("e", [2.0, F(13, 2), True, "6"], ids=["float", "fraction", "bool", "str"])
+    def test_rejects_a_non_integer_range(self, side, e):
+        ends = {"e_lo": 6, "e_hi": 9, side: e}
+        with pytest.raises(ValueError, match=f"{side} must be an integer"):
+            cover_range(7, 1, ends["e_lo"], ends["e_hi"], DIM7_TARGET, FAST)
 
     @pytest.mark.parametrize("k", [-1, F(1, 2), 1.0, True])
     def test_rejects_k_not_a_nonnegative_integer(self, k):

@@ -17,11 +17,10 @@ from hkcert.search import (
     SearchParams,
     nu_vector,
     optimize_bound,
-    rationalize,
 )
 from hkcert.volume import MAX_CACHED_DIMENSION, nu_exact
 
-from oracles import best_rational_oracle, grid_nodes_oracle, nu_vector_oracle
+from oracles import grid_nodes_oracle, nu_vector_oracle
 
 F = Fraction
 
@@ -32,42 +31,6 @@ ERROR_BANDS = ((12, 1e-14), (20, 1e-13), (32, 1e-11), (48, 1e-8), (64, 1e-6))
 
 def bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
-
-
-class TestRationalize:
-    def test_half(self):
-        assert rationalize(0.5, 10**6) == F(1, 2)
-
-    def test_printed_decimal_roundtrip(self):
-        assert rationalize(0.779643, 10**6) == F(779643, 1000000)
-
-    def test_pi_against_enumeration_oracle(self):
-        x = 3.14159265
-        got = rationalize(x, 100)
-        assert got == best_rational_oracle(x, 100) == F(311, 99)
-
-    def test_small_denominator_oracle(self):
-        rng = random.Random(3)
-        for _ in range(25):
-            x = rng.uniform(-5, 5)
-            got = rationalize(x, 40)
-            best = best_rational_oracle(x, 40)
-            assert abs(got - F(x)) == abs(best - F(x))
-
-    def test_error_bound(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            x = rng.uniform(-100, 100)
-            assert abs(rationalize(x, 1000) - F(x)) <= F(1, 1000)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            rationalize(float("nan"))
-        with pytest.raises(ValueError):
-            rationalize(float("inf"))
-
-    def test_integers_pass_through(self):
-        assert rationalize(4, 10) == 4
 
 
 class TestNuVector:
@@ -244,6 +207,26 @@ class TestSearchParams:
     def test_rejects_ranges_outside_domain(self, ranges, message):
         with pytest.raises(ValueError, match=message):
             SearchParams(**ranges)
+
+    @pytest.mark.parametrize(
+        "counts, field",
+        [
+            ({"grid": (50.0, 20)}, r"grid\[0\]"),
+            ({"grid": (50, np.int64(20))}, r"grid\[1\]"),
+            ({"refine_rounds": 2.5}, "refine_rounds"),
+            ({"refine_rounds": True}, "refine_rounds"),
+            ({"shrink_factor": 2.5}, "shrink_factor"),
+            ({"max_denominator": 1e6}, "max_denominator"),
+            ({"max_denominator": "1000"}, "max_denominator"),
+        ],
+        ids=["grid-float", "grid-numpy", "rounds-float", "rounds-bool", "shrink-float",
+             "denominator-float", "denominator-str"],
+    )
+    def test_rejects_non_integer_counts(self, counts, field):
+        # Each fails here, naming its field, not later inside the optimizer
+        # or GridAxis, and none is quietly read as an int.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SearchParams(**counts)
 
 
 class _Plateau:
