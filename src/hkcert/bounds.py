@@ -101,16 +101,19 @@ class _VolumeMemo:
     """Float slice volumes of recent grid boxes: read-only tiles of at most
     ``capacity`` floats in all, one tile per box shape.
 
-    A shape is d, the lengths of s and t, and their widths rounded to 9
-    decimals; for the 1-D volumes, the bytes of t (the shifts a_i) stand in
-    for t's length and width.  The unclipped boxes of refinement round r
-    are (d + 1)/5^r by 1/5^r wide, so they share a shape although their
-    float widths differ in the last bits; a clipped box has a shape of its
-    own, and a shape shared by chance costs one recomputation.  :meth:`get`
-    reuses the shape's tile wherever the request's s and t doubles are
-    byte-equal to the tile's, and computes the rest in one
-    :func:`~hkcert.search.nu_vector` call, which works element by element,
-    so every cell is the double a full recomputation gives.
+    A tile holds nu(s_i - c_j) for the columns c = shifts ++ t: the shifts
+    a_i of a bound's terms, then its t axis, which is empty for a bound
+    constant in t.  A shape is d, the length and the width (rounded to 9
+    decimals) of s and of t, and the bytes of the shifts.  The unclipped
+    boxes of refinement round r are (d + 1)/5^r by 1/5^r wide, so they
+    share a shape although their float widths differ in the last bits; a
+    clipped box has a shape of its own, and a shape shared by chance costs
+    one recomputation.  :meth:`get` reuses the shape's tile in the rows
+    whose s doubles are byte-equal to the tile's: all of their shift
+    columns, and their t columns whose t doubles are byte-equal too.  It
+    computes the rest in one :func:`~hkcert.search.nu_vector` call, which
+    works element by element, so every cell is the double a full
+    recomputation gives.
 
     The new tile replaces its shape's tile, on a hit or a miss; a new
     shape evicts tiles, least recently used first, until it fits.  The
@@ -121,43 +124,44 @@ class _VolumeMemo:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.cells = 0
-        # shape -> (s, t, vols), least recently used first.
+        # shape -> (s, columns, vols), least recently used first.
         self._tiles: OrderedDict = OrderedDict()
 
-    def get(self, d: int, s: np.ndarray, t: np.ndarray, whole_t: bool) -> np.ndarray:
-        """nu(s[:, None] - t[None, :], d); ``whole_t`` reuses a tile only
-        if its t holds the very bytes of ``t``."""
-        if not (len(s) and len(t)):
-            return nu_vector(s[:, None] - t[None, :], d)
+    def get(self, d: int, s: np.ndarray, shifts: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """nu(s[:, None] - c[None, :], d) for the columns c = shifts ++ t."""
+        cols = np.concatenate([shifts, t])
+        if not (len(s) and len(cols)):
+            return nu_vector(s[:, None] - cols, d)
+        a = len(shifts)
         width = round(float(s[-1]) - float(s[0]), 9)
-        if whole_t:
-            key = (d, len(s), width, t.tobytes())
-        else:
-            t_width = round(float(t[-1]) - float(t[0]), 9)
-            key = (d, len(s), width, len(t), t_width)
-        tile, m, n = self._tiles.get(key), 0, 0
+        t_width = round(float(t[-1]) - float(t[0]), 9) if len(t) else None
+        key = (d, len(s), width, shifts.tobytes(), len(t), t_width)
+        tile, m = self._tiles.get(key), 0
         if tile is not None:
-            have_s, have_t, have = tile
+            have_s, have_c, have = tile
             i, j, m = _overlap(have_s, s)
-            k, l, n = (0, 0, len(t)) if whole_t else _overlap(have_t, t)
-        if not m * n:
-            vols = nu_vector(s[:, None] - t[None, :], d)
-        elif m * n == len(s) * len(t):
-            self._tiles.move_to_end(key)
-            return have
+        if not m:
+            vols = nu_vector(s[:, None] - cols, d)
         else:
-            vols = np.empty((len(s), len(t)))
-            vols[i : i + m, k : k + n] = have[j : j + m, l : l + n]
-            # The tile has the request's shape, so the reused block reaches
-            # one end of each axis, and the cells left form an L: whole rows
-            # on one side of it, and columns on one side of it in its rows.
+            k, l, n = _overlap(have_c[a:], t) if len(t) else (0, 0, 0)
+            if m == len(s) and n == len(t):
+                self._tiles.move_to_end(key)
+                return have
+            vols = np.empty((len(s), len(cols)))
+            vols[i : i + m, :a] = have[j : j + m, :a]
+            vols[i : i + m, a + k : a + k + n] = have[j : j + m, a + l : a + l + n]
+            # The tile has the request's shape, so the reused s rows reach
+            # one end of s and the reused t columns one end of t, and the
+            # cells left form an L: whole rows on one side of the reused
+            # ones, and in those rows the t columns on one side of the
+            # reused ones.
             rows = slice(0, i) if i else slice(m, len(s))
-            cols = slice(0, k) if k else slice(n, len(t))
-            side = s[rows, None] - t
-            foot = s[i : i + m, None] - t[cols]
+            fresh_t = slice(a, a + k) if k else slice(a + n, len(cols))
+            side = s[rows, None] - cols
+            foot = s[i : i + m, None] - cols[fresh_t]
             fresh = nu_vector(np.concatenate([side.ravel(), foot.ravel()]), d)
             vols[rows] = fresh[: side.size].reshape(side.shape)
-            vols[i : i + m, cols] = fresh[side.size :].reshape(foot.shape)
+            vols[i : i + m, fresh_t] = fresh[side.size :].reshape(foot.shape)
         vols.flags.writeable = False
         if vols.size > self.capacity:
             return vols
@@ -167,17 +171,20 @@ class _VolumeMemo:
             self.cells += vols.size
             while self.cells > self.capacity:
                 self.cells -= self._tiles.popitem(last=False)[1][2].size
-        s, t = s.copy(), t.copy()
-        s.flags.writeable = t.flags.writeable = False
-        self._tiles[key] = (s, t, vols)
+        s = s.copy()
+        s.flags.writeable = cols.flags.writeable = False
+        self._tiles[key] = (s, cols, vols)
         return vols
 
 
 # 170,000 floats (1.4 MB) hold the volumes of the eight boxes of the default
 # 200 x 100 grid that an optimization with seven refinement rounds scans,
-# with their 3-shift 1-D tiles: 8 x (20,000 + 600) = 164,800 cells.
+# each a tile of 3 shift columns and 100 t columns: 8 x 200 x 103 = 164,800
+# cells.
 _MEMO_CELLS = 170_000
 _VOLUMES = _VolumeMemo(_MEMO_CELLS)
+# The t axis of a bound constant in t: its tiles have shift columns only.
+_NO_T = np.empty(0)
 
 
 class _WitnessMemo:
@@ -393,33 +400,34 @@ class LinearBound:
         """Values on the grid s[:, None] x t[None, :], shape (len(s), len(t)).
 
         The slice volumes do not depend on e, so they come from the memo of
-        recent grid boxes (``_VOLUMES``): the 1-D volumes nu(s - a_i) of the
-        nonzero-weight terms as one tile whose t axis holds the shifts a_i,
-        and the 2-D nu(s - t) as another.  A covering that optimizes one e
-        after another scans the same and shifted boxes, and computes each
-        volume once per grid node.  The weights and the rest of the
-        arithmetic run on every call, in term order, so a cell is the same
-        double with or without the memo, and the returned array is always
-        new.
+        recent grid boxes (``_VOLUMES``), one tile per box: the 1-D volumes
+        nu(s - a_i) in its shift columns and, unless wt = 0, the 2-D
+        nu(s - t) in its t columns.  The shifts are those of the terms whose
+        weight w + we*e is not zero at every e, so one family asks for the
+        same columns at every e.  A covering that optimizes one e after
+        another scans the same and shifted boxes, and computes each volume
+        once per grid node.  The weights and the rest of the arithmetic run
+        on every call, in term order, skipping the weights that are zero at
+        this e, so a cell is the same double with or without the memo, and
+        the returned array is always new.
         """
         d, e = self.d, float(self.e)
         # As float64, equal bytes are equal axes.
         s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
         weights, shifts = [], []
         for w, we, a in self.terms:
+            if w or we:
+                weights.append(w + we * e)
+                shifts.append(float(a))
+        vols = _VOLUMES.get(d, s, np.array(shifts), t if self.wt else _NO_T)
+        acc = np.zeros(len(s))
+        for i, weight in enumerate(weights):
             # acc + (-w)*y is the same double as acc - w*y, and a zero
             # weight is skipped, as x - 0*y is x.
-            weight = w + we * e
             if weight:
-                weights.append(weight)
-                shifts.append(float(a))
-        acc = np.zeros(len(s))
-        if weights:
-            vols = _VOLUMES.get(d, s, np.array(shifts), whole_t=True)
-            for i, weight in enumerate(weights):
                 acc = acc + weight * vols[:, i]
         if self.wt:
-            inner = acc[:, None] - _VOLUMES.get(d, s, t, whole_t=False)
+            inner = acc[:, None] - vols[:, len(shifts) :]
         else:
             inner = np.repeat(acc[:, None], len(t), axis=1)
         inner *= e

@@ -41,6 +41,8 @@ from typing import get_args, get_origin, get_type_hints
 from .certify import Certificate, CoveragePlan, GapEntry, GapRun, ProofReport
 from .search import Candidate, GridAxis, Objective, SearchParams
 from .targets import QuadricIdentityReport
+# _canonical is to_rational's read of the strings str(Fraction) writes.
+from .volume import _canonical
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -81,18 +83,12 @@ def _enc(value):
 
 
 def _fraction(text: str) -> Fraction:
-    """The Fraction whose ``str`` is ``text``, read without the regex of
-    ``Fraction(str)``."""
-    try:
-        n, slash, d = text.partition("/")
-        value = Fraction(int(n), int(d)) if slash else Fraction(int(n))
-        # int() also takes signs, spaces and underscores, and the quotient
-        # is reduced: comparing with str(value) leaves only the written form.
-        if str(value) == text:
-            return value
-    except (AttributeError, ValueError, ZeroDivisionError):
-        pass
-    raise ValueError(f"not an exact fraction in lowest terms: {text!r}")
+    """The Fraction whose ``str`` is ``text``, read as
+    :func:`~hkcert.volume.to_rational` reads such strings."""
+    value = _canonical(text) if type(text) is str else None
+    if value is None:
+        raise ValueError(f"not an exact fraction in lowest terms: {text!r}")
+    return value
 
 
 _FRACTION_KEYS = frozenset(("exact", "float"))

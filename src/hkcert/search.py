@@ -4,9 +4,10 @@ The optimizer scans a rectangular (s, t) grid, then repeatedly shrinks a box
 around the incumbent by a fixed factor and rescans.  Each grid axis is held
 as integer numerators over one common denominator (:class:`GridAxis`); its
 floats are derived from those integers by correctly rounded division, never
-the other way around, and only the incumbent the scan keeps becomes a
-``Fraction``.  So the best point found can be certified afterwards with
-exact arithmetic at exactly the coordinates the search visited.
+the other way around.  The refinement boxes and the incumbent are integers
+too, and only the point returned becomes a ``Fraction``.  So the best point
+found can be certified afterwards with exact arithmetic at exactly the
+coordinates the search visited.
 
 Ties are broken by value (descending), then s, then t (ascending), so the
 result is deterministic.  Within one scan the rule comes from two facts:
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Protocol
 
 import numpy as np
@@ -48,10 +49,11 @@ def nu_vector(x: np.ndarray, d: int) -> np.ndarray:
     d <= 20, 1e-11 for d <= 32, 1e-8 for d <= 48 and 1e-6 for d <= 64 (the
     largest dimension the exact volumes accept).
 
-    The sum stops at its last nonzero term: once every reflected argument
-    is at most j, term j and all later ones are +0.0, and adding +0.0 to
-    ``acc`` (which starts at +0.0) changes no bit.  A NaN fails ``<=``, so
-    an input holding one runs every term, as does a wide grid box.
+    The sum stops at its last nonzero term: once the largest reflected
+    argument is at most j, term j and all later ones are +0.0, and adding
+    +0.0 to ``acc`` (which starts at +0.0) changes no bit.  The largest of
+    an input holding a NaN is NaN, which fails ``<=``, so such an input
+    runs every term, as does a wide grid box.
 
     It works element by element: each output double depends only on the
     input double at the same place, never on the other elements or on the
@@ -59,11 +61,13 @@ def nu_vector(x: np.ndarray, d: int) -> np.ndarray:
     once, bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    clamped = np.clip(x, 0.0, float(d))
+    clamped = np.minimum(np.maximum(x, 0.0), float(d))
     refl = np.minimum(clamped, d - clamped)
     acc = np.zeros_like(refl)
+    # NaN if any element is; the initial 0.0 lets an empty input stop at once.
+    top = refl.max(initial=0.0)
     for j in range(d // 2 + 1):
-        if (refl <= j).all():
+        if top <= j:
             break
         w = np.maximum(refl - j, 0.0)
         # pow(0.0, d) is several times slower than pow on nonzero inputs, and
@@ -123,6 +127,8 @@ class SearchParams:
         if lo < 0 or hi > 1:
             raise ValueError(f"t range must lie in [0, 1], got {lo}:{hi}")
         object.__setattr__(self, "t_range", (lo, hi))
+        if not isinstance(self.grid, (tuple, list)) or len(self.grid) != 2:
+            raise ValueError(f"grid must be a pair of counts (ns, nt), got {self.grid!r}")
         ns, nt = self.grid
         for name, n in (
             ("grid[0]", ns),
@@ -157,6 +163,12 @@ class Candidate:
     t_exact: Fraction
 
 
+def _over_one_denominator(lo, hi) -> tuple[int, int, int]:
+    """Exact range ends (Fractions or ints) as integers (a, b, q): a/q to b/q."""
+    q = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator), q
+
+
 class GridAxis:
     """``n`` evenly spaced exact nodes from ``lo`` to ``hi``, and their floats.
 
@@ -170,17 +182,29 @@ class GridAxis:
     by one.  No ``Fraction`` is built until :meth:`node` asks for one.  Only
     when D exceeds ``max_denominator`` is each node snapped to its closest
     fraction with a denominator of at most ``max_denominator``.  A
-    degenerate axis (lo == hi) repeats lo as given.
+    degenerate axis (lo == hi) repeats lo as given.  The optimizer passes
+    its boxes as integer ends over one denominator (:meth:`_over`), which
+    give the same first, delta and D as the Fractions of the same ends.
     """
 
     def __init__(self, lo: Fraction, hi: Fraction, n: int, max_denominator: int):
-        step = (hi - lo) / (n - 1)
-        den = lcm(lo.denominator, step.denominator)
-        first = lo.numerator * (den // lo.denominator)
-        delta = step.numerator * (den // step.denominator)
+        self._build(*_over_one_denominator(lo, hi), n, max_denominator)
+
+    @classmethod
+    def _over(cls, lo: int, hi: int, q: int, n: int, max_denominator: int) -> "GridAxis":
+        """The axis from lo/q to hi/q, for integers lo, hi and q > 0."""
+        axis = cls.__new__(cls)
+        axis._build(lo, hi, q, n, max_denominator)
+        return axis
+
+    def _build(self, lo: int, hi: int, q: int, n: int, max_denominator: int):
+        # Over q(n - 1), lo is lo(n - 1) and the step hi - lo, so D, the
+        # least denominator of both, is q(n - 1) over the gcd of all three.
+        g = gcd(q * (n - 1), lo * (n - 1), hi - lo)
+        first, delta, den = lo * (n - 1) // g, (hi - lo) // g, q * (n - 1) // g
         self._first, self._delta, self._den, self._n = first, delta, den, n
         self._snapped = None
-        if lo != hi and den > max_denominator:
+        if delta and den > max_denominator:
             self._snapped = [
                 Fraction(first + i * delta, den).limit_denominator(max_denominator)
                 for i in range(n)
@@ -195,6 +219,12 @@ class GridAxis:
     def __len__(self) -> int:
         return self._n
 
+    def _ratio(self, i: int) -> tuple[int, int]:
+        """Node ``i`` as integers (p, q), q > 0, not always in lowest terms."""
+        if self._snapped is not None:
+            return self._snapped[i].as_integer_ratio()
+        return self._first + i * self._delta, self._den
+
     def node(self, i: int) -> Fraction:
         """The exact coordinate of node ``i``."""
         if self._snapped is not None:
@@ -205,12 +235,11 @@ class GridAxis:
         return tuple(self.node(i) for i in range(len(self)))
 
 
-def _scan(
-    objective: Objective, s_axis: GridAxis, t_axis: GridAxis
-) -> tuple[float, Fraction, Fraction]:
-    vals = objective.vector(s_axis.floats, t_axis.floats)
-    i, j = divmod(int(np.argmax(vals)), vals.shape[1])
-    return float(vals[i, j]), s_axis.node(i), t_axis.node(j)
+def _box(a: int, b: int, q: int, p: int, r: int, scale: int) -> tuple[int, int, int]:
+    """The box p/r +- (b - a)/(q scale) clipped to the range a/q to b/q, as
+    integer ends over the denominator q r scale."""
+    centre, half = p * q * scale, (b - a) * r
+    return max(a * r * scale, centre - half), min(b * r * scale, centre + half), q * r * scale
 
 
 def optimize_bound(objective: Objective, params: SearchParams | None = None) -> Candidate:
@@ -219,35 +248,40 @@ def optimize_bound(objective: Objective, params: SearchParams | None = None) -> 
     Each refinement round rescans a box 1/shrink_factor the size of the
     previous one, centered at the incumbent and clipped to the original
     ranges.  Returns the best point over all rounds.
+
+    The boxes, the nodes and the incumbent are integer numerators over
+    integer denominators, compared by cross-multiplying; the one
+    ``Fraction`` per axis is built for the returned :class:`Candidate`.
     """
     params = params or SearchParams()
-    s_lo, s_hi = params.resolved_s_range(objective.dimension)
-    t_lo, t_hi = params.t_range
     ns, nt = params.grid
+    shrink, cap = params.shrink_factor, params.max_denominator
+    # The default s range, [0, d + 1], as ints: they have numerator and
+    # denominator too.
+    s_range = _over_one_denominator(*(params.s_range or (0, objective.dimension + 1)))
+    t_range = _over_one_denominator(*params.t_range)
 
-    best: tuple[float, Fraction, Fraction] | None = None
-    box = (s_lo, s_hi, t_lo, t_hi)
-    s_width, t_width = s_hi - s_lo, t_hi - t_lo
+    s_box, t_box = s_range, t_range
     for round_no in range(params.refine_rounds + 1):
-        s_axis = GridAxis(box[0], box[1], ns, params.max_denominator)
-        t_axis = GridAxis(box[2], box[3], nt, params.max_denominator)
-        value, s_best, t_best = _scan(objective, s_axis, t_axis)
-        if (
-            best is None
-            or value > best[0]
-            or (value == best[0] and (s_best, t_best) < (best[1], best[2]))
-        ):
-            best = (value, s_best, t_best)
-        s_width /= params.shrink_factor
-        t_width /= params.shrink_factor
-        box = (
-            max(s_lo, best[1] - s_width / 2),
-            min(s_hi, best[1] + s_width / 2),
-            max(t_lo, best[2] - t_width / 2),
-            min(t_hi, best[2] + t_width / 2),
-        )
+        s_axis = GridAxis._over(*s_box, ns, cap)
+        t_axis = GridAxis._over(*t_box, nt, cap)
+        vals = objective.vector(s_axis.floats, t_axis.floats)
+        i, j = divmod(int(np.argmax(vals)), vals.shape[1])
+        value = float(vals[i, j])
+        (sp, sq), (tp, tq) = s_axis._ratio(i), t_axis._ratio(j)
+        if round_no == 0 or value > best[0]:
+            best = value, sp, sq, tp, tq
+        elif value == best[0]:
+            # (s, t) < the incumbent's, in that order; denominators are > 0.
+            ds = sp * best[2] - best[1] * sq
+            if ds < 0 or (ds == 0 and tp * best[4] < best[3] * tq):
+                best = value, sp, sq, tp, tq
+        scale = 2 * shrink ** (round_no + 1)
+        s_box = _box(*s_range, best[1], best[2], scale)
+        t_box = _box(*t_range, best[3], best[4], scale)
 
-    value, s_best, t_best = best
+    value, sp, sq, tp, tq = best
+    s_best, t_best = Fraction(sp, sq), Fraction(tp, tq)
     return Candidate(
         s=float(s_best), t=float(t_best), value=value, s_exact=s_best, t_exact=t_best
     )

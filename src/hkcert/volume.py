@@ -58,16 +58,35 @@ def _fact(n: int) -> int:
     return _FACT[n] if n <= MAX_CACHED_DIMENSION else factorial(n)
 
 
+def _canonical(text: str) -> Fraction | None:
+    """The Fraction whose ``str`` is ``text`` ("n" or "n/d" in lowest terms,
+    d > 1), read without the regex of ``Fraction(str)``; None for any other
+    string."""
+    n, slash, d = text.partition("/")
+    try:
+        value = Fraction(int(n), int(d)) if slash else Fraction(int(n))
+    except (ValueError, ZeroDivisionError):
+        return None
+    # int() also takes signs, spaces and underscores, and the quotient is
+    # reduced: comparing with str(value) leaves only the written form.
+    return value if str(value) == text else None
+
+
 def to_rational(value: Fraction | int | str) -> Fraction:
     """Coerce ``value`` to an exact :class:`~fractions.Fraction`.
 
     Accepts Fractions, integers, and strings ("7/8", "2.74118"); decimal
     strings convert exactly.  Binary floats are rejected so that inexact
     values cannot slip into a certification path unnoticed -- convert them
-    deliberately, e.g. with ``Fraction(x).limit_denominator(n)``.
+    deliberately, e.g. with ``Fraction(x).limit_denominator(n)``.  A string
+    in the form ``str`` writes a Fraction in is read by :func:`_canonical`;
+    every other string goes to ``Fraction(str)``.
     """
     if type(value) is Fraction:  # immutable, so the value itself will do
         return value
+    if type(value) is str:
+        exact = _canonical(value)
+        return Fraction(value) if exact is None else exact
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(
             f"refusing to coerce {value!r} to an exact rational; "

@@ -6,9 +6,11 @@ oracle differentiates its pieces), the Fraction-sum oracle adds the
 alternating volume formula one rational term at a time, the series oracle
 divides truncated power series, and the approximation oracle enumerates
 denominators.  The grid-node and vector-volume references are the plain
-Fraction-per-node and unmasked forms of the search fast path, and the four
-bound-vector references are each bound's float formula written out by
-hand; the fast path must match all of them bit for bit.  The four
+Fraction-per-node and unmasked forms of the search fast path, the clipped
+vector volume is the masked kernel with np.clip and a per-term stop test,
+the refinement reference is the optimizer's loop on Fraction boxes, and
+the four bound-vector references are each bound's float formula written
+out by hand; the fast path must match all of them bit for bit.  The four
 bound-exact references are the same formulas in Fractions, over the
 Fraction-sum volume oracle.  They are deliberately slow and simple.
 """
@@ -168,6 +170,53 @@ def grid_nodes_oracle(lo, hi, n: int, max_denominator: int) -> list[Fraction]:
         return [lo] * n
     step = (hi - lo) / (n - 1)
     return [(lo + i * step).limit_denominator(max_denominator) for i in range(n)]
+
+
+def refinement_oracle(vector, s_range, t_range, grid, rounds, shrink, max_denominator):
+    """The optimizer's refinement loop on Fraction boxes: each round scans
+    the grid_nodes_oracle nodes of its box through ``vector`` (floats in,
+    values out), keeps the best (value, s, t) by value and then by exact
+    (s, t), and shrinks the box around it by ``shrink``, clipped to the
+    ranges.  Returns the nodes of every scan and the best point."""
+    (s_lo, s_hi), (t_lo, t_hi) = s_range, t_range
+    box, s_width, t_width = (s_lo, s_hi, t_lo, t_hi), s_hi - s_lo, t_hi - t_lo
+    scans, best = [], None
+    for _ in range(rounds + 1):
+        s_nodes = grid_nodes_oracle(box[0], box[1], grid[0], max_denominator)
+        t_nodes = grid_nodes_oracle(box[2], box[3], grid[1], max_denominator)
+        scans.append((s_nodes, t_nodes))
+        vals = vector(
+            np.array([float(v) for v in s_nodes]), np.array([float(v) for v in t_nodes])
+        )
+        i, j = divmod(int(np.argmax(vals)), vals.shape[1])
+        point = (float(vals[i, j]), s_nodes[i], t_nodes[j])
+        if best is None or point[0] > best[0] or (point[0] == best[0] and point[1:] < best[1:]):
+            best = point
+        s_width /= shrink
+        t_width /= shrink
+        box = (
+            max(s_lo, best[1] - s_width / 2),
+            min(s_hi, best[1] + s_width / 2),
+            max(t_lo, best[2] - t_width / 2),
+            min(t_hi, best[2] + t_width / 2),
+        )
+    return scans, best
+
+
+def nu_vector_clip_oracle(x, d: int) -> np.ndarray:
+    """The masked slice volume with np.clip and a per-term test that every
+    reflected argument is at most j."""
+    x = np.asarray(x, dtype=float)
+    clamped = np.clip(x, 0.0, float(d))
+    refl = np.minimum(clamped, d - clamped)
+    acc = np.zeros_like(refl)
+    for j in range(d // 2 + 1):
+        if (refl <= j).all():
+            break
+        w = np.maximum(refl - j, 0.0)
+        powers = np.power(w, d, out=np.zeros_like(w), where=w != 0.0)
+        acc += ((-1) ** j / (factorial(j) * factorial(d - j))) * powers
+    return np.where(2.0 * clamped > d, 1.0 - acc, acc)
 
 
 def nu_vector_oracle(x, d: int) -> np.ndarray:

@@ -744,21 +744,26 @@ def nu_calls(monkeypatch):
 
 
 def _tiles(memo):
-    """The memo's tiles as (key, s, t, vols) tuples."""
-    return [(key, s, t, vols) for key, (s, t, vols) in memo._tiles.items()]
+    """The memo's tiles as (key, s, shifts, t, vols) tuples; the key holds
+    the bytes of the shifts, the columns ahead of t."""
+    tiles = []
+    for key, (s, cols, vols) in memo._tiles.items():
+        n = len(key[3]) // 8
+        tiles.append((key, s, cols[:n], cols[n:], vols))
+    return tiles
 
 
 def _assert_memo_within_capacity(memo):
     tiles = _tiles(memo)
     assert memo.cells == sum(vols.size for *_, vols in tiles) <= memo.capacity
-    for _, s, t, vols in tiles:
-        assert vols.shape == (len(s), len(t))
-        assert not any(a.flags.writeable for a in (vols, s, t))
+    for _, s, shifts, t, vols in tiles:
+        assert vols.shape == (len(s), len(shifts) + len(t))
+        assert not any(a.flags.writeable for a in (vols, s, shifts, t))
 
 
 def _boxes(memo):
     """The boxes the memo holds, by their key and the bytes of both axes."""
-    return {(key, s.tobytes(), t.tobytes()) for key, s, t, _ in _tiles(memo)}
+    return {(key, s.tobytes(), t.tobytes()) for key, s, _, t, _ in _tiles(memo)}
 
 
 def _assert_bits(objective_case, s, t):
@@ -811,8 +816,8 @@ class TestVolumeMemo:
         s, t = _default_axes(10)
         for e in range(240, 250):
             _assert_bits(_general_case(10, e, e - 2, 5), s, t)
-        # One tile of nu(s), nu(s - 1) and nu(s - 1/2), one of nu(s - t).
-        assert nu_calls == [len(s) * 3, len(s) * len(t)]
+        # One tile of nu(s), nu(s - 1), nu(s - 1/2) and nu(s - t).
+        assert nu_calls == [len(s) * (3 + len(t))]
 
     def test_mutating_results_and_inputs_changes_no_later_result(self, memo):
         for objective, formula in (_h_case(7, 7), _mu_small_case(6, 3, 7)):
@@ -862,9 +867,32 @@ class TestVolumeMemo:
                     failures.append((seed, n))
                 _assert_memo_within_capacity(small)
         assert failures == []
-        # At most two tiles per call; some came from the memo and some did
-        # not.
-        assert 6 * 2 < len(nu_calls) < 6 * 60 * 2
+        # At most one nu_vector call per scan; some scans read every cell
+        # from the memo and some did not.
+        assert 6 < len(nu_calls) < 6 * 60
+
+    def test_one_lookup_and_one_nu_vector_call_per_scan(self, monkeypatch, memo, nu_calls):
+        # A proof scans the worst case and the mu-small rungs (a bound
+        # constant in t); every scan makes one memo lookup and at most one
+        # nu_vector call.
+        lookups, per_scan = [], []
+        get, vector = memo.get, LinearBound.vector
+
+        def counted_get(*args):
+            lookups.append(args[0])
+            return get(*args)
+
+        def counted_vector(self, s, t):
+            before = len(nu_calls)
+            out = vector(self, s, t)
+            per_scan.append(len(nu_calls) - before)
+            return out
+
+        monkeypatch.setattr(memo, "get", counted_get)
+        monkeypatch.setattr(LinearBound, "vector", counted_vector)
+        prove_dimension(7, 1)
+        assert len(lookups) == len(per_scan) > 100
+        assert set(per_scan) == {0, 1}
 
 
 def _lattice_axis(first: int, n: int, step: Fraction) -> np.ndarray:
@@ -891,8 +919,8 @@ class TestVolumeTiles:
         _assert_bits(case, *self.axes(20, 40))
         nu_calls.clear()
         _assert_bits(case, *self.axes(20 + ds, 40 + dt))
-        # Only the cells outside the old box are computed: |ds| new rows of
-        # the 1-D tile (three shifts), and an L of the 2-D tile.
+        # Only the cells outside the old box are computed: the three shift
+        # columns of |ds| new rows, and an L of the t columns.
         new_2d = 60 * 30 - (60 - abs(ds)) * (30 - abs(dt))
         assert sum(nu_calls) == 3 * abs(ds) + new_2d
         _assert_memo_within_capacity(memo)
@@ -953,7 +981,7 @@ class TestVolumeTiles:
         assert sum(nu_calls) >= (len(t) if axis == "s" else len(s))
         assert any(
             np.signbit(have_s[0] if axis == "s" else have_t[0])
-            for _, have_s, have_t, _ in _tiles(memo)
+            for _, have_s, _, have_t, _ in _tiles(memo)
         )
 
     def test_degenerate_t_axis(self, memo, nu_calls):
@@ -966,12 +994,21 @@ class TestVolumeTiles:
                 _assert_bits(case, s, t)
         _assert_memo_within_capacity(memo)
         # Each move by 3 nodes computes 3 new rows.  Mu-small has the shifts
-        # (0, 1); H_e and this general bound share the shifts (0, 1, 1/2)
-        # and the 2-D tile of nu(s - t) with its 2 columns.
+        # (0, 1) and no t columns; H_e and this general bound share one tile
+        # of the shifts (0, 1, 1/2) and the 2 t columns.
         mu_small = 60 * 2 + 2 * (3 * 2)
         h = 60 * (3 + 2) + 2 * (3 * (3 + 2))
         general = 2 * (3 * (3 + 2))
         assert sum(nu_calls) == mu_small + h + general
+
+    def test_a_weight_zero_at_one_e_keeps_its_column(self, memo, nu_calls):
+        # At e = 4 the weight e - 4 of nu(s - 1) in H_e is zero, and the
+        # cell skips it; its column is computed all the same, so e = 4 and
+        # e = 5 share one tile.
+        s, t = _default_axes(7)
+        for e in (4, 5, 4):
+            _assert_bits(_h_case(e, 7), s, t)
+        assert nu_calls == [200 * (3 + 100)]
 
     def test_an_optimization_at_seven_rounds_fits(self, memo, nu_calls):
         # The eight nested boxes of one optimization at --rounds 7, scanned
@@ -988,7 +1025,7 @@ class TestVolumeTiles:
             for s, t in nested:
                 _assert_bits(_h_case(e, 7), s, t)
             if e == 7:
-                # A 1-D tile of three shifts and a 2-D tile per box.
+                # One tile of three shift and 100 t columns per box.
                 assert sum(nu_calls) == 8 * (200 * 3 + 200 * 100)
                 nu_calls.clear()
         assert nu_calls == []

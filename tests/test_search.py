@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hkcert.bounds import (
     HBoundObjective,
     MuSmallObjective,
 )
+from hkcert import search
 from hkcert.search import (
     GridAxis,
     SearchParams,
@@ -20,7 +22,12 @@ from hkcert.search import (
 )
 from hkcert.volume import MAX_CACHED_DIMENSION, nu_exact
 
-from oracles import grid_nodes_oracle, nu_vector_oracle
+from oracles import (
+    grid_nodes_oracle,
+    nu_vector_clip_oracle,
+    nu_vector_oracle,
+    refinement_oracle,
+)
 
 F = Fraction
 
@@ -52,6 +59,29 @@ class TestNuVector:
         )
         for x in [xs] + [x for x, _ in _narrow_bands(d, rng)]:
             assert np.array_equal(bits(nu_vector(x, d)), bits(nu_vector_oracle(x, d)))
+
+    @pytest.mark.parametrize("d", range(1, MAX_CACHED_DIMENSION + 1))
+    def test_byte_equal_to_the_clip_kernel(self, d):
+        rng = np.random.default_rng(1000 + d)
+        tiny = np.nextafter(0.0, 1.0)
+        special = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310,
+                   2.2250738585072014e-308, d - tiny, d + tiny, d - 1e-310]
+        integers = np.arange(-3, d + 4, dtype=float)
+        uniform = rng.uniform(-2, d + 2, 300)
+        for x in (
+            np.array(special),
+            integers,
+            uniform,
+            np.concatenate([special, integers, uniform]),
+            np.append(uniform, np.nan),
+            np.array([np.nan]),
+            np.array([-0.0]),
+            np.empty(0),
+            rng.uniform(0, d, (7, 5)),
+        ):
+            got = nu_vector(x, d)
+            assert got.shape == x.shape
+            assert got.tobytes() == nu_vector_clip_oracle(x, d).tobytes()
 
     @pytest.mark.parametrize("d", range(1, MAX_CACHED_DIMENSION + 1))
     def test_stops_at_last_nonzero_term(self, d, monkeypatch):
@@ -229,6 +259,13 @@ class TestSearchParams:
             SearchParams(**counts)
 
 
+    @pytest.mark.parametrize("grid", [(200,), None, (200, 100, 5)],
+                             ids=["one-count", "none", "three-counts"])
+    def test_rejects_a_grid_that_is_not_a_pair(self, grid):
+        with pytest.raises(ValueError, match=r"^grid must be a pair"):
+            SearchParams(grid=grid)
+
+
 class _Plateau:
     """min(s, 1), constant in t: every node with s >= 1 ties at the top."""
 
@@ -338,6 +375,80 @@ class TestOptimizer:
         assert abs(float(nu_exact(cand.s_exact, 7)) * 6
                    - 6 * float(nu_exact(cand.s_exact - 1, 7))
                    - cand.value) < 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fractions(min_value=0, max_value=12, max_denominator=60),
+        st.fractions(min_value=0, max_value=12, max_denominator=60),
+        st.fractions(min_value=0, max_value=1, max_denominator=60),
+        st.fractions(min_value=0, max_value=1, max_denominator=60),
+        st.tuples(st.integers(2, 14), st.integers(2, 9)),
+        st.integers(0, 6),
+        st.integers(2, 7),
+        st.sampled_from((7, 60, 1000, 10**6)),
+        st.sampled_from(("peak", "steps")),
+        st.fractions(min_value=0, max_value=12, max_denominator=9),
+    )
+    def test_integer_boxes_match_the_fraction_loop(
+        self, s_a, s_b, t_a, t_b, grid, rounds, shrink, max_denominator, kind, peak
+    ):
+        # Random rational ranges, degenerate ones included; a small
+        # max_denominator snaps.  "steps" ties many cells, so the exact
+        # (s, t) order picks the incumbent.
+        s_range, t_range = (min(s_a, s_b), max(s_a, s_b)), (min(t_a, t_b), max(t_a, t_b))
+        p = float(peak)
+
+        def vector(s, t):
+            v = -np.abs(s[:, None] - p) - np.abs(t[None, :] - 0.3)
+            return np.floor(4 * v) if kind == "steps" else v
+
+        class Recorder:
+            dimension = 7
+
+            def __init__(self):
+                self.scans = []
+
+            def vector(self, s, t):
+                self.scans.append((s.tobytes(), t.tobytes()))
+                return vector(s, t)
+
+        params = SearchParams(s_range=s_range, t_range=t_range, grid=grid,
+                              refine_rounds=rounds, shrink_factor=shrink,
+                              max_denominator=max_denominator)
+        axes, real = [], GridAxis._over
+
+        def recording(*args):
+            axes.append(real(*args))
+            return axes[-1]
+
+        objective = Recorder()
+        with mock.patch.object(GridAxis, "_over", recording):
+            cand = optimize_bound(objective, params)
+        scans, (value, s_best, t_best) = refinement_oracle(
+            vector, s_range, t_range, grid, rounds, shrink, max_denominator
+        )
+        assert [axis.nodes() for axis in axes] == [
+            tuple(nodes) for scan in scans for nodes in scan
+        ]
+        assert objective.scans == [
+            (bits([float(v) for v in s]).tobytes(), bits([float(v) for v in t]).tobytes())
+            for s, t in scans
+        ]
+        assert (cand.value, cand.s_exact, cand.t_exact) == (value, s_best, t_best)
+        assert (cand.s, cand.t) == (float(s_best), float(t_best))
+
+    def test_builds_one_fraction_per_coordinate(self, monkeypatch):
+        # The boxes and the incumbent are integers; the two Fractions are
+        # the returned coordinates.
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(search, "Fraction", counting)
+        cand = optimize_bound(HBoundObjective(7, 7))
+        assert [Fraction(*args) for args in built] == [cand.s_exact, cand.t_exact]
 
     def test_refinement_improves_or_keeps(self):
         coarse = optimize_bound(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hkcert.search import nu_vector
 from hkcert.volume import (
     Polynomial,
+    _canonical,
     nu_density,
     nu_exact,
     to_rational,
@@ -301,6 +302,39 @@ def test_to_rational_accepts_strings_and_ints():
     assert to_rational("2.74118") == F(274118, 100000)
     assert to_rational("71/67") == F(71, 67)
     assert to_rational(5) == 5
+
+
+# Strings Fraction(str) reads that str(Fraction) never writes (decimals,
+# signs, spaces, underscores, padding, unreduced or signed denominators),
+# next to the written forms.
+READ_STRINGS = ["2.74118", "14/2", " 7/2", "7/2 ", "+3", "-0", "00", "3/06", "1_000",
+                "1e3", "-2.5e-3", ".5", "0", "-5/7", "71/67", "1", str(10**40 + 1),
+                f"-{3**50}/{2**70}"]
+# Strings both reject, with the same exception.
+BAD_STRINGS = ["7/0", "7/-2", "", "/", "1/2/3", "a", "1/ 2", "2..5", "inf", "nan"]
+
+
+@pytest.mark.parametrize("text", READ_STRINGS)
+def test_to_rational_reads_every_string_as_fraction_does(text):
+    value = to_rational(text)
+    assert type(value) is Fraction and value == Fraction(text)
+
+
+@pytest.mark.parametrize("text", BAD_STRINGS)
+def test_to_rational_rejects_what_fraction_rejects(text):
+    with pytest.raises(Exception) as want:
+        Fraction(text)
+    with pytest.raises(want.type):
+        to_rational(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(max_denominator=10**30))
+def test_written_fractions_take_the_fast_read(value):
+    text = str(value)
+    assert _canonical(text) == value and to_rational(text) == value
+    padded = text.replace("/", "/0") if "/" in text else text + "/1"
+    assert _canonical(padded) is None and to_rational(padded) == value
 
 
 def test_to_rational_rejects_floats_and_bools():
