@@ -19,7 +19,9 @@ between Hilbert-Kunz multiplicities of radical extensions:
     phi(t) >= t - t0 + e * (nu(s) - sum_i nu(s - a_i) - nu(s - t0)),
 
 for 0 <= t0 <= t <= 1 and order values a_i of the non-distinguished
-generators; phi(1) is the Hilbert-Kunz multiplicity itself.
+generators; phi(1) is the Hilbert-Kunz multiplicity itself.  At t = 1, with
+t0 read as the grid's t and a_i = 1 for the mu - 1 other generators, it is
+G at k = 0, so it has no family of its own.
 
 The worst case mu = e - 2 gives, for each k, a family in e alone
 (:func:`HBoundObjective`; k = 1 is H_e(s, t) of the dimension-7 search).
@@ -42,7 +44,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable
 
 import numpy as np
 
@@ -63,7 +64,6 @@ __all__ = [
     "HBoundObjective",
     "GeneralBoundObjective",
     "MuSmallObjective",
-    "NoRootsObjective",
 ]
 
 # A shared constant, so the constructors below build no Fractions of their own.
@@ -196,15 +196,14 @@ class _WitnessMemo:
     keyed by d, s and t as integer pairs, with no t when nu(s - t) is not
     read, and holds the shifts a_i it was computed for and those volumes as
     integer numerators over one common denominator.  Only the integers are
-    hashed, as hashing a Fraction shift costs as much as the lookup.  A
-    lookup with other shifts replaces the entry, computing only the volumes
-    it lacks; so a zero weight at e = k + 3 (:func:`HBoundObjective`)
-    costs one volume more at that witness, not four.  A miss calls
-    :func:`~hkcert.volume.nu_exact` once per volume computed; a hit calls
-    nothing and returns the integers a miss computes from the same exact
-    arguments, so no result depends on the memo.  It holds volumes only,
-    never a bound's value.  The memo takes no lock; no hkcert module starts
-    a thread (``tests/test_layers.py``).
+    hashed, as hashing a Fraction shift costs as much as the lookup.  Each
+    family asks for one shift list at every e, so every e certified at a
+    witness hits its entry; a lookup with other shifts is a miss and
+    replaces the entry.  A miss calls :func:`~hkcert.volume.nu_exact` once
+    per volume; a hit calls nothing and returns the integers a miss
+    computes from the same exact arguments, so no result depends on the
+    memo.  It holds volumes only, never a bound's value.  The memo takes no
+    lock; no hkcert module starts a thread (``tests/test_layers.py``).
     """
 
     def __init__(self, capacity: int):
@@ -220,23 +219,11 @@ class _WitnessMemo:
         else:
             key = (d, s.numerator, s.denominator, t.numerator, t.denominator)
         entry = self.entries.get(key)
-        if entry is None:
-            vols = [nu_exact(s - a if a else s, d).as_integer_ratio() for a in shifts]
-            if t is not None:
-                vols.append(nu_exact(s - t, d).as_integer_ratio())
-        elif entry[0] == shifts:
+        if entry is not None and entry[0] == shifts:
             return entry
-        else:
-            # The witness with other shifts: its volumes are reused, over
-            # its denominator, and only the shifts it lacks are computed.
-            have, den, nums = entry
-            old = dict(zip(have, nums))
-            vols = [
-                (old[a], den) if a in old else nu_exact(s - a if a else s, d).as_integer_ratio()
-                for a in shifts
-            ]
-            if t is not None:
-                vols.append((nums[-1], den))
+        vols = [nu_exact(s - a if a else s, d).as_integer_ratio() for a in shifts]
+        if t is not None:
+            vols.append(nu_exact(s - t, d).as_integer_ratio())
         den = lcm(*[m for _, m in vols])
         entry = shifts, den, tuple([n * (den // m) for n, m in vols])
         self.entries[key] = entry
@@ -261,30 +248,16 @@ class LinearInEError(ValueError):
     """The bound degenerates to a linear function of e (no parabola vertex)."""
 
 
-def _check_offsets(offsets: Iterable) -> tuple[Fraction, ...]:
-    out = tuple(to_rational(a) for a in offsets)
-    for a in out:
-        if not 0 <= a <= 1:
-            raise ValueError(f"order value {a} outside [0, 1]")
-    return out
-
-
 @dataclass(frozen=True)
 class BoundSpec:
-    """Ring parameters feeding the master bound family.
-
-    ``extra`` lists additional (multiplicity, order value) pairs subtracted
-    as m * nu(s - a) beyond the standard mu/k pattern; it is empty in every
-    table-reproduction use.
-    """
+    """Ring parameters feeding the master bound family."""
 
     dimension: int
     e: Fraction
     mu: int
     k: int = 0
-    extra: tuple[tuple[int, Fraction], ...] = field(default_factory=tuple)
 
-    def __init__(self, dimension, e, mu, k=0, extra=()):
+    def __init__(self, dimension, e, mu, k=0):
         _check_dimension(dimension)
         e = to_rational(e)
         if e <= 0:
@@ -295,19 +268,10 @@ class BoundSpec:
             raise ValueError(f"root count k must be a nonnegative integer, got {k!r}")
         if k >= 1 and mu < k + 1:
             raise ValueError(f"root count k={k} requires mu >= k+1, got mu={mu}")
-        norm = []
-        for mult, a in extra:
-            if type(mult) is not int or mult < 1:
-                raise ValueError(f"extra multiplicity must be a positive integer, got {mult!r}")
-            a = to_rational(a)
-            if not 0 <= a <= 1:
-                raise ValueError(f"extra order value {a} outside [0, 1]")
-            norm.append((mult, a))
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "extra", tuple(norm))
 
 
 @dataclass(frozen=True, init=False)
@@ -319,18 +283,19 @@ class LinearBound:
     whose generator count mu = e - 2 puts e into the weight of nu(s - 1);
     keeping it apart makes the float weight k + 3 - float(e), as in the
     written-out H_e formula, and the same double as the master family's
-    integer weight at an integer e.  ``wt`` is -1 or 0,
-    and t ranges over [0, t_hi].  Both evaluators loop over the one term
-    list and skip zero weights, so a float cell is the same double as the
-    bound's written-out formula would give.  The exact evaluator adds the
-    integer numerators of its terms, e, c0 and ct*t over one common
-    denominator and builds one Fraction, the value in lowest terms.  It
-    reads the slice volumes of its nonzero-weight terms and nu(s - t) from
-    a memo of the last few witnesses (``_WITNESSES``), as integer numerators
-    over one denominator, so the certificates of a run of e at one (s, t)
-    compute them once.  A hit returns the integers that recomputing
-    :func:`~hkcert.volume.nu_exact` from the same exact s, t, a_i and d
-    gives; it never reads a stored certificate value.  ``d``
+    integer weight at an integer e.  ``wt`` is -1 or 0, and t ranges over
+    [0, 1].  Both evaluators loop over the one term list.  The float
+    evaluator skips zero weights, so a cell is the same double as the
+    bound's written-out formula would give.  The exact evaluator keeps
+    them, as 0 * nu changes no exact value, so a family asks for one list
+    of shifts at every e.  It adds the integer numerators of its terms, e,
+    c0 and ct*t over one common denominator and builds one Fraction, the
+    value in lowest terms.  It reads the slice volumes of its terms and
+    nu(s - t) from a memo of the last few witnesses (``_WITNESSES``), as
+    integer numerators over one denominator, so the certificates of a run
+    of e at one (s, t) compute them once.  A hit returns the integers that
+    recomputing :func:`~hkcert.volume.nu_exact` from the same exact s, t,
+    a_i and d gives; it never reads a stored certificate value.  ``d``
     must be an integer from 1 to 64 in every family.  ``desc``, the
     descriptor a certificate stores, holds ``kind`` and the family
     constructor's arguments by parameter name; :func:`hkcert.certify.objective_from_descriptor`
@@ -343,16 +308,13 @@ class LinearBound:
     ct: Fraction | int
     terms: tuple[tuple[int, int, Fraction | int], ...]
     wt: int
-    t_hi: Fraction | int
     desc: dict = field(compare=False, repr=False)
 
-    def __init__(self, d, e, c0, ct, terms, wt, t_hi, desc):
+    def __init__(self, d, e, c0, ct, terms, wt, desc):
         _check_dimension(d)
-        # One dict update in place of eight frozen setattr calls: every
+        # One dict update in place of seven frozen setattr calls: every
         # certificate written or re-verified builds one of these.
-        self.__dict__.update(
-            d=d, e=e, c0=c0, ct=ct, terms=terms, wt=wt, t_hi=t_hi, desc=desc
-        )
+        self.__dict__.update(d=d, e=e, c0=c0, ct=ct, terms=terms, wt=wt, desc=desc)
 
     @property
     def dimension(self) -> int:
@@ -363,24 +325,22 @@ class LinearBound:
 
     def exact(self, s, t) -> Fraction:
         s, t = to_rational(s), to_rational(t)
-        # Signs, and t <= t_hi, read off the integers: a Fraction comparison
+        # Signs, and t <= 1, read off the integers: a Fraction comparison
         # costs as much as a Fraction operation.
         if s.numerator < 0:
             raise ValueError(f"s must be >= 0, got {s}")
-        tn, td, t_hi = t.numerator, t.denominator, self.t_hi
-        if tn < 0 or tn * t_hi.denominator > t_hi.numerator * td:
-            raise ValueError(f"t must lie in [0, {self.t_hi}], got {t}")
+        tn, td = t.numerator, t.denominator
+        if not 0 <= tn <= td:
+            raise ValueError(f"t must lie in [0, 1], got {t}")
         en, ed = self.e.numerator, self.e.denominator
         # Each Fraction operation costs about a microsecond, so the value is
         # kept as one integer pair num/den, and one Fraction is built at the
-        # end.  The weights w + we*e of the nonzero-weight terms, and wt,
-        # are numerators over ed; the volumes are numerators over D.
+        # end.  The weights w + we*e of the terms, and wt, are numerators
+        # over ed; the volumes are numerators over D.
         weights, shifts = [], []
         for w, we, a in self.terms:
-            wn = w * ed + we * en
-            if wn:
-                weights.append(wn)
-                shifts.append(a)
+            weights.append(w * ed + we * en)
+            shifts.append(a)
         if self.wt:
             weights.append(self.wt * ed)
         _, den, vols = _WITNESSES.get(self.d, s, shifts, t if self.wt else None)
@@ -437,7 +397,7 @@ class LinearBound:
 
 
 # --------------------------------------------------------------------------
-# The four bound families, as term lists.
+# The three bound families, as term lists.
 
 
 def HBoundObjective(e, d: int = 7, k: int = 1) -> LinearBound:
@@ -463,24 +423,23 @@ def HBoundObjective(e, d: int = 7, k: int = 1) -> LinearBound:
     desc = {"kind": "h", "e": str(e), "d": d}
     if k != 1:
         desc["k"] = k
-    return LinearBound(d, e, 1, _minus_half_power(k), _worst_case_terms(k), -1, 1, desc)
+    return LinearBound(d, e, 1, _minus_half_power(k), _worst_case_terms(k), -1, desc)
 
 
 def GeneralBoundObjective(spec: BoundSpec) -> LinearBound:
-    """The master family G for a full BoundSpec."""
+    """The master family G for a full BoundSpec.  The descriptor's empty
+    ``extra`` is kept, so every ``general`` descriptor reads as written."""
     k = spec.k
     terms = ((1, 0, 0), (k + 1 - spec.mu, 0, 1), (-k, 0, _HALF))
-    if spec.extra:
-        terms += tuple((-mult, 0, a) for mult, a in spec.extra)
     desc = {
         "kind": "general",
         "d": spec.dimension,
         "e": str(spec.e),
         "mu": spec.mu,
         "k": k,
-        "extra": [[m, str(a)] for m, a in spec.extra],
+        "extra": [],
     }
-    return LinearBound(spec.dimension, spec.e, 1, _minus_half_power(k), terms, -1, 1, desc)
+    return LinearBound(spec.dimension, spec.e, 1, _minus_half_power(k), terms, -1, desc)
 
 
 def MuSmallObjective(e, mu: int, d: int = 7) -> LinearBound:
@@ -488,35 +447,7 @@ def MuSmallObjective(e, mu: int, d: int = 7) -> LinearBound:
     e = BoundSpec(d, e, mu).e  # d, e and mu as the master bound checks them
     terms = ((1, 0, 0), (-mu, 0, 1))
     desc = {"kind": "mu-small", "e": str(e), "mu": mu, "d": d}
-    return LinearBound(d, e, 0, 0, terms, 0, 1, desc)
-
-
-def NoRootsObjective(e, offsets, d: int, t) -> LinearBound:
-    """phi bound with the grid's t-axis read as t0, at a fixed argument t:
-
-        exact(s, t0) = t - t0 + e (nu(s) - sum_i nu(s - a_i) - nu(s - t0))
-
-    for s >= 0 and 0 <= t0 <= t.  ``offsets`` holds the order values a_i of
-    the generators other than the distinguished one, so a ring with mu
-    generators passes mu - 1 of them.  With t = 1 this bounds the
-    Hilbert-Kunz multiplicity itself.  The argument is named ``t``, as the
-    descriptor key that stores it.
-    """
-    e, t = to_rational(e), to_rational(t)
-    if e <= 0:
-        raise ValueError(f"multiplicity e must be positive, got {e}")
-    if not 0 <= t <= 1:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    offsets = _check_offsets(offsets)
-    terms = ((1, 0, 0),) + tuple((-1, 0, a) for a in offsets)
-    desc = {
-        "kind": "noroots",
-        "e": str(e),
-        "offsets": [str(a) for a in offsets],
-        "d": d,
-        "t": str(t),
-    }
-    return LinearBound(d, e, t, -1, terms, -1, t, desc)
+    return LinearBound(d, e, 0, 0, terms, 0, desc)
 
 
 # --------------------------------------------------------------------------
@@ -558,13 +489,11 @@ def quadratic_in_e(s, t, d: int = 7, k: int = 1) -> tuple[Fraction, Fraction, Fr
         raise ValueError(f"s must be >= 0, got {s}")
     if not 0 <= t <= 1:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    # The volumes come from the witness memo, as exact reads them: above
-    # e = k + 3 exact's nonzero-weight terms are these, so the apex of a
-    # just-certified witness computes no volume.
-    terms = [term for term in worst.terms if term[0] or term[1]]
-    _, den, vols = _WITNESSES.get(d, s, [x for *_, x in terms], t)
-    a = sum(we * v for (_, we, _), v in zip(terms, vols))
-    b = sum(w * v for (w, _, _), v in zip(terms, vols)) + worst.wt * vols[-1]
+    # The volumes come from the witness memo, as exact reads them, with the
+    # same shifts, so the apex of a just-certified witness computes no volume.
+    _, den, vols = _WITNESSES.get(d, s, [x for *_, x in worst.terms], t)
+    a = sum(we * v for (_, we, _), v in zip(worst.terms, vols))
+    b = sum(w * v for (w, _, _), v in zip(worst.terms, vols)) + worst.wt * vols[-1]
     return Fraction(a, den), Fraction(b, den), worst.c0 + worst.ct * t
 
 

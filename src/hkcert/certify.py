@@ -20,7 +20,6 @@ from .bounds import (
     HBoundObjective,
     LinearInEError,
     MuSmallObjective,
-    NoRootsObjective,
     e_max,
     not_normal_bound,
 )
@@ -51,7 +50,11 @@ CITED_E_MAX = 5
 
 
 def _general(d, e, mu, k, extra) -> Objective:
-    return GeneralBoundObjective(BoundSpec(d, e, mu, k, extra))
+    # Every general descriptor holds an empty ``extra``; no bound reads any
+    # other.
+    if extra != []:
+        raise ValueError(f"a general bound takes no extra order values, got extra={extra!r}")
+    return GeneralBoundObjective(BoundSpec(d, e, mu, k))
 
 
 # The constructor of each descriptor kind; the other keys are its arguments.
@@ -59,7 +62,6 @@ _FAMILIES = {
     "h": HBoundObjective,
     "general": _general,
     "mu-small": MuSmallObjective,
-    "noroots": NoRootsObjective,
 }
 
 

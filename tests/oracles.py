@@ -9,10 +9,11 @@ denominators.  The grid-node and vector-volume references are the plain
 Fraction-per-node and unmasked forms of the search fast path, the clipped
 vector volume is the masked kernel with np.clip and a per-term stop test,
 the refinement reference is the optimizer's loop on Fraction boxes, and
-the four bound-vector references are each bound's float formula written
-out by hand; the fast path must match all of them bit for bit.  The four
+the three bound-vector references are each bound's float formula written
+out by hand; the fast path must match all of them bit for bit.  The
 bound-exact references are the same formulas in Fractions, over the
-Fraction-sum volume oracle.  They are deliberately slow and simple.
+Fraction-sum volume oracle, and the paper's phi bound, which the master
+family at k = 0 must equal.  They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -243,12 +244,10 @@ def h_vector_oracle(e, d, s, t):
     return 1.0 - t[None, :] / 2.0 + e * (base[:, None] - nu(s[:, None] - t[None, :], d))
 
 
-def general_vector_oracle(e, d, mu, k, extra, s, t):
-    """1 - t/2^k + e (nu(s) - (mu-k-1) nu(s-1) - k nu(s-1/2) - sum m nu(s-a) - nu(s-t))."""
+def general_vector_oracle(e, d, mu, k, s, t):
+    """1 - t/2^k + e (nu(s) - (mu-k-1) nu(s-1) - k nu(s-1/2) - nu(s-t))."""
     nu = nu_vector_oracle
     base = nu(s, d) - (mu - k - 1) * nu(s - 1.0, d) - k * nu(s - 0.5, d)
-    for mult, a in extra:
-        base = base - mult * nu(s - a, d)
     return 1.0 - t[None, :] / 2.0**k + e * (base[:, None] - nu(s[:, None] - t[None, :], d))
 
 
@@ -257,15 +256,6 @@ def mu_small_vector_oracle(e, mu, d, s, t):
     nu = nu_vector_oracle
     col = e * (nu(s, d) - mu * nu(s - 1.0, d))
     return np.broadcast_to(col[:, None], (len(s), len(t))).copy()
-
-
-def noroots_vector_oracle(e, offsets, d, t_arg, s, t0):
-    """t_arg - t0 + e (nu(s) - sum nu(s-a) - nu(s-t0))."""
-    nu = nu_vector_oracle
-    base = nu(s, d)
-    for a in offsets:
-        base = base - nu(s - a, d)
-    return (t_arg - t0[None, :]) + e * (base[:, None] - nu(s[:, None] - t0[None, :], d))
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +271,11 @@ def h_exact_oracle(e, d, s, t):
     return 1 - t / 2 + e * inner
 
 
-def general_exact_oracle(e, d, mu, k, extra, s, t):
-    """1 - t/2^k + e (nu(s) - (mu-k-1) nu(s-1) - k nu(s-1/2) - sum m nu(s-a) - nu(s-t))."""
+def general_exact_oracle(e, d, mu, k, s, t):
+    """1 - t/2^k + e (nu(s) - (mu-k-1) nu(s-1) - k nu(s-1/2) - nu(s-t))."""
     nu = nu_exact_oracle
     e, s, t = Fraction(e), Fraction(s), Fraction(t)
     inner = nu(s, d) - (mu - k - 1) * nu(s - 1, d) - k * nu(s - Fraction(1, 2), d)
-    for mult, a in extra:
-        inner -= mult * nu(s - Fraction(a), d)
     return 1 - t / 2**k + e * (inner - nu(s - t, d))
 
 
@@ -299,7 +287,9 @@ def mu_small_exact_oracle(e, mu, d, s):
 
 
 def noroots_exact_oracle(e, offsets, d, t_arg, s, t0):
-    """t_arg - t0 + e (nu(s) - sum nu(s-a) - nu(s-t0))."""
+    """The paper's phi bound t_arg - t0 + e (nu(s) - sum nu(s-a) - nu(s-t0)),
+    which the master family at k = 0 equals with t_arg = 1, t0 = t and
+    a = 1 for mu - 1 generators."""
     nu = nu_exact_oracle
     e, s, t0 = Fraction(e), Fraction(s), Fraction(t0)
     inner = nu(s, d)

@@ -14,7 +14,6 @@ from hkcert.bounds import (
     GeneralBoundObjective,
     HBoundObjective,
     MuSmallObjective,
-    NoRootsObjective,
     e_max,
     h_bound,
     quadratic_in_e,
@@ -31,7 +30,7 @@ from hkcert.targets import (
 )
 from hkcert.volume import _fact, nu_exact
 
-from oracles import sec_tan_series_oracle, volume_oracle
+from oracles import noroots_exact_oracle, sec_tan_series_oracle, volume_oracle
 
 F = Fraction
 DIM7_TARGET = F(71, 67)
@@ -230,7 +229,7 @@ def test_criterion_10_property_suites():
             value = GeneralBoundObjective(spec).exact(s, t)
             assert value == 1 + (s_bound(spec, s, t) - 1) / 2**k
 
-        # k = 0 reduction to the root-free form.
+        # k = 0 reduction to the root-free form, the paper's phi bound.
         for _ in range(30):
             d = rng.randint(1, 9)
             mu = rng.randint(1, 8)
@@ -238,7 +237,7 @@ def test_criterion_10_property_suites():
             spec = BoundSpec(d, e, mu, 0)
             s = F(rng.randint(0, 10 * d), 10)
             t = F(rng.randint(0, 100), 100)
-            expected = NoRootsObjective(e, (1,) * (mu - 1), d, 1).exact(s, t)
+            expected = noroots_exact_oracle(e, (1,) * (mu - 1), d, 1, s, t)
             assert GeneralBoundObjective(spec).exact(s, t) == expected
 
         # Monotone in the generator count.

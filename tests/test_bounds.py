@@ -14,7 +14,6 @@ from hkcert.bounds import (
     LinearBound,
     LinearInEError,
     MuSmallObjective,
-    NoRootsObjective,
     e_max,
     h_bound,
     not_normal_bound,
@@ -35,7 +34,6 @@ from oracles import (
     mu_small_exact_oracle,
     mu_small_vector_oracle,
     noroots_exact_oracle,
-    noroots_vector_oracle,
     nu_exact_oracle,
 )
 
@@ -54,64 +52,17 @@ class TestBoundSpec:
         with pytest.raises(ValueError):
             BoundSpec(7, 0, 3)
 
-    def test_rejects_offsets_outside_unit(self):
-        with pytest.raises(ValueError):
-            BoundSpec(7, 6, 4, 1, extra=((1, F(3, 2)),))
-
     @pytest.mark.parametrize(
         "args,message",
         [((7, 7, True), "generator count mu"),
          ((7, 7, 5.0), "generator count mu"),
          ((7, 7, 5, True), "root count k"),
-         ((7, 7, 5, 1.0), "root count k"),
-         ((7, 7, 5, 1, ((True, F(1, 3)),)), "extra multiplicity"),
-         ((7, 7, 5, 1, ((2.0, F(1, 3)),)), "extra multiplicity")],
+         ((7, 7, 5, 1.0), "root count k")],
     )
     def test_rejects_counts_that_are_not_plain_integers(self, args, message):
         # True is an int equal to 1, so it would build a count-1 bound.
         with pytest.raises(ValueError, match=message):
             BoundSpec(*args)
-
-
-class TestNoRoots:
-    def test_single_generator_value(self):
-        # 6 (nu(4) - nu(3)) in dimension 7, an exact rational.
-        v = NoRootsObjective(6, (), 7, 1).exact(4, 1)
-        assert v == 6 * (nu_exact(4, 7) - nu_exact(3, 7)) == F(302, 105)
-        assert abs(float(v) - 2.87619) < 1e-4
-
-    def test_dimension_one_unit(self):
-        assert NoRootsObjective(1, (), 1, 1).exact(1, 1) == 1
-
-    def test_two_generators_value(self):
-        v = NoRootsObjective(6, (1,), 7, 1).exact(F("3.56745"), 1)
-        assert abs(float(v) - 1.84215) < 1e-4
-
-    def test_slack_term(self):
-        # t enters only through t - t0.
-        base = NoRootsObjective(6, (1,), 7, F(1, 2)).exact(3, F(1, 2))
-        lifted = NoRootsObjective(6, (1,), 7, 1).exact(3, F(1, 2))
-        assert lifted == base + F(1, 2)
-
-    def test_rejects_offset_outside_unit(self):
-        with pytest.raises(ValueError):
-            NoRootsObjective(6, (F(5, 4),), 7, 1)
-
-    @pytest.mark.parametrize(
-        "t,point,message",
-        [(F(1, 2), (F(-1), F(1, 2)), "s must be >= 0"),
-         (F(3, 2), None, r"t must lie in \[0, 1\]"),
-         (F(1, 2), (F(2), F(3, 4)), r"t must lie in \[0, 1/2\]")],
-        ids=["s-negative", "t-above-1", "t0-above-t"],
-    )
-    def test_rejects_points_outside_the_domain(self, t, point, message):
-        with pytest.raises(ValueError, match=message):
-            NoRootsObjective(6, (1,), 7, t).exact(*(point or (2, 0)))
-
-    @pytest.mark.parametrize("e", [-1, 0, F(-1, 2)])
-    def test_rejects_nonpositive_e(self, e):
-        with pytest.raises(ValueError, match=f"multiplicity e must be positive, got {e}"):
-            NoRootsObjective(e, (), 7, 1)
 
 
 class TestGeneralBound:
@@ -127,11 +78,24 @@ class TestGeneralBound:
         assert abs(float(v) - 1.03545) < 1e-4
         assert v > DIM8_TARGET
 
+    def test_single_generator_value(self):
+        # mu = 1, k = 0 at t = 1: 6 (nu(4) - nu(3)) in dimension 7.
+        v = GeneralBoundObjective(BoundSpec(7, 6, 1, 0)).exact(4, 1)
+        assert v == 6 * (nu_exact(4, 7) - nu_exact(3, 7)) == F(302, 105)
+        assert abs(float(v) - 2.87619) < 1e-4
+
+    def test_dimension_one_unit(self):
+        assert GeneralBoundObjective(BoundSpec(1, 1, 1, 0)).exact(1, 1) == 1
+
+    def test_two_generators_value(self):
+        v = GeneralBoundObjective(BoundSpec(7, 6, 2, 0)).exact(F("3.56745"), 1)
+        assert abs(float(v) - 1.84215) < 1e-4
+
     def test_origin_is_one(self):
         for spec in (BoundSpec(7, 6, 4, 1), BoundSpec(5, 3, 2), BoundSpec(8, 21, 19, 4)):
             assert GeneralBoundObjective(spec).exact(0, 0) == 1
 
-    def test_k0_matches_noroots(self):
+    def test_k0_matches_the_phi_bound(self):
         rng = random.Random(2)
         for _ in range(40):
             d = rng.randint(1, 8)
@@ -140,15 +104,8 @@ class TestGeneralBound:
             s = F(rng.randint(0, 10 * d), 10)
             t = F(rng.randint(0, 10), 10)
             spec = BoundSpec(d, e, mu, 0)
-            expected = NoRootsObjective(e, (1,) * (mu - 1), d, 1).exact(s, t)
+            expected = noroots_exact_oracle(e, (1,) * (mu - 1), d, 1, s, t)
             assert GeneralBoundObjective(spec).exact(s, t) == expected
-
-    def test_extra_order_values_subtract(self):
-        plain = GeneralBoundObjective(BoundSpec(7, 6, 4, 1))
-        extra = GeneralBoundObjective(BoundSpec(7, 6, 4, 1, extra=((2, F(1, 3)),)))
-        s, t = F(3), F(1, 2)
-        diff = plain.exact(s, t) - extra.exact(s, t)
-        assert diff == 6 * 2 * nu_exact(s - F(1, 3), 7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,11 +326,10 @@ def _default_axes(d):
     return s, t
 
 
-def _general_case(d, e, mu, k, extra=()):
-    spec = BoundSpec(d, e, mu, k, extra)
-    floats = tuple((m, float(a)) for m, a in spec.extra)
+def _general_case(d, e, mu, k):
+    spec = BoundSpec(d, e, mu, k)
     return GeneralBoundObjective(spec), lambda s, t: general_vector_oracle(
-        float(spec.e), d, float(mu), k, floats, s, t
+        float(spec.e), d, float(mu), k, s, t
     )
 
 
@@ -387,13 +343,6 @@ def _mu_small_case(e, mu, d):
     )
 
 
-def _noroots_case(e, offsets, d, t_arg):
-    floats = tuple(float(F(a)) for a in offsets)
-    return NoRootsObjective(e, offsets, d, t_arg), lambda s, t: noroots_vector_oracle(
-        float(F(e)), floats, d, float(F(t_arg)), s, t
-    )
-
-
 VECTOR_CASES = {
     "h-e6": _h_case(6, 7),
     "h-e13/3": _h_case(F(13, 3), 7),
@@ -402,61 +351,54 @@ VECTOR_CASES = {
     "h-d10": _h_case(7, 10),
     "general-dim8": _general_case(8, 21, 19, 4),
     "general-k0": _general_case(7, 6, 3, 0),
-    "general-extra": _general_case(8, 21, 19, 4, ((2, F(1, 3)),)),
     "general-zero-weight": _general_case(8, 8, 6, 5),
     "general-e13/3": _general_case(8, F(13, 3), 5, 1),
     "general-e13/2": _general_case(7, F(13, 2), 4, 2),
+    "general-k0-e13/3": _general_case(7, F(13, 3), 1, 0),
+    "general-k0-e13/2": _general_case(9, F(13, 2), 3, 0),
     "mu-small": _mu_small_case(6, 3, 7),
     "mu-small-e13/3": _mu_small_case(F(13, 3), 1, 7),
     "mu-small-e13/2": _mu_small_case(F(13, 2), 2, 8),
-    "noroots": _noroots_case(6, (1, F(1, 2)), 7, F(3, 4)),
-    "noroots-e13/3": _noroots_case(F(13, 3), (), 7, 1),
-    "noroots-e13/2": _noroots_case(F(13, 2), (0, F(1, 3)), 9, F(1, 2)),
 }
 
 
 def _exact_cases(d):
     """Each family at an integer and a rational e, with its written-out
-    Fraction formula."""
-    third, quarter = ((2, F(1, 3)),), ((1, F(3, 4)),)
+    Fraction formula; the master family at k = 0 is also the phi bound."""
     return [
         (HBoundObjective(7, d), lambda s, t: h_exact_oracle(7, d, s, t)),
         (HBoundObjective(F(13, 3), d), lambda s, t: h_exact_oracle(F(13, 3), d, s, t)),
         (
-            GeneralBoundObjective(BoundSpec(d, 21, 19, 4, third)),
-            lambda s, t: general_exact_oracle(21, d, 19, 4, third, s, t),
+            GeneralBoundObjective(BoundSpec(d, 21, 19, 4)),
+            lambda s, t: general_exact_oracle(21, d, 19, 4, s, t),
         ),
         (
-            GeneralBoundObjective(BoundSpec(d, F(13, 3), 5, 2, quarter)),
-            lambda s, t: general_exact_oracle(F(13, 3), d, 5, 2, quarter, s, t),
+            GeneralBoundObjective(BoundSpec(d, F(13, 3), 5, 2)),
+            lambda s, t: general_exact_oracle(F(13, 3), d, 5, 2, s, t),
+        ),
+        (
+            GeneralBoundObjective(BoundSpec(d, F(13, 3), 3, 0)),
+            lambda s, t: noroots_exact_oracle(F(13, 3), (1, 1), d, 1, s, t),
         ),
         (MuSmallObjective(6, 3, d), lambda s, t: mu_small_exact_oracle(6, 3, d, s)),
         (
             MuSmallObjective(F(13, 3), 1, d),
             lambda s, t: mu_small_exact_oracle(F(13, 3), 1, d, s),
         ),
-        (
-            NoRootsObjective(6, (1, F(1, 2)), d, F(3, 4)),
-            lambda s, t: noroots_exact_oracle(6, (1, F(1, 2)), d, F(3, 4), s, t),
-        ),
-        (
-            NoRootsObjective(F(13, 3), (0, F(1, 3)), d, 1),
-            lambda s, t: noroots_exact_oracle(F(13, 3), (0, F(1, 3)), d, 1, s, t),
-        ),
     ]
 
 
-def _exact_points(d, t_hi, rng):
+def _exact_points(d, rng):
     """(s, t) pairs: s at two integers, two half-integers and two random
-    points with denominators up to 10^6 in [0, d + 1], and t at 0, t_hi and
-    a random point of [0, t_hi]."""
+    points with denominators up to 10^6 in [0, d + 1], and t at 0, 1 and
+    a random point of [0, 1]."""
     s_points = [F(rng.randint(0, d + 1)) for _ in range(2)]
     s_points += [F(2 * rng.randint(0, d) + 1, 2) for _ in range(2)]
     for _ in range(2):
         q = rng.randint(1, 10**6)
         s_points.append(F(rng.randint(0, (d + 1) * q), q))
     q = rng.randint(1, 10**6)
-    t_points = [F(0), F(t_hi), F(t_hi) * F(rng.randint(0, q), q)]
+    t_points = [F(0), F(1), F(rng.randint(0, q), q)]
     return [(s, t) for s in s_points for t in t_points]
 
 
@@ -465,7 +407,7 @@ class TestLinearBound:
     def test_exact_matches_hand_formula(self, d):
         rng = random.Random(7919 * d)
         for objective, formula in _exact_cases(d):
-            for s, t in _exact_points(d, objective.t_hi, rng):
+            for s, t in _exact_points(d, rng):
                 got, want = objective.exact(s, t), formula(s, t)
                 assert type(got) is F
                 assert got == want, (objective.descriptor(), s, t)
@@ -476,11 +418,23 @@ class TestLinearBound:
             lambda: HBoundObjective(7, d),
             lambda: GeneralBoundObjective(BoundSpec(d, 7, 5, 1)),
             lambda: MuSmallObjective(7, 3, d),
-            lambda: NoRootsObjective(7, (1,), d, F(1, 2)),
         ]
         for build in builders:
             with pytest.raises(ValueError, match="dimension must be a positive integer"):
                 build()
+
+    @pytest.mark.parametrize(
+        "point,message",
+        [((F(-1), F(1, 2)), "s must be >= 0"),
+         ((F(2), F(-1, 3)), r"t must lie in \[0, 1\]"),
+         ((F(2), F(3, 2)), r"t must lie in \[0, 1\]"),
+         ((F(2), F(10**6 + 1, 10**6)), r"t must lie in \[0, 1\]")],
+        ids=["s-negative", "t-negative", "t-above-1", "t-just-above-1"],
+    )
+    def test_exact_rejects_points_outside_the_domain(self, point, message):
+        for objective, _ in VECTOR_CASES.values():
+            with pytest.raises(ValueError, match=message):
+                objective.exact(*point)
 
     @pytest.mark.parametrize("case", VECTOR_CASES.values(), ids=VECTOR_CASES.keys())
     def test_vector_matches_hand_formula_bit_for_bit(self, case):
@@ -498,16 +452,11 @@ class TestLinearBound:
         assert HBoundObjective(F(13, 2), 7).descriptor() == {
             "kind": "h", "e": "13/2", "d": 7,
         }
-        spec = BoundSpec(8, 21, 19, 4, extra=((2, F(1, 3)),))
-        assert GeneralBoundObjective(spec).descriptor() == {
-            "kind": "general", "d": 8, "e": "21", "mu": 19, "k": 4,
-            "extra": [[2, "1/3"]],
+        assert GeneralBoundObjective(BoundSpec(8, 21, 19, 4)).descriptor() == {
+            "kind": "general", "d": 8, "e": "21", "mu": 19, "k": 4, "extra": [],
         }
         assert MuSmallObjective(6, 3, 7).descriptor() == {
             "kind": "mu-small", "e": "6", "mu": 3, "d": 7,
-        }
-        assert NoRootsObjective(6, (1, F(1, 2)), 7, F(3, 4)).descriptor() == {
-            "kind": "noroots", "e": "6", "offsets": ["1", "1/2"], "d": 7, "t": "3/4",
         }
 
     @settings(max_examples=80, deadline=None)
@@ -541,8 +490,8 @@ class TestLinearBound:
         with pytest.raises(ValueError, match=message):
             HBoundObjective(e, 8, k)
 
-    def test_zero_weight_skipped_exactly(self):
-        # mu - k - 1 = 0: the nu(s - 1) term drops out of both evaluators.
+    def test_zero_weight_adds_nothing_exactly(self):
+        # mu - k - 1 = 0: the nu(s - 1) term adds nothing to either evaluator.
         objective = GeneralBoundObjective(BoundSpec(8, 8, 6, 5))
         s, t = F(5, 2), F(1, 3)
         inner = (
@@ -593,9 +542,6 @@ def _quadratic_oracle(s, t, d, k):
     )
 
 
-# Shift lists the phi bound takes: equal values in other orders, a repeated
-# shift, and shifts the master family also uses (1 and 1/2).
-_OFFSETS = [(), (1,), (F(1, 2),), (F(1, 3), 1), (1, F(1, 3)), (F(1, 2), F(1, 2))]
 _E_ABOVE = [0, 1, F(1, 2), F(7, 3), 40]
 
 
@@ -606,22 +552,16 @@ def _family(kind, d, p):
     if kind == "h":  # e = k + 3 puts a zero weight on nu(s - 1)
         e = k + 3 + e_above
         return HBoundObjective(e, d, k), lambda s, t: general_exact_oracle(
-            e, d, e - 2, k, (), s, t
+            e, d, e - 2, k, s, t
         )
-    if kind == "general":
+    if kind == "general":  # mu = k + 1 puts a zero weight on nu(s - 1)
         e, mu = 5 + e_above, k + 1 + p % 2
-        extra = ((2, F(1, 3)),) if p % 4 == 3 else ()
-        return GeneralBoundObjective(BoundSpec(d, e, mu, k, extra)), (
-            lambda s, t: general_exact_oracle(e, d, mu, k, extra, s, t)
+        return GeneralBoundObjective(BoundSpec(d, e, mu, k)), (
+            lambda s, t: general_exact_oracle(e, d, mu, k, s, t)
         )
-    if kind == "mu-small":  # reads no t
-        e, mu = 2 + e_above, 1 + p % 3
-        return MuSmallObjective(e, mu, d), lambda s, t: mu_small_exact_oracle(e, mu, d, s)
-    offsets = _OFFSETS[p % len(_OFFSETS)]
-    e = 1 + e_above
-    return NoRootsObjective(e, offsets, d, 1), lambda s, t: noroots_exact_oracle(
-        e, offsets, d, 1, s, t
-    )
+    # mu-small reads no t
+    e, mu = 2 + e_above, 1 + p % 3
+    return MuSmallObjective(e, mu, d), lambda s, t: mu_small_exact_oracle(e, mu, d, s)
 
 
 _DENOMINATORS = st.sampled_from([1, 2, 3, 8, 999_983])
@@ -644,7 +584,7 @@ class TestWitnessMemo:
         t_pool=st.lists(_rationals(1), min_size=1, max_size=3),
         calls=st.lists(
             st.tuples(
-                st.sampled_from(["h", "general", "mu-small", "noroots", "quadratic"]),
+                st.sampled_from(["h", "general", "mu-small", "quadratic"]),
                 st.sampled_from([3, 7]),
                 st.integers(0, 4),
                 st.integers(0, 2),
@@ -689,17 +629,31 @@ class TestWitnessMemo:
         a, b, _ = _quadratic_oracle(s, t, 7, 1)
         assert vertex == -b / (2 * a)
 
-    def test_a_zero_weight_costs_one_volume_more(self, witness_memo, nu_exact_calls):
-        # At e = k + 3 the nu(s - 1) weight is 0, so that volume is not
-        # computed; the next e at the witness computes it alone.
-        s, t = F(9, 2), F(1, 3)
-        HBoundObjective(5, 8, 2).exact(s, t)
-        assert [x for x, _ in nu_exact_calls] == [s, s - F(1, 2), s - t]
-        assert HBoundObjective(6, 8, 2).exact(s, t) == general_exact_oracle(6, 8, 4, 2, (), s, t)
-        assert [x for x, _ in nu_exact_calls[3:]] == [s - 1]
-        quadratic_in_e(s, t, 8, 2)
-        assert HBoundObjective(5, 8, 2).exact(s, t) == general_exact_oracle(5, 8, 3, 2, (), s, t)
+    def test_zero_weights_share_the_witness_volumes(self, witness_memo, nu_exact_calls):
+        # exact keeps zero weights, so the worst case at e = k + 3 and
+        # above, its parabola and the master family at mu = k + 1 (a zero
+        # weight on nu(s - 1)) read one shift list at the witness.
+        s, t, d, k = F(9, 2), F(1, 3), 8, 2
+        HBoundObjective(k + 3, d, k).exact(s, t)
+        assert [x for x, _ in nu_exact_calls] == [s, s - 1, s - F(1, 2), s - t]
+        assert HBoundObjective(k + 4, d, k).exact(s, t) == general_exact_oracle(
+            k + 4, d, k + 2, k, s, t
+        )
+        assert quadratic_in_e(s, t, d, k) == _quadratic_oracle(s, t, d, k)
+        general = GeneralBoundObjective(BoundSpec(d, 7, k + 1, k))
+        assert general.exact(s, t) == general_exact_oracle(7, d, k + 1, k, s, t)
         assert len(nu_exact_calls) == 4
+
+    def test_other_shifts_at_a_witness_read_their_own_volumes(self, witness_memo):
+        # A hand-built term list whose shifts differ from the worst case's
+        # in one value only: the memo must not hand it nu(s - 1).
+        s, t, d = F(9, 2), F(1, 3), 8
+        worst = HBoundObjective(6, d, 2)
+        terms = ((1, 0, 0), (-2, 0, F(1, 3)), (-2, 0, F(1, 2)))
+        other = LinearBound(d, F(6), 1, F(-1, 4), terms, -1, {})
+        want = worst.exact(s, t)
+        assert other.exact(s, t) == _cold_exact(other, s, t)
+        assert worst.exact(s, t) == want == _cold_exact(worst, s, t)
 
     def test_oldest_witness_is_evicted_first(self, witness_memo, nu_exact_calls):
         capacity = witness_memo.capacity
@@ -796,9 +750,9 @@ class TestVolumeMemo:
                 (_h_case(e, 7), narrow),
                 (_general_case(8, e + 10, e + 8, 4), _default_axes(8)),
                 (_mu_small_case(e, 3, 7), _default_axes(7)),
-                (_noroots_case(e, (1, F(1, 2)), 8, F(3, 4)), small),
+                (_general_case(8, e, 3, 0), small),
                 (_general_case(10, e + 240, e + 238, 5), _default_axes(10)),
-                (_general_case(8, e, 4, 1, ((2, F(1, 3)),)), narrow),
+                (_general_case(8, e, 4, 1), narrow),
                 (_h_case(e, 9), _default_axes(9)),
                 (_h_case(e, 11), _default_axes(11)),
                 (_general_case(12, e + 10, e + 8, 3), _default_axes(12)),

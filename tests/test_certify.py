@@ -1,5 +1,4 @@
 import inspect
-import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -11,7 +10,6 @@ from hkcert.bounds import (
     GeneralBoundObjective,
     HBoundObjective,
     MuSmallObjective,
-    NoRootsObjective,
     h_bound,
 )
 from hkcert.cli import TABLE2_RANGE
@@ -53,10 +51,23 @@ def assert_maximal(gaps):
 SCHEMA1_CERTIFICATES = [
     '{"command": "certify", "params": {}, "payload": {"objective": {"d": 7, "e": "7", "kind": "h"}, "payload_kind": "certificate", "s": {"exact": "137059/50000", "float": 2.74118}, "t": {"exact": "779643/1000000", "float": 0.779643}, "target": {"exact": "71/67", "float": 1.0597014925373134}, "value": {"exact": "381800066261026924586216888900712127991204899/360000000000000000000000000000000000000000000", "float": 1.0605557396139638}, "verdict": true}, "schema_version": "1", "timestamp": null, "verdict": null}',
     '{"command": "certify", "params": {}, "payload": {"objective": {"d": 7, "e": "13/2", "kind": "h"}, "payload_kind": "certificate", "s": {"exact": "5/2", "float": 2.5}, "t": {"exact": "3/4", "float": 0.75}, "target": {"exact": "71/67", "float": 1.0597014925373134}, "value": {"exact": "81216047/82575360", "float": 0.9835385156056238}, "verdict": false}, "schema_version": "1", "timestamp": null, "verdict": null}',
-    '{"command": "certify", "params": {}, "payload": {"objective": {"d": 8, "e": "21", "extra": [[2, "1/3"]], "k": 4, "kind": "general", "mu": 19}, "payload_kind": "certificate", "s": {"exact": "8/3", "float": 2.6666666666666665}, "t": {"exact": "2/3", "float": 0.6666666666666666}, "target": {"exact": "71/67", "float": 1.0597014925373134}, "value": {"exact": "-245878837/806215680", "float": -0.304978981554911}, "verdict": false}, "schema_version": "1", "timestamp": null, "verdict": null}',
+    '{"command": "certify", "params": {}, "payload": {"objective": {"d": 8, "e": "21", "extra": [], "k": 4, "kind": "general", "mu": 19}, "payload_kind": "certificate", "s": {"exact": "8/3", "float": 2.6666666666666665}, "t": {"exact": "2/3", "float": 0.6666666666666666}, "target": {"exact": "71/67", "float": 1.0597014925373134}, "value": {"exact": "424910411/806215680", "float": 0.5270430996827052}, "verdict": false}, "schema_version": "1", "timestamp": null, "verdict": null}',
     '{"command": "certify", "params": {}, "payload": {"objective": {"d": 7, "e": "6", "kind": "mu-small", "mu": 3}, "payload_kind": "certificate", "s": {"exact": "9/4", "float": 2.25}, "t": {"exact": "1", "float": 1.0}, "target": {"exact": "71/67", "float": 1.0597014925373134}, "value": {"exact": "4001761/13762560", "float": 0.2907715570359003}, "verdict": false}, "schema_version": "1", "timestamp": null, "verdict": null}',
-    '{"command": "certify", "params": {}, "payload": {"objective": {"d": 7, "e": "6", "kind": "noroots", "offsets": ["1", "1/2"], "t": "3/4"}, "payload_kind": "certificate", "s": {"exact": "5/2", "float": 2.5}, "t": {"exact": "1/2", "float": 0.5}, "target": {"exact": "71/67", "float": 1.0597014925373134}, "value": {"exact": "56561/107520", "float": 0.5260509672619048}, "verdict": false}, "schema_version": "1", "timestamp": null, "verdict": null}',
 ]
+
+# Certificates of the kinds the reader no longer builds, written (schema "1")
+# by the library API of that code: the phi bound, and a general bound with
+# an extra order value.
+REMOVED_KIND_CERTIFICATES = {
+    "noroots": (
+        '{"command": "certify", "params": {}, "payload": {"objective": {"d": 7, "e": "6", "kind": "noroots", "offsets": ["1", "1/2"], "t": "3/4"}, "payload_kind": "certificate", "s": {"exact": "5/2", "float": 2.5}, "t": {"exact": "1/2", "float": 0.5}, "target": {"exact": "71/67", "float": 1.0597014925373134}, "value": {"exact": "56561/107520", "float": 0.5260509672619048}, "verdict": false}, "schema_version": "1", "timestamp": null, "verdict": null}',
+        "'noroots'",
+    ),
+    "general-extra": (
+        '{"command": "certify", "params": {}, "payload": {"objective": {"d": 8, "e": "21", "extra": [[2, "1/3"]], "k": 4, "kind": "general", "mu": 19}, "payload_kind": "certificate", "s": {"exact": "8/3", "float": 2.6666666666666665}, "t": {"exact": "2/3", "float": 0.6666666666666666}, "target": {"exact": "71/67", "float": 1.0597014925373134}, "value": {"exact": "-245878837/806215680", "float": -0.304978981554911}, "verdict": false}, "schema_version": "1", "timestamp": null, "verdict": null}',
+        "extra",
+    ),
+}
 
 
 # The report of `cover --dim 8 --k 4 --e-lo 21 --e-hi 41 --target 8341/8064
@@ -88,10 +99,10 @@ GENERAL_WORST_CASE_COVER = (
 # One objective of each descriptor kind.
 ONE_OF_EACH_FAMILY = [
     HBoundObjective(F(13, 2), 7),
-    GeneralBoundObjective(BoundSpec(8, 21, 19, 4, extra=((2, F(1, 3)),))),
+    GeneralBoundObjective(BoundSpec(8, 21, 19, 4)),
     MuSmallObjective(6, 3, 7),
-    NoRootsObjective(6, (F(1), F(1, 2)), 7, F(3, 4)),
     HBoundObjective(21, 8, 4),
+    GeneralBoundObjective(BoundSpec(7, 6, 3, 0)),
 ]
 
 
@@ -113,16 +124,19 @@ def tampered_descriptors(desc):
         if key in desc:
             out += [(f"float-{key}", {**desc, key: float(desc[key])}),
                     (f"bool-{key}", {**desc, key: True})]
-    if desc.get("extra"):
-        extra = [[float(m), a] for m, a in desc["extra"]]
-        out.append(("float-extra-multiplicity", {**desc, "extra": extra}))
     return out
 
 
+# Every certificate written before LinearBound: the schema-1 certificates,
+# and the general lo certificate of the k = 4 covering.
+OLD_CERTIFICATES = [loads(text).payload for text in SCHEMA1_CERTIFICATES] + [
+    loads(GENERAL_WORST_CASE_COVER).payload.intervals[0].lo_cert
+]
+
 TAMPERED = [
-    pytest.param(text, desc, id=f"cert{i}-{label}")
-    for i, text in enumerate(SCHEMA1_CERTIFICATES)
-    for label, desc in tampered_descriptors(json.loads(text)["payload"]["objective"])
+    pytest.param(cert, desc, id=f"cert{i}-{label}")
+    for i, cert in enumerate(OLD_CERTIFICATES)
+    for label, desc in tampered_descriptors(cert.objective)
 ]
 
 
@@ -169,9 +183,8 @@ class TestCertificates:
         s, t = F(5, 2), F(1, 2)
         assert rebuilt.exact(s, t) == objective.exact(s, t)
 
-    @pytest.mark.parametrize("text", SCHEMA1_CERTIFICATES)
-    def test_reverifies_certificates_written_before_linear_bound(self, text):
-        cert = loads(text).payload
+    @pytest.mark.parametrize("cert", OLD_CERTIFICATES)
+    def test_reverifies_certificates_written_before_linear_bound(self, cert):
         assert reverify_certificate(cert)
         objective = objective_from_descriptor(cert.objective)
         assert objective.exact(cert.s, cert.t) == cert.value
@@ -179,18 +192,17 @@ class TestCertificates:
         assert certify_point(objective, cert.s, cert.t, cert.target) == cert
 
     @pytest.mark.parametrize("d", ["0", -3, 7.9, 7.5, True])
-    @pytest.mark.parametrize("text", SCHEMA1_CERTIFICATES)
-    def test_reverify_rejects_a_tampered_dimension(self, text, d):
-        cert = loads(text).payload
+    @pytest.mark.parametrize("cert", OLD_CERTIFICATES)
+    def test_reverify_rejects_a_tampered_dimension(self, cert, d):
         tampered = replace(cert, objective={**cert.objective, "d": d})
         with pytest.raises(ValueError, match="dimension must be a positive integer"):
             reverify_certificate(tampered)
 
-    @pytest.mark.parametrize("text,desc", TAMPERED)
-    def test_reverify_rejects_a_tampered_descriptor(self, text, desc):
+    @pytest.mark.parametrize("cert,desc", TAMPERED)
+    def test_reverify_rejects_a_tampered_descriptor(self, cert, desc):
         # The stored value is the untampered objective's, so a reader that
         # coerced the field back would re-verify the certificate.
-        cert = replace(loads(text).payload, objective=desc)
+        cert = replace(cert, objective=desc)
         try:
             assert not reverify_certificate(cert)
         except (TypeError, ValueError):
@@ -198,8 +210,7 @@ class TestCertificates:
 
     def test_every_family_has_a_descriptor_to_test(self):
         assert {o.descriptor()["kind"] for o in ONE_OF_EACH_FAMILY} == _FAMILIES.keys()
-        assert {json.loads(t)["payload"]["objective"]["kind"]
-                for t in SCHEMA1_CERTIFICATES} == _FAMILIES.keys()
+        assert {cert.objective["kind"] for cert in OLD_CERTIFICATES} == _FAMILIES.keys()
 
     @pytest.mark.parametrize("objective", ONE_OF_EACH_FAMILY)
     def test_descriptor_keys_are_the_constructor_parameters(self, objective):
@@ -240,6 +251,27 @@ class TestCertificates:
     def test_unknown_descriptor_kind(self):
         with pytest.raises(ValueError):
             objective_from_descriptor({"kind": "mystery"})
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[[2, "1/3"]], [[0, "1"]], [[1, "1/2"], [1, "1/2"]], None, "[]", {}],
+        ids=["one-value", "zero-multiplicity", "two-values", "null", "string", "object"],
+    )
+    def test_general_descriptor_takes_only_an_empty_extra(self, extra):
+        desc = GeneralBoundObjective(BoundSpec(8, 21, 19, 4)).descriptor()
+        assert objective_from_descriptor(desc).exact(F(8, 3), F(2, 3)) == F(424910411, 806215680)
+        with pytest.raises(ValueError, match="extra"):
+            objective_from_descriptor({**desc, "extra": extra})
+
+    @pytest.mark.parametrize(
+        "text,message", REMOVED_KIND_CERTIFICATES.values(), ids=REMOVED_KIND_CERTIFICATES.keys()
+    )
+    def test_rejects_the_descriptors_of_removed_kinds(self, text, message):
+        cert = loads(text).payload
+        with pytest.raises(ValueError, match=message):
+            objective_from_descriptor(cert.objective)
+        with pytest.raises(ValueError, match=message):
+            reverify_certificate(cert)
 
 
 class TestCoverRange:

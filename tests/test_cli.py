@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hkcert.bounds import h_bound
+from hkcert.certify import _FAMILIES
 from hkcert.cli import _CONFIG_KEYS, build_parser, main, search_params
 from hkcert.report import loads
 from hkcert.search import SearchParams, nu_vector
@@ -671,6 +672,14 @@ def test_every_knob_is_pinned():
         "s_lo", "s_hi", "t_lo", "t_hi", "grid_s", "grid_t", "rounds", "shrink",
         "max_denominator",
     }
+
+
+def test_every_bound_family_is_an_optimize_kind():
+    # A family no command can build is dead code: it fails here.
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (kind,) = [a for a in subs.choices["optimize"]._actions if "--kind" in a.option_strings]
+    assert set(kind.choices) == _FAMILIES.keys()
 
 
 def test_quadric_float_value_matches_library(capsys):
