@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
@@ -88,9 +88,9 @@ def _overlap(have: np.ndarray, want: np.ndarray) -> tuple[int, int, int]:
     """(i, j, n) with want[i:i + n] byte-equal to have[j:j + n], for the run
     from the first node of either axis; n = 0 if there is no such run."""
     if want[0] >= have[0]:
-        i, j = 0, int(np.searchsorted(have, want[0]))
+        i, j = 0, int(have.searchsorted(want[0]))
     else:
-        i, j = int(np.searchsorted(want, have[0])), 0
+        i, j = int(want.searchsorted(have[0])), 0
     n = min(len(want) - i, len(have) - j)
     if n > 0 and want[i : i + n].tobytes() == have[j : j + n].tobytes():
         return i, j, n
@@ -101,22 +101,24 @@ class _VolumeMemo:
     """Float slice volumes of recent grid boxes: read-only tiles of at most
     ``capacity`` floats in all, one tile per box shape.
 
-    A tile holds nu(s_i - c_j) for the columns c = shifts ++ t: the shifts
-    a_i of a bound's terms, then its t axis, which is empty for a bound
-    constant in t.  A shape is d, the length and the width (rounded to 9
-    decimals) of s and of t, and the bytes of the shifts.  The unclipped
-    boxes of refinement round r are (d + 1)/5^r by 1/5^r wide, so they
-    share a shape although their float widths differ in the last bits; a
-    clipped box has a shape of its own, and a shape shared by chance costs
-    one recomputation.  :meth:`get` reuses the shape's tile in the rows
-    whose s doubles are byte-equal to the tile's: all of their shift
-    columns, and their t columns whose t doubles are byte-equal too.  It
-    computes the rest in one :func:`~hkcert.search.nu_vector` call, which
-    works element by element, so every cell is the double a full
-    recomputation gives.
+    A tile holds the bytes of its s and t axes and two C-contiguous
+    blocks: nu(s_i - a_j) for the shifts a_j of a bound's terms, len(s) by
+    len(shifts), and nu(s_i - t_j), len(s) by len(t), which has no columns
+    for a bound constant in t.  A shape is d, the length and the width
+    (rounded to 9 decimals) of s and of t, and the bytes of the shifts.
+    The unclipped boxes of refinement round r are (d + 1)/5^r by 1/5^r
+    wide, so they share a shape although their float widths differ in the
+    last bits; a clipped box has a shape of its own, and a shape shared by
+    chance costs one recomputation.  :meth:`get` first compares the bytes
+    of s and t with the tile's, and on a full hit returns the tile's
+    blocks.  Otherwise it reuses the tile in the rows whose s doubles are
+    byte-equal to the tile's: all of their shift columns, and their t
+    columns whose t doubles are byte-equal too.  It computes the rest in
+    one :func:`~hkcert.search.nu_vector` call, which works element by
+    element, so every cell is the double a full recomputation gives.
 
-    The new tile replaces its shape's tile, on a hit or a miss; a new
-    shape evicts tiles, least recently used first, until it fits.  The
+    The new tile replaces its shape's tile on a partial hit or a miss; a
+    new shape evicts tiles, least recently used first, until it fits.  The
     memo takes no lock; no hkcert module starts a thread
     (``tests/test_layers.py``).
     """
@@ -124,66 +126,75 @@ class _VolumeMemo:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.cells = 0
-        # shape -> (s, columns, vols), least recently used first.
+        # shape -> (s bytes, t bytes, (shift block, t block)), least
+        # recently used first.
         self._tiles: OrderedDict = OrderedDict()
 
-    def get(self, d: int, s: np.ndarray, shifts: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """nu(s[:, None] - c[None, :], d) for the columns c = shifts ++ t."""
-        cols = np.concatenate([shifts, t])
-        if not (len(s) and len(cols)):
-            return nu_vector(s[:, None] - cols, d)
-        a = len(shifts)
-        width = round(float(s[-1]) - float(s[0]), 9)
-        t_width = round(float(t[-1]) - float(t[0]), 9) if len(t) else None
-        key = (d, len(s), width, shifts.tobytes(), len(t), t_width)
-        tile, m = self._tiles.get(key), 0
+    def get(self, d: int, s: np.ndarray, shifts: np.ndarray, t: np.ndarray):
+        """The read-only blocks (nu(s[:, None] - shifts, d), nu(s[:, None] - t, d))."""
+        a, ns, nt = len(shifts), len(s), len(t)
+        if not (ns and (a or nt)):
+            return np.empty((ns, a)), np.empty((ns, nt))
+        t_width = round(t.item(-1) - t.item(0), 9) if nt else None
+        key = (d, ns, round(s.item(-1) - s.item(0), 9), shifts.tobytes(), nt, t_width)
+        s_bytes, t_bytes = s.tobytes(), t.tobytes()
+        tile = self._tiles.get(key)
+        i = j = m = k = l = n = 0
         if tile is not None:
-            have_s, have_c, have = tile
-            i, j, m = _overlap(have_s, s)
-        if not m:
-            vols = nu_vector(s[:, None] - cols, d)
-        else:
-            k, l, n = _overlap(have_c[a:], t) if len(t) else (0, 0, 0)
-            if m == len(s) and n == len(t):
+            have_s, have_t, blocks = tile
+            if s_bytes == have_s and t_bytes == have_t:
                 self._tiles.move_to_end(key)
-                return have
-            vols = np.empty((len(s), len(cols)))
-            vols[i : i + m, :a] = have[j : j + m, :a]
-            vols[i : i + m, a + k : a + k + n] = have[j : j + m, a + l : a + l + n]
-            # The tile has the request's shape, so the reused s rows reach
-            # one end of s and the reused t columns one end of t, and the
-            # cells left form an L: whole rows on one side of the reused
-            # ones, and in those rows the t columns on one side of the
-            # reused ones.
-            rows = slice(0, i) if i else slice(m, len(s))
-            fresh_t = slice(a, a + k) if k else slice(a + n, len(cols))
-            side = s[rows, None] - cols
-            foot = s[i : i + m, None] - cols[fresh_t]
-            fresh = nu_vector(np.concatenate([side.ravel(), foot.ravel()]), d)
-            vols[rows] = fresh[: side.size].reshape(side.shape)
-            vols[i : i + m, fresh_t] = fresh[side.size :].reshape(foot.shape)
-        vols.flags.writeable = False
-        if vols.size > self.capacity:
-            return vols
+                return blocks
+            i, j, m = _overlap(np.frombuffer(have_s), s)
+            if m and nt:
+                k, l, n = _overlap(np.frombuffer(have_t), t)
+        # The tile has the request's shape, so the reused s rows reach one
+        # end of s and the reused t columns one end of t, and the cells
+        # left form an L: whole rows on one side of the reused ones, and in
+        # those rows the t columns on one side of the reused ones.  On a
+        # miss (m = 0) the rows are all of s and the L has no foot.
+        rows = slice(0, i) if i else slice(m, ns)
+        cols = slice(0, k) if k else slice(n, nt)
+        side = s[rows, None]
+        parts = (side - shifts, side - t, s[i : i + m, None] - t[cols])
+        fresh = nu_vector(np.concatenate([part.ravel() for part in parts]), d)
+        e0 = parts[0].size
+        e1 = e0 + parts[1].size
+        pieces = [
+            piece.reshape(part.shape)
+            for piece, part in zip((fresh[:e0], fresh[e0:e1], fresh[e1:]), parts)
+        ]
+        if m:
+            have_shift, have_t_vols = blocks
+            shift_vols, t_vols = np.empty((ns, a)), np.empty((ns, nt))
+            shift_vols[i : i + m] = have_shift[j : j + m]
+            t_vols[i : i + m, k : k + n] = have_t_vols[j : j + m, l : l + n]
+            shift_vols[rows], t_vols[rows], t_vols[i : i + m, cols] = pieces
+        else:
+            shift_vols, t_vols, _ = pieces
+        shift_vols.flags.writeable = t_vols.flags.writeable = False
+        blocks = shift_vols, t_vols
+        size = shift_vols.size + t_vols.size
+        if size > self.capacity:
+            return blocks
         # A shape's tiles are all of one size, so replacing one keeps
         # ``cells``; a new shape evicts the oldest tiles until it fits.
         if self._tiles.pop(key, None) is None:
-            self.cells += vols.size
+            self.cells += size
             while self.cells > self.capacity:
-                self.cells -= self._tiles.popitem(last=False)[1][2].size
-        s = s.copy()
-        s.flags.writeable = cols.flags.writeable = False
-        self._tiles[key] = (s, cols, vols)
-        return vols
+                old_shift, old_t = self._tiles.popitem(last=False)[1][2]
+                self.cells -= old_shift.size + old_t.size
+        self._tiles[key] = (s_bytes, t_bytes, blocks)
+        return blocks
 
 
 # 170,000 floats (1.4 MB) hold the volumes of the eight boxes of the default
 # 200 x 100 grid that an optimization with seven refinement rounds scans,
-# each a tile of 3 shift columns and 100 t columns: 8 x 200 x 103 = 164,800
-# cells.
+# each a tile of a 200 x 3 shift block and a 200 x 100 t block:
+# 8 x 200 x 103 = 164,800 cells.
 _MEMO_CELLS = 170_000
 _VOLUMES = _VolumeMemo(_MEMO_CELLS)
-# The t axis of a bound constant in t: its tiles have shift columns only.
+# The t axis of a bound constant in t: its tiles have an empty t block.
 _NO_T = np.empty(0)
 
 
@@ -356,43 +367,52 @@ class LinearBound:
             num, den = _fold(num, den, c0n, c0d)
         return Fraction(num, den)
 
+    @cached_property
+    def _float_form(self):
+        """e, the weights w + we*e and the shifts a_i of the terms whose
+        weight is not zero at every e, and c0 and ct (None when both are
+        0), as floats; built once per bound, for :meth:`vector`."""
+        e = float(self.e)
+        live = [(w + we * e, float(a)) for w, we, a in self.terms if w or we]
+        shifts = np.array([a for _, a in live], dtype=float)
+        shifts.flags.writeable = False
+        offset = (float(self.c0), float(self.ct)) if self.c0 or self.ct else None
+        return e, [w for w, _ in live], shifts, offset
+
     def vector(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Values on the grid s[:, None] x t[None, :], shape (len(s), len(t)).
 
         The slice volumes do not depend on e, so they come from the memo of
         recent grid boxes (``_VOLUMES``), one tile per box: the 1-D volumes
-        nu(s - a_i) in its shift columns and, unless wt = 0, the 2-D
-        nu(s - t) in its t columns.  The shifts are those of the terms whose
+        nu(s - a_i) in its shift block and, unless wt = 0, the 2-D
+        nu(s - t) in its t block.  The shifts are those of the terms whose
         weight w + we*e is not zero at every e, so one family asks for the
         same columns at every e.  A covering that optimizes one e after
         another scans the same and shifted boxes, and computes each volume
-        once per grid node.  The weights and the rest of the arithmetic run
-        on every call, in term order, skipping the weights that are zero at
-        this e, so a cell is the same double with or without the memo, and
-        the returned array is always new.
+        once per grid node.  The float weights are built once per bound; the
+        arithmetic on the volumes runs on every call, in term order,
+        skipping the weights that are zero at this e, so a cell is the same
+        double with or without the memo, and the returned array is always
+        new.
         """
-        d, e = self.d, float(self.e)
+        e, weights, shifts, offset = self._float_form
         # As float64, equal bytes are equal axes.
         s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-        weights, shifts = [], []
-        for w, we, a in self.terms:
-            if w or we:
-                weights.append(w + we * e)
-                shifts.append(float(a))
-        vols = _VOLUMES.get(d, s, np.array(shifts), t if self.wt else _NO_T)
+        shift_vols, t_vols = _VOLUMES.get(self.d, s, shifts, t if self.wt else _NO_T)
         acc = np.zeros(len(s))
         for i, weight in enumerate(weights):
             # acc + (-w)*y is the same double as acc - w*y, and a zero
             # weight is skipped, as x - 0*y is x.
             if weight:
-                acc = acc + weight * vols[:, i]
+                acc = acc + weight * shift_vols[:, i]
         if self.wt:
-            inner = acc[:, None] - vols[:, len(shifts) :]
+            inner = acc[:, None] - t_vols
         else:
             inner = np.repeat(acc[:, None], len(t), axis=1)
         inner *= e
-        if self.c0 or self.ct:
-            inner += float(self.c0) + float(self.ct) * t
+        if offset is not None:
+            c0, ct = offset
+            inner += c0 + ct * t
         return inner
 
 

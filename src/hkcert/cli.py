@@ -471,21 +471,14 @@ def _add_common(sub, grid=False, search=False):
         sub.add_argument("--config", help="key = value file overriding search defaults")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hkcert",
-        description="Certified lower bounds for Hilbert-Kunz multiplicities.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("nu", help="exact and float slice volume")
+def _nu_args(p):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--s", type=_rational, required=True)
     p.add_argument("--density", action="store_true", help="slope instead of volume")
     _add_common(p)
-    p.set_defaults(handler=cmd_nu)
 
-    p = subs.add_parser("bound", help="master bound at one point")
+
+def _bound_args(p):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--e", type=_rational, required=True)
     p.add_argument("--mu", type=int, required=True)
@@ -495,42 +488,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pre-rescale", action="store_true",
                    help="also print the 1 - t + 2^k e (...) form")
     _add_common(p)
-    p.set_defaults(handler=cmd_bound)
 
-    p = subs.add_parser("hbound", help="worst-generator-count family H_e")
+
+def _hbound_args(p):
     p.add_argument("--e", type=_rational, required=True)
     p.add_argument("--s", type=_rational, required=True)
     p.add_argument("--t", type=_rational, required=True)
     p.add_argument("--d", type=int, default=7)
     _add_common(p)
-    p.set_defaults(handler=cmd_hbound)
 
-    p = subs.add_parser("emax", help="apex of the parabola in e")
+
+def _emax_args(p):
     p.add_argument("--s0", type=_rational, required=True)
     p.add_argument("--t0", type=_rational, required=True)
     p.add_argument("--d", type=int, default=7)
     _add_common(p)
-    p.set_defaults(handler=cmd_emax)
 
-    p = subs.add_parser("rangemin", help="endpoint minimum over a multiplicity range")
+
+def _rangemin_args(p):
     p.add_argument("--e1", type=_rational, required=True)
     p.add_argument("--e2", type=_rational, required=True)
     p.add_argument("--s0", type=_rational, required=True)
     p.add_argument("--t0", type=_rational, required=True)
     p.add_argument("--d", type=int, default=7)
     _add_common(p)
-    p.set_defaults(handler=cmd_rangemin)
 
-    p = subs.add_parser("optimize", help="grid search a bound family")
+
+def _optimize_args(p):
     p.add_argument("--kind", choices=("h", "general", "mu-small"), default="h")
     p.add_argument("--e", type=_rational, required=True)
     p.add_argument("--mu", type=int, default=None)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--d", type=int, default=7)
     _add_common(p, search=True)
-    p.set_defaults(handler=cmd_optimize)
 
-    p = subs.add_parser("cover", help="certified covering of a multiplicity range")
+
+def _cover_args(p):
     p.add_argument("--csv", help="write the certified intervals as CSV")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -538,38 +531,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-hi", type=int, required=True)
     p.add_argument("--target", type=_rational, required=True)
     _add_common(p, search=True)
-    p.set_defaults(handler=cmd_cover)
 
-    p = subs.add_parser("prove", help="full case ladder for one dimension")
+
+def _prove_args(p):
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--target", type=_rational, default=None,
                    help="override the default target")
     _add_common(p, search=True)
-    p.set_defaults(handler=cmd_prove)
 
-    p = subs.add_parser("table1", help="regenerate the single-e table (d=7)")
+
+def _table1_args(p):
     p.add_argument("--csv", help="write the rows as CSV")
     _add_common(p, search=True)
-    p.set_defaults(handler=cmd_table1)
 
-    p = subs.add_parser("table2", help="regenerate the range covering (d=7)")
+
+def _table2_args(p):
     p.add_argument("--csv", help="write the certified intervals as CSV")
     _add_common(p, search=True)
-    p.set_defaults(handler=cmd_table2)
 
-    p = subs.add_parser("series", help="zigzag series coefficients m_1..m_n")
+
+def _series_args(p):
     p.add_argument("--max", type=int, required=True)
     _add_common(p)
-    p.set_defaults(handler=cmd_series)
 
-    p = subs.add_parser("quadric", help="dimension-7 quadric closed form")
+
+def _quadric_args(p):
     p.add_argument("--p", type=_rational, default=Fraction(3))
     p.add_argument("--check-identities", action="store_true")
     _add_common(p)
-    p.set_defaults(handler=cmd_quadric)
 
-    p = subs.add_parser("surface", help="bound values on an (s, t) grid")
+
+def _surface_args(p):
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--e", type=_rational, required=True)
     p.add_argument("--mu", type=int, default=None)
@@ -579,13 +572,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=_rational, default=None,
                    help="level to mark in the heatmap")
     _add_common(p, grid=True)
-    p.set_defaults(handler=cmd_surface)
 
+
+# Subcommand -> (help, handler, the function that adds its arguments), in
+# the order ``--help`` lists them.
+_COMMANDS = {
+    "nu": ("exact and float slice volume", cmd_nu, _nu_args),
+    "bound": ("master bound at one point", cmd_bound, _bound_args),
+    "hbound": ("worst-generator-count family H_e", cmd_hbound, _hbound_args),
+    "emax": ("apex of the parabola in e", cmd_emax, _emax_args),
+    "rangemin": ("endpoint minimum over a multiplicity range", cmd_rangemin, _rangemin_args),
+    "optimize": ("grid search a bound family", cmd_optimize, _optimize_args),
+    "cover": ("certified covering of a multiplicity range", cmd_cover, _cover_args),
+    "prove": ("full case ladder for one dimension", cmd_prove, _prove_args),
+    "table1": ("regenerate the single-e table (d=7)", cmd_table1, _table1_args),
+    "table2": ("regenerate the range covering (d=7)", cmd_table2, _table2_args),
+    "series": ("zigzag series coefficients m_1..m_n", cmd_series, _series_args),
+    "quadric": ("dimension-7 quadric closed form", cmd_quadric, _quadric_args),
+    "surface": ("bound values on an (s, t) grid", cmd_surface, _surface_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, when ``command`` names one, of
+    that subcommand alone; its usage line still lists every name."""
+    parser = argparse.ArgumentParser(
+        prog="hkcert",
+        description="Certified lower bounds for Hilbert-Kunz multiplicities.",
+    )
+    if command in _COMMANDS:
+        # The metavar argparse would derive from all the names; it is set
+        # only here, as it would also rename the argument in the errors a
+        # full parser reports ("argument command: invalid choice").
+        names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = _COMMANDS, None
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, handler, add_arguments = _COMMANDS[name]
+        p = subs.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the subcommand that runs is built; --help, no command and an
+    # unknown name get every subcommand.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, TypeError, OSError) as exc:

@@ -698,26 +698,30 @@ def nu_calls(monkeypatch):
 
 
 def _tiles(memo):
-    """The memo's tiles as (key, s, shifts, t, vols) tuples; the key holds
-    the bytes of the shifts, the columns ahead of t."""
+    """The memo's tiles as (key, s, shifts, t, shift_vols, t_vols) tuples;
+    the tile keeps s and t as bytes, and the key the bytes of the shifts."""
     tiles = []
-    for key, (s, cols, vols) in memo._tiles.items():
-        n = len(key[3]) // 8
-        tiles.append((key, s, cols[:n], cols[n:], vols))
+    for key, (s, t, blocks) in memo._tiles.items():
+        assert type(s) is bytes and type(t) is bytes
+        shifts = np.frombuffer(key[3])
+        tiles.append((key, np.frombuffer(s), shifts, np.frombuffer(t), *blocks))
     return tiles
 
 
 def _assert_memo_within_capacity(memo):
     tiles = _tiles(memo)
-    assert memo.cells == sum(vols.size for *_, vols in tiles) <= memo.capacity
-    for _, s, shifts, t, vols in tiles:
-        assert vols.shape == (len(s), len(shifts) + len(t))
-        assert not any(a.flags.writeable for a in (vols, s, shifts, t))
+    cells = sum(shift_vols.size + t_vols.size for *_, shift_vols, t_vols in tiles)
+    assert memo.cells == cells <= memo.capacity
+    for _, s, shifts, t, shift_vols, t_vols in tiles:
+        assert shift_vols.shape == (len(s), len(shifts))
+        assert t_vols.shape == (len(s), len(t))
+        for block in (shift_vols, t_vols):
+            assert block.flags.c_contiguous and not block.flags.writeable
 
 
 def _boxes(memo):
     """The boxes the memo holds, by their key and the bytes of both axes."""
-    return {(key, s.tobytes(), t.tobytes()) for key, s, _, t, _ in _tiles(memo)}
+    return {(key, s.tobytes(), t.tobytes()) for key, s, _, t, *_ in _tiles(memo)}
 
 
 def _assert_bits(objective_case, s, t):
@@ -773,6 +777,36 @@ class TestVolumeMemo:
         # One tile of nu(s), nu(s - 1), nu(s - 1/2) and nu(s - t).
         assert nu_calls == [len(s) * (3 + len(t))]
 
+    def test_a_repeated_box_is_a_full_hit(self, monkeypatch, memo, nu_calls):
+        # A box byte-equal to its tile's, in new arrays, is read whole: no
+        # overlap search and no nu_vector call.
+        overlaps, real = [], bounds._overlap
+
+        def counted(have, want):
+            overlaps.append(len(want))
+            return real(have, want)
+
+        monkeypatch.setattr(bounds, "_overlap", counted)
+        s, t = _default_axes(10)
+        families = (
+            [_general_case(10, e, e - 2, 5) for e in (245, 246, 247)],
+            [_mu_small_case(e, 3, 10) for e in (9, 10, 11)],
+        )
+        for first, *later in families:
+            _assert_bits(first, s, t)
+            nu_calls.clear()
+            for case in later:
+                _assert_bits(case, s.copy(), t.copy())
+            assert nu_calls == [] and overlaps == []
+        # A box one t node over shares the s bytes only: the t columns are
+        # searched, and one new column is computed.
+        t_next = GridAxis(F(1, 99), F(100, 99), 100, 10**6).floats
+        assert t_next[:-1].tobytes() == t[1:].tobytes()
+        _assert_bits(_general_case(10, 248, 246, 5), s, t_next)
+        assert overlaps == [len(s), len(t)]
+        assert nu_calls == [len(s)]
+        _assert_memo_within_capacity(memo)
+
     def test_mutating_results_and_inputs_changes_no_later_result(self, memo):
         for objective, formula in (_h_case(7, 7), _mu_small_case(6, 3, 7)):
             s, t = _default_axes(7)
@@ -791,7 +825,7 @@ class TestVolumeMemo:
         t = GridAxis(F(0), F(1), 400, 10**6).floats
         assert len(s) * len(t) > memo.capacity
         _assert_bits(_h_case(7, 7), s, t)
-        assert all(vols.size < len(s) * len(t) for *_, vols in _tiles(memo))
+        assert all(t_vols.size < len(s) * len(t) for *_, t_vols in _tiles(memo))
         _assert_memo_within_capacity(memo)
 
     def test_random_calls_on_a_small_memo(self, monkeypatch, nu_calls):
@@ -935,7 +969,7 @@ class TestVolumeTiles:
         assert sum(nu_calls) >= (len(t) if axis == "s" else len(s))
         assert any(
             np.signbit(have_s[0] if axis == "s" else have_t[0])
-            for _, have_s, _, have_t, _ in _tiles(memo)
+            for _, have_s, _, have_t, *_ in _tiles(memo)
         )
 
     def test_degenerate_t_axis(self, memo, nu_calls):

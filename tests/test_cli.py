@@ -687,3 +687,79 @@ def test_quadric_float_value_matches_library(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.strip() == str(ehk_quadric_dim7(5))
+
+
+# A full usage line, as argparse wraps it at 80 columns.
+FULL_USAGE = (
+    "usage: hkcert [-h]\n"
+    "              {nu,bound,hbound,emax,rangemin,optimize,cover,prove,table1,"
+    "table2,series,quadric,surface}\n"
+    "              ...\n"
+)
+# The exact standard error of bad command lines.
+BAD_COMMAND_LINES = {
+    "unknown command": (
+        ["nope"],
+        FULL_USAGE + "hkcert: error: argument command: invalid choice: 'nope' (choose from "
+        "'nu', 'bound', 'hbound', 'emax', 'rangemin', 'optimize', 'cover', 'prove', "
+        "'table1', 'table2', 'series', 'quadric', 'surface')\n",
+    ),
+    "missing option": (
+        ["prove", "--bogus"],
+        "usage: hkcert prove [-h] --dim DIM [--k K] [--target TARGET] [--json JSON]\n"
+        "                    [--no-timestamp] [--grid NSxNT] [--s-range LO:HI]\n"
+        "                    [--t-range LO:HI] [--rounds ROUNDS]\n"
+        "                    [--max-denominator MAX_DENOMINATOR] [--config CONFIG]\n"
+        "hkcert prove: error: the following arguments are required: --dim\n",
+    ),
+    "unrecognized option": (
+        ["prove", "--dim", "7", "--bogus"],
+        FULL_USAGE + "hkcert: error: unrecognized arguments: --bogus\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_COMMAND_LINES)
+def test_bad_command_lines_print_the_full_usage(monkeypatch, capsys, case):
+    # A parser of one subcommand still prints every subcommand's name.
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, err = BAD_COMMAND_LINES[case]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The names of the subparsers built."""
+    names, real = [], argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return names
+
+
+def test_main_builds_only_the_subcommand_it_runs(capsys, built):
+    assert main(["nu", "--d", "2", "--s", "3/2"]) == 0
+    assert built == ["nu"]
+    capsys.readouterr()
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == list(OPTIONS)
+    assert capsys.readouterr().out == build_parser().format_help()
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_one_subcommand_parser_matches_the_full_one(command):
+    full = build_parser()
+    (subs,) = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
+    one = build_parser(command)
+    (only,) = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(only.choices) == [command]
+    assert one.format_usage() == full.format_usage()
+    assert only.choices[command].format_help() == subs.choices[command].format_help()

@@ -14,6 +14,7 @@ from hkcert.bounds import (
     MuSmallObjective,
 )
 from hkcert import search
+from hkcert.certify import prove_dimension
 from hkcert.search import (
     GridAxis,
     SearchParams,
@@ -201,6 +202,47 @@ class TestGridAxis:
     )
     def test_random_axes(self, lo, width, n, max_denominator):
         self.assert_matches_reference(lo, lo + width, n, max_denominator)
+
+
+class TestAxisCache:
+    """optimize_bound reads its axes from a bounded cache of recent boxes."""
+
+    @pytest.fixture
+    def over_calls(self, monkeypatch):
+        """The boxes GridAxis._over builds, from an empty axis cache."""
+        calls, real = [], GridAxis._over.__func__
+
+        def counted(cls, *args):
+            calls.append(args)
+            return real(cls, *args)
+
+        monkeypatch.setattr(GridAxis, "_over", classmethod(counted))
+        search._axis.cache_clear()
+        yield calls
+        search._axis.cache_clear()
+
+    def test_prove_dimension_ten_builds_few_axes(self, over_calls):
+        # 1,048 scans of 2,096 axes, 363 of them distinct boxes: round 0 is
+        # one box for every e, and most round-1 boxes repeat the last e's.
+        prove_dimension(10, 5)
+        assert len(set(over_calls)) == 363
+        assert len(over_calls) == 394
+
+    def test_a_repeated_box_reuses_its_read_only_axis(self, over_calls):
+        box = (0, 11, 1, 200, 10**6)
+        axis = search._axis(*box)
+        assert search._axis(*box) is axis
+        assert over_calls == [box]
+        assert not axis.floats.flags.writeable
+
+    def test_the_key_holds_max_denominator(self, over_calls):
+        # The same integer box snaps to denominators <= 7 only under the
+        # second cap, so the cache must not hand it the first axis.
+        objective = HBoundObjective(7, 7)
+        for cap in (10**6, 7):
+            cand = optimize_bound(objective, SearchParams(refine_rounds=0, max_denominator=cap))
+        assert cand.s_exact.denominator <= 7 and cand.t_exact.denominator <= 7
+        assert len(over_calls) == 4
 
 
 class TestSearchParams:
@@ -415,14 +457,16 @@ class TestOptimizer:
         params = SearchParams(s_range=s_range, t_range=t_range, grid=grid,
                               refine_rounds=rounds, shrink_factor=shrink,
                               max_denominator=max_denominator)
-        axes, real = [], GridAxis._over
+        # Recorded where optimize_bound takes its axes, so an axis read
+        # from the cache of recent boxes is checked as a new one is.
+        axes, real = [], search._axis
 
         def recording(*args):
             axes.append(real(*args))
             return axes[-1]
 
         objective = Recorder()
-        with mock.patch.object(GridAxis, "_over", recording):
+        with mock.patch.object(search, "_axis", recording):
             cand = optimize_bound(objective, params)
         scans, (value, s_best, t_best) = refinement_oracle(
             vector, s_range, t_range, grid, rounds, shrink, max_denominator
