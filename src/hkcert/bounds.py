@@ -42,7 +42,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 import numpy as np
@@ -52,12 +52,12 @@ from .search import nu_vector
 from .volume import _check_dimension, nu_exact, to_rational
 
 __all__ = [
-    "LinearInEError",
     "BoundSpec",
     "LinearBound",
     "s_bound",
     "h_bound",
     "quadratic_in_e",
+    "last_above",
     "e_max",
     "range_min",
     "not_normal_bound",
@@ -243,8 +243,8 @@ class _WitnessMemo:
         return entry
 
 
-# A covering's lo and hi certificates, its apex chase and its binary search
-# all read the witness certified last.
+# A covering's lo certificate, its apex chase, the quadratic that ends its
+# run and the certificate at that end all read the witness certified last.
 _WITNESS_CAPACITY = 8
 _WITNESSES = _WitnessMemo(_WITNESS_CAPACITY)
 
@@ -253,10 +253,6 @@ def _fold(num: int, den: int, n: int, m: int) -> tuple[int, int]:
     """num/den + n/m as one integer pair over lcm(den, m), unreduced."""
     g = gcd(den, m)
     return num * (m // g) + n * (den // g), den // g * m
-
-
-class LinearInEError(ValueError):
-    """The bound degenerates to a linear function of e (no parabola vertex)."""
 
 
 @dataclass(frozen=True)
@@ -517,15 +513,35 @@ def quadratic_in_e(s, t, d: int = 7, k: int = 1) -> tuple[Fraction, Fraction, Fr
     return Fraction(a, den), Fraction(b, den), worst.c0 + worst.ct * t
 
 
+def last_above(a, b, c, target, lo: int, hi: int) -> int:
+    """The largest integer e in [lo, hi] with a e^2 + b e + c > target, for
+    exact a <= 0, given that it holds at lo: an integer root by math.isqrt
+    (a floor division when a = 0), then one exact step."""
+    a, b, c = (to_rational(x) for x in (a, b, to_rational(c) - to_rational(target)))
+    den = lcm(a.denominator, b.denominator, c.denominator)
+    qa, qb, qc = (int(x * den) for x in (a, b, c))
+    def above(e: int) -> bool:
+        return (qa * e + qb) * e + qc > 0
+    if qa > 0 or lo > hi or not above(lo):
+        raise ValueError(f"need a <= 0, lo <= hi and the inequality at lo = {lo}")
+    e = qc // -qb if qb < 0 else hi  # a = 0: the run ends below -c/b, or never
+    if qa:  # the larger root, to within one
+        e = (qb + isqrt(qb * qb - 4 * qa * qc)) // (-2 * qa)
+    e = min(max(e, lo), hi)
+    if e < hi and above(e + 1):
+        return e + 1
+    return e if above(e) else e - 1
+
+
 def e_max(s0, t0, d: int = 7, k: int = 1) -> Fraction:
     """Vertex -b/(2a) of the parabola e -> bound(e, mu = e - 2) at (s0, t0).
 
-    Raises :class:`LinearInEError` when s0 <= 1 (then nu(s0 - 1) = 0 and the
-    family is linear in e).
+    Raises ValueError when s0 <= 1 (then nu(s0 - 1) = 0 and the family is
+    linear in e).
     """
     a, b, _ = quadratic_in_e(s0, t0, d, k)
     if a == 0:
-        raise LinearInEError(
+        raise ValueError(
             f"the bound is linear in e at s0={s0} (nu(s0-1) = 0); no vertex exists"
         )
     return -b / (2 * a)

@@ -18,10 +18,10 @@ from .bounds import (
     BoundSpec,
     GeneralBoundObjective,
     HBoundObjective,
-    LinearInEError,
     MuSmallObjective,
-    e_max,
+    last_above,
     not_normal_bound,
+    quadratic_in_e,
 )
 from .search import Objective, SearchParams, optimize_bound
 from .targets import TargetValue, dimension_target, large_e_threshold
@@ -193,8 +193,8 @@ def cover_range(
     """Greedily cover the integer range [e_lo, e_hi] with certified intervals.
 
     At the current left endpoint e1: optimize the bound for a mid-range e
-    (chosen by chasing the parabola apex), then binary-search the largest e2
-    whose bound at the shared witness still exceeds the target exactly.
+    (chosen by chasing the parabola apex), then certify the largest e2 whose
+    bound at that witness exceeds the target, read off its exact quadratic.
     Multiplicities that admit no certificate become gap runs rather than
     failures, so callers can report unresolved cases.  The target must
     exceed 1, as every :class:`~hkcert.targets.TargetValue` does, e_lo and
@@ -250,11 +250,10 @@ def cover_range(
         # and e_opt the e whose optimization found that witness.
         e_opt = e1
         for _ in range(2):
-            try:
-                vertex = e_max(s0, t0, d, k)
-            except LinearInEError:
+            a, b, _ = quadratic_in_e(s0, t0, d, k)
+            if a == 0:  # linear in e: no apex
                 break
-            e_mid = min(max(int(round(vertex)), e1), e_hi)
+            e_mid = min(max(round(-b / (2 * a)), e1), e_hi)
             # The optimizer is deterministic: optimizing e_opt again would
             # return the witness held, so the chase is at its fixed point.
             if e_mid == e_opt:
@@ -265,22 +264,12 @@ def cover_range(
                 break
             (s0, t0), lo_cert, e_opt = trial, trial_cert, e_mid
 
-        # Largest certifiable e2: the bound is concave in e, so the certified
-        # set to the right of e1 is a contiguous run.  hi_cert is the
-        # certificate at e2.
-        hi_cert = lo_cert if e1 == e_hi else certified(e_hi, s0, t0)
-        if hi_cert.verdict:
-            e2 = e_hi
-        else:
-            lo, hi, hi_cert = e1, e_hi, lo_cert  # lo certifies, hi does not
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                cert = certified(mid, s0, t0)
-                if cert.verdict:
-                    lo, hi_cert = mid, cert
-                else:
-                    hi = mid
-            e2 = lo
+        # The bound at the witness is concave in e, so lo_cert and hi_cert
+        # cover [e1, e2]; the exact quadratic only picks e2, the largest e.
+        e2 = last_above(*quadratic_in_e(s0, t0, d, k), target, e1, e_hi)
+        hi_cert = lo_cert if e2 == e1 else certified(e2, s0, t0)
+        if not hi_cert.verdict:
+            raise AssertionError(f"the run end e2 = {e2} does not certify")
         intervals.append(
             CoverageInterval(
                 e_lo=e1,

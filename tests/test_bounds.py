@@ -12,10 +12,10 @@ from hkcert.bounds import (
     GeneralBoundObjective,
     HBoundObjective,
     LinearBound,
-    LinearInEError,
     MuSmallObjective,
     e_max,
     h_bound,
+    last_above,
     not_normal_bound,
     quadratic_in_e,
     range_min,
@@ -244,8 +244,79 @@ class TestEMax:
         assert abs(float(e_max(F("2.12"), F("0.6"))) - 31.2399) < 1e-3
 
     def test_linear_signal(self):
-        with pytest.raises(LinearInEError):
+        with pytest.raises(ValueError, match="linear in e"):
             e_max(1, F(1, 2))
+
+
+def _last_above_scan(a, b, c, target, lo, hi):
+    """last_above by its definition: every e in [lo, hi], evaluated exactly."""
+    return max(e for e in range(lo, hi + 1) if a * e * e + b * e + c > target)
+
+
+class TestLastAbove:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=st.one_of(st.just(F(0)), st.fractions(max_value=0, min_value=-5, max_denominator=30)),
+        b=st.fractions(min_value=-200, max_value=200, max_denominator=30),
+        c=st.fractions(min_value=-1000, max_value=1000, max_denominator=30),
+        slack=st.fractions(min_value=0, max_value=100, max_denominator=30).filter(bool),
+        lo=st.integers(min_value=-50, max_value=50),
+        span=st.integers(min_value=0, max_value=40),
+    )
+    def test_matches_an_exact_scan(self, a, b, c, slack, lo, span):
+        # The target sits slack below the value at lo, so the inequality
+        # holds there, as last_above requires.
+        target = a * lo * lo + b * lo + c - slack
+        hi = lo + span
+        assert last_above(a, b, c, target, lo, hi) == _last_above_scan(a, b, c, target, lo, hi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        linear=st.booleans(),
+        r1=st.integers(min_value=-40, max_value=40),
+        gap=st.integers(min_value=2, max_value=30),
+        data=st.data(),
+        scale=st.fractions(min_value=0, max_value=50, max_denominator=30).filter(bool),
+        target=st.fractions(min_value=-100, max_value=100, max_denominator=30),
+        beyond=st.integers(min_value=0, max_value=10),
+    )
+    def test_a_run_that_ends_at_an_exact_root(self, linear, r1, gap, data, scale, target, beyond):
+        # q - target is -scale (e - r1)(e - r2), or scale (r2 - e) when
+        # linear, so q(r2) == target and the run from lo ends at r2 - 1.
+        # Random coefficients almost never put a root on an integer.
+        r2 = r1 + gap
+        lo = data.draw(st.integers(min_value=r1 + 1, max_value=r2 - 1))
+        if linear:
+            a, b, c = F(0), -scale, target + scale * r2
+        else:
+            a, b, c = -scale, scale * (r1 + r2), target - scale * r1 * r2
+        assert a * r2 * r2 + b * r2 + c == target
+        hi = r2 + beyond
+        got = last_above(a, b, c, target, lo, hi)
+        assert got == r2 - 1 == _last_above_scan(a, b, c, target, lo, hi)
+
+    def test_ends_the_first_run_of_the_table2_covering(self):
+        # The witness of the interval [13, 20] of `table2` (d = 7, k = 1).
+        s, t = F(58172, 24875), F(15589, 24750)
+        assert last_above(*quadratic_in_e(s, t), DIM7_TARGET, 13, 5340) == 20
+        assert h_bound(20, s, t) > DIM7_TARGET >= h_bound(21, s, t)
+
+    @pytest.mark.parametrize(
+        "a,b,c,target,lo,hi",
+        [
+            (F(1, 3), 0, 2, 1, 0, 5),  # convex
+            (-1, 0, 2, 1, 1, 0),  # empty range
+            (-1, 0, 2, 1, 1, 5),  # fails at lo: q(1) = 1 is not above 1
+            (0, -1, 0, 0, 0, 3),  # fails at lo, linear
+        ],
+    )
+    def test_rejects_a_call_outside_its_contract(self, a, b, c, target, lo, hi):
+        with pytest.raises(ValueError, match="need a <= 0"):
+            last_above(a, b, c, target, lo, hi)
+
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError, match="refusing to coerce"):
+            last_above(-0.5, 1, 1, 0, 0, 3)
 
 
 class TestRangeMin:
@@ -669,8 +740,9 @@ class TestWitnessMemo:
         assert len(nu_exact_calls) == calls + 4
 
     def test_prove_dimension_seven_volume_count(self, witness_memo, nu_exact_calls):
-        # Each covering interval's certificates, apex chase and binary
-        # search share their witness's volumes (718 calls without the memo).
+        # Each covering interval's certificates, apex chase and the
+        # quadratic that ends its run share their witness's volumes (718
+        # calls without the memo).
         assert prove_dimension(7, 1).verdict == "proved"
         assert len(nu_exact_calls) == 98
 

@@ -343,22 +343,26 @@ class TestCoverRange:
             assert (iv.lo_cert, iv.hi_cert) == (at(iv.e_lo, iv), at(iv.e_hi, iv))
 
     @pytest.mark.parametrize(
-        "run",
+        "run,certificates",
         [
-            lambda certify: certify.cover_range(7, 1, *TABLE2_RANGE, DIM7_TARGET),
-            lambda certify: certify.prove_dimension(7, 1),
-            lambda certify: certify.cover_range(8, 4, 6, 41705, DIM8_TARGET),
-            lambda certify: certify.prove_dimension(10, 5),
+            (lambda certify: certify.cover_range(7, 1, *TABLE2_RANGE, DIM7_TARGET), 23),
+            (lambda certify: certify.prove_dimension(7, 1), 33),
+            (lambda certify: certify.cover_range(8, 4, 6, 41705, DIM8_TARGET), 33),
+            (lambda certify: certify.prove_dimension(10, 5), 268),
         ],
         ids=["table2", "prove-d7-k1", "cover-d8-k4", "prove-d10-k5"],
     )
-    def test_no_e_is_optimized_twice(self, monkeypatch, run):
+    def test_no_e_is_optimized_twice(self, monkeypatch, run, certificates):
         # The apex chase stops when the apex rounds to the e whose witness
         # it holds: the optimizer is deterministic, so that e would return
-        # the same witness.
+        # the same witness.  Each run's end is read off the exact quadratic
+        # at its witness, so a covering certifies e1 at each new witness and
+        # e2 once per interval of more than one e; prove_dimension also
+        # certifies its three mu-small rungs.
         from hkcert import certify
 
         real_cover, real_optimize = certify.cover_range, certify.optimize_bound
+        real_certify, certified = certify.certify_point, []
         # The e optimized by each finished covering, and by the open one;
         # prove_dimension also optimizes the mu-small rungs, outside them.
         coverings, open_ = [], []
@@ -375,12 +379,28 @@ class TestCoverRange:
                 open_[-1].append(objective.e)
             return real_optimize(objective, params)
 
+        def certify_point(*args):
+            certified.append(args)
+            return real_certify(*args)
+
         monkeypatch.setattr(certify, "cover_range", cover)
         monkeypatch.setattr(certify, "optimize_bound", optimize)
+        monkeypatch.setattr(certify, "certify_point", certify_point)
         run(certify)
         assert coverings and all(coverings)
         for es in coverings:
             assert len(es) == len(set(es))
+        assert len(certified) == certificates
+
+    def test_a_run_end_that_does_not_certify_raises(self, monkeypatch):
+        # Soundness rests on the certificates at both ends of each interval,
+        # never on the e2 that last_above reads off the quadratic.
+        from hkcert import certify
+
+        real = certify.last_above
+        monkeypatch.setattr(certify, "last_above", lambda *args: real(*args) + 1)
+        with pytest.raises(AssertionError, match="does not certify"):
+            cover_range(7, 1, 13, 5340, DIM7_TARGET)
 
     @pytest.mark.parametrize("d", [0, 65, 7.5, True])
     def test_rejects_a_bad_dimension(self, d):
