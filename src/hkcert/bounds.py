@@ -255,6 +255,15 @@ def _fold(num: int, den: int, n: int, m: int) -> tuple[int, int]:
     return num * (m // g) + n * (den // g), den // g * m
 
 
+def _check_point(s: Fraction, t: Fraction) -> None:
+    """Raise unless s >= 0 and 0 <= t <= 1, read off the integers: a
+    Fraction comparison costs as much as a Fraction operation."""
+    if s.numerator < 0:
+        raise ValueError(f"s must be >= 0, got {s}")
+    if not 0 <= t.numerator <= t.denominator:
+        raise ValueError(f"t must lie in [0, 1], got {t}")
+
+
 @dataclass(frozen=True)
 class BoundSpec:
     """Ring parameters feeding the master bound family."""
@@ -332,13 +341,7 @@ class LinearBound:
 
     def exact(self, s, t) -> Fraction:
         s, t = to_rational(s), to_rational(t)
-        # Signs, and t <= 1, read off the integers: a Fraction comparison
-        # costs as much as a Fraction operation.
-        if s.numerator < 0:
-            raise ValueError(f"s must be >= 0, got {s}")
-        tn, td = t.numerator, t.denominator
-        if not 0 <= tn <= td:
-            raise ValueError(f"t must lie in [0, 1], got {t}")
+        _check_point(s, t)
         en, ed = self.e.numerator, self.e.denominator
         # Each Fraction operation costs about a microsecond, so the value is
         # kept as one integer pair num/den, and one Fraction is built at the
@@ -356,6 +359,7 @@ class LinearBound:
         # c0 + ct*t over small integers first, then one fold into num/den.
         c0, ct = self.c0, self.ct
         if ct:
+            tn, td = t.numerator, t.denominator
             c0n, c0d = _fold(c0.numerator, c0.denominator, ct.numerator * tn, ct.denominator * td)
         else:
             c0n, c0d = c0.numerator, c0.denominator
@@ -501,10 +505,7 @@ def quadratic_in_e(s, t, d: int = 7, k: int = 1) -> tuple[Fraction, Fraction, Fr
     """
     worst = HBoundObjective(k + 3, d, k)
     s, t = to_rational(s), to_rational(t)
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    if not 0 <= t <= 1:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
+    _check_point(s, t)
     # The volumes come from the witness memo, as exact reads them, with the
     # same shifts, so the apex of a just-certified witness computes no volume.
     _, den, vols = _WITNESSES.get(d, s, [x for *_, x in worst.terms], t)

@@ -1,9 +1,11 @@
 """Command-line interface: one subcommand per engine operation.
 
 Every command can emit a JSON report (--json), and surfaces additionally a
-CSV grid and an SVG heatmap.  Invalid parameters exit nonzero; a proof
-containing gaps is still a successful run (exit 0, verdict "open") because
-the absence of a proof is data, not a failure.
+CSV grid and an SVG heatmap.  Each handler returns its report's parts;
+:func:`main` writes every report before it prints the result lines, so a
+failed --json write prints no result.  Invalid parameters exit nonzero; a
+proof containing gaps is still a successful run (exit 0, verdict "open")
+because the absence of a proof is data, not a failure.
 """
 
 from __future__ import annotations
@@ -141,15 +143,6 @@ def search_params(args) -> SearchParams:
     return replace(SearchParams(**values), **flags)
 
 
-def _emit(args, doc: rpt.ReportDocument, extra_lines=()):
-    for line in extra_lines:
-        print(line)
-    if getattr(args, "json", None):
-        Path(args.json).write_text(rpt.dumps(doc) + "\n")
-        print(f"wrote {args.json}")
-    return 0
-
-
 def _write_rows_csv(path: str, columns, rows) -> None:
     import csv
 
@@ -158,16 +151,6 @@ def _write_rows_csv(path: str, columns, rows) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([str(row[c]) for c in columns])
-
-
-def _doc(args, command: str, params: dict, payload, verdict=None) -> rpt.ReportDocument:
-    return rpt.ReportDocument.build(
-        command,
-        params,
-        payload,
-        verdict=verdict,
-        timestamp=not args.no_timestamp,
-    )
 
 
 def _fmt(x: Fraction) -> str:
@@ -189,85 +172,63 @@ def _plan_lines(plan, intervals: bool = True) -> list[str]:
     return lines + [f"  gap at e={g.e_lo}..{g.e_hi}: {g.reason}" for g in plan.gaps]
 
 
-def _emit_plan(args, command: str, header: str, params: dict, plan) -> int:
-    """Print, and write as CSV and JSON, the plan of ``cover`` or ``table2``."""
+def _plan_report(params: dict, header: str, plan, csv_path: str | None):
+    """The report of ``cover`` or ``table2``; its intervals also go to ``csv_path``."""
     verdict = "complete" if plan.complete else "gaps"
     lines = [header, *_plan_lines(plan), f"verdict: {verdict}"]
-    if args.csv:
+    if csv_path:
         columns = ("e_lo", "e_hi", "s0", "t0", "certified_min")
         rows = [{c: getattr(iv, c) for c in columns} for iv in plan.intervals]
-        _write_rows_csv(args.csv, columns, rows)
-        lines.append(f"wrote {args.csv}")
-    return _emit(args, _doc(args, command, params, plan, verdict=verdict), lines)
-
-
-def _search_echo(params: SearchParams) -> dict:
-    """Every field of ``params``; an exact value is written as its ``p/q`` string."""
-
-    def echo(value):
-        if isinstance(value, tuple):
-            return tuple(echo(v) for v in value)
-        return str(value) if isinstance(value, Fraction) else value
-
-    return {f.name: echo(getattr(params, f.name)) for f in fields(SearchParams)}
+        _write_rows_csv(csv_path, columns, rows)
+        lines.append(f"wrote {csv_path}")
+    return params, plan, lines, verdict
 
 
 # --------------------------------------------------------------------------
-# Handlers.
+# Handlers.  Each returns its report's params, payload and printed lines,
+# and its verdict when it has one; main writes the report.
 
 
-def cmd_nu(args) -> int:
+def cmd_nu(args):
     s = args.s
     value = nu_density(s, args.d) if args.density else nu_exact(s, args.d)
     name = "nu-density" if args.density else "nu"
     lines = [f"{name}(s={s}, d={args.d}) = {_fmt(value)}"]
     if not args.density:
         lines.append(f"float path: {float(nu_vector(float(s), args.d))!r}")
-    doc = _doc(args, "nu", {"d": args.d, "s": str(s), "density": args.density},
-               rpt.ScalarResult(name, value))
-    return _emit(args, doc, lines)
+    return {"d": args.d, "s": s, "density": args.density}, rpt.ScalarResult(name, value), lines
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args):
     spec = BoundSpec(args.d, args.e, args.mu, args.k)
     value = GeneralBoundObjective(spec).exact(args.s, args.t)
     lines = [f"bound(d={args.d}, e={args.e}, mu={args.mu}, k={args.k}, "
              f"s={args.s}, t={args.t}) = {_fmt(value)}"]
     if args.pre_rescale:
         lines.append(f"pre-rescaling form = {_fmt(s_bound(spec, args.s, args.t))}")
-    doc = _doc(
-        args, "bound",
-        {"d": args.d, "e": str(args.e), "mu": args.mu, "k": args.k,
-         "s": str(args.s), "t": str(args.t)},
-        rpt.ScalarResult("general-bound", value),
-    )
-    return _emit(args, doc, lines)
+    params = {"d": args.d, "e": args.e, "mu": args.mu, "k": args.k, "s": args.s, "t": args.t}
+    return params, rpt.ScalarResult("general-bound", value), lines
 
 
-def cmd_hbound(args) -> int:
+def cmd_hbound(args):
     value = h_bound(args.e, args.s, args.t, args.d)
-    doc = _doc(args, "hbound",
-               {"d": args.d, "e": str(args.e), "s": str(args.s), "t": str(args.t)},
-               rpt.ScalarResult("h-bound", value))
-    return _emit(args, doc, [f"H(e={args.e}; s={args.s}, t={args.t}; d={args.d}) = {_fmt(value)}"])
+    lines = [f"H(e={args.e}; s={args.s}, t={args.t}; d={args.d}) = {_fmt(value)}"]
+    params = {"d": args.d, "e": args.e, "s": args.s, "t": args.t}
+    return params, rpt.ScalarResult("h-bound", value), lines
 
 
-def cmd_emax(args) -> int:
+def cmd_emax(args):
     value = e_max(args.s0, args.t0, args.d)
-    doc = _doc(args, "emax", {"d": args.d, "s0": str(args.s0), "t0": str(args.t0)},
-               rpt.ScalarResult("e-max", value))
-    return _emit(args, doc, [f"apex multiplicity at (s0={args.s0}, t0={args.t0}): {_fmt(value)}"])
+    lines = [f"apex multiplicity at (s0={args.s0}, t0={args.t0}): {_fmt(value)}"]
+    params = {"d": args.d, "s0": args.s0, "t0": args.t0}
+    return params, rpt.ScalarResult("e-max", value), lines
 
 
-def cmd_rangemin(args) -> int:
+def cmd_rangemin(args):
     value = range_min(args.e1, args.e2, args.s0, args.t0, args.d)
-    doc = _doc(
-        args, "rangemin",
-        {"d": args.d, "e1": str(args.e1), "e2": str(args.e2),
-         "s0": str(args.s0), "t0": str(args.t0)},
-        rpt.ScalarResult("range-min", value),
-    )
-    return _emit(args, doc, [f"min over [{args.e1}, {args.e2}] at (s0, t0): {_fmt(value)}"])
+    lines = [f"min over [{args.e1}, {args.e2}] at (s0, t0): {_fmt(value)}"]
+    params = {"d": args.d, "e1": args.e1, "e2": args.e2, "s0": args.s0, "t0": args.t0}
+    return params, rpt.ScalarResult("range-min", value), lines
 
 
 def _objective_from_args(kind: str, d: int, e, mu: int | None, k: int):
@@ -287,7 +248,7 @@ def _objective_from_args(kind: str, d: int, e, mu: int | None, k: int):
     raise ValueError(f"unknown objective kind {kind!r}")
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args):
     objective = _objective_from_args(args.kind, args.d, args.e, args.mu, args.k)
     params = search_params(args)
     cand = optimize_bound(objective, params)
@@ -296,25 +257,22 @@ def cmd_optimize(args) -> int:
         f"best value {cand.value!r} at s={cand.s_exact} t={cand.t_exact}",
         f"exact value there: {_fmt(exact)}",
     ]
-    doc = _doc(args, "optimize",
-               {"kind": args.kind, "d": args.d, "e": str(args.e),
-                "mu": args.mu, "k": args.k,
-                "search": _search_echo(params)},
-               cand)
-    return _emit(args, doc, lines)
+    params = {"kind": args.kind, "d": args.d, "e": args.e, "mu": args.mu, "k": args.k,
+              "search": params}
+    return params, cand, lines
 
 
-def cmd_cover(args) -> int:
+def cmd_cover(args):
     params = search_params(args)
     plan = cover_range(args.dim, args.k, args.e_lo, args.e_hi, args.target, params)
     header = (f"covering e in [{args.e_lo}, {args.e_hi}] against {args.target} "
               f"(d={args.dim}, k={args.k}):")
     params = {"dim": args.dim, "k": args.k, "e_lo": args.e_lo, "e_hi": args.e_hi,
-              "target": str(args.target), "search": _search_echo(params)}
-    return _emit_plan(args, "cover", header, params, plan)
+              "target": args.target, "search": params}
+    return _plan_report(params, header, plan, args.csv)
 
 
-def cmd_prove(args) -> int:
+def cmd_prove(args):
     target = None
     if args.target is not None:
         target = TargetValue(args.dim, None, args.target, "user-supplied")
@@ -343,14 +301,13 @@ def cmd_prove(args) -> int:
         else:
             lines.append(f"  {case.kind}: {_key_values(case.parameters) or case.citation}")
     lines.append(f"verdict: {report.verdict}")
-    doc = _doc(args, "prove",
-               {"dim": args.dim, "k": args.k, "search": _search_echo(params)},
-               report, verdict=report.verdict)
-    return _emit(args, doc, lines)
+    return {"dim": args.dim, "k": args.k, "search": params}, report, lines, report.verdict
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args):
     params = search_params(args)
+    columns = ("e", "s_ref", "t_ref", "value_at_ref",
+               "s_found", "t_found", "value_found", "exceeds_target")
     rows = []
     lines = ["single-multiplicity table, dimension 7:"]
     for e, (s_txt, t_txt) in TABLE1_POINTS.items():
@@ -359,56 +316,36 @@ def cmd_table1(args) -> int:
         reference = objective.exact(s, t)
         cand = optimize_bound(objective, params)
         found = objective.exact(cand.s_exact, cand.t_exact)
-        rows.append(
-            {
-                "e": e,
-                "s_ref": s,
-                "t_ref": t,
-                "value_at_ref": reference,
-                "s_found": cand.s_exact,
-                "t_found": cand.t_exact,
-                "value_found": found,
-                "exceeds_target": found > DIM7_TARGET,
-            }
-        )
+        values = (e, s, t, reference, cand.s_exact, cand.t_exact, found, found > DIM7_TARGET)
+        rows.append(dict(zip(columns, values)))
         lines.append(
             f"  e={e:>2}: ref ({s_txt}, {t_txt}) -> {float(reference):.6f}; "
             f"search -> {float(found):.6f}"
         )
-    payload = rpt.TableResult(
-        name="h-bound-single-e",
-        columns=("e", "s_ref", "t_ref", "value_at_ref",
-                 "s_found", "t_found", "value_found", "exceeds_target"),
-        rows=tuple(rows),
-    )
+    payload = rpt.TableResult("h-bound-single-e", columns, tuple(rows))
     if args.csv:
-        _write_rows_csv(args.csv, payload.columns, payload.rows)
+        _write_rows_csv(args.csv, columns, rows)
         lines.append(f"wrote {args.csv}")
-    doc = _doc(args, "table1",
-               {"d": 7, "target": str(DIM7_TARGET),
-                "search": _search_echo(params)},
-               payload)
-    return _emit(args, doc, lines)
+    return {"d": 7, "target": DIM7_TARGET, "search": params}, payload, lines
 
 
-def cmd_table2(args) -> int:
+def cmd_table2(args):
     e_lo, e_hi = TABLE2_RANGE
     params = search_params(args)
     plan = cover_range(7, 1, e_lo, e_hi, DIM7_TARGET, params)
     header = f"certified covering of [{e_lo}, {e_hi}] against {DIM7_TARGET}:"
-    params = {"d": 7, "k": 1, "e_lo": e_lo, "e_hi": e_hi, "target": str(DIM7_TARGET),
-              "search": _search_echo(params)}
-    return _emit_plan(args, "table2", header, params, plan)
+    params = {"d": 7, "k": 1, "e_lo": e_lo, "e_hi": e_hi, "target": DIM7_TARGET,
+              "search": params}
+    return _plan_report(params, header, plan, args.csv)
 
 
-def cmd_series(args) -> int:
+def cmd_series(args):
     coeffs = m_coeffs(args.max)
     lines = [f"m_{i + 1} = {c} ({float(c):.9g})" for i, c in enumerate(coeffs)]
-    doc = _doc(args, "series", {"max": args.max}, rpt.SeriesResult(tuple(coeffs)))
-    return _emit(args, doc, lines)
+    return {"max": args.max}, rpt.SeriesResult(tuple(coeffs)), lines
 
 
-def cmd_quadric(args) -> int:
+def cmd_quadric(args):
     if args.check_identities:
         outcome = verify_quadric_identities()
         lines = [
@@ -418,15 +355,12 @@ def cmd_quadric(args) -> int:
             f"strictly decreasing:    {outcome.strictly_decreasing}",
         ]
         verdict = "verified" if outcome.all_hold else "failed"
-        doc = _doc(args, "quadric", {"check_identities": True}, outcome, verdict=verdict)
-        return _emit(args, doc, lines)
+        return {"check_identities": True}, outcome, lines, verdict
     value = ehk_quadric_dim7(args.p)
-    doc = _doc(args, "quadric", {"p": str(args.p)},
-               rpt.ScalarResult("quadric-dim7", value))
-    return _emit(args, doc, [f"{value}"])
+    return {"p": args.p}, rpt.ScalarResult("quadric-dim7", value), [f"{value}"]
 
 
-def cmd_surface(args) -> int:
+def cmd_surface(args):
     # Without --mu, the worst case mu = e - 2.
     kind = "h" if args.mu is None else "general"
     # SearchParams rejects grids below 2x2 and ranges out of the domain or
@@ -434,9 +368,10 @@ def cmd_surface(args) -> int:
     params = replace(search_params(args), grid=args.grid or (120, 120))
     objective = _objective_from_args(kind, args.dim, args.e, args.mu, args.k)
     grid = rpt.surface_grid(objective, params)
-    # The optimizer's first round scans the very grid just evaluated.
-    best = optimize_bound(objective, replace(params, refine_rounds=0))
-    lines = [f"grid max {best.value!r} at s={best.s_exact} t={best.t_exact}"]
+    # The first maximum in row-major order, the optimizer's argmax rule.
+    cells = [(v, i, j) for i, row in enumerate(grid.values) for j, v in enumerate(row)]
+    value, i, j = max(cells, key=lambda cell: cell[0])
+    lines = [f"grid max {value!r} at s={grid.s_axis[i]} t={grid.t_axis[j]}"]
     if args.out:
         Path(args.out).write_text(rpt.surface_csv(grid))
         lines.append(f"wrote {args.out}")
@@ -444,10 +379,7 @@ def cmd_surface(args) -> int:
         target = args.target if args.target is not None else dimension_target(args.dim).value
         Path(args.svg).write_text(rpt.surface_svg(grid, target))
         lines.append(f"wrote {args.svg}")
-    doc = _doc(args, "surface",
-               {"dim": args.dim, "e": str(args.e), "mu": args.mu, "k": args.k},
-               grid)
-    return _emit(args, doc, lines)
+    return {"dim": args.dim, "e": args.e, "mu": args.mu, "k": args.k}, grid, lines
 
 
 # --------------------------------------------------------------------------
@@ -616,13 +548,33 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _echo(value):
+    """``value`` as a report's params hold it: a Fraction as its ``p/q``
+    string, SearchParams field by field, tuples and dicts item by item."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, SearchParams):
+        return {f.name: _echo(getattr(value, f.name)) for f in fields(SearchParams)}
+    if isinstance(value, tuple):
+        return tuple(map(_echo, value))
+    if isinstance(value, dict):
+        return {key: _echo(v) for key, v in value.items()}
+    return value
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # Only the subcommand that runs is built; --help, no command and an
     # unknown name get every subcommand.
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.handler(args)
+        params, payload, lines, *verdict = args.handler(args)
+        # The report is written first, so a failed write prints no result.
+        if args.json:
+            doc = rpt.ReportDocument.build(args.command, _echo(params), payload, *verdict,
+                                           timestamp=not args.no_timestamp)
+            Path(args.json).write_text(rpt.dumps(doc) + "\n")
+            lines.append(f"wrote {args.json}")
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -630,6 +582,9 @@ def main(argv=None) -> int:
         # Exact values are unbounded, but reports and the search need floats.
         print(f"error: value out of float range ({exc})", file=sys.stderr)
         return 2
+    for line in lines:
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

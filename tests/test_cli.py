@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hkcert.bounds import h_bound
+from hkcert.bounds import HBoundObjective, h_bound
 from hkcert.certify import _FAMILIES
 from hkcert.cli import _CONFIG_KEYS, build_parser, main, search_params
 from hkcert.report import loads
-from hkcert.search import SearchParams, nu_vector
+from hkcert.search import SearchParams, nu_vector, optimize_bound
 from hkcert.targets import ehk_quadric_dim7
 
 F = Fraction
@@ -112,6 +112,13 @@ class TestScalarCommands:
     )
     def test_huge_rational_is_an_error_line(self, capsys, argv):
         code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failed_json_write_prints_no_result(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(["series", "--max", "3", "--json", str(path)], capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -397,6 +404,15 @@ class TestSurface:
         code, out, _ = run(["surface", "--dim", "7", "--e", "7", "--grid", "40x30"], capsys)
         assert code == 0
         assert "grid max 1.0558526918904545 at s=8/3 t=20/29" in out.splitlines()
+
+    @pytest.mark.parametrize("grid", [(40, 30), (3, 2), (7, 5), (200, 3)], ids=str)
+    def test_grid_max_is_the_unrefined_optimum(self, capsys, grid):
+        # Ties go to the first maximum in row-major order, as in the optimizer.
+        code, out, _ = run(["surface", "--dim", "7", "--e", "7", "--grid", "%dx%d" % grid],
+                           capsys)
+        best = optimize_bound(HBoundObjective(7, 7), SearchParams(grid=grid, refine_rounds=0))
+        assert code == 0
+        assert out == f"grid max {best.value!r} at s={best.s_exact} t={best.t_exact}\n"
 
     def test_writes_csv_and_svg(self, capsys, tmp_path):
         csv_path = tmp_path / "fig.csv"
