@@ -42,7 +42,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm
+from math import floor, gcd, isfinite, isqrt, lcm
 from operator import mul
 
 import numpy as np
@@ -97,6 +97,19 @@ def _overlap(have: np.ndarray, want: np.ndarray) -> tuple[int, int, int]:
     return 0, 0, 0
 
 
+def _phase(x: np.ndarray) -> int:
+    """Where the nodes of the axis ``x`` lie between the multiples of its
+    step, in thousandths of a step from 0 to 999: frac(x[0] / step), so
+    0.9996 and 0.0004 are both 0.  An axis of one node, of width 0 or of a
+    step that is not finite has phase 0."""
+    n = len(x)
+    step = (x.item(-1) - x.item(0)) / (n - 1) if n > 1 else 0.0
+    q = x.item(0) / step if step else 0.0
+    if not isfinite(q):
+        return 0
+    return round((q - floor(q)) * 1000) % 1000
+
+
 class _VolumeMemo:
     """Float slice volumes of recent grid boxes: read-only tiles of at most
     ``capacity`` floats in all, one tile per box shape.
@@ -104,12 +117,18 @@ class _VolumeMemo:
     A tile holds the bytes of its s and t axes and two C-contiguous
     blocks: nu(s_i - a_j) for the shifts a_j of a bound's terms, len(s) by
     len(shifts), and nu(s_i - t_j), len(s) by len(t), which has no columns
-    for a bound constant in t.  A shape is d, the length and the width
-    (rounded to 9 decimals) of s and of t, and the bytes of the shifts.
-    The unclipped boxes of refinement round r are (d + 1)/5^r by 1/5^r
-    wide, so they share a shape although their float widths differ in the
-    last bits; a clipped box has a shape of its own, and a shape shared by
-    chance costs one recomputation.  :meth:`get` first compares the bytes
+    for a bound constant in t.  A shape is d, the bytes of the shifts, and
+    for s and for t the length, the width (rounded to 9 decimals) and the
+    lattice phase (:func:`_phase`).  The unclipped boxes of refinement
+    round r are (d + 1)/5^r by 1/5^r wide, so they share a width although
+    their float widths differ in the last bits.  Such a box is 99.5 of its
+    s steps and 49.5 of its t steps on each side of its centre, so a box
+    around the incumbent of the last round and one around an older
+    incumbent can lie half a node apart: they share no node, and the
+    phase gives each a tile of its own, so they stop evicting each other.
+    A clipped box has a shape of its own, and a shape shared by chance, or
+    one lattice split over two phases by rounding, costs one
+    recomputation.  :meth:`get` first compares the bytes
     of s and t with the tile's, and on a full hit returns the tile's
     blocks.  Otherwise it reuses the tile in the rows whose s doubles are
     byte-equal to the tile's: all of their shift columns, and their t
@@ -135,8 +154,8 @@ class _VolumeMemo:
         a, ns, nt = len(shifts), len(s), len(t)
         if not (ns and (a or nt)):
             return np.empty((ns, a)), np.empty((ns, nt))
-        t_width = round(t.item(-1) - t.item(0), 9) if nt else None
-        key = (d, ns, round(s.item(-1) - s.item(0), 9), shifts.tobytes(), nt, t_width)
+        t_shape = (round(t.item(-1) - t.item(0), 9), _phase(t)) if nt else None
+        key = (d, shifts.tobytes(), ns, round(s.item(-1) - s.item(0), 9), _phase(s), nt, t_shape)
         s_bytes, t_bytes = s.tobytes(), t.tobytes()
         tile = self._tiles.get(key)
         i = j = m = k = l = n = 0
@@ -191,7 +210,11 @@ class _VolumeMemo:
 # 170,000 floats (1.4 MB) hold the volumes of the eight boxes of the default
 # 200 x 100 grid that an optimization with seven refinement rounds scans,
 # each a tile of a 200 x 3 shift block and a 200 x 100 t block:
-# 8 x 200 x 103 = 164,800 cells.
+# 8 x 200 x 103 = 164,800 cells.  As measured, the next e then computes no
+# volume; but a box half a node off keeps a tile of its own (its phase
+# differs), so at seven rounds those tiles crowd others out, and
+# ``prove --dim 10 --k 5 --rounds 7`` computes 0.6% more nu_vector points
+# than with no phase in the shape, against 37% fewer at the default three.
 _MEMO_CELLS = 170_000
 _VOLUMES = _VolumeMemo(_MEMO_CELLS)
 # The t axis of a bound constant in t: its tiles have an empty t block.

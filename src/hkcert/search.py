@@ -188,9 +188,20 @@ class GridAxis:
     degenerate axis (lo == hi) repeats lo as given.  The optimizer passes
     its boxes as integer ends over one denominator (:meth:`_over`), which
     give the same first, delta and D as the Fractions of the same ends.
+    The constructor takes exact ends with lo <= hi, so that the nodes never
+    decrease, and plain ints n >= 2 and max_denominator >= 1; anything
+    else raises ValueError (a float end raises TypeError, as in
+    :func:`~hkcert.volume.to_rational`).
     """
 
     def __init__(self, lo: Fraction, hi: Fraction, n: int, max_denominator: int):
+        lo, hi = to_rational(lo), to_rational(hi)
+        if lo > hi:
+            raise ValueError(f"axis ends must satisfy lo <= hi, got {lo} > {hi}")
+        if type(n) is not int or n < 2:
+            raise ValueError(f"node count n must be an integer >= 2, got {n!r}")
+        if type(max_denominator) is not int or max_denominator < 1:
+            raise ValueError(f"max_denominator must be an integer >= 1, got {max_denominator!r}")
         self._build(*_over_one_denominator(lo, hi), n, max_denominator)
 
     @classmethod

@@ -772,11 +772,13 @@ def nu_calls(monkeypatch):
 
 def _tiles(memo):
     """The memo's tiles as (key, s, shifts, t, shift_vols, t_vols) tuples;
-    the tile keeps s and t as bytes, and the key the bytes of the shifts."""
+    the tile keeps s and t as bytes, and the key, wherever it holds them,
+    the bytes of the shifts: its one bytes part."""
     tiles = []
     for key, (s, t, blocks) in memo._tiles.items():
         assert type(s) is bytes and type(t) is bytes
-        shifts = np.frombuffer(key[3])
+        (shift_bytes,) = [part for part in key if type(part) is bytes]
+        shifts = np.frombuffer(shift_bytes)
         tiles.append((key, np.frombuffer(s), shifts, np.frombuffer(t), *blocks))
     return tiles
 
@@ -1062,6 +1064,62 @@ class TestVolumeTiles:
         general = 2 * (3 * (3 + 2))
         assert sum(nu_calls) == mu_small + h + general
 
+    def test_half_node_boxes_keep_a_tile_each(self, memo, nu_calls):
+        # Box a, then box b of the same shape half a node off in s and t,
+        # as boxes centred on a new and an older incumbent lie; then a, one
+        # row over.  b shares no node with a, so it has a tile of its own,
+        # and the third box computes only its new row.
+        case = _h_case(7, 7)
+        _assert_bits(case, *self.axes(20, 40))
+        _assert_bits(case, *self.axes(F(41, 2), F(81, 2)))
+        assert nu_calls == [60 * (3 + 30)] * 2
+        assert len(memo._tiles) == 2
+        nu_calls.clear()
+        _assert_bits(case, *self.axes(21, 40))
+        assert nu_calls == [3 + 30]
+        _assert_memo_within_capacity(memo)
+
+    @pytest.mark.parametrize(
+        "first, then", [((4, 0), (5, 0)), ((20, 37), (20, 38))], ids=["s", "t"]
+    )
+    def test_phases_straddling_the_wrap_share_a_tile(self, memo, nu_calls, first, then):
+        # On this lattice the first box's nodes divided by its float step
+        # lie just above a whole number and the second box's just below,
+        # in one axis: one phase all the same, so one tile.
+        fractions = []
+        for s_first, t_first in (first, then):
+            s, t = self.axes(s_first, t_first)
+            x = s if first[0] != then[0] else t
+            q = x[0] / ((x[-1] - x[0]) / (len(x) - 1))
+            fractions.append(q - np.floor(q))
+        assert 0 < fractions[0] < 1e-9 and 1 - 1e-9 < fractions[1] < 1
+        case = _general_case(10, 245, 243, 5)
+        _assert_bits(case, *self.axes(*first))
+        nu_calls.clear()
+        _assert_bits(case, *self.axes(*then))
+        assert len(memo._tiles) == 1
+        # One new row (3 shift and 30 t cells), or one new t column.
+        assert nu_calls == [3 + 30 if first[0] != then[0] else 60]
+
+    def test_phase(self):
+        axis = np.array
+        assert bounds._phase(axis([0.0, 0.5, 1.0])) == 0
+        assert bounds._phase(axis([1.5, 2.5])) == 500
+        assert bounds._phase(axis([-0.25, 0.75])) == 750
+        # It wraps: a thousandth of a step short of a node rounds to it.
+        assert bounds._phase(axis([0.9996, 1.9996])) == bounds._phase(axis([0.0004, 1.0004])) == 0
+        # No step to measure: one node, width 0 (the t = 1 axis of the
+        # mu-small rungs), no nodes, or a step that is not finite.
+        for degenerate in ([0.3], [1.0, 1.0], [], [0.0, np.nan], [np.inf, 1.0], [-1e308, 1e308]):
+            assert bounds._phase(axis(degenerate, dtype=float)) == 0
+
+    def test_one_node_axes(self, memo):
+        s, t = self.axes(20, 40)
+        for case in (_h_case(7, 8), _mu_small_case(9, 2, 8)):
+            _assert_bits(case, s[:1], t)
+            _assert_bits(case, s, t[:1])
+        _assert_memo_within_capacity(memo)
+
     def test_a_weight_zero_at_one_e_keeps_its_column(self, memo, nu_calls):
         # At e = 4 the weight e - 4 of nu(s - 1) in H_e is zero, and the
         # cell skips it; its column is computed all the same, so e = 4 and
@@ -1108,7 +1166,16 @@ class TestMemoInCoverings:
     def test_default_rounds_prove(self, memo, nu_calls):
         # The d = 7 proof at default rounds, on a fresh memo.
         prove_dimension(7, 1)
-        assert sum(nu_calls) <= 839_770
+        assert sum(nu_calls) <= 839_455
+
+    def test_gap_sweep(self, memo, nu_calls):
+        # Forty d = 10 gaps, one four-round optimization each.  Boxes
+        # centred on the last and on an older incumbent lie half a node
+        # apart and keep a tile each: 401,870 points when they shared one.
+        target = wy_target(10).value
+        plan = cover_range(10, 5, 200, 239, target)
+        assert [(g.e_lo, g.e_hi) for g in plan.gaps] == [(200, 239)]
+        assert sum(nu_calls) <= 263_970
 
     def test_default_rounds_cover(self, monkeypatch, nu_calls):
         # The twelve optimizations of one d = 10 covering, 82,400 points each
@@ -1120,7 +1187,7 @@ class TestMemoInCoverings:
             cover_range(10, 5, 240, 260, wy_target(10).value)
             counts.append(sum(nu_calls))
         assert counts[0] == 988_800
-        assert counts[1] <= 164_090
+        assert counts[1] <= 146_885
 
     @pytest.mark.parametrize("rounds, points", [(5, 1_789_330), (7, 2_739_330)])
     def test_more_rounds_prove(self, memo, nu_calls, rounds, points):

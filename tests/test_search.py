@@ -178,6 +178,31 @@ class TestGridAxis:
         # Denominators above 2**53 but below the cap of 2**100 snap.
         self.assert_matches_reference(lo, hi, 97, 2**100)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((F(0), F(1), 1, 10**6), "node count n"),
+            ((F(0), F(1), 0, 10**6), "node count n"),
+            ((F(0), F(1), -3, 10**6), "node count n"),
+            ((F(0), F(1), True, 10**6), "node count n"),
+            ((F(0), F(1), 2.0, 10**6), "node count n"),
+            ((F(1), F(0), 10, 10**6), "lo <= hi"),
+            ((F(1, 3), F(1, 4), 2, 10**6), "lo <= hi"),
+            ((F(0), F(1), 10, 0), "max_denominator"),
+            ((F(0), F(1), 10, 10.0**6), "max_denominator"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, args, message):
+        # One node had no step (ZeroDivisionError), none built an empty
+        # axis, and lo > hi a decreasing one, against the tie rule.
+        with pytest.raises(ValueError, match=message):
+            GridAxis(*args)
+
+    def test_ends_are_exact(self):
+        with pytest.raises(TypeError):
+            GridAxis(0.5, F(1), 10, 10**6)
+        assert GridAxis("1/4", 1, 4, 10**6).nodes() == (F(1, 4), F(1, 2), F(3, 4), F(1))
+
 
     @pytest.mark.parametrize("hi", (2**53 - 1, 2**53, 2**53 + 1, 2**60 + 3))
     def test_numerators_around_two_to_the_53(self, hi):
