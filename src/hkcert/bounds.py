@@ -132,7 +132,9 @@ class _VolumeMemo:
     of s and t with the tile's, and on a full hit returns the tile's
     blocks.  Otherwise it reuses the tile in the rows whose s doubles are
     byte-equal to the tile's: all of their shift columns, and their t
-    columns whose t doubles are byte-equal too.  It computes the rest in
+    columns whose t doubles are byte-equal too.  It writes the arguments of
+    the rest (s - a_j and s - t in the new rows, and s - t in the reused
+    rows' new t columns) straight into one flat array and computes them in
     one :func:`~hkcert.search.nu_vector` call, which works element by
     element, so every cell is the double a full recomputation gives.
 
@@ -175,14 +177,16 @@ class _VolumeMemo:
         rows = slice(0, i) if i else slice(m, ns)
         cols = slice(0, k) if k else slice(n, nt)
         side = s[rows, None]
-        parts = (side - shifts, side - t, s[i : i + m, None] - t[cols])
-        fresh = nu_vector(np.concatenate([part.ravel() for part in parts]), d)
-        e0 = parts[0].size
-        e1 = e0 + parts[1].size
-        pieces = [
-            piece.reshape(part.shape)
-            for piece, part in zip((fresh[:e0], fresh[e0:e1], fresh[e1:]), parts)
-        ]
+        pairs = ((side, shifts), (side, t), (s[i : i + m, None], t[cols]))
+        spans, end = [], 0
+        for u, v in pairs:
+            start, end = end, end + len(u) * len(v)
+            spans.append((slice(start, end), (len(u), len(v))))
+        args = np.empty(end)
+        for (u, v), (span, shape) in zip(pairs, spans):
+            np.subtract(u, v, out=args[span].reshape(shape))
+        fresh = nu_vector(args, d)
+        pieces = [fresh[span].reshape(shape) for span, shape in spans]
         if m:
             have_shift, have_t_vols = blocks
             shift_vols, t_vols = np.empty((ns, a)), np.empty((ns, nt))

@@ -27,7 +27,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .volume import _fact, to_rational
+from .volume import _check_dimension, _fact, to_rational
 
 __all__ = [
     "SearchParams",
@@ -60,22 +60,44 @@ def nu_vector(x: np.ndarray, d: int) -> np.ndarray:
     input double at the same place, never on the other elements or on the
     array's shape, so volumes computed in pieces equal those computed at
     once, bit for bit.
+
+    It works in place.  Past the input's conversion to floats it allocates
+    five arrays of the input's shape, whatever d is: the clamped and the
+    reflected arguments, the sum, one work array that every term reuses and
+    one bool mask.  It runs the same float operations on the same doubles
+    in the same order as a kernel that allocates each intermediate afresh,
+    so its bits are that kernel's.  d must be a positive int of at most
+    :data:`~hkcert.volume.MAX_CACHED_DIMENSION`, as for
+    :func:`~hkcert.volume.nu_exact`.
     """
+    _check_dimension(d)
     x = np.asarray(x, dtype=float)
-    clamped = np.minimum(np.maximum(x, 0.0), float(d))
-    refl = np.minimum(clamped, d - clamped)
-    acc = np.zeros_like(refl)
+    # Each array is made with np.empty: on a 0-d input a ufunc without out=
+    # returns a numpy scalar, which a later out= cannot take.
+    clamped = np.maximum(x, 0.0, out=np.empty(x.shape))
+    np.minimum(clamped, float(d), out=clamped)
+    refl = np.subtract(float(d), clamped, out=np.empty(x.shape))
+    np.minimum(clamped, refl, out=refl)
+    acc = np.zeros(x.shape)
+    w = np.empty(x.shape)
+    mask = np.empty(x.shape, dtype=bool)
     # NaN if any element is; the initial 0.0 lets an empty input stop at once.
     top = refl.max(initial=0.0)
     for j in range(d // 2 + 1):
         if top <= j:
             break
-        w = np.maximum(refl - j, 0.0)
-        # pow(0.0, d) is several times slower than pow on nonzero inputs, and
-        # zero terms are +0.0 either way; NaN and +-inf still go through pow.
-        powers = np.power(w, d, out=np.zeros_like(w), where=w != 0.0)
-        acc += ((-1) ** j / (_fact(j) * _fact(d - j))) * powers
-    return np.where(2.0 * clamped > d, 1.0 - acc, acc)
+        np.subtract(refl, j, out=w)
+        np.maximum(w, 0.0, out=w)
+        # pow(0.0, d) is several times slower than pow on nonzero inputs, so
+        # a zero w is left as it is: a zero term of either sign changes no
+        # bit of acc, which is never -0.0.  NaN and +-inf still go through pow.
+        np.not_equal(w, 0.0, out=mask)
+        np.power(w, d, out=w, where=mask)
+        w *= (-1) ** j / (_fact(j) * _fact(d - j))
+        acc += w
+    # The same test as 2.0 * clamped > d: d / 2 and 2.0 * clamped are exact.
+    np.greater(clamped, d / 2, out=mask)
+    return np.subtract(1.0, acc, out=acc, where=mask)
 
 
 class Objective(Protocol):
@@ -144,6 +166,8 @@ class SearchParams:
                 raise ValueError(f"{name} must be an integer, got {n!r}")
         if ns < 2 or nt < 2:
             raise ValueError("grid counts must be >= 2")
+        # A list would leave the frozen dataclass unhashable.
+        object.__setattr__(self, "grid", (ns, nt))
         if self.refine_rounds < 0 or self.shrink_factor < 2:
             raise ValueError("refine_rounds must be >= 0 and shrink_factor >= 2")
         if self.max_denominator < 1:

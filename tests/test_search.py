@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -101,6 +102,59 @@ class TestNuVector:
         xs = np.array([float(p) for p in points])
         want = np.array([float(nu_exact(p, d)) for p in points])
         assert np.max(np.abs(nu_vector(xs, d) - want)) <= bound
+
+    @pytest.mark.parametrize(
+        "d", [0, -1, True, 65, 7.0], ids=["zero", "negative", "bool", "65", "float"]
+    )
+    def test_rejects_a_dimension_outside_1_to_64(self, d):
+        # As nu_exact does: no zeros for d <= 0, no d = 1 for True, no run
+        # past the last tested error band, no TypeError for a float.
+        with pytest.raises(ValueError, match="^dimension must be a positive integer at most 64"):
+            nu_vector(np.array([0.5, 1.5]), d)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 10, 63, 64])
+    def test_input_forms(self, d):
+        rng = np.random.default_rng(2000 + d)
+        grid = rng.uniform(-1, d + 1, (9, 12))
+        read_only = rng.uniform(-1, d + 1, 50)
+        read_only.flags.writeable = False
+        before = read_only.tobytes()
+        for x in (
+            d / 3,
+            np.array(d / 3),
+            np.empty(0),
+            np.arange(-2, d + 3),
+            grid,
+            grid[::2, 1::3],
+            grid.T,
+            read_only,
+        ):
+            got = nu_vector(x, d)
+            # Not nu_vector_oracle: on a 0-d input its w**d is numpy's scalar
+            # power, whose last bit can differ from the array kernel's at
+            # d = 63 and 64.
+            want = nu_vector_clip_oracle(x, d)
+            assert isinstance(got, np.ndarray) and got.dtype == float
+            assert got.shape == want.shape == np.shape(x)
+            assert np.array_equal(bits(got), bits(want))
+            assert not np.shares_memory(got, x)
+        assert read_only.tobytes() == before
+
+    def test_peak_memory_of_one_call(self):
+        # One scan's volume tile: 200 s rows by 3 shift and 100 t columns.
+        # The kernel holds five arrays of the input's shape at its peak, four
+        # of floats and one of bools: 4.125 times the input's bytes, and a
+        # little more.  A kernel allocating each intermediate peaks at 7.14.
+        x = np.random.default_rng(0).uniform(-1, 11, (200, 103))
+        nu_vector(x, 10)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            nu_vector(x, 10)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * x.nbytes
 
 
 def _narrow_bands(d, rng):
@@ -325,6 +379,13 @@ class TestSearchParams:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SearchParams(**counts)
 
+    def test_a_grid_list_is_stored_as_a_tuple(self):
+        # A list would leave the frozen dataclass unhashable and unequal to
+        # the same counts given as a tuple.
+        p = SearchParams(grid=[20, 10])
+        assert p.grid == (20, 10) and type(p.grid) is tuple
+        assert p == SearchParams(grid=(20, 10))
+        assert hash(p) == hash(SearchParams(grid=(20, 10)))
 
     @pytest.mark.parametrize("grid", [(200,), None, (200, 100, 5)],
                              ids=["one-count", "none", "three-counts"])
