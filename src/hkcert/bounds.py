@@ -42,7 +42,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import floor, gcd, isfinite, isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 import numpy as np
@@ -84,91 +84,60 @@ def _minus_half_power(k: int) -> Fraction:
     return Fraction(-1, 2**k)
 
 
-def _overlap(have: np.ndarray, want: np.ndarray) -> tuple[int, int, int]:
-    """(i, j, n) with want[i:i + n] byte-equal to have[j:j + n], for the run
-    from the first node of either axis; n = 0 if there is no such run."""
-    if want[0] >= have[0]:
-        i, j = 0, int(have.searchsorted(want[0]))
-    else:
-        i, j = int(want.searchsorted(have[0])), 0
-    n = min(len(want) - i, len(have) - j)
-    if n > 0 and want[i : i + n].tobytes() == have[j : j + n].tobytes():
-        return i, j, n
-    return 0, 0, 0
-
-
-def _phase(x: np.ndarray) -> int:
-    """Where the nodes of the axis ``x`` lie between the multiples of its
-    step, in thousandths of a step from 0 to 999: frac(x[0] / step), so
-    0.9996 and 0.0004 are both 0.  An axis of one node, of width 0 or of a
-    step that is not finite has phase 0."""
-    n = len(x)
-    step = (x.item(-1) - x.item(0)) / (n - 1) if n > 1 else 0.0
-    q = x.item(0) / step if step else 0.0
-    if not isfinite(q):
-        return 0
-    return round((q - floor(q)) * 1000) % 1000
-
-
 class _VolumeMemo:
     """Float slice volumes of recent grid boxes: read-only tiles of at most
-    ``capacity`` floats in all, one tile per box shape.
+    ``capacity`` floats in all, one tile per pair of node lattices.
 
-    A tile holds the bytes of its s and t axes and two C-contiguous
+    A tile holds the starts of its s and t axes and two C-contiguous
     blocks: nu(s_i - a_j) for the shifts a_j of a bound's terms, len(s) by
     len(shifts), and nu(s_i - t_j), len(s) by len(t), which has no columns
-    for a bound constant in t.  A shape is d, the bytes of the shifts, and
-    for s and for t the length, the width (rounded to 9 decimals) and the
-    lattice phase (:func:`_phase`).  The unclipped boxes of refinement
-    round r are (d + 1)/5^r by 1/5^r wide, so they share a width although
-    their float widths differ in the last bits.  Such a box is 99.5 of its
-    s steps and 49.5 of its t steps on each side of its centre, so a box
-    around the incumbent of the last round and one around an older
-    incumbent can lie half a node apart: they share no node, and the
-    phase gives each a tile of its own, so they stop evicting each other.
-    A clipped box has a shape of its own, and a shape shared by chance, or
-    one lattice split over two phases by rounding, costs one
-    recomputation.  :meth:`get` first compares the bytes
-    of s and t with the tile's, and on a full hit returns the tile's
-    blocks.  Otherwise it reuses the tile in the rows whose s doubles are
-    byte-equal to the tile's: all of their shift columns, and their t
-    columns whose t doubles are byte-equal too.  It writes the arguments of
-    the rest (s - a_j and s - t in the new rows, and s - t in the reused
-    rows' new t columns) straight into one flat array and computes them in
-    one :func:`~hkcert.search.nu_vector` call, which works element by
-    element, so every cell is the double a full recomputation gives.
+    for a bound constant in t.  Its key is d, the bytes of the shifts and
+    the ``lattice`` of the s and of the t :class:`~hkcert.search.GridAxis`
+    (None for a bound constant in t).  Axes on one lattice hold the same
+    double at every lattice node they share, so the starts alone say which
+    cells a request shares with its key's tile: equal starts are a full
+    hit, and :meth:`get` returns the tile's blocks.  Otherwise node i of
+    the request is node i + (its start - the tile's start) of the tile, and
+    it reuses the tile in the shared s rows: all of their shift columns,
+    and their shared t columns.  It writes the arguments of the rest (s - a_j and
+    s - t in the new rows, and s - t in the reused rows' new t columns)
+    straight into one flat array and computes them in one
+    :func:`~hkcert.search.nu_vector` call, which works element by element,
+    so every cell is the double a full recomputation gives.
 
-    The new tile replaces its shape's tile on a partial hit or a miss; a
-    new shape evicts tiles, least recently used first, until it fits.  The
-    memo takes no lock; no hkcert module starts a thread
+    The new tile replaces its key's tile on a partial hit or a miss; a new
+    key evicts tiles, least recently used first, until it fits.  The memo
+    takes no lock; no hkcert module starts a thread
     (``tests/test_layers.py``).
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.cells = 0
-        # shape -> (s bytes, t bytes, (shift block, t block)), least
-        # recently used first.
+        # key -> (s start, t start, (shift block, t block)), least recently
+        # used first.
         self._tiles: OrderedDict = OrderedDict()
 
-    def get(self, d: int, s: np.ndarray, shifts: np.ndarray, t: np.ndarray):
-        """The read-only blocks (nu(s[:, None] - shifts, d), nu(s[:, None] - t, d))."""
+    def get(self, d: int, s, shifts: np.ndarray, t):
+        """The read-only blocks (nu(s.floats[:, None] - shifts, d),
+        nu(s.floats[:, None] - t.floats, d)) for the grid axes s and t, or
+        t = None for no t columns."""
+        key = (d, shifts.tobytes(), s.lattice, None if t is None else t.lattice)
+        s_start, s = s.start, s.floats
+        t_start, t = (0, _NO_T) if t is None else (t.start, t.floats)
         a, ns, nt = len(shifts), len(s), len(t)
-        if not (ns and (a or nt)):
-            return np.empty((ns, a)), np.empty((ns, nt))
-        t_shape = (round(t.item(-1) - t.item(0), 9), _phase(t)) if nt else None
-        key = (d, shifts.tobytes(), ns, round(s.item(-1) - s.item(0), 9), _phase(s), nt, t_shape)
-        s_bytes, t_bytes = s.tobytes(), t.tobytes()
         tile = self._tiles.get(key)
         i = j = m = k = l = n = 0
         if tile is not None:
-            have_s, have_t, blocks = tile
-            if s_bytes == have_s and t_bytes == have_t:
+            s0, t0, blocks = tile
+            if s_start == s0 and t_start == t0:
                 self._tiles.move_to_end(key)
                 return blocks
-            i, j, m = _overlap(np.frombuffer(have_s), s)
-            if m and nt:
-                k, l, n = _overlap(np.frombuffer(have_t), t)
+            # Request rows i : i + m are tile rows j : j + m, and request
+            # columns k : k + n tile columns l : l + n.
+            ds, dt = s_start - s0, t_start - t0
+            i, j, m = max(0, -ds), max(0, ds), max(0, ns - abs(ds))
+            k, l, n = max(0, -dt), max(0, dt), max(0, nt - abs(dt))
         # The tile has the request's shape, so the reused s rows reach one
         # end of s and the reused t columns one end of t, and the cells
         # left form an L: whole rows on one side of the reused ones, and in
@@ -200,14 +169,14 @@ class _VolumeMemo:
         size = shift_vols.size + t_vols.size
         if size > self.capacity:
             return blocks
-        # A shape's tiles are all of one size, so replacing one keeps
-        # ``cells``; a new shape evicts the oldest tiles until it fits.
+        # A key's tiles are all of one size, so replacing one keeps
+        # ``cells``; a new key evicts the oldest tiles until it fits.
         if self._tiles.pop(key, None) is None:
             self.cells += size
             while self.cells > self.capacity:
                 old_shift, old_t = self._tiles.popitem(last=False)[1][2]
                 self.cells -= old_shift.size + old_t.size
-        self._tiles[key] = (s_bytes, t_bytes, blocks)
+        self._tiles[key] = (s_start, t_start, blocks)
         return blocks
 
 
@@ -215,13 +184,10 @@ class _VolumeMemo:
 # 200 x 100 grid that an optimization with seven refinement rounds scans,
 # each a tile of a 200 x 3 shift block and a 200 x 100 t block:
 # 8 x 200 x 103 = 164,800 cells.  As measured, the next e then computes no
-# volume; but a box half a node off keeps a tile of its own (its phase
-# differs), so at seven rounds those tiles crowd others out, and
-# ``prove --dim 10 --k 5 --rounds 7`` computes 0.6% more nu_vector points
-# than with no phase in the shape, against 37% fewer at the default three.
+# volume.
 _MEMO_CELLS = 170_000
 _VOLUMES = _VolumeMemo(_MEMO_CELLS)
-# The t axis of a bound constant in t: its tiles have an empty t block.
+# The t floats of a bound constant in t: its tiles have an empty t block.
 _NO_T = np.empty(0)
 
 
@@ -406,26 +372,25 @@ class LinearBound:
         offset = (float(self.c0), float(self.ct)) if self.c0 or self.ct else None
         return e, [w for w, _ in live], shifts, offset
 
-    def vector(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Values on the grid s[:, None] x t[None, :], shape (len(s), len(t)).
+    def vector(self, s, t) -> np.ndarray:
+        """Values on the grid s.floats[:, None] x t.floats[None, :] of two
+        :class:`~hkcert.search.GridAxis`, shape (len(s), len(t)).
 
         The slice volumes do not depend on e, so they come from the memo of
-        recent grid boxes (``_VOLUMES``), one tile per box: the 1-D volumes
-        nu(s - a_i) in its shift block and, unless wt = 0, the 2-D
-        nu(s - t) in its t block.  The shifts are those of the terms whose
-        weight w + we*e is not zero at every e, so one family asks for the
-        same columns at every e.  A covering that optimizes one e after
-        another scans the same and shifted boxes, and computes each volume
-        once per grid node.  The float weights are built once per bound; the
-        arithmetic on the volumes runs on every call, in term order,
-        skipping the weights that are zero at this e, so a cell is the same
-        double with or without the memo, and the returned array is always
-        new.
+        recent grid boxes (``_VOLUMES``), one tile per pair of node
+        lattices: the 1-D volumes nu(s - a_i) in its shift block and,
+        unless wt = 0, the 2-D nu(s - t) in its t block.  The shifts are
+        those of the terms whose weight w + we*e is not zero at every e, so
+        one family asks for the same columns at every e.  A covering that
+        optimizes one e after another scans the same and shifted boxes, and
+        computes each volume once per grid node.  The float weights are
+        built once per bound; the arithmetic on the volumes runs on every
+        call, in term order, skipping the weights that are zero at this e,
+        so a cell is the same double with or without the memo, and the
+        returned array is always new.
         """
         e, weights, shifts, offset = self._float_form
-        # As float64, equal bytes are equal axes.
-        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-        shift_vols, t_vols = _VOLUMES.get(self.d, s, shifts, t if self.wt else _NO_T)
+        shift_vols, t_vols = _VOLUMES.get(self.d, s, shifts, t if self.wt else None)
         acc = np.zeros(len(s))
         for i, weight in enumerate(weights):
             # acc + (-w)*y is the same double as acc - w*y, and a zero
@@ -439,7 +404,7 @@ class LinearBound:
         inner *= e
         if offset is not None:
             c0, ct = offset
-            inner += c0 + ct * t
+            inner += c0 + ct * t.floats
         return inner
 
 

@@ -151,7 +151,7 @@ def surface_grid(objective: Objective, params: SearchParams) -> SurfaceGrid:
     ns, nt = params.grid
     s_axis = GridAxis(s_lo, s_hi, ns, params.max_denominator)
     t_axis = GridAxis(t_lo, t_hi, nt, params.max_denominator)
-    vals = objective.vector(s_axis.floats, t_axis.floats)
+    vals = objective.vector(s_axis, t_axis)
     return SurfaceGrid(
         objective=objective.descriptor(),
         s_axis=s_axis.nodes(),

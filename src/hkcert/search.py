@@ -108,10 +108,10 @@ class Objective(Protocol):
 
     def exact(self, s: Fraction, t: Fraction) -> Fraction: ...
 
-    def vector(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Values on the grid s[:, None] x t[None, :], shape (len(s), len(t)).
-
-        The optimizer passes read-only axes, which later scans may share."""
+    def vector(self, s: GridAxis, t: GridAxis) -> np.ndarray:
+        """Values on the grid s.floats[:, None] x t.floats[None, :], shape
+        (len(s), len(t)).  The axes' floats are read-only, and later scans
+        may share an axis."""
         ...
 
     def descriptor(self) -> dict: ...
@@ -173,10 +173,12 @@ class SearchParams:
         if self.max_denominator < 1:
             raise ValueError("max_denominator must be >= 1")
 
-    def resolved_s_range(self, dimension: int) -> tuple[Fraction, Fraction]:
+    def resolved_s_range(self, dimension: int) -> tuple[Fraction | int, Fraction | int]:
+        """The s range, by default [0, d + 1]: ints, exact without
+        building a Fraction."""
         if self.s_range is not None:
             return self.s_range
-        return (Fraction(0), Fraction(dimension + 1))
+        return (0, dimension + 1)
 
 
 @dataclass(frozen=True)
@@ -212,6 +214,16 @@ class GridAxis:
     degenerate axis (lo == hi) repeats lo as given.  The optimizer passes
     its boxes as integer ends over one denominator (:meth:`_over`), which
     give the same first, delta and D as the Fractions of the same ends.
+    ``floats`` is read-only.
+
+    ``lattice`` names the exact node set the axis lies on, as a hashable
+    tuple of ints (n, D, delta, first mod delta, max_denominator if the
+    nodes are snapped else None), and ``start`` = first // delta is the
+    index of node 0 on it: node i is lattice node start + i.  D is the
+    least common denominator of lo and the step, so every axis on one
+    lattice has the same D and delta, and two axes with one ``lattice``
+    hold bit for bit the same float at every node they share.  A
+    degenerate axis has the lattice (n, D, 0, first, None) and start 0.
     The constructor takes exact ends with lo <= hi, so that the nodes never
     decrease, and plain ints n >= 2 and max_denominator >= 1; anything
     else raises ValueError (a float end raises TypeError, as in
@@ -242,7 +254,11 @@ class GridAxis:
         first, delta, den = lo * (n - 1) // g, (hi - lo) // g, q * (n - 1) // g
         self._first, self._delta, self._den, self._n = first, delta, den, n
         self._snapped = None
-        if delta and den > max_denominator:
+        snapped = delta and den > max_denominator
+        self.start = first // delta if delta else 0
+        offset = first - self.start * delta  # first mod delta, or first if delta = 0
+        self.lattice = (n, den, delta, offset, max_denominator if snapped else None)
+        if snapped:
             self._snapped = [
                 Fraction(first + i * delta, den).limit_denominator(max_denominator)
                 for i in range(n)
@@ -253,6 +269,7 @@ class GridAxis:
             self.floats = numerators.astype(float) / float(den)
         else:
             self.floats = np.array([(first + i * delta) / den for i in range(n)])
+        self.floats.flags.writeable = False
 
     def __len__(self) -> int:
         return self._n
@@ -281,11 +298,9 @@ _AXIS_CACHE_SIZE = 64
 
 @lru_cache(maxsize=_AXIS_CACHE_SIZE)
 def _axis(lo: int, hi: int, q: int, n: int, max_denominator: int) -> GridAxis:
-    """``GridAxis._over`` with read-only floats, kept for the last boxes
-    scanned: a box scanned again reuses its axis."""
-    axis = GridAxis._over(lo, hi, q, n, max_denominator)
-    axis.floats.flags.writeable = False
-    return axis
+    """``GridAxis._over``, kept for the last boxes scanned: a box scanned
+    again reuses its axis."""
+    return GridAxis._over(lo, hi, q, n, max_denominator)
 
 
 def _box(a: int, b: int, q: int, p: int, r: int, scale: int) -> tuple[int, int, int]:
@@ -309,15 +324,13 @@ def optimize_bound(objective: Objective, params: SearchParams | None = None) -> 
     params = params or SearchParams()
     ns, nt = params.grid
     shrink, cap = params.shrink_factor, params.max_denominator
-    # The default s range, [0, d + 1], as ints: they have numerator and
-    # denominator too.
-    s_range = _over_one_denominator(*(params.s_range or (0, objective.dimension + 1)))
+    s_range = _over_one_denominator(*params.resolved_s_range(objective.dimension))
     t_range = _over_one_denominator(*params.t_range)
 
     s_box, t_box = s_range, t_range
     for round_no in range(params.refine_rounds + 1):
         s_axis, t_axis = _axis(*s_box, ns, cap), _axis(*t_box, nt, cap)
-        vals = objective.vector(s_axis.floats, t_axis.floats)
+        vals = objective.vector(s_axis, t_axis)
         i, j = divmod(int(vals.argmax()), vals.shape[1])
         value = vals.item(i, j)
         (sp, sq), (tp, tq) = s_axis._ratio(i), t_axis._ratio(j)

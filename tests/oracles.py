@@ -221,15 +221,20 @@ def nu_vector_clip_oracle(x, d: int) -> np.ndarray:
 
 
 def nu_vector_oracle(x, d: int) -> np.ndarray:
-    """Reflected alternating-sum slice volume with w**d on every element."""
-    x = np.asarray(x, dtype=float)
+    """Reflected alternating-sum slice volume with w**d on every element.
+
+    It computes on the input flattened to 1-D: on a 0-d array numpy
+    evaluates w**d with its scalar power, whose last bit can differ from
+    the array kernel's (at d = 63 and 64)."""
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=float).reshape(-1)
     clamped = np.clip(x, 0.0, float(d))
     refl = np.minimum(clamped, d - clamped)
     acc = np.zeros_like(refl)
     for j in range(d // 2 + 1):
         w = np.maximum(refl - j, 0.0)
         acc += ((-1) ** j / (factorial(j) * factorial(d - j))) * w**d
-    return np.where(2.0 * clamped > d, 1.0 - acc, acc)
+    return np.where(2.0 * clamped > d, 1.0 - acc, acc).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

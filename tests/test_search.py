@@ -130,14 +130,12 @@ class TestNuVector:
             read_only,
         ):
             got = nu_vector(x, d)
-            # Not nu_vector_oracle: on a 0-d input its w**d is numpy's scalar
-            # power, whose last bit can differ from the array kernel's at
-            # d = 63 and 64.
-            want = nu_vector_clip_oracle(x, d)
             assert isinstance(got, np.ndarray) and got.dtype == float
-            assert got.shape == want.shape == np.shape(x)
-            assert np.array_equal(bits(got), bits(want))
             assert not np.shares_memory(got, x)
+            # Both references agree, on the 0-d inputs (d / 3 twice) too.
+            for want in (nu_vector_clip_oracle(x, d), nu_vector_oracle(x, d)):
+                assert got.shape == want.shape == np.shape(x)
+                assert np.array_equal(bits(got), bits(want))
         assert read_only.tobytes() == before
 
     def test_peak_memory_of_one_call(self):
@@ -282,6 +280,28 @@ class TestGridAxis:
     def test_random_axes(self, lo, width, n, max_denominator):
         self.assert_matches_reference(lo, lo + width, n, max_denominator)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.fractions(min_value=0, max_value=20, max_denominator=1000),
+        st.fractions(min_value=F(1, 1000), max_value=2, max_denominator=1000),
+        st.integers(2, 30),
+        st.integers(-40, 40),
+        st.tuples(*[st.sampled_from((7, 100, 10**6))] * 2),
+    )
+    def test_one_lattice_one_float_per_node(self, lo, step, n, shift, caps):
+        # The volume memo reuses cells by lattice node: two axes with one
+        # lattice must hold the same double at every node they share.
+        a = GridAxis(lo, lo + (n - 1) * step, n, caps[0])
+        b_lo = lo + shift * step
+        b = GridAxis(b_lo, b_lo + (n - 1) * step, n, caps[1])
+        assert not a.floats.flags.writeable and not b.floats.flags.writeable
+        assert a.lattice[:4] == b.lattice[:4] and b.start == a.start + shift
+        if a.lattice == b.lattice:
+            for i in range(max(0, shift), min(n, n + shift)):
+                assert a.floats[i].tobytes() == b.floats[i - shift].tobytes()
+        half = GridAxis(lo + step / 2, lo + step / 2 + (n - 1) * step, n, caps[0])
+        assert half.lattice != a.lattice
+
 
 class TestAxisCache:
     """optimize_bound reads its axes from a bounded cache of recent boxes."""
@@ -403,7 +423,7 @@ class _Plateau:
         return min(s, F(1))
 
     def vector(self, s, t):
-        return np.repeat(np.minimum(s, 1.0)[:, None], len(t), axis=1)
+        return np.repeat(np.minimum(s.floats, 1.0)[:, None], len(t), axis=1)
 
     def descriptor(self):
         return {"kind": "plateau"}
@@ -537,8 +557,8 @@ class TestOptimizer:
                 self.scans = []
 
             def vector(self, s, t):
-                self.scans.append((s.tobytes(), t.tobytes()))
-                return vector(s, t)
+                self.scans.append((s.floats.tobytes(), t.floats.tobytes()))
+                return vector(s.floats, t.floats)
 
         params = SearchParams(s_range=s_range, t_range=t_range, grid=grid,
                               refine_rounds=rounds, shrink_factor=shrink,
