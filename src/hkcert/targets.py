@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .volume import Polynomial, _fact, to_rational
+from .volume import _fact, to_rational
 
 __all__ = [
     "TargetValue",
@@ -38,8 +38,32 @@ __all__ = [
     "large_e_threshold",
 ]
 
-_QUADRIC_NUM = Polynomial((192, 0, 304, 0, 332))
-_QUADRIC_DEN = Polynomial((168, 0, 273, 0, 315))
+# Polynomials in p as integer coefficient tuples, index = power of p: the
+# closed form ehk7 = _QUADRIC_NUM / _QUADRIC_DEN, its distance to the limit
+# ehk7 - 332/315 = _RES_NUM / _RES_DEN, and its slope -_DER_NUM / _DER_DEN.
+_QUADRIC_NUM = (192, 0, 304, 0, 332)
+_QUADRIC_DEN = (168, 0, 273, 0, 315)
+_RES_NUM = (224, 0, 244)
+_RES_DEN = (2520, 0, 4095, 0, 4725)
+_DER_NUM = (0, 128, 0, 896, 0, 488)
+_DER_DEN = (1344, 0, 4368, 0, 8589, 0, 8190, 0, 4725)
+
+
+def _at(coeffs: tuple, x):
+    """The polynomial ``coeffs`` at x, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _derivative(coeffs: tuple) -> tuple:
+    return tuple(i * c for i, c in enumerate(coeffs))[1:]
+
+
+def _check_int(name: str, value, least: int) -> None:
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +80,7 @@ class TargetValue:
     provenance: str
 
     def __post_init__(self):
+        object.__setattr__(self, "value", to_rational(self.value))
         if self.provenance not in ("series", "closed-form-d7", "user-supplied"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.value <= 1:
@@ -94,7 +119,7 @@ def ehk_quadric_dim7(p) -> Fraction:
     p = to_rational(p)
     if p < 3:
         raise ValueError(f"parameter p must be >= 3, got {p}")
-    return _QUADRIC_NUM(p) / _QUADRIC_DEN(p)
+    return _at(_QUADRIC_NUM, p) / _at(_QUADRIC_DEN, p)
 
 
 @dataclass(frozen=True)
@@ -118,32 +143,35 @@ class QuadricIdentityReport:
 
 
 def verify_quadric_identities(p_max: int = 199) -> QuadricIdentityReport:
-    """Certify the closed form's structure by exact polynomial algebra.
+    """Certify the closed form's structure by exact rational arithmetic.
 
     * decomposition: ehk7(p) - 332/315 = (244 p^2 + 224) / (4725 p^4 + 4095 p^2 + 2520)
-      as rational functions (cross multiplication of polynomials);
+      as rational functions;
     * derivative: d/dp ehk7(p) = -(488 p^5 + 896 p^3 + 128 p)
       / (4725 p^8 + 8190 p^6 + 8589 p^4 + 4368 p^2 + 1344), again exactly;
-    * sign: the derivative numerator has all-positive coefficients, so the
-      function strictly decreases for every p > 0;
+    * sign: the derivative numerator has nonnegative coefficients, not all
+      in the constant term, so the function strictly decreases for every p > 0;
     * monotone chain: exact comparisons along odd p from 3 to p_max.
     """
     n, d = _QUADRIC_NUM, _QUADRIC_DEN
-
-    # (n/d - 332/315) == res_num/res_den  <=>  (315 n - 332 d) res_den == 315 d res_num
-    res_num = Polynomial((224, 0, 244))
-    res_den = Polynomial((2520, 0, 4095, 0, 4725))
-    lhs = (315 * n - 332 * d) * res_den
-    rhs = (315 * d) * res_num
-    decomposition = lhs == rhs
-
-    # derivative of n/d is (n'd - nd')/d^2; compare with -der_num/der_den.
-    der_num = Polynomial((0, 128, 0, 896, 0, 488))
-    der_den = Polynomial((1344, 0, 4368, 0, 8589, 0, 8190, 0, 4725))
-    wronskian = n.derivative() * d - n * d.derivative()
-    derivative = wronskian * der_den == -der_num * (d * d)
-
-    negative = all(c >= 0 for c in der_num.coefficients) and der_num.degree >= 1
+    dn, dd = _derivative(n), _derivative(d)
+    # a/b = c/e iff the polynomials a e and b c are equal, which they are if
+    # they agree at more points than their degree; every denominator is
+    # positive at p >= 0.  The largest degree is the derivative identity's,
+    # (n'd - nd') _DER_DEN: 3 + 4 + 8 = 15, so 16 points.
+    points = range(len(dn) + len(d) + len(_DER_DEN) - 2)
+    decomposition = all(
+        Fraction(_at(n, x), _at(d, x)) - Fraction(332, 315)
+        == Fraction(_at(_RES_NUM, x), _at(_RES_DEN, x))
+        for x in points
+    )
+    # d/dp (n/d) = (n'd - nd') / d^2.
+    derivative = all(
+        Fraction(_at(dn, x) * _at(d, x) - _at(n, x) * _at(dd, x), _at(d, x) ** 2)
+        == Fraction(-_at(_DER_NUM, x), _at(_DER_DEN, x))
+        for x in points
+    )
+    negative = all(c >= 0 for c in _DER_NUM) and any(_DER_NUM[1:])
 
     samples = tuple(range(3, p_max + 1, 2))
     values = [ehk_quadric_dim7(p) for p in samples]
@@ -164,16 +192,16 @@ def wy_target(d: int, p: int | None = None) -> TargetValue:
     With p given, only d = 7 has a transcribed closed form; other dimensions
     raise.  Without p the characteristic-free series value 1 + m_d is used.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_int("dimension", d, 1)
     if p is not None:
+        _check_int("characteristic", p, 3)
         if d != 7:
             raise ValueError(
                 f"no closed form available for dimension {d} at explicit p"
             )
         return TargetValue(
             dimension=7,
-            characteristic=int(p),
+            characteristic=p,
             value=ehk_quadric_dim7(p),
             provenance="closed-form-d7",
         )
@@ -199,6 +227,5 @@ def large_e_threshold(d: int, target) -> int:
 
     Every integer e above the returned value satisfies e/d! > target exactly.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_int("dimension", d, 1)
     return floor(to_rational(target) * _fact(d))

@@ -22,18 +22,15 @@ binomials C(d, j) come from a table built once, as the factorials do.  Its
 slope, the Irwin-Hall density :func:`nu_density`, is a difference of two
 volumes one dimension down.  Everything here is computed in exact
 arithmetic; the float volume the search scans is
-:func:`hkcert.search.nu_vector`.  :class:`Polynomial` serves the series and
-closed forms in :mod:`hkcert.targets`.
+:func:`hkcert.search.nu_vector`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 __all__ = [
-    "Polynomial",
     "to_rational",
     "nu_exact",
     "nu_density",
@@ -101,67 +98,6 @@ def _check_dimension(d: int) -> None:
         raise ValueError(
             f"dimension must be a positive integer at most {MAX_CACHED_DIMENSION}, got {d!r}"
         )
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense univariate polynomial with exact rational coefficients.
-
-    ``coefficients[i]`` is the coefficient of x**i; trailing zeros are
-    stripped on construction so equal polynomials compare equal.
-    """
-
-    coefficients: tuple[Fraction, ...]
-
-    def __init__(self, coefficients=()):
-        coeffs = [to_rational(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
-
-    def __call__(self, x: Fraction | int | str) -> Fraction:
-        x = to_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if not self.coefficients or not other.coefficients:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-            for i, a in enumerate(self.coefficients):
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        scale = to_rational(other)
-        return Polynomial(tuple(c * scale for c in self.coefficients))
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coefficients) if i))
 
 
 def nu_exact(s: Fraction | int | str, d: int) -> Fraction:

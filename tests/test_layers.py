@@ -108,6 +108,11 @@ def test_volume_is_exact_only():
     assert "numpy" not in absolute_imports("volume")
 
 
+def test_volume_exports_the_slice_volume_only():
+    volume = importlib.import_module("hkcert.volume")
+    assert volume.__all__ == ["to_rational", "nu_exact", "nu_density"]
+
+
 @pytest.mark.parametrize("module", sorted(LAYER))
 def test_every_module_export_resolves(module):
     mod = importlib.import_module(f"hkcert.{module}")

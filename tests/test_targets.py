@@ -1,7 +1,10 @@
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from hkcert import targets
 from hkcert.targets import (
     TargetValue,
     dimension_target,
@@ -13,7 +16,7 @@ from hkcert.targets import (
     zigzag_numbers,
 )
 
-from oracles import sec_tan_series_oracle
+from oracles import poly_derivative, poly_eval, sec_tan_series_oracle
 
 F = Fraction
 
@@ -80,6 +83,44 @@ class TestQuadric:
         assert outcome.sampled_parameters[0] == 3
         assert outcome.sampled_parameters[-1] == 199
 
+    def test_coefficient_helpers_match_the_list_oracles(self):
+        for coeffs in (targets._QUADRIC_NUM, targets._DER_DEN, (F(1, 2), 0, 3, 1), (5,)):
+            assert targets._derivative(coeffs) == tuple(poly_derivative(list(coeffs)))
+            for x in (0, 3, F(-7, 2)):
+                assert targets._at(coeffs, x) == poly_eval(coeffs, x)
+
+    @pytest.mark.parametrize(
+        "name, flag",
+        [
+            ("_RES_NUM", "decomposition_identity"),
+            ("_RES_DEN", "decomposition_identity"),
+            ("_DER_NUM", "derivative_identity"),
+            ("_DER_DEN", "derivative_identity"),
+        ],
+    )
+    def test_each_identity_fails_on_any_changed_coefficient(self, monkeypatch, name, flag):
+        expected = replace(verify_quadric_identities(7), **{flag: False})
+        data = getattr(targets, name)
+        for i in range(len(data)):
+            monkeypatch.setattr(targets, name, data[:i] + (data[i] + 1,) + data[i + 1:])
+            assert verify_quadric_identities(7) == expected, (name, i)
+
+    def test_a_change_that_vanishes_at_nine_points_is_caught(self, monkeypatch):
+        # Adding (p - 1) ... (p - 8) to _DER_DEN moves the derivative identity's
+        # cross product by n'd - nd' (zero at p = 0) times it: zero at p = 0..8.
+        bump = (1,)
+        for i in range(1, 9):
+            bump = tuple(a - i * b for a, b in zip((0,) + bump, bump + (0,)))
+        changed = tuple(a + b for a, b in zip(targets._DER_DEN, bump))
+        monkeypatch.setattr(targets, "_DER_DEN", changed)
+        outcome = verify_quadric_identities(7)
+        assert outcome.decomposition_identity and not outcome.derivative_identity
+
+    @pytest.mark.parametrize("der_num", [(0, 128, 0, -896, 0, 488), (5, 0, 0)])
+    def test_sign_needs_nonnegative_coefficients_past_the_constant(self, monkeypatch, der_num):
+        monkeypatch.setattr(targets, "_DER_NUM", der_num)
+        assert not verify_quadric_identities(7).derivative_negative
+
     def test_decomposition_at_three(self):
         lhs = F(71, 67) - F(332, 315)
         rhs = F(244 * 9 + 224, 4725 * 81 + 4095 * 9 + 2520)
@@ -119,6 +160,21 @@ class TestWyTarget:
         with pytest.raises(ValueError):
             TargetValue(3, None, F(3, 2), "mystery")
 
+    def test_target_value_reads_its_value_exactly(self):
+        assert TargetValue(7, None, "3/2", "series").value == F(3, 2)
+        assert TargetValue(7, None, 2, "series").value == F(2)
+        with pytest.raises(TypeError, match="exact rational"):
+            TargetValue(7, None, 2.5, "series")
+
+    @pytest.mark.parametrize(
+        "args",
+        [(7, F(7, 2)), (7, "7/2"), (7, 3.0), (7, True), (7, 2), (True,), (0,), (7.0,), ("7",)],
+        ids=repr,
+    )
+    def test_rejects_non_integer_dimension_or_characteristic(self, args):
+        with pytest.raises(ValueError, match=re.escape(repr(args[-1]))):
+            wy_target(*args)
+
 
 class TestDimensionTarget:
     def test_dimension7_is_the_quadric_at_three(self):
@@ -141,6 +197,11 @@ class TestThreshold:
 
     def test_dimension8(self):
         assert large_e_threshold(8, F(8341, 8064)) == 41705
+
+    @pytest.mark.parametrize("d", [True, 7.5, 0, -1, "7"])
+    def test_rejects_non_integer_dimension(self, d):
+        with pytest.raises(ValueError, match=re.escape(repr(d))):
+            large_e_threshold(d, 2)
 
     def test_everything_above_is_settled(self):
         from hkcert.volume import _fact

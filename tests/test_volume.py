@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hkcert.search import nu_vector
 from hkcert.volume import (
-    Polynomial,
     _canonical,
     nu_density,
     nu_exact,
@@ -273,29 +272,6 @@ class TestDensity:
             d = rng.randint(1, 9)
             s = F(rng.randint(-100, 100 * d), rng.randint(1, 50))
             assert nu_density(s, d) >= 0
-
-
-class TestPolynomial:
-    def test_canonical_trailing_zeros(self):
-        assert Polynomial((1, 2, 0, 0)) == Polynomial((1, 2))
-        assert Polynomial((0,)).degree == -1
-
-    def test_arithmetic(self):
-        p = Polynomial((1, 1))  # 1 + x
-        q = Polynomial((-1, 1))  # -1 + x
-        assert p * q == Polynomial((-1, 0, 1))
-        assert p + q == Polynomial((0, 2))
-        assert p - p == Polynomial(())
-        assert 3 * p == Polynomial((3, 3))
-
-    def test_derivative_and_eval(self):
-        p = Polynomial((F(1, 2), 0, 3, 1))  # 1/2 + 3x^2 + x^3
-        assert p.derivative() == Polynomial((0, 6, 3))
-        assert p(F(1, 2)) == F(1, 2) + 3 * F(1, 4) + F(1, 8)
-
-    def test_rejects_float_coefficients(self):
-        with pytest.raises(TypeError):
-            Polynomial((0.5, 1))
 
 
 def test_to_rational_accepts_strings_and_ints():
