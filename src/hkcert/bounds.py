@@ -47,7 +47,7 @@ from operator import mul
 
 import numpy as np
 
-from .search import nu_vector
+from .search import _error_band, nu_vector
 # _check_dimension is nu_exact's own check, run here when a bound is built.
 from .volume import _check_dimension, nu_exact, to_rational
 
@@ -363,18 +363,26 @@ class LinearBound:
     @cached_property
     def _float_form(self):
         """e, the weights w + we*e and the shifts a_i of the terms whose
-        weight is not zero at every e, and c0 and ct (None when both are
-        0), as floats; built once per bound, for :meth:`vector`."""
+        weight is not zero at every e, c0 and ct (None when both are 0),
+        as floats, and the slack of the row bounds (see :meth:`argmax`);
+        built once per bound, for :meth:`_scan`."""
         e = float(self.e)
         live = [(w + we * e, float(a)) for w, we, a in self.terms if w or we]
+        weights = [w for w, _ in live]
         shifts = np.array([a for _, a in live], dtype=float)
         shifts.flags.writeable = False
-        offset = (float(self.c0), float(self.ct)) if self.c0 or self.ct else None
-        return e, [w for w, _ in live], shifts, offset
+        c0, ct = float(self.c0), float(self.ct)
+        offset = (c0, ct) if self.c0 or self.ct else None
+        slack = 0.0
+        if self.wt:
+            size = e * (sum(map(abs, weights)) + 2) + abs(c0) + abs(ct)
+            slack = 2 * e * _error_band(self.d) + 2.0**-49 * size
+        return e, weights, shifts, offset, slack
 
-    def vector(self, s, t) -> np.ndarray:
-        """Values on the grid s.floats[:, None] x t.floats[None, :] of two
-        :class:`~hkcert.search.GridAxis`, shape (len(s), len(t)).
+    def _scan(self, s, t):
+        """The float parts of a scan on the grid axes s and t: e, the rows'
+        weighted shift volumes ``acc``, the t block nu(s_i - t_j), the
+        offsets c0 + ct*t_j (None when c0 and ct are 0) and len(t).
 
         The slice volumes do not depend on e, so they come from the memo of
         recent grid boxes (``_VOLUMES``), one tile per pair of node
@@ -385,11 +393,10 @@ class LinearBound:
         optimizes one e after another scans the same and shifted boxes, and
         computes each volume once per grid node.  The float weights are
         built once per bound; the arithmetic on the volumes runs on every
-        call, in term order, skipping the weights that are zero at this e,
-        so a cell is the same double with or without the memo, and the
-        returned array is always new.
+        scan, in term order, skipping the weights that are zero at this e,
+        so a cell is the same double with or without the memo.
         """
-        e, weights, shifts, offset = self._float_form
+        e, weights, shifts, offset, _ = self._float_form
         shift_vols, t_vols = _VOLUMES.get(self.d, s, shifts, t if self.wt else None)
         acc = np.zeros(len(s))
         for i, weight in enumerate(weights):
@@ -397,15 +404,91 @@ class LinearBound:
             # weight is skipped, as x - 0*y is x.
             if weight:
                 acc = acc + weight * shift_vols[:, i]
+        off = None if offset is None else offset[0] + offset[1] * t.floats
+        return e, acc, t_vols, off, len(t)
+
+    def _cells(self, scan, rows=slice(None)) -> np.ndarray:
+        """The values of the scan's ``rows``, a new array: the one cell
+        formula of :meth:`vector` and :meth:`argmax`."""
+        e, acc, t_vols, off, nt = scan
         if self.wt:
-            inner = acc[:, None] - t_vols
+            inner = acc[rows, None] - t_vols[rows]
         else:
-            inner = np.repeat(acc[:, None], len(t), axis=1)
+            inner = np.repeat(acc[rows, None], nt, axis=1)
         inner *= e
-        if offset is not None:
-            c0, ct = offset
-            inner += c0 + ct * t.floats
+        if off is not None:
+            inner += off
         return inner
+
+    def _row_bounds(self, scan):
+        """(ub, slack): no cell of row i exceeds ub[i] + slack (see
+        :meth:`argmax`).  ub puts each t-dependent term at the end of the t
+        axis that its weight favours."""
+        e, acc, t_vols, off, _ = scan
+        # wt < 0 favours the smallest nu(s - t), at the last t node.
+        ub = e * (acc - t_vols[:, -1]) if self.wt else e * acc
+        if off is not None:
+            # c0 + ct*t is monotone on the nondecreasing t axis.
+            ub += max(off[0], off[-1])
+        return ub, self._float_form[-1]
+
+    def vector(self, s, t) -> np.ndarray:
+        """Values on the grid s.floats[:, None] x t.floats[None, :] of two
+        :class:`~hkcert.search.GridAxis`, shape (len(s), len(t)), in a new
+        array; its volumes come from :meth:`_scan`."""
+        return self._cells(self._scan(s, t))
+
+    def argmax(self, s, t) -> tuple[int, int, float]:
+        """(i, j, value) of the first maximum of ``vector(s, t)`` in
+        row-major order, value bit for bit that cell, computing only the
+        rows that can hold it.
+
+        One memo lookup and one ``acc`` serve the scan.  The row with the
+        highest bound (:meth:`_row_bounds`) gives ``best``, its largest
+        value; then only the rows from the first to the last whose bound is
+        not below ``best - slack`` are computed, by :meth:`vector`'s
+        formula.  Every cell of a row outside them is below ``best``, at
+        most the grid's maximum, so the first maximum lies among them, in
+        the grid's row-major order.  A NaN bound keeps its row, and a NaN
+        ``best`` every row.
+
+        Why no pruned row holds a cell of ``best`` or more.  Write eps =
+        2**-53, a = acc_i, T_j the t volume nu(s_i - t_j) of column j, L
+        the last column, off_j = c0 + ct*t_j and M the larger of off_0 and
+        off_L, the largest off_j.  A cell is fl(fl(e fl(a - T_j)) + off_j);
+        rounding is monotone, e > 0 and the t axis never decreases.
+
+        - wt = 0: the cell is fl(fl(e a) + off_j) <= fl(fl(e a) + M) = ub,
+          which the row attains, so slack = 0 and a row is pruned only
+          when ub < ``best``.
+        - wt = -1: the arguments fl(s_i - t_j) never increase with j and
+          the exact nu never decreases, so with E = E(d), the absolute
+          error band of :func:`~hkcert.search.nu_vector` against
+          :func:`~hkcert.volume.nu_exact`, T_j >= T_L - 2E.  The 2E is
+          needed: nu_vector is not monotone in floats, and at d = 64 a t
+          volume on t steps of 1e-6 falls below its row's last column by up
+          to 1.5e-6.  With y = fl(a - T_L) and ub = fl(fl(e y) + M), one
+          rounding per operation gives fl(a - T_j) <= y + 2E + 3 eps (|y| +
+          2E), then fl(e fl(a - T_j)) <= fl(e y) + 2eE + 5 eps e (|y| +
+          2E), and the cell <= ub + 2eE + 6 eps e (|y| + 1) + 3 eps |ub|,
+          to first order in eps, as 2E < 1.  The volumes lie in [-E, 1 +
+          E], so with W the sum of |w_i + we_i e| and S = e (W + 2) + |c0|
+          + |ct|, both |ub| and |best| are at most S and e (|y| + 1) about
+          e (W + 2), and the cell <= ub + 2eE + 9 eps S.  slack = 2eE +
+          16 eps S, so a row pruned for ub < fl(``best`` - slack) <=
+          ``best`` - slack + eps (S + slack) has every cell below ``best``.
+          The spare eps S also covers the second-order terms, and the
+          underflow of the two products while float(e) >= 2**-1000.
+        """
+        scan = self._scan(s, t)
+        ub, slack = self._row_bounds(scan)
+        top = int(ub.argmax())
+        best = self._cells(scan, slice(top, top + 1)).max()
+        band = np.flatnonzero(~(ub < best - slack))
+        lo = int(band[0])
+        vals = self._cells(scan, slice(lo, int(band[-1]) + 1))
+        i, j = divmod(int(vals.argmax()), vals.shape[1])
+        return lo + i, j, vals.item(i, j)
 
 
 # --------------------------------------------------------------------------

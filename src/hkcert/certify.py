@@ -361,6 +361,8 @@ def prove_dimension(
         raise ValueError("k must be >= 1")
     params = params or SearchParams()
     target = target or dimension_target(d)
+    if target.dimension != d:
+        raise ValueError(f"the target is for dimension {target.dimension}, the proof for {d}")
     tgt = target.value
 
     hypotheses = tuple(h.format(cited=CITED_E_MAX) for h in _STANDING_HYPOTHESES)

@@ -14,6 +14,9 @@ result is deterministic.  Within one scan the rule comes from two facts:
 ``np.argmax`` returns the first maximum in row-major order, and the axes
 never decrease, so the first maximum has the smallest s and then the
 smallest t.  A snapped axis may repeat a node, which changes neither.
+An objective's ``argmax`` may skip the rows it proves hold no maximum, but
+it returns the cell that ``np.argmax`` over the full grid returns, so the
+rule holds under that pruning too.
 Across refinement rounds the rule compares the exact incumbents.
 """
 
@@ -46,9 +49,11 @@ def nu_vector(x: np.ndarray, d: int) -> np.ndarray:
     x > d/2 returns 1 minus it (nu(x) = 1 - nu(d - x)).  So the terms stay
     small and the sum never cancels catastrophically near x = d.  They
     still grow with d, and so does the absolute error against
-    :func:`~hkcert.volume.nu_exact`: at most 1e-14 for d <= 12, 1e-13 for
-    d <= 20, 1e-11 for d <= 32, 1e-8 for d <= 48 and 1e-6 for d <= 64 (the
-    largest dimension the exact volumes accept).
+    :func:`~hkcert.volume.nu_exact`: at most ``_error_band(d)``, which is
+    1e-14 for d <= 12, 1e-13 for d <= 20, 1e-11 for d <= 32, 1e-8 for
+    d <= 48 and 1e-5 for d <= 64 (the largest dimension the exact volumes
+    accept).  The error peaks near x = d/2, where the terms cancel most;
+    at d = 64 it reaches 1.4e-6 there.
 
     The sum stops at its last nonzero term: once the largest reflected
     argument is at most j, term j and all later ones are +0.0, and adding
@@ -100,6 +105,16 @@ def nu_vector(x: np.ndarray, d: int) -> np.ndarray:
     return np.subtract(1.0, acc, out=acc, where=mask)
 
 
+# Absolute error of nu_vector against nu_exact: (largest d, bound), d
+# ascending.  A grid scan's row bounds (``LinearBound.argmax``) widen by it.
+_ERROR_BANDS = ((12, 1e-14), (20, 1e-13), (32, 1e-11), (48, 1e-8), (64, 1e-5))
+
+
+def _error_band(d: int) -> float:
+    """The bound on |nu_vector(x, d) - nu_exact(x, d)| for 1 <= d <= 64."""
+    return next(band for top, band in _ERROR_BANDS if d <= top)
+
+
 class Objective(Protocol):
     """What the optimizer needs from a bound expression."""
 
@@ -112,6 +127,13 @@ class Objective(Protocol):
         """Values on the grid s.floats[:, None] x t.floats[None, :], shape
         (len(s), len(t)).  The axes' floats are read-only, and later scans
         may share an axis."""
+        ...
+
+    def argmax(self, s: GridAxis, t: GridAxis) -> tuple[int, int, float]:
+        """What the optimizer scans with: (i, j, value) for the first
+        maximum of ``vals = vector(s, t)`` in row-major order, that is
+        ``divmod(vals.argmax(), len(t))`` and ``vals.item(i, j)``, bit for
+        bit, but it need not compute every cell."""
         ...
 
     def descriptor(self) -> dict: ...
@@ -330,9 +352,7 @@ def optimize_bound(objective: Objective, params: SearchParams | None = None) -> 
     s_box, t_box = s_range, t_range
     for round_no in range(params.refine_rounds + 1):
         s_axis, t_axis = _axis(*s_box, ns, cap), _axis(*t_box, nt, cap)
-        vals = objective.vector(s_axis, t_axis)
-        i, j = divmod(int(vals.argmax()), vals.shape[1])
-        value = vals.item(i, j)
+        i, j, value = objective.argmax(s_axis, t_axis)
         (sp, sq), (tp, tq) = s_axis._ratio(i), t_axis._ratio(j)
         if round_no == 0 or value > best[0]:
             best = value, sp, sq, tp, tq

@@ -71,7 +71,8 @@ class TargetValue:
     """A certification target: exact value plus where it came from.
 
     provenance is one of "series" (1 + m_d), "closed-form-d7" (quadric
-    value at a specific characteristic), or "user-supplied".
+    value at a specific characteristic), or "user-supplied".  dimension is
+    a plain int >= 1, and characteristic None or a plain int >= 3.
     """
 
     dimension: int
@@ -80,6 +81,9 @@ class TargetValue:
     provenance: str
 
     def __post_init__(self):
+        _check_int("dimension", self.dimension, 1)
+        if self.characteristic is not None:
+            _check_int("characteristic", self.characteristic, 3)
         object.__setattr__(self, "value", to_rational(self.value))
         if self.provenance not in ("series", "closed-form-d7", "user-supplied"):
             raise ValueError(f"unknown provenance {self.provenance!r}")

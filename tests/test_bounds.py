@@ -937,20 +937,20 @@ class TestVolumeMemo:
         # constant in t); every scan makes one memo lookup and at most one
         # nu_vector call.
         lookups, per_scan = [], []
-        get, vector = memo.get, LinearBound.vector
+        get, argmax = memo.get, LinearBound.argmax
 
         def counted_get(*args):
             lookups.append(args[0])
             return get(*args)
 
-        def counted_vector(self, s, t):
+        def counted_argmax(self, s, t):
             before = len(nu_calls)
-            out = vector(self, s, t)
+            out = argmax(self, s, t)
             per_scan.append(len(nu_calls) - before)
             return out
 
         monkeypatch.setattr(memo, "get", counted_get)
-        monkeypatch.setattr(LinearBound, "vector", counted_vector)
+        monkeypatch.setattr(LinearBound, "argmax", counted_argmax)
         prove_dimension(7, 1)
         assert len(lookups) == len(per_scan) > 100
         assert set(per_scan) == {0, 1}
@@ -1158,3 +1158,77 @@ class TestMemoInCoverings:
         # one optimization, so the next e reuses them all.
         prove_dimension(7, 1, SearchParams(refine_rounds=rounds))
         assert sum(nu_calls) <= points
+
+
+@st.composite
+def _scanned_bounds(draw):
+    """A bound of any family at d in {1, 2, 7, 10, 33, 64} and e up to
+    10^4, with snapped or unsnapped axes, s ranges past d + 1 and the
+    ladder's degenerate t axis [1, 1]."""
+    d = draw(st.sampled_from((1, 2, 7, 10, 33, 64)))
+    kind = draw(st.sampled_from(("h", "general", "mu-small")))
+    k = draw(st.integers(0, 5))
+    if kind == "h":
+        objective = HBoundObjective(draw(st.fractions(k + 3, 10**4, max_denominator=9)), d, k)
+    elif kind == "general":
+        e = draw(st.fractions(F(1, 9), 10**4, max_denominator=9))
+        objective = GeneralBoundObjective(BoundSpec(d, e, draw(st.integers(k + 1, 60)), k))
+    else:
+        e = draw(st.fractions(F(1, 9), 10**4, max_denominator=9))
+        objective = MuSmallObjective(e, draw(st.integers(1, 60)), d)
+    cap = draw(st.sampled_from((7, 1000, 10**6)))
+    s_a, s_b = (draw(st.fractions(0, d + 3, max_denominator=10**4)) for _ in "ab")
+    s = GridAxis(min(s_a, s_b), max(s_a, s_b), draw(st.integers(2, 60)), cap)
+    if draw(st.booleans()):
+        t = GridAxis(F(1), F(1), draw(st.integers(2, 5)), cap)
+    else:
+        t_a, t_b = (draw(st.fractions(0, 1, max_denominator=10**4)) for _ in "ab")
+        t = GridAxis(min(t_a, t_b), max(t_a, t_b), draw(st.integers(2, 40)), cap)
+    return objective, s, t
+
+
+class TestPrunedScan:
+    """LinearBound.argmax computes only the rows that can hold the first
+    maximum of vector(s, t), and returns that cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scanned_bounds())
+    def test_the_first_maximum_of_vector(self, case):
+        objective, s, t = case
+        i, j, value = objective.argmax(s, t)
+        vals = objective.vector(s, t)
+        assert (i, j) == divmod(int(vals.argmax()), len(t))
+        assert type(value) is float
+        assert np.float64(value).tobytes() == vals[i, j].tobytes()
+
+    def test_no_cell_exceeds_its_row_reach_at_d_64(self):
+        # nu_vector is not monotone in floats near x = d/2: on t steps of
+        # 1e-6, many rows hold a t volume below their last column's, which
+        # the margin of the row bound covers.
+        objective = HBoundObjective(10**4, 64, 5)
+        s = GridAxis(F(329, 10), F(331, 10), 2000, 10**6)
+        t = GridAxis(1 - F(1, 10**5), F(1), 11, 10**6)
+        scan = objective._scan(s, t)
+        t_vols = scan[2]
+        assert (t_vols < t_vols[:, -1:]).sum() > 100
+        vals = objective._cells(scan)
+        ub, slack = objective._row_bounds(scan)
+        assert (vals <= (ub + slack)[:, None]).all()
+        i, j, _ = objective.argmax(s, t)
+        assert (i, j) == divmod(int(vals.argmax()), len(t))
+
+    @pytest.mark.parametrize(
+        "objective",
+        [HBoundObjective(7, 7), HBoundObjective(50, 10, 5),
+         GeneralBoundObjective(BoundSpec(10, 9, 5, 2)), MuSmallObjective(7, 3, 7)],
+        ids=["h", "h-k5", "general", "mu-small"],
+    )
+    def test_tied_rows_give_row_zero(self, objective):
+        # For s >= d + 1 every volume is 1, so every row is the same.
+        d = objective.dimension
+        s, t = GridAxis(F(d + 1), F(d + 3), 200, 10**6), GridAxis(F(0), F(1), 100, 10**6)
+        vals = objective.vector(s, t)
+        assert (vals == vals[0]).all()
+        i, j, value = objective.argmax(s, t)
+        assert (i, j) == (0, int(vals[0].argmax()))
+        assert value == vals[0, j]

@@ -545,6 +545,11 @@ class TestProveDimension:
         thr = next(c for c in report.cases if c.kind == "threshold")
         assert thr.parameters["threshold"] == 5090
 
+    def test_rejects_a_target_of_another_dimension(self):
+        target = TargetValue(8, None, F(71, 67), "user-supplied")
+        with pytest.raises(ValueError, match="dimension 8, the proof for 7"):
+            prove_dimension(7, 1, FAST, target=target)
+
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError):
             prove_dimension(1, 1, FAST)

@@ -3,9 +3,9 @@
     volume -> {targets, search} -> bounds -> certify -> report -> cli
 
 ``volume`` is exact only and imports no numpy.  ``search`` sits below
-``bounds`` because it owns the float kernel ``nu_vector``, the one name
-``bounds`` takes from it; its optimizer is generic over the ``Objective``
-protocol, and ``bounds`` never runs it.  ``report``
+``bounds`` because it owns the float kernel ``nu_vector`` and its error
+band, the two names ``bounds`` takes from it; its optimizer is generic
+over the ``Objective`` protocol, and ``bounds`` never runs it.  ``report``
 renders objectives it is handed and never builds one, so it does not
 import ``bounds``.  The package ``__init__`` and ``__main__`` re-export
 and dispatch, and stand outside the order; ``__init__`` re-exports each
@@ -91,7 +91,8 @@ def names_imported(module: str, source: str) -> set[str]:
 
 
 def test_bounds_takes_only_the_float_kernel_from_search():
-    assert names_imported("bounds", "search") == {"nu_vector"}
+    # The kernel and its error band, which widens a scan's row bounds.
+    assert names_imported("bounds", "search") == {"nu_vector", "_error_band"}
 
 
 def test_bounds_takes_only_the_exact_kernel_from_volume():

@@ -34,8 +34,9 @@ from oracles import (
 F = Fraction
 
 # Absolute error of nu_vector against nu_exact: (largest d, bound).  The
-# nu_vector docstring states the same bands.
-ERROR_BANDS = ((12, 1e-14), (20, 1e-13), (32, 1e-11), (48, 1e-8), (64, 1e-6))
+# nu_vector docstring states the same bands, and search._ERROR_BANDS must
+# equal this table, so a band loosened in the source fails a test.
+ERROR_BANDS = ((12, 1e-14), (20, 1e-13), (32, 1e-11), (48, 1e-8), (64, 1e-5))
 
 
 def bits(values) -> np.ndarray:
@@ -102,6 +103,22 @@ class TestNuVector:
         xs = np.array([float(p) for p in points])
         want = np.array([float(nu_exact(p, d)) for p in points])
         assert np.max(np.abs(nu_vector(xs, d) - want)) <= bound
+
+    @pytest.mark.parametrize("top, _", ERROR_BANDS)
+    def test_error_bound_near_the_middle(self, top, _):
+        # The terms cancel most near x = d/2: at d = 64 four of these
+        # points are off by more than 1e-6.
+        bound = search._error_band(top)
+        rng = random.Random(top)
+        points = [F(rng.randint(-10**5, 10**5), 10**6) + F(top, 2) for _ in range(400)]
+        xs = np.array([float(p) for p in points])
+        want = np.array([float(nu_exact(p, top)) for p in points])
+        assert np.max(np.abs(nu_vector(xs, top) - want)) <= bound
+
+    def test_the_source_bands_are_the_tested_ones(self):
+        assert search._ERROR_BANDS == ERROR_BANDS
+        for d in range(1, MAX_CACHED_DIMENSION + 1):
+            assert search._error_band(d) == next(b for top, b in ERROR_BANDS if d <= top)
 
     @pytest.mark.parametrize(
         "d", [0, -1, True, 65, 7.0], ids=["zero", "negative", "bool", "65", "float"]
@@ -414,10 +431,19 @@ class TestSearchParams:
             SearchParams(grid=grid)
 
 
+def _argmax_of_vector(objective, s, t):
+    """The ``argmax`` of a fake objective: the first maximum of its full
+    ``vector`` grid, as the Objective protocol states it."""
+    vals = objective.vector(s, t)
+    i, j = divmod(int(vals.argmax()), vals.shape[1])
+    return i, j, vals.item(i, j)
+
+
 class _Plateau:
     """min(s, 1), constant in t: every node with s >= 1 ties at the top."""
 
     dimension = 1
+    argmax = _argmax_of_vector
 
     def exact(self, s, t):
         return min(s, F(1))
@@ -552,6 +578,7 @@ class TestOptimizer:
 
         class Recorder:
             dimension = 7
+            argmax = _argmax_of_vector
 
             def __init__(self):
                 self.scans = []

@@ -160,6 +160,18 @@ class TestWyTarget:
         with pytest.raises(ValueError):
             TargetValue(3, None, F(3, 2), "mystery")
 
+    @pytest.mark.parametrize(
+        "dimension, characteristic, bad",
+        [(True, None, True), (7.0, None, 7.0), (0, None, 0),
+         (7, 2.5, 2.5), (7, 2, 2), (7, True, True)],
+        ids=["d-bool", "d-float", "d-zero", "p-float", "p-two", "p-bool"],
+    )
+    def test_target_value_checks_dimension_and_characteristic(
+        self, dimension, characteristic, bad
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            TargetValue(dimension, characteristic, 2, "series")
+
     def test_target_value_reads_its_value_exactly(self):
         assert TargetValue(7, None, "3/2", "series").value == F(3, 2)
         assert TargetValue(7, None, 2, "series").value == F(2)
