@@ -467,10 +467,13 @@ class LinearBound:
           :func:`~hkcert.volume.nu_exact`, T_j >= T_L - 2E.  The 2E is
           needed: nu_vector is not monotone in floats, and at d = 64 a t
           volume on t steps of 1e-6 falls below its row's last column by up
-          to 1.5e-6.  With y = fl(a - T_L) and ub = fl(fl(e y) + M), one
-          rounding per operation gives fl(a - T_j) <= y + 2E + 3 eps (|y| +
-          2E), then fl(e fl(a - T_j)) <= fl(e y) + 2eE + 5 eps e (|y| +
-          2E), and the cell <= ub + 2eE + 6 eps e (|y| + 1) + 3 eps |ub|,
+          to 1.5e-6.  This step holds wherever the band does, which is
+          every tested x at d <= 63; at d = 64 within 0.05 of x = 32 the
+          error exceeds E = 1e-6 (up to 1.39e-6), and there the slack
+          covers every fall measured but is not proven.  With y = fl(a -
+          T_L) and ub = fl(fl(e y) + M), one rounding per operation gives
+          fl(a - T_j) <= y + 2E + 3 eps (|y| + 2E), then fl(e fl(a - T_j))
+          <= fl(e y) + 2eE + 5 eps e (|y| + 2E), and the cell <= ub + 2eE + 6 eps e (|y| + 1) + 3 eps |ub|,
           to first order in eps, as 2E < 1.  The volumes lie in [-E, 1 +
           E], so with W the sum of |w_i + we_i e| and S = e (W + 2) + |c0|
           + |ct|, both |ub| and |best| are at most S and e (|y| + 1) about
@@ -484,6 +487,9 @@ class LinearBound:
         ub, slack = self._row_bounds(scan)
         top = int(ub.argmax())
         best = self._cells(scan, slice(top, top + 1)).max()
+        # The band holds row top, which is computed again: one row of
+        # arithmetic costs less than a second _cells call for the rows
+        # past it and merging three first maxima in row-major order.
         band = np.flatnonzero(~(ub < best - slack))
         lo = int(band[0])
         vals = self._cells(scan, slice(lo, int(band[-1]) + 1))
