@@ -38,7 +38,6 @@ derives both its exact and its float evaluator from that list.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -47,7 +46,7 @@ from operator import mul
 
 import numpy as np
 
-from .search import _error_band, nu_vector
+from .search import _density_root, nu_vector
 # _check_dimension is nu_exact's own check, run here when a bound is built.
 from .volume import _check_dimension, nu_exact, to_rational
 
@@ -84,111 +83,19 @@ def _minus_half_power(k: int) -> Fraction:
     return Fraction(-1, 2**k)
 
 
-class _VolumeMemo:
-    """Float slice volumes of recent grid boxes: read-only tiles of at most
-    ``capacity`` floats in all, one tile per pair of node lattices.
-
-    A tile holds the starts of its s and t axes and two C-contiguous
-    blocks: nu(s_i - a_j) for the shifts a_j of a bound's terms, len(s) by
-    len(shifts), and nu(s_i - t_j), len(s) by len(t), which has no columns
-    for a bound constant in t.  Its key is d, the bytes of the shifts and
-    the ``lattice`` of the s and of the t :class:`~hkcert.search.GridAxis`
-    (None for a bound constant in t).  Axes on one lattice hold the same
-    double at every lattice node they share, so the starts alone say which
-    cells a request shares with its key's tile: equal starts are a full
-    hit, and :meth:`get` returns the tile's blocks.  Otherwise node i of
-    the request is node i + (its start - the tile's start) of the tile, and
-    it reuses the tile in the shared s rows: all of their shift columns,
-    and their shared t columns.  It writes the arguments of the rest (s - a_j and
-    s - t in the new rows, and s - t in the reused rows' new t columns)
-    straight into one flat array and computes them in one
-    :func:`~hkcert.search.nu_vector` call, which works element by element,
-    so every cell is the double a full recomputation gives.
-
-    The new tile replaces its key's tile on a partial hit or a miss; a new
-    key evicts tiles, least recently used first, until it fits.  The memo
-    takes no lock; no hkcert module starts a thread
-    (``tests/test_layers.py``).
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.cells = 0
-        # key -> (s start, t start, (shift block, t block)), least recently
-        # used first.
-        self._tiles: OrderedDict = OrderedDict()
-
-    def get(self, d: int, s, shifts: np.ndarray, t):
-        """The read-only blocks (nu(s.floats[:, None] - shifts, d),
-        nu(s.floats[:, None] - t.floats, d)) for the grid axes s and t, or
-        t = None for no t columns."""
-        key = (d, shifts.tobytes(), s.lattice, None if t is None else t.lattice)
-        s_start, s = s.start, s.floats
-        t_start, t = (0, _NO_T) if t is None else (t.start, t.floats)
-        a, ns, nt = len(shifts), len(s), len(t)
-        tile = self._tiles.get(key)
-        i = j = m = k = l = n = 0
-        if tile is not None:
-            s0, t0, blocks = tile
-            if s_start == s0 and t_start == t0:
-                self._tiles.move_to_end(key)
-                return blocks
-            # Request rows i : i + m are tile rows j : j + m, and request
-            # columns k : k + n tile columns l : l + n.
-            ds, dt = s_start - s0, t_start - t0
-            i, j, m = max(0, -ds), max(0, ds), max(0, ns - abs(ds))
-            k, l, n = max(0, -dt), max(0, dt), max(0, nt - abs(dt))
-        # The tile has the request's shape, so the reused s rows reach one
-        # end of s and the reused t columns one end of t, and the cells
-        # left form an L: whole rows on one side of the reused ones, and in
-        # those rows the t columns on one side of the reused ones.  On a
-        # miss (m = 0) the rows are all of s and the L has no foot.
-        rows = slice(0, i) if i else slice(m, ns)
-        cols = slice(0, k) if k else slice(n, nt)
-        side = s[rows, None]
-        pairs = ((side, shifts), (side, t), (s[i : i + m, None], t[cols]))
-        spans, end = [], 0
-        for u, v in pairs:
-            start, end = end, end + len(u) * len(v)
-            spans.append((slice(start, end), (len(u), len(v))))
-        args = np.empty(end)
-        for (u, v), (span, shape) in zip(pairs, spans):
-            np.subtract(u, v, out=args[span].reshape(shape))
-        fresh = nu_vector(args, d)
-        pieces = [fresh[span].reshape(shape) for span, shape in spans]
-        if m:
-            have_shift, have_t_vols = blocks
-            shift_vols, t_vols = np.empty((ns, a)), np.empty((ns, nt))
-            shift_vols[i : i + m] = have_shift[j : j + m]
-            t_vols[i : i + m, k : k + n] = have_t_vols[j : j + m, l : l + n]
-            shift_vols[rows], t_vols[rows], t_vols[i : i + m, cols] = pieces
-        else:
-            shift_vols, t_vols, _ = pieces
-        shift_vols.flags.writeable = t_vols.flags.writeable = False
-        blocks = shift_vols, t_vols
-        size = shift_vols.size + t_vols.size
-        if size > self.capacity:
-            return blocks
-        # A key's tiles are all of one size, so replacing one keeps
-        # ``cells``; a new key evicts the oldest tiles until it fits.
-        if self._tiles.pop(key, None) is None:
-            self.cells += size
-            while self.cells > self.capacity:
-                old_shift, old_t = self._tiles.popitem(last=False)[1][2]
-                self.cells -= old_shift.size + old_t.size
-        self._tiles[key] = (s_start, t_start, blocks)
-        return blocks
+# The s axes of the last boxes scanned: a covering scans one round-0 box at
+# every e, and the next e repeats most of the later boxes.
+_COLUMN_CACHE_SIZE = 64
 
 
-# 170,000 floats (1.4 MB) hold the volumes of the eight boxes of the default
-# 200 x 100 grid that an optimization with seven refinement rounds scans,
-# each a tile of a 200 x 3 shift block and a 200 x 100 t block:
-# 8 x 200 x 103 = 164,800 cells.  As measured, the next e then computes no
-# volume.
-_MEMO_CELLS = 170_000
-_VOLUMES = _VolumeMemo(_MEMO_CELLS)
-# The t floats of a bound constant in t: its tiles have an empty t block.
-_NO_T = np.empty(0)
+@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
+def _columns(d: int, shifts: tuple[float, ...], s: bytes) -> np.ndarray:
+    """The read-only float volumes nu(s_i - a_j, d), len(s) by len(shifts),
+    for the doubles s_i packed in ``s``: keyed by all they depend on, as
+    :func:`~hkcert.search.nu_vector` works element by element."""
+    vols = nu_vector(np.frombuffer(s)[:, None] - np.array(shifts), d)
+    vols.flags.writeable = False
+    return vols
 
 
 class _WitnessMemo:
@@ -293,9 +200,10 @@ class LinearBound:
     keeping it apart makes the float weight k + 3 - float(e), as in the
     written-out H_e formula, and the same double as the master family's
     integer weight at an integer e.  ``wt`` is -1 or 0, and t ranges over
-    [0, 1].  Both evaluators loop over the one term list.  The float
-    evaluator skips zero weights, so a cell is the same double as the
-    bound's written-out formula would give.  The exact evaluator keeps
+    [0, 1].  All evaluators loop over the one term list.  The float
+    evaluators, :meth:`vector` for surfaces and :meth:`row_best` for the
+    optimizer, skip zero weights, so a surface cell is the same double as
+    the bound's written-out formula would give.  The exact evaluator keeps
     them, as 0 * nu changes no exact value, so a family asks for one list
     of shifts at every e.  It adds the integer numerators of its terms, e,
     c0 and ct*t over one common denominator and builds one Fraction, the
@@ -363,138 +271,109 @@ class LinearBound:
     @cached_property
     def _float_form(self):
         """e, the weights w + we*e and the shifts a_i of the terms whose
-        weight is not zero at every e, c0 and ct (None when both are 0),
-        as floats, and the slack of the row bounds (see :meth:`argmax`);
-        built once per bound, for :meth:`_scan`."""
+        weight is not zero at every e, c0 and ct, as floats; built once per
+        bound."""
         e = float(self.e)
         live = [(w + we * e, float(a)) for w, we, a in self.terms if w or we]
         weights = [w for w, _ in live]
-        shifts = np.array([a for _, a in live], dtype=float)
-        shifts.flags.writeable = False
-        c0, ct = float(self.c0), float(self.ct)
-        offset = (c0, ct) if self.c0 or self.ct else None
-        slack = 0.0
-        if self.wt:
-            size = e * (sum(map(abs, weights)) + 2) + abs(c0) + abs(ct)
-            slack = 2 * e * _error_band(self.d) + 2.0**-49 * size
-        return e, weights, shifts, offset, slack
+        return e, weights, tuple(a for _, a in live), float(self.c0), float(self.ct)
 
-    def _scan(self, s, t):
-        """The float parts of a scan on the grid axes s and t: e, the rows'
-        weighted shift volumes ``acc``, the t block nu(s_i - t_j), the
-        offsets c0 + ct*t_j (None when c0 and ct are 0) and len(t).
-
-        The slice volumes do not depend on e, so they come from the memo of
-        recent grid boxes (``_VOLUMES``), one tile per pair of node
-        lattices: the 1-D volumes nu(s - a_i) in its shift block and,
-        unless wt = 0, the 2-D nu(s - t) in its t block.  The shifts are
-        those of the terms whose weight w + we*e is not zero at every e, so
-        one family asks for the same columns at every e.  A covering that
-        optimizes one e after another scans the same and shifted boxes, and
-        computes each volume once per grid node.  The float weights are
-        built once per bound; the arithmetic on the volumes runs on every
-        scan, in term order, skipping the weights that are zero at this e,
-        so a cell is the same double with or without the memo.
-        """
-        e, weights, shifts, offset, _ = self._float_form
-        shift_vols, t_vols = _VOLUMES.get(self.d, s, shifts, t if self.wt else None)
-        acc = np.zeros(len(s))
-        for i, weight in enumerate(weights):
-            # acc + (-w)*y is the same double as acc - w*y, and a zero
-            # weight is skipped, as x - 0*y is x.
+    def _weighted(self, vols: np.ndarray, cols: tuple) -> np.ndarray:
+        """sum_i w_i nu(s - a_i) over the float weights, in term order, the
+        volume of shift a in column cols.index(a) of vols; a zero weight is
+        skipped, as x - 0*y is x, and acc + (-w)*y is the same double as
+        acc - w*y."""
+        _, weights, shifts, *_ = self._float_form
+        acc = np.zeros(len(vols))
+        for weight, a in zip(weights, shifts):
             if weight:
-                acc = acc + weight * shift_vols[:, i]
-        off = None if offset is None else offset[0] + offset[1] * t.floats
-        return e, acc, t_vols, off, len(t)
-
-    def _cells(self, scan, rows=slice(None)) -> np.ndarray:
-        """The values of the scan's ``rows``, a new array: the one cell
-        formula of :meth:`vector` and :meth:`argmax`."""
-        e, acc, t_vols, off, nt = scan
-        if self.wt:
-            inner = acc[rows, None] - t_vols[rows]
-        else:
-            inner = np.repeat(acc[rows, None], nt, axis=1)
-        inner *= e
-        if off is not None:
-            inner += off
-        return inner
-
-    def _row_bounds(self, scan):
-        """(ub, slack): no cell of row i exceeds ub[i] + slack (see
-        :meth:`argmax`).  ub puts each t-dependent term at the end of the t
-        axis that its weight favours."""
-        e, acc, t_vols, off, _ = scan
-        # wt < 0 favours the smallest nu(s - t), at the last t node.
-        ub = e * (acc - t_vols[:, -1]) if self.wt else e * acc
-        if off is not None:
-            # c0 + ct*t is monotone on the nondecreasing t axis.
-            ub += max(off[0], off[-1])
-        return ub, self._float_form[-1]
+                acc = acc + weight * vols[:, cols.index(a)]
+        return acc
 
     def vector(self, s, t) -> np.ndarray:
         """Values on the grid s.floats[:, None] x t.floats[None, :] of two
         :class:`~hkcert.search.GridAxis`, shape (len(s), len(t)), in a new
-        array; its volumes come from :meth:`_scan`."""
-        return self._cells(self._scan(s, t))
+        array, for the float surface; each cell is the bound's written-out
+        float formula, and its volumes are computed here."""
+        e, _, shifts, c0, ct = self._float_form
+        s_col = s.floats[:, None]
+        acc = self._weighted(nu_vector(s_col - np.array(shifts), self.d), shifts)
+        if self.wt:
+            inner = acc[:, None] - nu_vector(s_col - t.floats, self.d)
+        else:
+            inner = np.repeat(acc[:, None], len(t), axis=1)
+        inner *= e
+        if self.c0 or self.ct:
+            inner += c0 + ct * t.floats
+        return inner
 
-    def argmax(self, s, t) -> tuple[int, int, float]:
-        """(i, j, value) of the first maximum of ``vector(s, t)`` in
-        row-major order, value bit for bit that cell, computing only the
-        rows that can hold it.
+    @cached_property
+    def _interior(self) -> tuple[float, float] | None:
+        """(uL, nu(uL)) in floats when a t inside the range can beat its
+        lower end (see :meth:`row_best`), else None."""
+        if self.wt not in (0, -1) or self.ct > 0 or self.e <= 0:
+            raise ValueError(
+                "the closed form in t needs wt in {0, -1}, ct <= 0 and e > 0, "
+                f"got wt={self.wt}, ct={self.ct}, e={self.e}"
+            )
+        if not self.wt:
+            return None
+        e, *_, ct = self._float_form
+        return _density_root(-ct / e, self.d)
 
-        One memo lookup and one ``acc`` serve the scan.  The row with the
-        highest bound (:meth:`_row_bounds`) gives ``best``, its largest
-        value; then only the rows from the first to the last whose bound is
-        not below ``best - slack`` are computed, by :meth:`vector`'s
-        formula.  Every cell of a row outside them is below ``best``, at
-        most the grid's maximum, so the first maximum lies among them, in
-        the grid's row-major order.  A NaN bound keeps its row, and a NaN
-        ``best`` every row.
+    def row_best(self, s, t_range) -> tuple[int, Fraction, float]:
+        """(i, t, value): the first node s_i of the
+        :class:`~hkcert.search.GridAxis` s with the largest float value over
+        t in the exact range t_range = (ta, tb), its exact t and that value.
 
-        Why no pruned row holds a cell of ``best`` or more.  Write eps =
-        2**-53, a = acc_i, T_j the t volume nu(s_i - t_j) of column j, L
-        the last column, off_j = c0 + ct*t_j and M the larger of off_0 and
-        off_L, the largest off_j.  A cell is fl(fl(e fl(a - T_j)) + off_j);
-        rounding is monotone, e > 0 and the t axis never decreases.
+        t enters the bound only through f(t) = ct*t + wt*e*nu(s - t), and
+        the closed form needs wt in {0, -1}, ct <= 0 and e > 0, which every
+        family has; any other bound is refused with ValueError.  At wt = 0,
+        f never rises, so t = ta.  At wt = -1, f'(t) = ct + e nu'(s - t) >
+        0 exactly when s - t lies between the two roots of nu'(u) = -ct/e,
+        as nu' (the Irwin-Hall density) is unimodal.  So f is largest at t =
+        ta or at t = clamp(s - uL, ta, tb), uL the smaller root
+        (:func:`~hkcert.search._density_root`); if -ct/e >= max nu', f never
+        rises and t = ta.  On the interior branch s - t = uL, so nu(s - t)
+        is the one float nu(uL), which the root finder returns.  A tie
+        prefers ta.
 
-        - wt = 0: the cell is fl(fl(e a) + off_j) <= fl(fl(e a) + M) = ub,
-          which the row attains, so slack = 0 and a row is pruned only
-          when ub < ``best``.
-        - wt = -1: the arguments fl(s_i - t_j) never increase with j and
-          the exact nu never decreases, so with E = E(d), the absolute
-          error band of :func:`~hkcert.search.nu_vector` against
-          :func:`~hkcert.volume.nu_exact`, T_j >= T_L - 2E.  The 2E is
-          needed: nu_vector is not monotone in floats, and at d = 64 a t
-          volume on t steps of 1e-6 falls below its row's last column by up
-          to 1.5e-6.  This step holds wherever the band does, which is
-          every tested x at d <= 63; at d = 64 within 0.05 of x = 32 the
-          error exceeds E = 1e-6 (up to 1.39e-6), and there the slack
-          covers every fall measured but is not proven.  With y = fl(a -
-          T_L) and ub = fl(fl(e y) + M), one rounding per operation gives
-          fl(a - T_j) <= y + 2E + 3 eps (|y| + 2E), then fl(e fl(a - T_j))
-          <= fl(e y) + 2eE + 5 eps e (|y| + 2E), and the cell <= ub + 2eE + 6 eps e (|y| + 1) + 3 eps |ub|,
-          to first order in eps, as 2E < 1.  The volumes lie in [-E, 1 +
-          E], so with W the sum of |w_i + we_i e| and S = e (W + 2) + |c0|
-          + |ct|, both |ub| and |best| are at most S and e (|y| + 1) about
-          e (W + 2), and the cell <= ub + 2eE + 9 eps S.  slack = 2eE +
-          16 eps S, so a row pruned for ub < fl(``best`` - slack) <=
-          ``best`` - slack + eps (S + slack) has every cell below ``best``.
-          The spare eps S also covers the second-order terms, and the
-          underflow of the two products while float(e) >= 2**-1000.
+        The other volumes, nu(s_i - a_j) for the shifts of the terms and
+        nu(s_i - ta) and nu(s_i - tb) when they are read, each column once,
+        come from a small cache of recent axes keyed by d, the float shifts
+        and s's doubles.  The exact t of the interior branch sits on s_i's
+        denominator q: t = clamp(s_i - u, ta, tb), clamped exactly, with u
+        = round(uL 256 q) / (256 q), so certificates keep small
+        denominators.  ``value`` is the float estimate at the branch chosen.
         """
-        scan = self._scan(s, t)
-        ub, slack = self._row_bounds(scan)
-        top = int(ub.argmax())
-        best = self._cells(scan, slice(top, top + 1)).max()
-        # The band holds row top, which is computed again: one row of
-        # arithmetic costs less than a second _cells call for the rows
-        # past it and merging three first maxima in row-major order.
-        band = np.flatnonzero(~(ub < best - slack))
-        lo = int(band[0])
-        vals = self._cells(scan, slice(lo, int(band[-1]) + 1))
-        i, j = divmod(int(vals.argmax()), vals.shape[1])
-        return lo + i, j, vals.item(i, j)
+        e, _, shifts, c0, ct = self._float_form
+        interior = self._interior
+        ta, tb = t_range
+        fa, fb = float(ta), float(tb)
+        ends = (fa, fb) if interior else (fa,) if self.wt else ()
+        cols = tuple(dict.fromkeys(shifts + ends))
+        vols = _columns(self.d, cols, s.floats.tobytes())
+        base = e * self._weighted(vols, cols)  # e sum_i w_i nu(s - a_i)
+        vals = base - e * vols[:, cols.index(fa)] if self.wt else base
+        vals = vals + (c0 + ct * fa)
+        if interior:
+            root, nu_root = interior
+            x = s.floats - root  # the t of the interior branch
+            inside = base + (ct * x + (c0 - e * nu_root))
+            upper = base - e * vols[:, cols.index(fb)] + (c0 + ct * fb)
+            better = np.where(x < fb, inside, upper)
+            take = (x > fa) & (better > vals)
+            vals = np.where(take, better, vals)
+        i = int(vals.argmax())
+        t = ta
+        if interior and take[i]:
+            node = s.node(i)
+            q = node.denominator
+            num, den = root.as_integer_ratio()
+            # round(uL 256 q), half up, in integers.
+            m = (num * 512 * q + den) // (2 * den)
+            t = min(max(node - Fraction(m, 256 * q), ta), tb)
+        return i, t, vals.item(i)
 
 
 # --------------------------------------------------------------------------

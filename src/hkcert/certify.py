@@ -398,14 +398,7 @@ def prove_dimension(
         # the worst multiplicity e_start (the bound increases with e).
         for mu in (1, 2, 3):
             objective = MuSmallObjective(e_start, mu, d)
-            cand = optimize_bound(
-                objective,
-                replace(
-                    params,
-                    t_range=(Fraction(1), Fraction(1)),
-                    grid=(params.grid[0], 2),
-                ),
-            )
+            cand = optimize_bound(objective, replace(params, t_range=(Fraction(1), Fraction(1))))
             cert = certify_point(objective, cand.s_exact, cand.t_exact, tgt)
             cases.append(
                 CaseEntry(

@@ -368,7 +368,7 @@ def cmd_surface(args):
     params = replace(search_params(args), grid=args.grid or (120, 120))
     objective = _objective_from_args(kind, args.dim, args.e, args.mu, args.k)
     grid = rpt.surface_grid(objective, params)
-    # The first maximum in row-major order, the optimizer's argmax rule.
+    # The first maximum in row-major order: the smallest s, then t.
     cells = [(v, i, j) for i, row in enumerate(grid.values) for j, v in enumerate(row)]
     value, i, j = max(cells, key=lambda cell: cell[0])
     lines = [f"grid max {value!r} at s={grid.s_axis[i]} t={grid.t_axis[j]}"]
@@ -393,7 +393,9 @@ def _add_common(sub, grid=False, search=False):
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the timestamp (byte-identical reruns)")
     if grid or search:
-        sub.add_argument("--grid", type=_grid, default=None, metavar="NSxNT")
+        sub.add_argument("--grid", type=_grid, default=None, metavar="NSxNT",
+                         help="s and t node counts; the search scans NS nodes "
+                         "of s and takes t in closed form, so NT is read only by surface")
         sub.add_argument("--s-range", type=_range_pair, default=None, metavar="LO:HI")
         sub.add_argument("--t-range", type=_range_pair, default=None, metavar="LO:HI")
     if search:
@@ -514,7 +516,8 @@ _COMMANDS = {
     "hbound": ("worst-generator-count family H_e", cmd_hbound, _hbound_args),
     "emax": ("apex of the parabola in e", cmd_emax, _emax_args),
     "rangemin": ("endpoint minimum over a multiplicity range", cmd_rangemin, _rangemin_args),
-    "optimize": ("grid search a bound family", cmd_optimize, _optimize_args),
+    "optimize": ("search a bound family over s, t in closed form", cmd_optimize,
+                 _optimize_args),
     "cover": ("certified covering of a multiplicity range", cmd_cover, _cover_args),
     "prove": ("full case ladder for one dimension", cmd_prove, _prove_args),
     "table1": ("regenerate the single-e table (d=7)", cmd_table1, _table1_args),

@@ -39,7 +39,7 @@ from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .certify import Certificate, CoveragePlan, GapEntry, GapRun, ProofReport
-from .search import Candidate, GridAxis, Objective, SearchParams
+from .search import Candidate, GridAxis, SearchParams
 from .targets import QuadricIdentityReport
 # _canonical is to_rational's read of the strings str(Fraction) writes.
 from .volume import _canonical
@@ -139,12 +139,15 @@ class SurfaceGrid:
     values: tuple[tuple[float, ...], ...]
 
 
-def surface_grid(objective: Objective, params: SearchParams) -> SurfaceGrid:
-    """Evaluate ``objective`` on the grid of ``params`` (float fast path).
+def surface_grid(objective, params: SearchParams) -> SurfaceGrid:
+    """Evaluate ``objective``, a bound with a ``vector`` method such as
+    :class:`~hkcert.bounds.LinearBound`, on the ns x nt grid of ``params``
+    (float fast path).
 
-    The grid nodes are exact rationals, the same construction the optimizer
-    scans, so a grid maximum matches an unrefined optimizer run with the
-    same ``params``.
+    The grid nodes are exact rationals, and the s nodes are those an
+    unrefined optimizer run with the same ``params`` scans; that run takes
+    each node's best t in closed form, so no grid value exceeds its value
+    by more than the float error.
     """
     s_lo, s_hi = params.resolved_s_range(objective.dimension)
     t_lo, t_hi = params.t_range

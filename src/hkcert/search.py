@@ -1,23 +1,24 @@
-"""Deterministic grid search with local refinement, on a float fast path.
+"""Deterministic search over s with local refinement, on a float fast path.
 
-The optimizer scans a rectangular (s, t) grid, then repeatedly shrinks a box
-around the incumbent by a fixed factor and rescans.  Each grid axis is held
-as integer numerators over one common denominator (:class:`GridAxis`); its
-floats are derived from those integers by correctly rounded division, never
-the other way around.  The refinement boxes and the incumbent are integers
-too, and only the point returned becomes a ``Fraction``.  So the best point
-found can be certified afterwards with exact arithmetic at exactly the
-coordinates the search visited.
+Every bound the optimizer serves depends on t through a term whose
+maximizer over a t range has a closed form (see
+:meth:`~hkcert.bounds.LinearBound.row_best`), so the search runs over s
+alone: the optimizer scans an evenly spaced s axis, asks the objective for
+the best t of each node, then repeatedly shrinks a box around the incumbent
+s by a fixed factor and rescans.  Each axis is held as integer numerators
+over one common denominator (:class:`GridAxis`); its floats are derived
+from those integers by correctly rounded division, never the other way
+around.  The refinement boxes and the incumbent s are integers too, and
+the objective returns its t as an exact rational.  So the best point found
+can be certified afterwards with exact arithmetic at exactly the
+coordinates the search chose.
 
 Ties are broken by value (descending), then s, then t (ascending), so the
-result is deterministic.  Within one scan the rule comes from two facts:
-``np.argmax`` returns the first maximum in row-major order, and the axes
-never decrease, so the first maximum has the smallest s and then the
-smallest t.  A snapped axis may repeat a node, which changes neither.
-An objective's ``argmax`` may skip the rows it proves hold no maximum, but
-it returns the cell that ``np.argmax`` over the full grid returns, so the
-rule holds under that pruning too.
-Across refinement rounds the rule compares the exact incumbents.
+result is deterministic.  Within one scan the objective returns the first
+best node, and the axis never decreases, so that node has the smallest s;
+at one node it prefers the smaller t.  A snapped axis may repeat a node,
+which changes neither.  Across refinement rounds the rule compares the
+exact incumbents.
 """
 
 from __future__ import annotations
@@ -108,13 +109,81 @@ def nu_vector(x: np.ndarray, d: int) -> np.ndarray:
 
 # Absolute error of nu_vector against nu_exact: (largest d, bound), d
 # ascending; near x = 32 at d = 64 the error exceeds its band (see
-# nu_vector).  A grid scan's row bounds (``LinearBound.argmax``) widen by it.
+# nu_vector).  No float decides a claim, so no soundness argument rests on it.
 _ERROR_BANDS = ((12, 1e-14), (20, 1e-13), (32, 1e-11), (48, 1e-8), (64, 1e-6))
 
 
 def _error_band(d: int) -> float:
     """The error band of nu_vector at d, for 1 <= d <= 64 (see nu_vector)."""
     return next(band for top, band in _ERROR_BANDS if d <= top)
+
+
+def _density_root(level: float, d: int) -> tuple[float, float] | None:
+    """(uL, nu(uL, d)) for the smaller root uL of nu'(u, d) = level, in
+    floats, or None when level >= max nu' = nu'(d/2), where nu' is the
+    Irwin-Hall density.
+
+    nu' is 0 at u = 0 (d >= 2) and rises to its peak at d/2, so uL is the
+    one root in [0, d/2].  A Newton iteration starts at d/4 inside the
+    bracket [lo, hi], nu'(lo) < level <= nu'(hi); a step that would leave
+    it, or a point where nu'' is not positive, bisects instead.  It stops
+    once the bracket or a Newton step is at most 2**-40 d, or after 200
+    steps.  nu, nu' and nu'' are the alternating sums of
+    :func:`~hkcert.volume.nu_exact` and :func:`~hkcert.volume.nu_density`
+    below d/2, their powers built by repeated squaring: only + and * run on
+    floats past the sums' coefficients, so the result depends on level and
+    d alone, and no state is kept between calls.  A level <= 0 gives uL = 0;
+    at d = 1, nu' is the indicator of [0, 1) and uL = 0 below level 1.  The
+    root is within 2**-30 of the exact one for d <= 32 at levels up to 9/10
+    of the peak, 2**-22 for d <= 48 and 2**-12 for d <= 64, where the sums
+    cancel near the peak (``tests/test_search.py``).
+    """
+    if d == 1:
+        return (0.0, 0.0) if level < 1.0 else None
+    if level <= 0.0:
+        return 0.0, 0.0
+    # nu'(u) = sum_j c_j (u - j)**(d-1) and nu''(u) = sum_j (d-1) c_j (u -
+    # j)**(d-2) over j <= u, with c_j = (-1)**j d / (j! (d-j)!).
+    coeffs = [(-1.0 if j & 1 else 1.0) * d / (_fact(j) * _fact(d - j)) for j in range(d // 2 + 1)]
+
+    def density(u: float) -> tuple[float, float, float]:
+        """(nu'(u), nu''(u), nu(u))."""
+        value = slope = volume = 0.0
+        for j, c in enumerate(coeffs):
+            if j > u:
+                break
+            w = u - j
+            power, base, n = 1.0, w, d - 2  # w**(d-2), by repeated squaring
+            while n:
+                if n & 1:
+                    power *= base
+                base *= base
+                n >>= 1
+            value += c * power * w
+            slope += c * power
+            volume += c * power * w * w
+        return value, (d - 1) * slope, volume / d
+
+    lo, hi = 0.0, d / 2
+    if level >= density(hi)[0]:
+        return None
+    tol = d * 2.0**-40
+    u = d / 4
+    for _ in range(200):
+        value, slope, _ = density(u)
+        if value < level:
+            lo = u
+        else:
+            hi = u
+        if slope > 0.0 and lo <= (nxt := u - (value - level) / slope) <= hi:
+            if abs(nxt - u) <= tol:
+                break
+        else:
+            nxt = 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            break
+        u = nxt
+    return nxt, density(nxt)[2]
 
 
 class Objective(Protocol):
@@ -125,17 +194,12 @@ class Objective(Protocol):
 
     def exact(self, s: Fraction, t: Fraction) -> Fraction: ...
 
-    def vector(self, s: GridAxis, t: GridAxis) -> np.ndarray:
-        """Values on the grid s.floats[:, None] x t.floats[None, :], shape
-        (len(s), len(t)).  The axes' floats are read-only, and later scans
-        may share an axis."""
-        ...
-
-    def argmax(self, s: GridAxis, t: GridAxis) -> tuple[int, int, float]:
-        """What the optimizer scans with: (i, j, value) for the first
-        maximum of ``vals = vector(s, t)`` in row-major order, that is
-        ``divmod(vals.argmax(), len(t))`` and ``vals.item(i, j)``, bit for
-        bit, but it need not compute every cell."""
+    def row_best(self, s: GridAxis, t_range: tuple) -> tuple[int, Fraction, float]:
+        """What the optimizer scans with: (i, t, value) for the best node
+        of the s axis, the first one (smallest s) among equals, with its
+        best t in the exact range ``t_range`` = (ta, tb), an exact
+        rational, and the float value there.  The axis's floats are
+        read-only, and later scans may share an axis."""
         ...
 
     def descriptor(self) -> dict: ...
@@ -143,16 +207,19 @@ class Objective(Protocol):
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Grid-search configuration.
+    """Search configuration.
 
     ``s_range=None`` means [0, d+1] for the objective's dimension d.  The
     bounds are defined for s >= 0 and t in [0, 1], so an s range must start
     at 0 or above and a t range must lie in [0, 1].  All range endpoints
-    are exact rationals; every node of a range wider than
-    one point has a denominator of at most ``max_denominator`` (see
-    :class:`GridAxis`), and its float is the correctly rounded value of
-    that exact node.  The grid counts, ``refine_rounds``, ``shrink_factor``
-    and ``max_denominator`` must be plain ints (not bool).
+    are exact rationals; every s node of a range wider than one point has a
+    denominator of at most ``max_denominator`` (see :class:`GridAxis`), and
+    its float is the correctly rounded value of that exact node.  ``grid``
+    is (ns, nt): the optimizer scans ns nodes of s and takes t in closed
+    form from ``t_range``, so nt is read only by the float surface
+    (:func:`hkcert.report.surface_grid`), which evaluates an ns x nt grid.
+    The grid counts, ``refine_rounds``, ``shrink_factor`` and
+    ``max_denominator`` must be plain ints (not bool).
     """
 
     s_range: tuple[Fraction, Fraction] | None = None
@@ -207,7 +274,15 @@ class SearchParams:
 
 @dataclass(frozen=True)
 class Candidate:
-    """Best grid point found: float view plus the exact coordinates behind it."""
+    """Best point found: float view plus the exact coordinates behind it.
+
+    ``value`` is the float estimate of the objective's largest value over
+    t at the node s_exact, as the objective's ``row_best`` computed it.  At
+    a t strictly inside the t range it is the value at the float optimum
+    s - uL, so the exact value at (s_exact, t_exact), where t_exact rounds
+    that optimum (see :meth:`~hkcert.bounds.LinearBound.row_best`), may lie
+    below it by the float error and by a term second order in that rounding.
+    """
 
     s: float
     t: float
@@ -238,20 +313,10 @@ class GridAxis:
     degenerate axis (lo == hi) repeats lo as given.  The optimizer passes
     its boxes as integer ends over one denominator (:meth:`_over`), which
     give the same first, delta and D as the Fractions of the same ends.
-    ``floats`` is read-only.
-
-    ``lattice`` names the exact node set the axis lies on, as a hashable
-    tuple of ints (n, D, delta, first mod delta, max_denominator if the
-    nodes are snapped else None), and ``start`` = first // delta is the
-    index of node 0 on it: node i is lattice node start + i.  D is the
-    least common denominator of lo and the step, so every axis on one
-    lattice has the same D and delta, and two axes with one ``lattice``
-    hold bit for bit the same float at every node they share.  A
-    degenerate axis has the lattice (n, D, 0, first, None) and start 0.
-    The constructor takes exact ends with lo <= hi, so that the nodes never
-    decrease, and plain ints n >= 2 and max_denominator >= 1; anything
-    else raises ValueError (a float end raises TypeError, as in
-    :func:`~hkcert.volume.to_rational`).
+    ``floats`` is read-only.  The constructor takes exact ends with lo <=
+    hi, so that the nodes never decrease, and plain ints n >= 2 and
+    max_denominator >= 1; anything else raises ValueError (a float end
+    raises TypeError, as in :func:`~hkcert.volume.to_rational`).
     """
 
     def __init__(self, lo: Fraction, hi: Fraction, n: int, max_denominator: int):
@@ -278,11 +343,7 @@ class GridAxis:
         first, delta, den = lo * (n - 1) // g, (hi - lo) // g, q * (n - 1) // g
         self._first, self._delta, self._den, self._n = first, delta, den, n
         self._snapped = None
-        snapped = delta and den > max_denominator
-        self.start = first // delta if delta else 0
-        offset = first - self.start * delta  # first mod delta, or first if delta = 0
-        self.lattice = (n, den, delta, offset, max_denominator if snapped else None)
-        if snapped:
+        if delta and den > max_denominator:
             self._snapped = [
                 Fraction(first + i * delta, den).limit_denominator(max_denominator)
                 for i in range(n)
@@ -316,7 +377,7 @@ class GridAxis:
 
 # A covering optimizes one e after another: round 0 scans the same box at
 # every e, and most round-1 boxes repeat the previous e's.  64 axes hold
-# them; ``prove --dim 10 --k 5`` then builds 394 axes instead of 2,096.
+# them; ``prove --dim 10 --k 5`` then builds 265 axes instead of 1,048.
 _AXIS_CACHE_SIZE = 64
 
 
@@ -335,40 +396,38 @@ def _box(a: int, b: int, q: int, p: int, r: int, scale: int) -> tuple[int, int, 
 
 
 def optimize_bound(objective: Objective, params: SearchParams | None = None) -> Candidate:
-    """Grid-scan ``objective`` and refine around the incumbent.
+    """Scan ``objective`` over s and refine around the incumbent.
 
-    Each refinement round rescans a box 1/shrink_factor the size of the
-    previous one, centered at the incumbent and clipped to the original
-    ranges.  Returns the best point over all rounds.
+    Each round asks the objective for the best node of an s axis of
+    ``grid[0]`` nodes, each with its best t in ``t_range``
+    (:meth:`Objective.row_best`).  Each refinement round rescans an s box
+    1/shrink_factor the size of the previous one, centered at the
+    incumbent and clipped to the original range.  Returns the best point
+    over all rounds.
 
-    The boxes, the nodes and the incumbent are integer numerators over
-    integer denominators, compared by cross-multiplying; the one
-    ``Fraction`` per axis is built for the returned :class:`Candidate`.
+    The boxes, the nodes and the incumbent s are integer numerators over
+    integer denominators, compared by cross-multiplying; one ``Fraction``
+    is built for the returned s, and the objective builds each round's t.
     """
     params = params or SearchParams()
-    ns, nt = params.grid
+    ns = params.grid[0]
     shrink, cap = params.shrink_factor, params.max_denominator
     s_range = _over_one_denominator(*params.resolved_s_range(objective.dimension))
-    t_range = _over_one_denominator(*params.t_range)
 
-    s_box, t_box = s_range, t_range
+    s_box = s_range
     for round_no in range(params.refine_rounds + 1):
-        s_axis, t_axis = _axis(*s_box, ns, cap), _axis(*t_box, nt, cap)
-        i, j, value = objective.argmax(s_axis, t_axis)
-        (sp, sq), (tp, tq) = s_axis._ratio(i), t_axis._ratio(j)
+        s_axis = _axis(*s_box, ns, cap)
+        i, t, value = objective.row_best(s_axis, params.t_range)
+        sp, sq = s_axis._ratio(i)
         if round_no == 0 or value > best[0]:
-            best = value, sp, sq, tp, tq
+            best = value, sp, sq, t
         elif value == best[0]:
             # (s, t) < the incumbent's, in that order; denominators are > 0.
             ds = sp * best[2] - best[1] * sq
-            if ds < 0 or (ds == 0 and tp * best[4] < best[3] * tq):
-                best = value, sp, sq, tp, tq
-        scale = 2 * shrink ** (round_no + 1)
-        s_box = _box(*s_range, best[1], best[2], scale)
-        t_box = _box(*t_range, best[3], best[4], scale)
+            if ds < 0 or (ds == 0 and t < best[3]):
+                best = value, sp, sq, t
+        s_box = _box(*s_range, best[1], best[2], 2 * shrink ** (round_no + 1))
 
-    value, sp, sq, tp, tq = best
-    s_best, t_best = Fraction(sp, sq), Fraction(tp, tq)
-    return Candidate(
-        s=float(s_best), t=float(t_best), value=value, s_exact=s_best, t_exact=t_best
-    )
+    value, sp, sq, t = best
+    s_best = Fraction(sp, sq)
+    return Candidate(s=float(s_best), t=float(t), value=value, s_exact=s_best, t_exact=t)

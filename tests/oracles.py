@@ -173,34 +173,26 @@ def grid_nodes_oracle(lo, hi, n: int, max_denominator: int) -> list[Fraction]:
     return [(lo + i * step).limit_denominator(max_denominator) for i in range(n)]
 
 
-def refinement_oracle(vector, s_range, t_range, grid, rounds, shrink, max_denominator):
+def refinement_oracle(row, s_range, t_range, ns, rounds, shrink, max_denominator):
     """The optimizer's refinement loop on Fraction boxes: each round scans
-    the grid_nodes_oracle nodes of its box through ``vector`` (floats in,
-    values out), keeps the best (value, s, t) by value and then by exact
-    (s, t), and shrinks the box around it by ``shrink``, clipped to the
-    ranges.  Returns the nodes of every scan and the best point."""
-    (s_lo, s_hi), (t_lo, t_hi) = s_range, t_range
-    box, s_width, t_width = (s_lo, s_hi, t_lo, t_hi), s_hi - s_lo, t_hi - t_lo
+    the grid_nodes_oracle nodes of its s box through ``row`` (the nodes and
+    t_range in; each node's float value and exact t out), keeps the best
+    (value, s, t) by value and then by exact (s, t), and shrinks the s box
+    around it by ``shrink``, clipped to s_range.  Returns the nodes of
+    every scan and the best point."""
+    s_lo, s_hi = s_range
+    box, width = (s_lo, s_hi), s_hi - s_lo
     scans, best = [], None
     for _ in range(rounds + 1):
-        s_nodes = grid_nodes_oracle(box[0], box[1], grid[0], max_denominator)
-        t_nodes = grid_nodes_oracle(box[2], box[3], grid[1], max_denominator)
-        scans.append((s_nodes, t_nodes))
-        vals = vector(
-            np.array([float(v) for v in s_nodes]), np.array([float(v) for v in t_nodes])
-        )
-        i, j = divmod(int(np.argmax(vals)), vals.shape[1])
-        point = (float(vals[i, j]), s_nodes[i], t_nodes[j])
+        nodes = grid_nodes_oracle(*box, ns, max_denominator)
+        scans.append(nodes)
+        values, ts = row(nodes, t_range)
+        i = int(np.argmax(values))
+        point = (float(values[i]), nodes[i], ts[i])
         if best is None or point[0] > best[0] or (point[0] == best[0] and point[1:] < best[1:]):
             best = point
-        s_width /= shrink
-        t_width /= shrink
-        box = (
-            max(s_lo, best[1] - s_width / 2),
-            min(s_hi, best[1] + s_width / 2),
-            max(t_lo, best[2] - t_width / 2),
-            min(t_hi, best[2] + t_width / 2),
-        )
+        width /= shrink
+        box = (max(s_lo, best[1] - width / 2), min(s_hi, best[1] + width / 2))
     return scans, best
 
 

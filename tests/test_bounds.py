@@ -1,12 +1,14 @@
+import functools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkcert import bounds
+from hkcert import bounds, certify
 from hkcert.bounds import (
     BoundSpec,
     GeneralBoundObjective,
@@ -762,239 +764,207 @@ class TestWitnessMemo:
 
 @pytest.fixture
 def memo(monkeypatch):
-    """A fresh volume memo for LinearBound.vector, of the fixed capacity."""
-    fresh = bounds._VolumeMemo(bounds._MEMO_CELLS)
-    monkeypatch.setattr(bounds, "_VOLUMES", fresh)
+    """An empty cache of float volume columns for LinearBound.row_best,
+    of the fixed size."""
+    fresh = functools.lru_cache(maxsize=bounds._COLUMN_CACHE_SIZE)(bounds._columns.__wrapped__)
+    monkeypatch.setattr(bounds, "_columns", fresh)
     return fresh
 
 
 @pytest.fixture
 def nu_calls(monkeypatch):
-    """The number of points of every nu_vector call LinearBound.vector makes."""
+    """The number of points of every nu_vector call the bounds make."""
     calls = []
     real = bounds.nu_vector
 
     def counted(x, d):
-        calls.append(x.size)
+        calls.append(np.size(x))
         return real(x, d)
 
     monkeypatch.setattr(bounds, "nu_vector", counted)
     return calls
 
 
-def _tiles(memo):
-    """The memo's tiles as (key, starts, (len(s), len(shifts), len(t)),
-    shift_vols, t_vols) tuples.  The key is d, the bytes of the shifts and
-    the s and t lattices, each led by its node count; the t lattice is None
-    for a tile with no t columns."""
-    tiles = []
-    for key, (s_start, t_start, blocks) in memo._tiles.items():
-        _, shift_bytes, s_lattice, t_lattice = key
-        shape = s_lattice[0], len(np.frombuffer(shift_bytes)), t_lattice[0] if t_lattice else 0
-        tiles.append((key, (s_start, t_start), shape, *blocks))
-    return tiles
+def _cold(objective, s, t_range):
+    """objective.row_best(s, t_range) with its volumes computed afresh."""
+    with mock.patch.object(bounds, "_columns", bounds._columns.__wrapped__):
+        return objective.row_best(s, t_range)
 
 
-def _assert_memo_within_capacity(memo):
-    tiles = _tiles(memo)
-    cells = sum(shift_vols.size + t_vols.size for *_, shift_vols, t_vols in tiles)
-    assert memo.cells == cells <= memo.capacity
-    for *_, (ns, a, nt), shift_vols, t_vols in tiles:
-        assert shift_vols.shape == (ns, a)
-        assert t_vols.shape == (ns, nt)
-        for block in (shift_vols, t_vols):
-            assert block.flags.c_contiguous and not block.flags.writeable
+def _assert_cold(objective, s, t_range=(F(0), F(1))):
+    """row_best through the cache is row_best on a cold one, bit for bit."""
+    i, t, value = objective.row_best(s, t_range)
+    j, u, cold = _cold(objective, s, t_range)
+    assert (i, t) == (j, u)
+    assert np.float64(value).tobytes() == np.float64(cold).tobytes()
+    return i, t, value
 
 
-def _boxes(memo):
-    """The boxes the memo holds, by their key and the starts of both axes."""
-    return {(key, starts) for key, starts, *_ in _tiles(memo)}
-
-
-def _assert_bits(objective_case, s, t):
-    objective, formula = objective_case
-    got = objective.vector(s, t)
-    assert np.array_equal(got.view(np.int64), formula(s, t).view(np.int64))
+def _default_s(d):
+    return _default_axes(d)[0]
 
 
 class TestVolumeMemo:
-    """LinearBound.vector reads its slice volumes from a bounded memo of
-    volume tiles shared by every bound; no cell may differ from the bound's
-    written-out formula."""
+    """LinearBound.row_best reads the float volumes nu(s_i - a) of an s
+    axis from a small cache shared by every bound (``bounds._columns``),
+    keyed by d, the shifts and the axis's doubles; no result may depend on
+    it."""
 
-    def test_every_result_bit_for_bit_through_evictions(self, memo):
-        # e after e on one default grid, as a covering scans it, between
-        # other grids and dimensions; together they hold more volumes than
-        # the memo, so boxes are evicted and later computed again.
-        narrow = GridAxis(F(5, 2), F(13, 5), 200, 10**6), GridAxis(F(3, 5), F(7, 10), 100, 10**6)
-        small = GridAxis(F(0), F(9), 80, 10**6), GridAxis(F(0), F(1, 2), 40, 10**6)
-        seen, evicted = set(), set()
+    def test_every_result_bit_for_bit_through_evictions(self, monkeypatch):
+        # e after e on one default axis, as a covering scans it, between
+        # other axes and dimensions, on a cache of four entries: entries
+        # are evicted and later computed again.
+        small = functools.lru_cache(maxsize=4)(bounds._columns.__wrapped__)
+        monkeypatch.setattr(bounds, "_columns", small)
+        narrow = GridAxis(F(5, 2), F(13, 5), 200, 10**6)
+        wide = GridAxis(F(0), F(9), 80, 10**6)
         for e in range(6, 13):
             calls = [
-                (_h_case(e, 7), _default_axes(7)),
-                (_h_case(e, 7), narrow),
-                (_general_case(8, e + 10, e + 8, 4), _default_axes(8)),
-                (_mu_small_case(e, 3, 7), _default_axes(7)),
-                (_general_case(8, e, 3, 0), small),
-                (_general_case(10, e + 240, e + 238, 5), _default_axes(10)),
-                (_general_case(8, e, 4, 1), narrow),
-                (_h_case(e, 9), _default_axes(9)),
-                (_h_case(e, 11), _default_axes(11)),
-                (_general_case(12, e + 10, e + 8, 3), _default_axes(12)),
-                (_h_case(e, 9), narrow),
+                (HBoundObjective(e, 7), _default_s(7), (F(0), F(1))),
+                (GeneralBoundObjective(BoundSpec(7, e, e - 2, 1)), _default_s(7), (F(0), F(1))),
+                (HBoundObjective(e, 7), narrow, (F(3, 5), F(7, 10))),
+                (GeneralBoundObjective(BoundSpec(8, e + 10, e + 8, 4)), _default_s(8), (F(0), F(1))),
+                (MuSmallObjective(e, 3, 7), _default_s(7), (F(1), F(1))),
+                (GeneralBoundObjective(BoundSpec(8, e, 3, 0)), wide, (F(0), F(1, 2))),
+                (HBoundObjective(e + 240, 10, 5), _default_s(10), (F(0), F(1))),
+                (GeneralBoundObjective(BoundSpec(8, e, 4, 1)), narrow, (F(3, 5), F(7, 10))),
+                (HBoundObjective(e, 9), _default_s(9), (F(0), F(1))),
+                (HBoundObjective(e, 12, 3), _default_s(12), (F(1, 3), F(1))),
             ]
-            for case, (s, t) in calls:
-                _assert_bits(case, s, t)
-                _assert_memo_within_capacity(memo)
-                boxes = _boxes(memo)
-                evicted |= seen - boxes
-                seen |= boxes
-        assert evicted & _boxes(memo), "no box was evicted and scanned again"
+            for objective, s, t_range in calls:
+                _assert_cold(objective, s, t_range)
+        # Nine keys, each computed more than once, and the master family
+        # reads the entry of the worst case just before it.
+        info = small.cache_info()
+        assert info.currsize == 4 and info.misses > 9 and info.hits == 7
 
     def test_same_box_for_every_e_is_computed_once(self, memo, nu_calls):
-        s, t = _default_axes(10)
-        for e in range(240, 250):
-            _assert_bits(_general_case(10, e, e - 2, 5), s, t)
-        # One tile of nu(s), nu(s - 1), nu(s - 1/2) and nu(s - t).
-        assert nu_calls == [len(s) * (3 + len(t))]
+        s = _default_s(10)
+        objectives = [GeneralBoundObjective(BoundSpec(10, e, e - 2, 5)) for e in range(240, 250)]
+        found = [objective.row_best(s, (F(0), F(1))) for objective in objectives]
+        # One column each of nu(s), nu(s - 1) and nu(s - 1/2); the t range
+        # ends 0 and 1 read the first two.
+        assert nu_calls == [3 * len(s)]
+        assert found == [_cold(objective, s, (F(0), F(1))) for objective in objectives]
 
     def test_a_repeated_box_is_a_full_hit(self, memo, nu_calls):
-        # A box on its tile's lattices at its tile's starts, in new axes,
-        # is read whole: the tile keeps its blocks, and no nu_vector call.
-        s, t = _default_axes(10)
-        families = (
-            [_general_case(10, e, e - 2, 5) for e in (245, 246, 247)],
-            [_mu_small_case(e, 3, 10) for e in (9, 10, 11)],
-        )
-        for first, *later in families:
-            _assert_bits(first, s, t)
-            held = [blocks for *_, blocks in memo._tiles.values()]
+        # The same box in new axes holds the same doubles, so it is read
+        # whole: no nu_vector call, and the cache keeps its arrays.
+        for family in (
+            [GeneralBoundObjective(BoundSpec(10, e, e - 2, 5)) for e in (245, 246, 247)],
+            [MuSmallObjective(e, 3, 10) for e in (9, 10, 11)],
+        ):
+            family[0].row_best(_default_s(10), (F(0), F(1)))
             nu_calls.clear()
-            for case in later:
-                _assert_bits(case, *_default_axes(10))
+            for objective in family[1:]:
+                objective.row_best(_default_s(10), (F(0), F(1)))
             assert nu_calls == []
-            assert [id(b) for *_, b in memo._tiles.values()] == [id(b) for b in held]
-        # A box one t node over shares every row and all but one t column.
-        t_next = GridAxis(F(1, 99), F(100, 99), 100, 10**6)
-        assert (t_next.lattice, t_next.start) == (t.lattice, t.start + 1)
-        _assert_bits(_general_case(10, 248, 246, 5), s, t_next)
-        assert nu_calls == [len(s)]
-        _assert_memo_within_capacity(memo)
+        # A box one node over shares 199 doubles, but is an entry of its own.
+        step = F(11, 199)
+        HBoundObjective(248, 10, 5).row_best(GridAxis(step, 11 + step, 200, 10**6), (F(0), F(1)))
+        assert nu_calls == [3 * 200]
 
     def test_mutating_results_and_inputs_changes_no_later_result(self, memo):
-        for objective, formula in (_h_case(7, 7), _mu_small_case(6, 3, 7)):
+        for (objective, formula), shifts in ((_h_case(7, 7), (0.0, 1.0, 0.5)),
+                                             (_mu_small_case(6, 3, 7), (0.0, 1.0))):
             s, t = _default_axes(7)
             first = objective.vector(s, t)
             first[...] = np.nan
-            _assert_bits((objective, formula), s, t)
-            # The axes a tile was computed from cannot change under it.
-            for axis in (t, s):
+            assert np.array_equal(objective.vector(s, t).view(np.int64),
+                                  formula(s, t).view(np.int64))
+            _assert_cold(objective, s)
+            # The cached columns and the axes they were computed from
+            # cannot change under a later scan.
+            for block in (bounds._columns(7, shifts, s.floats.tobytes()), t.floats, s.floats):
                 with pytest.raises(ValueError, match="read-only"):
-                    axis.floats[-3:] = 0.5
-        _assert_memo_within_capacity(memo)
-
-    def test_grid_larger_than_the_memo_is_not_kept(self, memo):
-        s = GridAxis(F(0), F(8), 500, 10**6)
-        t = GridAxis(F(0), F(1), 400, 10**6)
-        assert len(s) * len(t) > memo.capacity
-        _assert_bits(_h_case(7, 7), s, t)
-        assert all(t_vols.size < len(s) * len(t) for *_, t_vols in _tiles(memo))
-        _assert_memo_within_capacity(memo)
+                    block[-3:] = 0.5
+        assert memo.cache_info().currsize == 2
 
     def test_random_calls_on_a_small_memo(self, monkeypatch, nu_calls):
-        # Six seeded callers take turns, 60 calls each, on a memo that
-        # holds three of these six boxes: a wrong cell count, a torn tile
-        # or a tile reused at the wrong offset would show as a wrong count
-        # or a wrong cell.  Three boxes share one node lattice, shifted by
-        # whole nodes, so tiles are partly reused and replaced; the other
-        # three differ in width, so they need tiles of their own and the
-        # memo evicts.
-        small = bounds._VolumeMemo(3 * (40 * 20 + 3 * 40))
-        monkeypatch.setattr(bounds, "_VOLUMES", small)
+        # Six seeded callers take turns, 60 calls each, on a cache that
+        # holds three of these six boxes: a stale or torn entry would show
+        # as a result that differs from a cold one.
+        small = functools.lru_cache(maxsize=3)(bounds._columns.__wrapped__)
+        monkeypatch.setattr(bounds, "_columns", small)
         jobs = []
         for i in range(6):
             lo = F(i, 10) if i < 3 else F(i, 3)
-            hi = lo + (F(39, 10) if i < 3 else i - 1)
-            s = GridAxis(lo, hi, 40, 10**6)
-            t = GridAxis(F(0), F(1), 20, 10**6)
-            objective, formula = _h_case(6 + i % 3, 7)
-            jobs.append((objective, s, t, formula(s, t).view(np.int64)))
+            s = GridAxis(lo, lo + (F(39, 10) if i < 3 else i - 1), 40, 10**6)
+            objective = HBoundObjective(6 + i % 3, 7)
+            jobs.append((objective, s, _cold(objective, s, (F(0), F(1)))))
+        nu_calls.clear()
         callers = [random.Random(seed) for seed in range(6)]
         failures = []
         for n in range(60):
             for seed, rng in enumerate(callers):
-                objective, s, t, want = rng.choice(jobs)
-                if not np.array_equal(objective.vector(s, t).view(np.int64), want):
+                objective, s, want = rng.choice(jobs)
+                if objective.row_best(s, (F(0), F(1))) != want:
                     failures.append((seed, n))
-                _assert_memo_within_capacity(small)
         assert failures == []
-        # At most one nu_vector call per scan; some scans read every cell
-        # from the memo and some did not.
-        assert 6 < len(nu_calls) < 6 * 60
+        # One nu_vector call per miss; some scans hit and some missed.
+        assert 6 < len(nu_calls) == small.cache_info().misses < 6 * 60
 
     def test_one_lookup_and_one_nu_vector_call_per_scan(self, monkeypatch, memo, nu_calls):
         # A proof scans the worst case and the mu-small rungs (a bound
-        # constant in t); every scan makes one memo lookup and at most one
+        # constant in t); every scan makes one cache lookup and at most one
         # nu_vector call.
         lookups, per_scan = [], []
-        get, argmax = memo.get, LinearBound.argmax
+        row_best = LinearBound.row_best
 
-        def counted_get(*args):
-            lookups.append(args[0])
-            return get(*args)
+        def counted_lookup(*args):
+            lookups.append(args)
+            return memo(*args)
 
-        def counted_argmax(self, s, t):
+        def counted_row_best(self, s, t_range):
             before = len(nu_calls)
-            out = argmax(self, s, t)
+            out = row_best(self, s, t_range)
             per_scan.append(len(nu_calls) - before)
             return out
 
-        monkeypatch.setattr(memo, "get", counted_get)
-        monkeypatch.setattr(LinearBound, "argmax", counted_argmax)
+        monkeypatch.setattr(bounds, "_columns", counted_lookup)
+        monkeypatch.setattr(LinearBound, "row_best", counted_row_best)
         prove_dimension(7, 1)
         assert len(lookups) == len(per_scan) > 100
         assert set(per_scan) == {0, 1}
 
 
-def _lattice_axis(first: int, n: int, step: Fraction) -> GridAxis:
+def _lattice_axis(first, n: int, step: Fraction) -> GridAxis:
     """The axis of the nodes first*step ... (first + n - 1)*step."""
     return GridAxis(first * step, (first + n - 1) * step, n, 10**6)
 
 
 class TestVolumeTiles:
-    """A box that overlaps a kept tile on the same node lattice reuses the
-    tile's cells and computes only its new rows and columns."""
+    """A box that overlaps a cached one, shifted, nested or on another node
+    lattice, has its own entry: the cache reuses a whole axis of equal
+    doubles or nothing, and each result is a cold one."""
 
     S_STEP, T_STEP = F(11, 199), F(1, 99)
 
-    def axes(self, s_first, t_first, ns=60, nt=30):
-        return (
-            _lattice_axis(s_first, ns, self.S_STEP),
-            _lattice_axis(t_first, nt, self.T_STEP),
-        )
+    def box(self, s_first, t_first, ns=60, nt=30):
+        """An s axis and a t range (ta, tb) of nt - 1 t steps."""
+        ta = t_first * self.T_STEP
+        return _lattice_axis(s_first, ns, self.S_STEP), (ta, ta + (nt - 1) * self.T_STEP)
 
     @pytest.mark.parametrize("ds", (-7, -1, 0, 1, 7))
     @pytest.mark.parametrize("dt", (-5, -1, 0, 1, 5))
     def test_shifted_boxes(self, memo, nu_calls, ds, dt):
-        case = _general_case(10, 245, 243, 5)
-        _assert_bits(case, *self.axes(20, 40))
+        objective = GeneralBoundObjective(BoundSpec(10, 245, 243, 5))
+        objective.row_best(*self.box(20, 40))
         nu_calls.clear()
-        _assert_bits(case, *self.axes(20 + ds, 40 + dt))
-        # Only the cells outside the old box are computed: the three shift
-        # columns of |ds| new rows, and an L of the t columns.
-        new_2d = 60 * 30 - (60 - abs(ds)) * (30 - abs(dt))
-        assert sum(nu_calls) == 3 * abs(ds) + new_2d
-        _assert_memo_within_capacity(memo)
+        objective.row_best(*self.box(20 + ds, 40 + dt))
+        # The shift columns of nu(s), nu(s - 1/2) and nu(s - 1), and the two
+        # t range ends: all of them unless both boxes are the same.
+        assert nu_calls == ([] if ds == dt == 0 else [60 * 5])
+        _assert_cold(objective, *self.box(20 + ds, 40 + dt))
 
     def test_chain_of_shifts_bit_for_bit(self, memo, nu_calls):
         # A box that walks away node by node, as refinement boxes do from
         # one e to the next, and comes back.
-        for e, (ds, dt) in enumerate(
-            [(0, 0), (2, 1), (5, -3), (59, 0), (0, 29), (-4, 0), (0, 0)]
-        ):
-            _assert_bits(_h_case(8 + e, 7), *self.axes(30 + ds, 50 + dt))
-        _assert_memo_within_capacity(memo)
-        assert sum(nu_calls) < 7 * 60 * (30 + 3)
+        moves = [(0, 0), (2, 1), (5, -3), (59, 0), (0, 29), (-4, 0), (0, 0)]
+        for e, (ds, dt) in enumerate(moves):
+            _assert_cold(HBoundObjective(8 + e, 7), *self.box(30 + ds, 40 + dt))
+        # Six distinct boxes, each once through the cache and once cold.
+        assert sum(nu_calls) == (6 + 7) * 60 * 5
 
     @pytest.mark.parametrize(
         "shape",
@@ -1003,169 +973,153 @@ class TestVolumeTiles:
     )
     def test_sub_boxes(self, memo, shape):
         ds, dt, ns, nt = shape
-        _assert_bits(_h_case(7, 8), *self.axes(20, 40))
-        _assert_bits(_h_case(7, 8), *self.axes(20 + ds, 40 + dt, ns, nt))
-        _assert_memo_within_capacity(memo)
+        _assert_cold(HBoundObjective(7, 8), *self.box(20, 40))
+        _assert_cold(HBoundObjective(7, 8), *self.box(20 + ds, 40 + dt, ns, nt))
 
     def test_super_boxes(self, memo):
-        _assert_bits(_mu_small_case(9, 2, 8), *self.axes(20, 40, 30, 15))
-        _assert_bits(_h_case(7, 8), *self.axes(20, 40, 30, 15))
-        _assert_bits(_h_case(7, 8), *self.axes(10, 30))
-        _assert_bits(_h_case(7, 8), *self.axes(20, 40, 30, 15))
-        _assert_memo_within_capacity(memo)
+        _assert_cold(MuSmallObjective(9, 2, 8), *self.box(20, 40, 30, 15))
+        _assert_cold(HBoundObjective(7, 8), *self.box(20, 40, 30, 15))
+        _assert_cold(HBoundObjective(7, 8), *self.box(10, 30))
+        _assert_cold(HBoundObjective(7, 8), *self.box(20, 40, 30, 15))
 
     def test_other_lattice_is_not_reused(self, memo, nu_calls):
-        case = _h_case(7, 7)
-        _assert_bits(case, *self.axes(20, 40))
+        objective = HBoundObjective(7, 7)
+        _, t_range = self.box(20, 40)
+        objective.row_best(*self.box(20, 40))
         nu_calls.clear()
         # Half the step: every other node coincides, no run of nodes does.
         s = GridAxis(20 * self.S_STEP, 20 * self.S_STEP + 59 * self.S_STEP / 2, 60, 10**6)
-        _, t = self.axes(20, 40)
-        _assert_bits(case, s, t)
-        assert sum(nu_calls) == 60 * 3 + 60 * 30
+        objective.row_best(s, t_range)
+        assert nu_calls == [60 * 5]
+        _assert_cold(objective, s, t_range)
 
     def test_degenerate_t_axis(self, memo, nu_calls):
-        # The mu-small rungs scan t = 1 only, as a 2-node axis (1, 1).
-        t = GridAxis(F(1), F(1), 2, 10**6)
-        assert t.floats.tolist() == [1.0, 1.0]
-        for case in (_mu_small_case(6, 3, 10), _h_case(6, 10), _general_case(10, 9, 7, 5)):
+        # The mu-small rungs take t = 1 only, the degenerate range (1, 1).
+        t_range = (F(1), F(1))
+        for objective in (
+            MuSmallObjective(6, 3, 10), HBoundObjective(6, 10), GeneralBoundObjective(BoundSpec(10, 9, 7, 5))
+        ):
             for s_first in (0, 3, 0):
-                s, _ = self.axes(s_first, 0)
-                _assert_bits(case, s, t)
-        _assert_memo_within_capacity(memo)
-        # Each move by 3 nodes computes 3 new rows.  Mu-small has the shifts
-        # (0, 1) and no t columns; H_e and this general bound share one tile
-        # of the shifts (0, 1, 1/2) and the 2 t columns.
-        mu_small = 60 * 2 + 2 * (3 * 2)
-        h = 60 * (3 + 2) + 2 * (3 * (3 + 2))
-        general = 2 * (3 * (3 + 2))
-        assert sum(nu_calls) == mu_small + h + general
+                s, _ = self.box(s_first, 0)
+                assert _assert_cold(objective, s, t_range)[1] == 1
+        # Mu-small reads the shifts (0, 1) and no t end; H_e and this
+        # general bound read the shifts (0, 1, 1/2), where t = 1 is the
+        # shift 1, and share their entries.  Two axes each, and every
+        # result once more cold.
+        mu_small, h = 60 * 2, 60 * 3
+        assert sum(nu_calls) == 2 * mu_small + 2 * h + 3 * (mu_small + 2 * h)
 
     def test_half_node_boxes_keep_a_tile_each(self, memo, nu_calls):
-        # Box a, then box b of the same shape half a node off in s and t,
-        # as boxes centred on a new and an older incumbent lie; then a, one
-        # row over.  b shares no node with a, so it has a tile of its own,
-        # and the third box computes only its new row.
-        case = _h_case(7, 7)
-        _assert_bits(case, *self.axes(20, 40))
-        _assert_bits(case, *self.axes(F(41, 2), F(81, 2)))
-        assert nu_calls == [60 * (3 + 30)] * 2
-        assert len(memo._tiles) == 2
+        # Box a, then box b half a node off, as boxes centred on a new and
+        # an older incumbent lie; then a again, which is still kept.
+        objective = HBoundObjective(7, 7)
+        objective.row_best(*self.box(20, 40))
+        objective.row_best(*self.box(F(41, 2), 40))
+        assert nu_calls == [60 * 5] * 2
+        assert memo.cache_info().currsize == 2
         nu_calls.clear()
-        _assert_bits(case, *self.axes(21, 40))
-        assert nu_calls == [3 + 30]
-        _assert_memo_within_capacity(memo)
-
-    @pytest.mark.parametrize(
-        "first, then", [((4, 0), (5, 0)), ((20, 37), (20, 38))], ids=["s", "t"]
-    )
-    def test_phases_straddling_the_wrap_share_a_tile(self, memo, nu_calls, first, then):
-        # On this lattice the first box's nodes divided by its float step
-        # lie just above a whole number and the second box's just below,
-        # in one axis.  Both lie on one exact lattice, so they share a tile.
-        fractions = []
-        for s_first, t_first in (first, then):
-            s, t = self.axes(s_first, t_first)
-            x = (s if first[0] != then[0] else t).floats
-            q = x[0] / ((x[-1] - x[0]) / (len(x) - 1))
-            fractions.append(q - np.floor(q))
-        assert 0 < fractions[0] < 1e-9 and 1 - 1e-9 < fractions[1] < 1
-        case = _general_case(10, 245, 243, 5)
-        _assert_bits(case, *self.axes(*first))
-        nu_calls.clear()
-        _assert_bits(case, *self.axes(*then))
-        assert len(memo._tiles) == 1
-        # One new row (3 shift and 30 t cells), or one new t column.
-        assert nu_calls == [3 + 30 if first[0] != then[0] else 60]
+        objective.row_best(*self.box(20, 40))
+        assert nu_calls == []
 
     def test_a_weight_zero_at_one_e_keeps_its_column(self, memo, nu_calls):
         # At e = 4 the weight e - 4 of nu(s - 1) in H_e is zero, and the
-        # cell skips it; its column is computed all the same, so e = 4 and
-        # e = 5 share one tile.
-        s, t = _default_axes(7)
+        # sum skips it; its column is read all the same, so e = 4 and e = 5
+        # share one entry.
+        s = _default_s(7)
         for e in (4, 5, 4):
-            _assert_bits(_h_case(e, 7), s, t)
-        assert nu_calls == [200 * (3 + 100)]
+            HBoundObjective(e, 7).row_best(s, (F(0), F(1)))
+        assert nu_calls == [200 * 3]
 
     def test_an_optimization_at_seven_rounds_fits(self, memo, nu_calls):
-        # The eight nested boxes of one optimization at --rounds 7, scanned
-        # e after e as a covering does: the memo holds all of them, so the
-        # second e computes no volume.
-        s_full, t_full = _default_axes(7)
-        nested = [(s_full, t_full)]
+        # The eight nested s boxes of one optimization at --rounds 7,
+        # scanned e after e as a covering does: the cache holds all of
+        # them, so the second e computes no volume.
+        nested = [_default_s(7)]
         for r in range(1, 8):
             width = F(8, 5**r)
-            s = GridAxis(F(3) - width / 2, F(3) + width / 2, 200, 10**6)
-            t = GridAxis(F(1, 2) - F(1, 2 * 5**r), F(1, 2) + F(1, 2 * 5**r), 100, 10**6)
-            nested.append((s, t))
+            nested.append(GridAxis(F(3) - width / 2, F(3) + width / 2, 200, 10**6))
         for e in (7, 8):
-            for s, t in nested:
-                _assert_bits(_h_case(e, 7), s, t)
+            for s in nested:
+                HBoundObjective(e, 7).row_best(s, (F(0), F(1)))
             if e == 7:
-                # One tile of three shift and 100 t columns per box.
-                assert sum(nu_calls) == 8 * (200 * 3 + 200 * 100)
+                assert nu_calls == [200 * 3] * 8
                 nu_calls.clear()
         assert nu_calls == []
-        _assert_memo_within_capacity(memo)
 
 
 class TestMemoInCoverings:
-    def test_cover_range_same_on_a_cold_and_a_warm_memo(self, monkeypatch):
+    def test_cover_range_same_on_a_cold_and_a_warm_memo(self, memo):
         target = wy_target(10).value
-        monkeypatch.setattr(bounds, "_VOLUMES", bounds._VolumeMemo(bounds._MEMO_CELLS))
         cold = cover_range(10, 5, 240, 260, target)
-        warm = bounds._VolumeMemo(bounds._MEMO_CELLS)
-        monkeypatch.setattr(bounds, "_VOLUMES", warm)
-        cover_range(8, 4, 6, 60, F(8341, 8064))
+        memo.cache_clear()
+        cover_range(8, 4, 6, 60, DIM8_TARGET)
         cover_range(9, 2, 30, 40, wy_target(9).value)
-        assert warm.cells > 0
+        assert memo.cache_info().currsize > 0
         assert cover_range(10, 5, 240, 260, target) == cold
 
     def test_default_rounds_prove(self, memo, nu_calls):
-        # The d = 7 proof at default rounds, on a fresh memo.
+        # The d = 7 proof at default rounds, on an empty cache.
         prove_dimension(7, 1)
-        assert sum(nu_calls) <= 839_455
+        assert sum(nu_calls) <= 45_400
 
     def test_gap_sweep(self, memo, nu_calls):
-        # Forty d = 10 gaps, one four-round optimization each.  Boxes
-        # centred on the last and on an older incumbent lie half a node
-        # apart and keep a tile each: 401,870 points when they shared one.
+        # Forty d = 10 gaps, one four-round optimization each, 2,400 points
+        # each with no cache.
         target = wy_target(10).value
         plan = cover_range(10, 5, 200, 239, target)
         assert [(g.e_lo, g.e_hi) for g in plan.gaps] == [(200, 239)]
-        assert sum(nu_calls) <= 263_970
+        assert sum(nu_calls) <= 16_800
 
     def test_default_rounds_cover(self, monkeypatch, nu_calls):
-        # The twelve optimizations of one d = 10 covering, 82,400 points each
-        # with no memo, reuse each other's boxes.
+        # The twelve optimizations of one d = 10 covering, 2,400 points each
+        # with no cache, reuse each other's boxes.
         counts = []
-        for capacity in (0, bounds._MEMO_CELLS):
-            monkeypatch.setattr(bounds, "_VOLUMES", bounds._VolumeMemo(capacity))
+        for size in (0, bounds._COLUMN_CACHE_SIZE):
+            cache = functools.lru_cache(maxsize=size)(bounds._columns.__wrapped__)
+            monkeypatch.setattr(bounds, "_columns", cache)
             nu_calls.clear()
             cover_range(10, 5, 240, 260, wy_target(10).value)
             counts.append(sum(nu_calls))
-        assert counts[0] == 988_800
-        assert counts[1] <= 146_885
+        assert counts[0] == 12 * 4 * 200 * 3
+        assert counts[1] <= 7_200
 
     def test_more_rounds_cover(self, memo, nu_calls):
-        # Six boxes per optimization, on a fresh memo.
+        # Six boxes per optimization, on an empty cache.
         cover_range(10, 5, 240, 260, wy_target(10).value, SearchParams(refine_rounds=5))
-        assert sum(nu_calls) <= 350_920
+        assert sum(nu_calls) <= 21_600
 
-    @pytest.mark.parametrize("rounds, points", [(5, 1_789_330), (7, 2_739_330)])
+    @pytest.mark.parametrize("rounds, points", [(5, 75_400), (7, 105_400)])
     def test_more_rounds_prove(self, memo, nu_calls, rounds, points):
-        # Six and eight boxes per optimization: the memo holds every box of
-        # one optimization, so the next e reuses them all.
+        # Six and eight boxes per optimization: the cache holds every box
+        # of one optimization, so the next e reuses them.
         prove_dimension(7, 1, SearchParams(refine_rounds=rounds))
         assert sum(nu_calls) <= points
 
+    def test_one_optimization_computes_each_column_once_per_round(self, memo, nu_calls):
+        # At --rounds 8 one optimization scans nine boxes; no eviction may
+        # make it compute a box twice: at most (rounds + 1) x ns x columns
+        # points, and one more for nu(uL).
+        per_optimization = []
+        real = certify.optimize_bound
+
+        def counted(objective, params):
+            before = sum(nu_calls)
+            out = real(objective, params)
+            per_optimization.append(sum(nu_calls) - before)
+            return out
+
+        with mock.patch.object(certify, "optimize_bound", counted):
+            prove_dimension(7, 1, SearchParams(refine_rounds=8))
+        assert len(per_optimization) > 20
+        assert max(per_optimization) <= (8 + 1) * 200 * 3 + 1
+
 
 @st.composite
-def _scanned_bounds(draw):
-    """A bound of any family at d in {1, 2, 7, 10, 33, 64} and e up to
-    10^4, with snapped or unsnapped axes, s ranges past d + 1 and the
-    ladder's degenerate t axis [1, 1]."""
-    d = draw(st.sampled_from((1, 2, 7, 10, 33, 64)))
+def _closed_form_cases(draw):
+    """A bound of any family at d <= 12 and e up to 10^4, an s axis with
+    snapped or unsnapped nodes and s past d + 1, and a t range in [0, 1],
+    the degenerate [1, 1] included."""
+    d = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(("h", "general", "mu-small")))
     k = draw(st.integers(0, 5))
     if kind == "h":
@@ -1178,44 +1132,43 @@ def _scanned_bounds(draw):
         objective = MuSmallObjective(e, draw(st.integers(1, 60)), d)
     cap = draw(st.sampled_from((7, 1000, 10**6)))
     s_a, s_b = (draw(st.fractions(0, d + 3, max_denominator=10**4)) for _ in "ab")
-    s = GridAxis(min(s_a, s_b), max(s_a, s_b), draw(st.integers(2, 60)), cap)
+    s = GridAxis(min(s_a, s_b), max(s_a, s_b), draw(st.integers(2, 40)), cap)
     if draw(st.booleans()):
-        t = GridAxis(F(1), F(1), draw(st.integers(2, 5)), cap)
+        t_range = (F(1), F(1))
     else:
         t_a, t_b = (draw(st.fractions(0, 1, max_denominator=10**4)) for _ in "ab")
-        t = GridAxis(min(t_a, t_b), max(t_a, t_b), draw(st.integers(2, 40)), cap)
-    return objective, s, t
+        t_range = (min(t_a, t_b), max(t_a, t_b))
+    return objective, s, t_range
 
 
 class TestPrunedScan:
-    """LinearBound.argmax computes only the rows that can hold the first
-    maximum of vector(s, t), and returns that cell."""
+    """LinearBound.row_best scans one s axis with t in closed form, the
+    2-D grid pruned to one cell per s node."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_scanned_bounds())
-    def test_the_first_maximum_of_vector(self, case):
-        objective, s, t = case
-        i, j, value = objective.argmax(s, t)
-        vals = objective.vector(s, t)
-        assert (i, j) == divmod(int(vals.argmax()), len(t))
-        assert type(value) is float
-        assert np.float64(value).tobytes() == vals[i, j].tobytes()
-
-    def test_no_cell_exceeds_its_row_reach_at_d_64(self):
-        # nu_vector is not monotone in floats near x = d/2: on t steps of
-        # 1e-6, many rows hold a t volume below their last column's, which
-        # the margin of the row bound covers.
-        objective = HBoundObjective(10**4, 64, 5)
-        s = GridAxis(F(329, 10), F(331, 10), 2000, 10**6)
-        t = GridAxis(1 - F(1, 10**5), F(1), 11, 10**6)
-        scan = objective._scan(s, t)
-        t_vols = scan[2]
-        assert (t_vols < t_vols[:, -1:]).sum() > 100
-        vals = objective._cells(scan)
-        ub, slack = objective._row_bounds(scan)
-        assert (vals <= (ub + slack)[:, None]).all()
-        i, j, _ = objective.argmax(s, t)
-        assert (i, j) == divmod(int(vals.argmax()), len(t))
+    @given(_closed_form_cases())
+    def test_no_t_beats_the_closed_form(self, case):
+        objective, s, (ta, tb) = case
+        i, t, value = objective.row_best(s, (ta, tb))
+        assert type(value) is float and ta <= t <= tb
+        t_axis = GridAxis(ta, tb, 1000, 10**12)
+        grid = objective.vector(s, t_axis)
+        at_t = objective.vector(s, GridAxis(t, t, 2, 10**12))[:, 0]
+        # t rounds s_i - uL to the denominator 256 q of s_i = p/q, and the
+        # bound's second derivative in t is e nu'' with |nu''| <= 1 for
+        # d >= 2 (uL = 0 needs no rounding at d = 1), so the rounding can
+        # lose up to e (1/(512 q))**2 / 2 against the best t.
+        e, q = float(objective.e), s.node(i).denominator
+        rounding = e / (2 * (512 * q) ** 2)
+        # vector and row_best round their sums differently: allow a few
+        # ulps of the largest term, e (sum_i |w_i| + 2) + |c0| + |ct|.
+        size = e * (sum(abs(w + we * e) for w, we, _ in objective.terms) + 2)
+        tol = 1e-9 + 2.0**-48 * (size + abs(float(objective.c0)) + abs(float(objective.ct)))
+        assert grid[i].max() <= at_t[i] + tol + rounding
+        assert abs(value - at_t[i]) <= tol + rounding
+        # No node's t axis beats the value of the node chosen, which is
+        # the first of the best.
+        assert grid.max() <= value + tol
 
     @pytest.mark.parametrize(
         "objective",
@@ -1224,11 +1177,32 @@ class TestPrunedScan:
         ids=["h", "h-k5", "general", "mu-small"],
     )
     def test_tied_rows_give_row_zero(self, objective):
-        # For s >= d + 1 every volume is 1, so every row is the same.
+        # For s >= d + 1 every volume is 1, so every node ties.
         d = objective.dimension
-        s, t = GridAxis(F(d + 1), F(d + 3), 200, 10**6), GridAxis(F(0), F(1), 100, 10**6)
-        vals = objective.vector(s, t)
-        assert (vals == vals[0]).all()
-        i, j, value = objective.argmax(s, t)
-        assert (i, j) == (0, int(vals[0].argmax()))
-        assert value == vals[0, j]
+        s = GridAxis(F(d + 1), F(d + 3), 200, 10**6)
+        i, t, value = objective.row_best(s, (F(0), F(1)))
+        assert i == 0
+        # In t the bound is c0 + ct t - e, largest at t = 0.
+        grid = objective.vector(s, GridAxis(F(0), F(1), 100, 10**6))
+        assert t == 0 and value == pytest.approx(grid[0].max(), rel=1e-12, abs=1e-12)
+
+    def test_a_repeated_shift_reads_one_column(self):
+        # Two terms on nu(s - 1) read the one column of that shift, and
+        # weigh it as one term of their summed weight does.
+        desc = {"kind": "test"}
+        split = LinearBound(7, F(9), 1, F(-1, 2), ((1, 0, 0), (-1, 0, 1), (-4, 0, 1)), -1, desc)
+        merged = LinearBound(7, F(9), 1, F(-1, 2), ((1, 0, 0), (-5, 0, 1)), -1, desc)
+        s = _default_s(7)
+        (i, t, value), (j, u, other) = (b.row_best(s, (F(0), F(1))) for b in (split, merged))
+        assert (i, t) == (j, u) and value == pytest.approx(other, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "wt, ct", [(1, F(-1, 2)), (-2, F(-1, 2)), (-1, F(1, 2)), (0, F(1, 4))],
+        ids=["wt-plus-1", "wt-minus-2", "ct-positive", "wt-0-ct-positive"],
+    )
+    def test_refuses_a_family_outside_the_closed_form(self, wt, ct):
+        bound = LinearBound(7, F(7), 1, ct, ((1, 0, 0),), wt, {"kind": "test"})
+        with pytest.raises(ValueError, match="closed form in t needs wt in"):
+            bound.row_best(_default_s(7), (F(0), F(1)))
+        # The exact evaluator serves any term list.
+        assert type(bound.exact(F(5, 2), F(1, 2))) is F

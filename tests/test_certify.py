@@ -231,11 +231,10 @@ class TestCertificates:
             assert reverify_certificate(cert)
             worst = HBoundObjective(desc["e"], 8, 4)
             assert worst.exact(cert.s, cert.t) == cert.value
-        # Today's covering finds the same interval at the same witness.
+        # Today's covering finds the same interval at the same s0; its t0
+        # now comes from the closed form in t, not from a t grid.
         now = cover_range(8, 4, 21, 41, plan.target)
-        assert [(v.e_lo, v.e_hi, v.s0, v.t0, v.certified_min) for v in now.intervals] == [
-            (iv.e_lo, iv.e_hi, iv.s0, iv.t0, iv.certified_min)
-        ]
+        assert [(v.e_lo, v.e_hi, v.s0) for v in now.intervals] == [(iv.e_lo, iv.e_hi, iv.s0)]
 
     def test_an_h_descriptor_stating_k_1_fails_reverification(self):
         # HBoundObjective leaves out k = 1, so it writes such a descriptor back

@@ -28,22 +28,22 @@ from hkcert.cli import _COMMANDS, main
 from hkcert.report import loads
 
 GOLDEN = {
-    "prove --dim 10 --k 5": "3a84c8f3634e839f624c842ab028a713df93c88fc25b3833ca1f0565e31cfa1f",
-    "prove --dim 7 --k 1": "83f977b55dce0fed61f79a0159f743d34e4f10730fa2bc693cc153d855860dfa",
-    "table1": "a032cad17f5b77ec0236a98102e8deb44d0f3bfb2102a3a4aba22fa39df6477a",
-    "table2": "74f1b145facf7b6518668de512615bb23560470dabc9be2bd4f4cce32666c5fc",
+    "prove --dim 10 --k 5": "96fec25fe39e43d6b82ae8335b8bea9b4f90438e6155f5797ef4a5fbbc9d339d",
+    "prove --dim 7 --k 1": "532443f23778a9b9a62d1e63191b37d014f95206fd7f2c18f5cb1d48bdc01aa3",
+    "table1": "1ad9391de58e673cb775b0fb7ecb9e89e1d92e806d33a87131e6a151f2e9dbec",
+    "table2": "a38295372da0f1c8f05b983370f5215f3aeb8b966cb23c1e9c33242c7a8742d1",
     "cover --dim 8 --k 4 --e-lo 6 --e-hi 41705 --target 8341/8064": (
-        "5913e7ea18fda345ea93edda4711c03bce2097049417db79b7a09197dbe8a84b"
+        "832df9df810fd31c0ee0322c54cce3e6a775b64f81a96457cc006b39f74c9d74"
     ),
     "prove --dim 7 --k 1 --rounds 5": (
-        "a2b892e9095921031181dac0da4c1f262231c44791bed5563e69e27425f2c1ec"
+        "0fb96e2517c65914dfe68496e9ca4990e68de787f2efaacd68d0339b5d12641e"
     ),
-    # Optimizations that scan more boxes than the volume memo holds, and
-    # many coverings of one dimension.
+    # Optimizations with more refinement rounds, and many coverings of one
+    # dimension.
     "prove --dim 8 --k 4 --rounds 7": (
-        "7f7047003c5f8f48cc145c5f2f4330ca58a6fcb173d66bf383db147a942ff2de"
+        "a9f2f88059e1034aedfd43a9dce730e84934be38949323122e4510bf6f9443ae"
     ),
-    "prove --dim 9 --k 2": "2b858af6c2d35259a612559e2f229652e09081516a14c8d07d90b307842e1d2a",
+    "prove --dim 9 --k 2": "0b40fd2260c90fbf784cecfcfd1c85995d89597270b7a491d2ca0db3bc4885c3",
     # One command for each payload kind the reports above do not contain.
     "nu --d 7 --s 7/2": "389d14c0c7bda50ed22197c55d4a82108d3975cd7f3a860a2a628045be4a3bc3",
     "series --max 10": "2d3881f826bc8192261eededcd67da84232559a1870affecfe272dfb65086b42",
@@ -75,9 +75,9 @@ STDOUT = {
     "prove --dim 10 --k 5": "d6a4237b5179e47e160e9cb0a60170ca8b89f184f1fc8e96e8db3449ddee9a08",
     "prove --dim 7 --k 1": "189275965a82d1e4a092a91863c598e0399510251cf66976dd6155ce8fcdba18",
     "table1": "da2918166a9248a253d15137fa2ce8021bc8c7111bdc1bee0b70a767f580dcb9",
-    "table2": "b2863a0d2d7e82af1367d2759b774ff088588b90e910f9616dac9e77747e400d",
+    "table2": "844e183ee6f13462a9b4f48a7a010f7330d31e1218ec430a90842d3350c73b98",
     "cover --dim 8 --k 4 --e-lo 6 --e-hi 41705 --target 8341/8064": (
-        "65055b893883d84c9508ae02da2c5881ccd96f125416bc65cbd859b0b3583bd0"
+        "a5648e20b7f3c80834956fb7ee022456ec710025dd6925122788fb4a07db6912"
     ),
     "prove --dim 7 --k 1 --rounds 5": (
         "189275965a82d1e4a092a91863c598e0399510251cf66976dd6155ce8fcdba18"

@@ -3,16 +3,17 @@
     volume -> {targets, search} -> bounds -> certify -> report -> cli
 
 ``volume`` is exact only and imports no numpy.  ``search`` sits below
-``bounds`` because it owns the float kernel ``nu_vector`` and its error
-band, the two names ``bounds`` takes from it; its optimizer is generic
-over the ``Objective`` protocol, and ``bounds`` never runs it.  ``report``
+``bounds`` because it owns the float kernel ``nu_vector`` and the root
+finder ``_density_root`` for the closed form in t, the two names
+``bounds`` takes from it; its optimizer is generic over the ``Objective``
+protocol, and ``bounds`` never runs it.  ``report``
 renders objectives it is handed and never builds one, so it does not
 import ``bounds``.  The package ``__init__`` and ``__main__`` re-export
 and dispatch, and stand outside the order; ``__init__`` re-exports each
 module's ``__all__`` in layer order, and it alone star-imports.
 
-No module starts a thread or a process: the float volume memo in
-``bounds`` takes no lock and must be called from one thread only.  No
+No module starts a thread or a process: the caches in ``bounds`` take
+no lock and must be called from one thread only.  No
 module runs code built from text: each reader calls the constructors of
 the records it reads.
 """
@@ -91,8 +92,8 @@ def names_imported(module: str, source: str) -> set[str]:
 
 
 def test_bounds_takes_only_the_float_kernel_from_search():
-    # The kernel and its error band, which widens a scan's row bounds.
-    assert names_imported("bounds", "search") == {"nu_vector", "_error_band"}
+    # The kernel, and the root of nu' that places the closed-form t.
+    assert names_imported("bounds", "search") == {"nu_vector", "_density_root"}
 
 
 def test_bounds_takes_only_the_exact_kernel_from_volume():

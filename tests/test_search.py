@@ -14,15 +14,16 @@ from hkcert.bounds import (
     HBoundObjective,
     MuSmallObjective,
 )
-from hkcert import search
-from hkcert.certify import prove_dimension
+from hkcert import bounds, certify, search
+from hkcert.certify import cover_range, prove_dimension
 from hkcert.search import (
     GridAxis,
     SearchParams,
     nu_vector,
     optimize_bound,
 )
-from hkcert.volume import MAX_CACHED_DIMENSION, nu_exact
+from hkcert.targets import wy_target
+from hkcert.volume import MAX_CACHED_DIMENSION, nu_density, nu_exact
 
 from oracles import (
     grid_nodes_oracle,
@@ -167,7 +168,8 @@ class TestNuVector:
         assert read_only.tobytes() == before
 
     def test_peak_memory_of_one_call(self):
-        # One scan's volume tile: 200 s rows by 3 shift and 100 t columns.
+        # The volumes of a default surface grid: 200 s rows by 3 shift and
+        # 100 t columns.
         # The kernel holds five arrays of the input's shape at its peak, four
         # of floats and one of bools: 4.125 times the input's bytes, and a
         # little more.  A kernel allocating each intermediate peaks at 7.14.
@@ -317,18 +319,16 @@ class TestGridAxis:
         st.tuples(*[st.sampled_from((7, 100, 10**6))] * 2),
     )
     def test_one_lattice_one_float_per_node(self, lo, step, n, shift, caps):
-        # The volume memo reuses cells by lattice node: two axes with one
-        # lattice must hold the same double at every node they share.
+        # Two axes on one node lattice, shifted by whole nodes, hold the
+        # same double at every exact node they share: a node's float is
+        # that of its exact value, whichever axis holds it.
         a = GridAxis(lo, lo + (n - 1) * step, n, caps[0])
         b_lo = lo + shift * step
         b = GridAxis(b_lo, b_lo + (n - 1) * step, n, caps[1])
         assert not a.floats.flags.writeable and not b.floats.flags.writeable
-        assert a.lattice[:4] == b.lattice[:4] and b.start == a.start + shift
-        if a.lattice == b.lattice:
-            for i in range(max(0, shift), min(n, n + shift)):
+        for i in range(max(0, shift), min(n, n + shift)):
+            if a.node(i) == b.node(i - shift):
                 assert a.floats[i].tobytes() == b.floats[i - shift].tobytes()
-        half = GridAxis(lo + step / 2, lo + step / 2 + (n - 1) * step, n, caps[0])
-        assert half.lattice != a.lattice
 
 
 class TestAxisCache:
@@ -349,11 +349,12 @@ class TestAxisCache:
         search._axis.cache_clear()
 
     def test_prove_dimension_ten_builds_few_axes(self, over_calls):
-        # 1,048 scans of 2,096 axes, 363 of them distinct boxes: round 0 is
-        # one box for every e, and most round-1 boxes repeat the last e's.
+        # 1,048 scans of one s axis each, 265 of them distinct boxes: round
+        # 0 is one box for every e, and most round-1 boxes repeat the last
+        # e's.
         prove_dimension(10, 5)
-        assert len(set(over_calls)) == 363
-        assert len(over_calls) == 394
+        assert len(set(over_calls)) == 265
+        assert len(over_calls) == 265
 
     def test_a_repeated_box_reuses_its_read_only_axis(self, over_calls):
         box = (0, 11, 1, 200, 10**6)
@@ -368,8 +369,9 @@ class TestAxisCache:
         objective = HBoundObjective(7, 7)
         for cap in (10**6, 7):
             cand = optimize_bound(objective, SearchParams(refine_rounds=0, max_denominator=cap))
-        assert cand.s_exact.denominator <= 7 and cand.t_exact.denominator <= 7
-        assert len(over_calls) == 4
+        q = cand.s_exact.denominator
+        assert q <= 7 and (256 * q) % cand.t_exact.denominator == 0
+        assert len(over_calls) == 2
 
 
 class TestSearchParams:
@@ -442,25 +444,19 @@ class TestSearchParams:
             SearchParams(grid=grid)
 
 
-def _argmax_of_vector(objective, s, t):
-    """The ``argmax`` of a fake objective: the first maximum of its full
-    ``vector`` grid, as the Objective protocol states it."""
-    vals = objective.vector(s, t)
-    i, j = divmod(int(vals.argmax()), vals.shape[1])
-    return i, j, vals.item(i, j)
-
-
 class _Plateau:
-    """min(s, 1), constant in t: every node with s >= 1 ties at the top."""
+    """min(s, 1), constant in t: every node with s >= 1 ties at the top,
+    each at the lower end of the t range."""
 
     dimension = 1
-    argmax = _argmax_of_vector
 
     def exact(self, s, t):
         return min(s, F(1))
 
-    def vector(self, s, t):
-        return np.repeat(np.minimum(s.floats, 1.0)[:, None], len(t), axis=1)
+    def row_best(self, s, t_range):
+        vals = np.minimum(s.floats, 1.0)
+        i = int(vals.argmax())
+        return i, t_range[0], vals.item(i)
 
     def descriptor(self):
         return {"kind": "plateau"}
@@ -482,7 +478,7 @@ class TestOptimizer:
 
     def test_plateau_tie_break_on_a_snapped_grid(self):
         # Denominators capped at 7: several nodes of each s box snap to 1,
-        # and each refined t box starts with t_lo = 1/4 repeated.
+        # and each takes t = 1/4, the lower end of the t range.
         params = SearchParams(s_range=(F(0), F(2)), t_range=(F(1, 4), F(3, 4)),
                               grid=(50, 5), max_denominator=7)
         s_nodes = GridAxis(F(0), F(2), 50, 7).nodes()
@@ -526,11 +522,14 @@ class TestOptimizer:
         assert cand.s == float(cand.s_exact) and cand.t == float(cand.t_exact)
 
     def test_witness_coordinates_are_grid_exact(self):
+        # s is a node of the grid; t, unless it is an end of the t range,
+        # rounds s - uL to the denominator 256 q of s = p/q.
         cand = optimize_bound(HBoundObjective(7, 7))
         assert cand.s == float(cand.s_exact)
         assert cand.t == float(cand.t_exact)
         assert cand.s_exact.denominator <= 10**6
-        assert cand.t_exact.denominator <= 10**6
+        assert 0 < cand.t_exact < 1
+        assert (256 * cand.s_exact.denominator) % cand.t_exact.denominator == 0
 
     @pytest.mark.parametrize(
         "objective",
@@ -567,7 +566,7 @@ class TestOptimizer:
         st.fractions(min_value=0, max_value=12, max_denominator=60),
         st.fractions(min_value=0, max_value=1, max_denominator=60),
         st.fractions(min_value=0, max_value=1, max_denominator=60),
-        st.tuples(st.integers(2, 14), st.integers(2, 9)),
+        st.integers(2, 14),
         st.integers(0, 6),
         st.integers(2, 7),
         st.sampled_from((7, 60, 1000, 10**6)),
@@ -575,30 +574,33 @@ class TestOptimizer:
         st.fractions(min_value=0, max_value=12, max_denominator=9),
     )
     def test_integer_boxes_match_the_fraction_loop(
-        self, s_a, s_b, t_a, t_b, grid, rounds, shrink, max_denominator, kind, peak
+        self, s_a, s_b, t_a, t_b, ns, rounds, shrink, max_denominator, kind, peak
     ):
         # Random rational ranges, degenerate ones included; a small
-        # max_denominator snaps.  "steps" ties many cells, so the exact
-        # (s, t) order picks the incumbent.
+        # max_denominator snaps.  "steps" ties many nodes, and a snapped
+        # axis repeats nodes, each taking one end of the t range by its
+        # index, so the exact (s, t) order picks the incumbent.
         s_range, t_range = (min(s_a, s_b), max(s_a, s_b)), (min(t_a, t_b), max(t_a, t_b))
         p = float(peak)
 
-        def vector(s, t):
-            v = -np.abs(s[:, None] - p) - np.abs(t[None, :] - 0.3)
-            return np.floor(4 * v) if kind == "steps" else v
+        def row(s, ta, tb):
+            ts = [tb if i % 3 else ta for i in range(len(s))]
+            v = -np.abs(s - p) - np.abs(np.array([float(t) for t in ts]) - 0.3)
+            return (np.floor(4 * v) if kind == "steps" else v), ts
 
         class Recorder:
             dimension = 7
-            argmax = _argmax_of_vector
 
             def __init__(self):
                 self.scans = []
 
-            def vector(self, s, t):
-                self.scans.append((s.floats.tobytes(), t.floats.tobytes()))
-                return vector(s.floats, t.floats)
+            def row_best(self, s, t_range):
+                self.scans.append(s.floats.tobytes())
+                values, ts = row(s.floats, *t_range)
+                i = int(values.argmax())
+                return i, ts[i], values.item(i)
 
-        params = SearchParams(s_range=s_range, t_range=t_range, grid=grid,
+        params = SearchParams(s_range=s_range, t_range=t_range, grid=(ns, 2),
                               refine_rounds=rounds, shrink_factor=shrink,
                               max_denominator=max_denominator)
         # Recorded where optimize_bound takes its axes, so an axis read
@@ -613,21 +615,18 @@ class TestOptimizer:
         with mock.patch.object(search, "_axis", recording):
             cand = optimize_bound(objective, params)
         scans, (value, s_best, t_best) = refinement_oracle(
-            vector, s_range, t_range, grid, rounds, shrink, max_denominator
+            lambda nodes, tr: row(np.array([float(v) for v in nodes]), *tr),
+            s_range, t_range, ns, rounds, shrink, max_denominator,
         )
-        assert [axis.nodes() for axis in axes] == [
-            tuple(nodes) for scan in scans for nodes in scan
-        ]
-        assert objective.scans == [
-            (bits([float(v) for v in s]).tobytes(), bits([float(v) for v in t]).tobytes())
-            for s, t in scans
-        ]
+        assert [axis.nodes() for axis in axes] == [tuple(nodes) for nodes in scans]
+        assert objective.scans == [bits([float(v) for v in nodes]).tobytes() for nodes in scans]
         assert (cand.value, cand.s_exact, cand.t_exact) == (value, s_best, t_best)
         assert (cand.s, cand.t) == (float(s_best), float(t_best))
 
     def test_builds_one_fraction_per_coordinate(self, monkeypatch):
-        # The boxes and the incumbent are integers; the two Fractions are
-        # the returned coordinates.
+        # The boxes and the incumbent s are integers.  The search builds
+        # the returned s, and one node per scan, the s the objective puts
+        # its exact t on; no Fraction per node or per cell.
         built = []
 
         def counting(*args):
@@ -636,7 +635,9 @@ class TestOptimizer:
 
         monkeypatch.setattr(search, "Fraction", counting)
         cand = optimize_bound(HBoundObjective(7, 7))
-        assert [Fraction(*args) for args in built] == [cand.s_exact, cand.t_exact]
+        assert len(built) == SearchParams().refine_rounds + 2
+        assert Fraction(*built[-1]) == cand.s_exact
+        assert type(cand.t_exact) is Fraction
 
     def test_refinement_improves_or_keeps(self):
         coarse = optimize_bound(
@@ -646,3 +647,64 @@ class TestOptimizer:
             HBoundObjective(7, 7), SearchParams(refine_rounds=3)
         )
         assert refined.value >= coarse.value
+
+    def test_cold_caches_give_the_sweeps_candidates(self, monkeypatch):
+        # An optimization reads no state a covering leaves behind: each e
+        # of a gap sweep gets the same Candidate on cold caches.
+        found = []
+        real = certify.optimize_bound
+
+        def recording(objective, params):
+            k = objective.descriptor().get("k", 1)
+            found.append(((objective.e, objective.dimension, k), real(objective, params)))
+            return found[-1][1]
+
+        monkeypatch.setattr(certify, "optimize_bound", recording)
+        cover_range(10, 5, 200, 239, wy_target(10).value)
+        cover_range(7, 1, 13, 60, F(71, 67))
+        assert len(found) > 40
+        for args, cand in found:
+            search._axis.cache_clear()
+            bounds._columns.cache_clear()
+            assert optimize_bound(HBoundObjective(*args)) == cand
+
+
+# The dyadic delta within which _density_root's root brackets the exact
+# one: (largest d, delta), d ascending.
+ROOT_DELTAS = ((32, F(1, 2**30)), (48, F(1, 2**22)), (64, F(1, 2**12)))
+
+
+class TestDensityRoot:
+    @pytest.mark.parametrize("d", range(1, MAX_CACHED_DIMENSION + 1))
+    def test_brackets_the_exact_root(self, d):
+        # nu'(u - delta) <= level < nu'(u + delta) in exact arithmetic, at
+        # levels from far below the peak nu'(d/2) to 9/10 of it; and nu(uL)
+        # is within nu_vector's error band of the exact volume.
+        delta = next(x for top, x in ROOT_DELTAS if d <= top)
+        band = next(b for top, b in ERROR_BANDS if d <= top)
+        peak = nu_density(F(d, 2), d)
+        for share in (F(1, 10**6), F(1, 1000), F(1, 10), F(1, 2), F(9, 10)):
+            level = float(peak * share)
+            u, volume = search._density_root(level, d)
+            assert 0 <= u <= d / 2
+            u = F(u)
+            assert nu_density(u - delta, d) <= F(level) < nu_density(u + delta, d)
+            assert abs(F(volume) - nu_exact(u, d)) <= band
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 10, 64])
+    def test_no_root_at_or_above_the_peak(self, d):
+        peak = float(nu_density(F(d, 2), d))
+        for level in (peak * (1 + 1e-9), 1.5 * peak, 2.0):
+            assert search._density_root(level, d) is None
+        assert search._density_root(0.0, d) == search._density_root(-1.0, d) == (0.0, 0.0)
+
+    def test_dimension_one(self):
+        # nu' is the indicator of [0, 1): uL = 0 below level 1.
+        assert search._density_root(0.999, 1) == (0.0, 0.0)
+        assert search._density_root(1.0, 1) is None
+
+    def test_the_same_root_whatever_ran_before(self):
+        # No state between calls: one level gives one result in any order.
+        levels = [(1 / (e * 2**k), d) for e in (6, 40, 5000) for k in (1, 5) for d in (7, 10, 33)]
+        first = [search._density_root(*args) for args in levels]
+        assert [search._density_root(*args) for args in reversed(levels)] == first[::-1]
