@@ -90,10 +90,10 @@ _COLUMN_CACHE_SIZE = 64
 
 @lru_cache(maxsize=_COLUMN_CACHE_SIZE)
 def _columns(d: int, shifts: tuple[float, ...], s: bytes) -> np.ndarray:
-    """The read-only float volumes nu(s_i - a_j, d), len(s) by len(shifts),
+    """The read-only float volumes nu(s_i - a_j, d), len(shifts) by len(s),
     for the doubles s_i packed in ``s``: keyed by all they depend on, as
     :func:`~hkcert.search.nu_vector` works element by element."""
-    vols = nu_vector(np.frombuffer(s)[:, None] - np.array(shifts), d)
+    vols = nu_vector(np.frombuffer(s) - np.array(shifts)[:, None], d)
     vols.flags.writeable = False
     return vols
 
@@ -201,9 +201,10 @@ class LinearBound:
     written-out H_e formula, and the same double as the master family's
     integer weight at an integer e.  ``wt`` is -1 or 0, and t ranges over
     [0, 1].  All evaluators loop over the one term list.  The float
-    evaluators, :meth:`vector` for surfaces and :meth:`row_best` for the
-    optimizer, skip zero weights, so a surface cell is the same double as
-    the bound's written-out formula would give.  The exact evaluator keeps
+    evaluators, :meth:`vector` for surfaces and :meth:`rows_best` for the
+    optimizer, skip zero weights or add them as 0 * nu, which changes no
+    bit, so a surface cell is the same double as the bound's written-out
+    formula would give.  The exact evaluator keeps
     them, as 0 * nu changes no exact value, so a family asks for one list
     of shifts at every e.  It adds the integer numerators of its terms, e,
     c0 and ct*t over one common denominator and builds one Fraction, the
@@ -310,7 +311,7 @@ class LinearBound:
     @cached_property
     def _interior(self) -> tuple[float, float] | None:
         """(uL, nu(uL)) in floats when a t inside the range can beat its
-        lower end (see :meth:`row_best`), else None."""
+        lower end (see :meth:`rows_best`), else None."""
         if self.wt not in (0, -1) or self.ct > 0 or self.e <= 0:
             raise ValueError(
                 "the closed form in t needs wt in {0, -1}, ct <= 0 and e > 0, "
@@ -321,10 +322,12 @@ class LinearBound:
         e, *_, ct = self._float_form
         return _density_root(-ct / e, self.d)
 
-    def row_best(self, s, t_range) -> tuple[int, Fraction, float]:
-        """(i, t, value): the first node s_i of the
-        :class:`~hkcert.search.GridAxis` s with the largest float value over
-        t in the exact range t_range = (ta, tb), its exact t and that value.
+    @staticmethod
+    def rows_best(bounds, s_axes, t_range) -> list[tuple[int, Fraction, float]]:
+        """For each bound of a block, (i, t, value): the first node s_i of
+        its :class:`~hkcert.search.GridAxis` in ``s_axes`` with the largest
+        float value over t in the exact range t_range = (ta, tb), its exact
+        t and that value.
 
         t enters the bound only through f(t) = ct*t + wt*e*nu(s - t), and
         the closed form needs wt in {0, -1}, ct <= 0 and e > 0, which every
@@ -338,42 +341,91 @@ class LinearBound:
         is the one float nu(uL), which the root finder returns.  A tie
         prefers ta.
 
-        The other volumes, nu(s_i - a_j) for the shifts of the terms and
-        nu(s_i - ta) and nu(s_i - tb) when they are read, each column once,
-        come from a small cache of recent axes keyed by d, the float shifts
-        and s's doubles.  The exact t of the interior branch sits on s_i's
-        denominator q: t = clamp(s_i - u, ta, tb), clamped exactly, with u
-        = round(uL 256 q) / (256 q), so certificates keep small
+        The block shares d, the float shifts of its terms, c0, ct and wt,
+        or is refused with ValueError; e, the weights and uL are per bound,
+        and a bound with no root never takes the interior branch.  The
+        block is scanned as one array of a row per bound: each cell goes
+        through the same float operations in the same order as in a block
+        of its bound alone, so a bound's result does not depend on the
+        rest of the block.  A zero weight adds 0 * nu to a sum that is
+        never -0.0, which changes no bit.  The volumes, nu(s_i - a_j) for
+        the shifts and nu(s_i - ta) and nu(s_i - tb) when they are read,
+        each column once, are read once per distinct axis of the block,
+        from a small cache of recent axes keyed by d, the float shifts and
+        the axis's doubles.  The exact t of the interior branch sits on
+        s_i's denominator q: t = clamp(s_i - u, ta, tb), clamped exactly,
+        with u = round(uL 256 q) / (256 q), so certificates keep small
         denominators.  ``value`` is the float estimate at the branch chosen.
         """
-        e, _, shifts, c0, ct = self._float_form
-        interior = self._interior
+        first = bounds[0]
+        d, wt = first.d, first.wt
+        _, _, shifts, c0, ct = first._float_form
+        # One row per bound: e, uL, c0 - e nu(uL) and the weights.  A bound
+        # with no root holds NaN for uL; NaN > fa is False, so its rows
+        # never take the interior branch.
+        per, interiors = [], []
+        for bound in bounds:
+            e, weights, *shape = bound._float_form
+            if bound.d != d or bound.wt != wt or shape != [shifts, c0, ct]:
+                raise ValueError("a block's bounds must share d, shifts, c0, ct and wt")
+            interior = bound._interior
+            interiors.append(interior)
+            root, nu_root = interior or (np.nan, 0.0)
+            per.append((e, root, c0 - e * nu_root, *weights))
+        # Each column of the rows as a (bound, 1) array; a block of one
+        # holds floats, which numpy applies to an array faster, to the
+        # same bits.
+        e, root, offset, *weights = per[0] if len(per) == 1 else np.array(per).T[:, :, None]
+        rooted = [x is not None for x in interiors]
         ta, tb = t_range
         fa, fb = float(ta), float(tb)
-        ends = (fa, fb) if interior else (fa,) if self.wt else ()
+        ends = (fa, fb) if any(rooted) else (fa,) if wt else ()
         cols = tuple(dict.fromkeys(shifts + ends))
-        vols = _columns(self.d, cols, s.floats.tobytes())
-        base = e * self._weighted(vols, cols)  # e sum_i w_i nu(s - a_i)
-        vals = base - e * vols[:, cols.index(fa)] if self.wt else base
+        # The volumes of each distinct axis are read once; a block of one
+        # axis broadcasts them over its rows.
+        read = {}
+        for s in s_axes:
+            if id(s) not in read:
+                read[id(s)] = _columns(d, cols, s.floats.tobytes())
+        if len(read) == 1:
+            (vols,), floats = read.values(), s_axes[0].floats
+        else:
+            vols = np.stack([read[id(s)] for s in s_axes], axis=1)
+            floats = np.stack([s.floats for s in s_axes])
+        col = dict(zip(cols, vols))
+        acc = np.zeros((len(bounds), floats.shape[-1]))
+        for w, a in zip(weights, shifts):  # sum_i w_i nu(s - a_i), in term order
+            acc += w * col[a]
+        base = e * acc
+        vals = base - e * col[fa] if wt else base
         vals = vals + (c0 + ct * fa)
-        if interior:
-            root, nu_root = interior
-            x = s.floats - root  # the t of the interior branch
-            inside = base + (ct * x + (c0 - e * nu_root))
-            upper = base - e * vols[:, cols.index(fb)] + (c0 + ct * fb)
+        if any(rooted):
+            x = floats - root  # the t of the interior branch
+            inside = base + (ct * x + offset)
+            upper = base - e * col[fb] + (c0 + ct * fb)
             better = np.where(x < fb, inside, upper)
             take = (x > fa) & (better > vals)
             vals = np.where(take, better, vals)
-        i = int(vals.argmax())
-        t = ta
-        if interior and take[i]:
-            node = s.node(i)
-            q = node.denominator
-            num, den = root.as_integer_ratio()
-            # round(uL 256 q), half up, in integers.
-            m = (num * 512 * q + den) // (2 * den)
-            t = min(max(node - Fraction(m, 256 * q), ta), tb)
-        return i, t, vals.item(i)
+        out = []
+        for m, i in enumerate(vals.argmax(axis=1).tolist()):
+            t = ta
+            if rooted[m] and take[m, i]:
+                p, q = s_axes[m]._ratio(i)
+                g = gcd(p, q)
+                p, q = p // g, q // g  # s_i = p/q in lowest terms
+                num, den = interiors[m][0].as_integer_ratio()
+                # u = round(uL 256 q), half up, and s_i - u/(256 q) = n/w,
+                # clamped to [ta, tb] on integers.
+                u = (num * 512 * q + den) // (2 * den)
+                n, w = 256 * p - u, 256 * q
+                if n * ta.denominator <= ta.numerator * w:
+                    t = ta
+                elif n * tb.denominator >= tb.numerator * w:
+                    t = tb
+                else:
+                    t = Fraction(n, w)
+            out.append((i, t, vals.item(m, i)))
+        return out
 
 
 # --------------------------------------------------------------------------

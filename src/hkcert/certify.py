@@ -23,7 +23,7 @@ from .bounds import (
     not_normal_bound,
     quadratic_in_e,
 )
-from .search import Objective, SearchParams, optimize_bound
+from .search import Objective, SearchParams, optimize_bound, optimize_bounds
 from .targets import TargetValue, dimension_target, large_e_threshold
 # nu_exact is imported by name for perfbench, whose tracer test checks that
 # the tracer rebinds it in this module too.
@@ -122,6 +122,11 @@ def reverify_certificate(cert: Certificate) -> bool:
 # --------------------------------------------------------------------------
 # Range coverage.
 
+# The largest block of multiplicities a covering optimizes at once while
+# it finds only gaps (see cover_range); a block's scan arrays, and the axes
+# and volume columns its boxes keep cached, grow with it.
+_GAP_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class CoverageInterval:
@@ -202,6 +207,17 @@ def cover_range(
     ring has multiplicity at least 2), and k must be a nonnegative integer.
     Every e is bounded by the worst case mu = e - 2,
     :func:`~hkcert.bounds.HBoundObjective` at k.
+
+    Gaps come in long runs, so the sweep gallops over them.  When no
+    witness of e1 is held, it optimizes the block [e1, e1 + b - 1] in one
+    :func:`~hkcert.search.optimize_bounds` call, then certifies the
+    members in order, each at its own witness.  The first member that
+    certifies starts the apex chase, whose optimizations are blocks of
+    one; the witnesses of the members after it are kept, so a later e1 or
+    apex among them is not optimized again.  b is 1 at the start and after
+    every interval, and doubles after each block whose members were all
+    gaps, up to ``_GAP_BLOCK``.  Each candidate is the one its e gets
+    alone, so the plan is the one a sweep of single optimizations gives.
     """
     _check_dimension(d)
     for name, e in (("e_lo", e_lo), ("e_hi", e_hi)):
@@ -218,9 +234,15 @@ def cover_range(
         raise ValueError(f"target must exceed 1, got {target}")
     params = params or SearchParams()
 
+    # Witnesses optimized ahead of e1, by e, and the size of the next block.
+    held: dict[int, tuple[Fraction, Fraction]] = {}
+    block = 1
+
     def witness_for(e_at: int) -> tuple[Fraction, Fraction]:
-        cand = optimize_bound(HBoundObjective(e_at, d, k), params)
-        return cand.s_exact, cand.t_exact
+        if e_at not in held:
+            (cand,) = optimize_bounds([HBoundObjective(e_at, d, k)], params)
+            held[e_at] = cand.s_exact, cand.t_exact
+        return held[e_at]
 
     def certified(e_at: int, s0: Fraction, t0: Fraction) -> Certificate:
         return certify_point(HBoundObjective(e_at, d, k), s0, t0, target)
@@ -234,9 +256,14 @@ def cover_range(
         gaps.append(GapRun(e1, min(k + 2, e_hi), reason))
         e1 = k + 3
     while e1 <= e_hi:
+        if e1 not in held:
+            es = range(e1, min(e1 + block, e_hi + 1))
+            cands = optimize_bounds([HBoundObjective(e, d, k) for e in es], params)
+            held = {e: (c.s_exact, c.t_exact) for e, c in zip(es, cands)}
+            block = min(2 * block, _GAP_BLOCK)
         # Pick the shared witness: start from the point optimal for e1, then
         # chase the apex twice so one interval swallows as many e as possible.
-        s0, t0 = witness_for(e1)
+        s0, t0 = held[e1]
         lo_cert = certified(e1, s0, t0)
         if not lo_cert.verdict:
             reason = "no certificate found at optimized witness"
@@ -246,6 +273,7 @@ def cover_range(
                 gaps.append(GapRun(e1, e1, reason))
             e1 += 1
             continue
+        block = 1
         # lo_cert is always the certificate at e1 for the current witness,
         # and e_opt the e whose optimization found that witness.
         e_opt = e1

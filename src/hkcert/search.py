@@ -2,7 +2,7 @@
 
 Every bound the optimizer serves depends on t through a term whose
 maximizer over a t range has a closed form (see
-:meth:`~hkcert.bounds.LinearBound.row_best`), so the search runs over s
+:meth:`~hkcert.bounds.LinearBound.rows_best`), so the search runs over s
 alone: the optimizer scans an evenly spaced s axis, asks the objective for
 the best t of each node, then repeatedly shrinks a box around the incumbent
 s by a fixed factor and rescans.  Each axis is held as integer numerators
@@ -12,6 +12,14 @@ around.  The refinement boxes and the incumbent s are integers too, and
 the objective returns its t as an exact rational.  So the best point found
 can be certified afterwards with exact arithmetic at exactly the
 coordinates the search chose.
+
+The optimizer runs a block of objectives at once (:func:`optimize_bounds`):
+each round scans one s axis per member in a single call of the protocol's
+float method, and the boxes, incumbents and tie rule stay per member.  A
+member's candidate is the one it gets alone, bit for bit, as the float
+method computes each member's values with the same operations on the same
+doubles; :func:`optimize_bound` is the block of one.  A covering optimizes
+runs of gap multiplicities this way (:func:`hkcert.certify.cover_range`).
 
 Ties are broken by value (descending), then s, then t (ascending), so the
 result is deterministic.  Within one scan the objective returns the first
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -39,6 +47,7 @@ __all__ = [
     "GridAxis",
     "nu_vector",
     "optimize_bound",
+    "optimize_bounds",
 ]
 
 
@@ -50,12 +59,14 @@ def nu_vector(x: np.ndarray, d: int) -> np.ndarray:
     x > d/2 returns 1 minus it (nu(x) = 1 - nu(d - x)).  So the terms stay
     small and the sum never cancels catastrophically near x = d.  They
     still grow with d, and so does the absolute error against
-    :func:`~hkcert.volume.nu_exact`: ``_error_band(d)``, which is 1e-14
-    for d <= 12, 1e-13 for d <= 20, 1e-11 for d <= 32, 1e-8 for d <= 48
-    and 1e-6 for d <= 64 (the largest dimension the exact volumes accept).
-    The error peaks near x = d/2, where the terms cancel most.  There the
-    last band does not hold at d = 64: within 0.05 of x = 32 the error
-    reaches 1.39e-6 (7.2e-7 at d = 63).
+    :func:`~hkcert.volume.nu_exact`: the tested bands
+    (``tests/test_search.py``) are 1e-14 for d <= 12, 1e-13 for d <= 20,
+    1e-11 for d <= 32, 1e-8 for d <= 48 and 1e-6 for d <= 64 (the largest
+    dimension the exact volumes accept).  The error peaks near x = d/2,
+    where the terms cancel most.  There the last band does not hold at
+    d = 64: within 0.05 of x = 32 the error reaches 1.39e-6 (7.2e-7 at
+    d = 63).  No float decides a claim, so no soundness argument rests on
+    these bands.
 
     The sum stops at its last nonzero term: once the largest reflected
     argument is at most j, term j and all later ones are +0.0, and adding
@@ -105,17 +116,6 @@ def nu_vector(x: np.ndarray, d: int) -> np.ndarray:
     # The same test as 2.0 * clamped > d: d / 2 and 2.0 * clamped are exact.
     np.greater(clamped, d / 2, out=mask)
     return np.subtract(1.0, acc, out=acc, where=mask)
-
-
-# Absolute error of nu_vector against nu_exact: (largest d, bound), d
-# ascending; near x = 32 at d = 64 the error exceeds its band (see
-# nu_vector).  No float decides a claim, so no soundness argument rests on it.
-_ERROR_BANDS = ((12, 1e-14), (20, 1e-13), (32, 1e-11), (48, 1e-8), (64, 1e-6))
-
-
-def _error_band(d: int) -> float:
-    """The error band of nu_vector at d, for 1 <= d <= 64 (see nu_vector)."""
-    return next(band for top, band in _ERROR_BANDS if d <= top)
 
 
 def _density_root(level: float, d: int) -> tuple[float, float] | None:
@@ -194,12 +194,19 @@ class Objective(Protocol):
 
     def exact(self, s: Fraction, t: Fraction) -> Fraction: ...
 
-    def row_best(self, s: GridAxis, t_range: tuple) -> tuple[int, Fraction, float]:
-        """What the optimizer scans with: (i, t, value) for the best node
-        of the s axis, the first one (smallest s) among equals, with its
+    @staticmethod
+    def rows_best(
+        objectives: Sequence[Objective], s_axes: Sequence[GridAxis], t_range: tuple
+    ) -> list[tuple[int, Fraction, float]]:
+        """What the optimizer scans with, for a block of objectives of one
+        kind: for member m, (i, t, value) for the best node of the s axis
+        ``s_axes[m]``, the first one (smallest s) among equals, with its
         best t in the exact range ``t_range`` = (ta, tb), an exact
-        rational, and the float value there.  The axis's floats are
-        read-only, and later scans may share an axis."""
+        rational, and the float value there.  Each member's result is the
+        one a block of that member alone gives, bit for bit.  The optimizer
+        calls it through the block's first member.  The axes' floats are
+        read-only, several members may share an axis, and later scans may
+        share one too."""
         ...
 
     def descriptor(self) -> dict: ...
@@ -277,10 +284,10 @@ class Candidate:
     """Best point found: float view plus the exact coordinates behind it.
 
     ``value`` is the float estimate of the objective's largest value over
-    t at the node s_exact, as the objective's ``row_best`` computed it.  At
+    t at the node s_exact, as the objective's ``rows_best`` computed it.  At
     a t strictly inside the t range it is the value at the float optimum
     s - uL, so the exact value at (s_exact, t_exact), where t_exact rounds
-    that optimum (see :meth:`~hkcert.bounds.LinearBound.row_best`), may lie
+    that optimum (see :meth:`~hkcert.bounds.LinearBound.rows_best`), may lie
     below it by the float error and by a term second order in that rounding.
     """
 
@@ -375,9 +382,9 @@ class GridAxis:
         return tuple(self.node(i) for i in range(len(self)))
 
 
-# A covering optimizes one e after another: round 0 scans the same box at
-# every e, and most round-1 boxes repeat the previous e's.  64 axes hold
-# them; ``prove --dim 10 --k 5`` then builds 265 axes instead of 1,048.
+# A covering optimizes one e, or one block of e, after another: round 0
+# scans the same box at every e, and most round-1 boxes repeat another
+# e's.  64 axes hold the boxes of a block of 16 e at the default 3 rounds.
 _AXIS_CACHE_SIZE = 64
 
 
@@ -396,38 +403,54 @@ def _box(a: int, b: int, q: int, p: int, r: int, scale: int) -> tuple[int, int, 
 
 
 def optimize_bound(objective: Objective, params: SearchParams | None = None) -> Candidate:
-    """Scan ``objective`` over s and refine around the incumbent.
+    """:func:`optimize_bounds` for the block of ``objective`` alone."""
+    return optimize_bounds([objective], params)[0]
 
-    Each round asks the objective for the best node of an s axis of
-    ``grid[0]`` nodes, each with its best t in ``t_range``
-    (:meth:`Objective.row_best`).  Each refinement round rescans an s box
-    1/shrink_factor the size of the previous one, centered at the
-    incumbent and clipped to the original range.  Returns the best point
-    over all rounds.
+
+def optimize_bounds(
+    objectives: Sequence[Objective], params: SearchParams | None = None
+) -> list[Candidate]:
+    """Scan each objective of a block over s and refine around its incumbent.
+
+    Each round asks the block for the best node of one s axis of
+    ``grid[0]`` nodes per member, each with its best t in ``t_range``, in
+    one call (:meth:`Objective.rows_best`).  Each refinement round rescans,
+    per member, an s box 1/shrink_factor the size of the previous one,
+    centered at that member's incumbent and clipped to the original range.
+    Returns each member's best point over all rounds, in block order.  The
+    members share a dimension, and so the s range; the boxes and the tie
+    rule are per member, so a member's candidate is the one it gets in a
+    block of its own.
 
     The boxes, the nodes and the incumbent s are integer numerators over
     integer denominators, compared by cross-multiplying; one ``Fraction``
-    is built for the returned s, and the objective builds each round's t.
+    is built per returned s, and the objective builds each round's t.
     """
     params = params or SearchParams()
     ns = params.grid[0]
     shrink, cap = params.shrink_factor, params.max_denominator
-    s_range = _over_one_denominator(*params.resolved_s_range(objective.dimension))
+    s_range = _over_one_denominator(*params.resolved_s_range(objectives[0].dimension))
 
-    s_box = s_range
+    boxes, best = [s_range] * len(objectives), [None] * len(objectives)
     for round_no in range(params.refine_rounds + 1):
-        s_axis = _axis(*s_box, ns, cap)
-        i, t, value = objective.row_best(s_axis, params.t_range)
-        sp, sq = s_axis._ratio(i)
-        if round_no == 0 or value > best[0]:
-            best = value, sp, sq, t
-        elif value == best[0]:
-            # (s, t) < the incumbent's, in that order; denominators are > 0.
-            ds = sp * best[2] - best[1] * sq
-            if ds < 0 or (ds == 0 and t < best[3]):
-                best = value, sp, sq, t
-        s_box = _box(*s_range, best[1], best[2], 2 * shrink ** (round_no + 1))
+        axes = [_axis(*box, ns, cap) for box in boxes]
+        found = objectives[0].rows_best(objectives, axes, params.t_range)
+        scale = 2 * shrink ** (round_no + 1)
+        for m, ((i, t, value), axis) in enumerate(zip(found, axes)):
+            sp, sq = axis._ratio(i)
+            held = best[m]
+            if held is None or value > held[0]:
+                held = value, sp, sq, t
+            elif value == held[0]:
+                # (s, t) < the incumbent's, in that order; denominators are > 0.
+                ds = sp * held[2] - held[1] * sq
+                if ds < 0 or (ds == 0 and t < held[3]):
+                    held = value, sp, sq, t
+            best[m] = held
+            boxes[m] = _box(*s_range, held[1], held[2], scale)
 
-    value, sp, sq, t = best
-    s_best = Fraction(sp, sq)
-    return Candidate(s=float(s_best), t=float(t), value=value, s_exact=s_best, t_exact=t)
+    out = []
+    for value, sp, sq, t in best:
+        s_best = Fraction(sp, sq)
+        out.append(Candidate(s=float(s_best), t=float(t), value=value, s_exact=s_best, t_exact=t))
+    return out

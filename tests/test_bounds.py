@@ -764,7 +764,7 @@ class TestWitnessMemo:
 
 @pytest.fixture
 def memo(monkeypatch):
-    """An empty cache of float volume columns for LinearBound.row_best,
+    """An empty cache of float volume columns for LinearBound.rows_best,
     of the fixed size."""
     fresh = functools.lru_cache(maxsize=bounds._COLUMN_CACHE_SIZE)(bounds._columns.__wrapped__)
     monkeypatch.setattr(bounds, "_columns", fresh)
@@ -785,15 +785,20 @@ def nu_calls(monkeypatch):
     return calls
 
 
+def _scan(objective, s, t_range):
+    """(i, t, value) of the scan of ``objective`` alone: its block of one."""
+    return LinearBound.rows_best([objective], [s], t_range)[0]
+
+
 def _cold(objective, s, t_range):
-    """objective.row_best(s, t_range) with its volumes computed afresh."""
+    """_scan(objective, s, t_range) with its volumes computed afresh."""
     with mock.patch.object(bounds, "_columns", bounds._columns.__wrapped__):
-        return objective.row_best(s, t_range)
+        return _scan(objective, s, t_range)
 
 
 def _assert_cold(objective, s, t_range=(F(0), F(1))):
-    """row_best through the cache is row_best on a cold one, bit for bit."""
-    i, t, value = objective.row_best(s, t_range)
+    """A scan through the cache is a scan on a cold one, bit for bit."""
+    i, t, value = _scan(objective, s, t_range)
     j, u, cold = _cold(objective, s, t_range)
     assert (i, t) == (j, u)
     assert np.float64(value).tobytes() == np.float64(cold).tobytes()
@@ -805,7 +810,7 @@ def _default_s(d):
 
 
 class TestVolumeMemo:
-    """LinearBound.row_best reads the float volumes nu(s_i - a) of an s
+    """LinearBound.rows_best reads the float volumes nu(s_i - a) of an s
     axis from a small cache shared by every bound (``bounds._columns``),
     keyed by d, the shifts and the axis's doubles; no result may depend on
     it."""
@@ -841,7 +846,7 @@ class TestVolumeMemo:
     def test_same_box_for_every_e_is_computed_once(self, memo, nu_calls):
         s = _default_s(10)
         objectives = [GeneralBoundObjective(BoundSpec(10, e, e - 2, 5)) for e in range(240, 250)]
-        found = [objective.row_best(s, (F(0), F(1))) for objective in objectives]
+        found = [_scan(objective, s, (F(0), F(1))) for objective in objectives]
         # One column each of nu(s), nu(s - 1) and nu(s - 1/2); the t range
         # ends 0 and 1 read the first two.
         assert nu_calls == [3 * len(s)]
@@ -854,14 +859,14 @@ class TestVolumeMemo:
             [GeneralBoundObjective(BoundSpec(10, e, e - 2, 5)) for e in (245, 246, 247)],
             [MuSmallObjective(e, 3, 10) for e in (9, 10, 11)],
         ):
-            family[0].row_best(_default_s(10), (F(0), F(1)))
+            _scan(family[0], _default_s(10), (F(0), F(1)))
             nu_calls.clear()
             for objective in family[1:]:
-                objective.row_best(_default_s(10), (F(0), F(1)))
+                _scan(objective, _default_s(10), (F(0), F(1)))
             assert nu_calls == []
         # A box one node over shares 199 doubles, but is an entry of its own.
         step = F(11, 199)
-        HBoundObjective(248, 10, 5).row_best(GridAxis(step, 11 + step, 200, 10**6), (F(0), F(1)))
+        _scan(HBoundObjective(248, 10, 5), GridAxis(step, 11 + step, 200, 10**6), (F(0), F(1)))
         assert nu_calls == [3 * 200]
 
     def test_mutating_results_and_inputs_changes_no_later_result(self, memo):
@@ -898,7 +903,7 @@ class TestVolumeMemo:
         for n in range(60):
             for seed, rng in enumerate(callers):
                 objective, s, want = rng.choice(jobs)
-                if objective.row_best(s, (F(0), F(1))) != want:
+                if _scan(objective, s, (F(0), F(1))) != want:
                     failures.append((seed, n))
         assert failures == []
         # One nu_vector call per miss; some scans hit and some missed.
@@ -906,26 +911,36 @@ class TestVolumeMemo:
 
     def test_one_lookup_and_one_nu_vector_call_per_scan(self, monkeypatch, memo, nu_calls):
         # A proof scans the worst case and the mu-small rungs (a bound
-        # constant in t); every scan makes one cache lookup and at most one
-        # nu_vector call.
+        # constant in t) in blocks of one, and a gap sweep scans blocks of
+        # e: every scan makes one cache lookup, and at most one nu_vector
+        # call, per distinct axis of its block.
         lookups, per_scan = [], []
-        row_best = LinearBound.row_best
+        rows_best = LinearBound.rows_best
 
         def counted_lookup(*args):
             lookups.append(args)
             return memo(*args)
 
-        def counted_row_best(self, s, t_range):
-            before = len(nu_calls)
-            out = row_best(self, s, t_range)
-            per_scan.append(len(nu_calls) - before)
+        def counted_rows_best(block, s_axes, t_range):
+            before = len(lookups), len(nu_calls)
+            out = rows_best(block, s_axes, t_range)
+            per_scan.append((len(block), len({id(s) for s in s_axes}),
+                             len(lookups) - before[0], len(nu_calls) - before[1]))
             return out
 
         monkeypatch.setattr(bounds, "_columns", counted_lookup)
-        monkeypatch.setattr(LinearBound, "row_best", counted_row_best)
+        monkeypatch.setattr(LinearBound, "rows_best", staticmethod(counted_rows_best))
         prove_dimension(7, 1)
         assert len(lookups) == len(per_scan) > 100
-        assert set(per_scan) == {0, 1}
+        assert {(size, axes, found) for size, axes, found, _ in per_scan} == {(1, 1, 1)}
+        assert {calls for *_, calls in per_scan} == {0, 1}
+        # The sweep's 50 gaps and one interval scan 244 members in 28
+        # scans and 61 lookups; one scan per e would make 244 of each.
+        per_scan.clear()
+        lookups.clear()
+        cover_range(10, 5, 200, 260, wy_target(10).value)
+        assert all(found == axes and calls <= axes for _, axes, found, calls in per_scan)
+        assert (sum(size for size, *_ in per_scan), len(per_scan), len(lookups)) == (244, 28, 61)
 
 
 def _lattice_axis(first, n: int, step: Fraction) -> GridAxis:
@@ -949,9 +964,9 @@ class TestVolumeTiles:
     @pytest.mark.parametrize("dt", (-5, -1, 0, 1, 5))
     def test_shifted_boxes(self, memo, nu_calls, ds, dt):
         objective = GeneralBoundObjective(BoundSpec(10, 245, 243, 5))
-        objective.row_best(*self.box(20, 40))
+        _scan(objective, *self.box(20, 40))
         nu_calls.clear()
-        objective.row_best(*self.box(20 + ds, 40 + dt))
+        _scan(objective, *self.box(20 + ds, 40 + dt))
         # The shift columns of nu(s), nu(s - 1/2) and nu(s - 1), and the two
         # t range ends: all of them unless both boxes are the same.
         assert nu_calls == ([] if ds == dt == 0 else [60 * 5])
@@ -985,11 +1000,11 @@ class TestVolumeTiles:
     def test_other_lattice_is_not_reused(self, memo, nu_calls):
         objective = HBoundObjective(7, 7)
         _, t_range = self.box(20, 40)
-        objective.row_best(*self.box(20, 40))
+        _scan(objective, *self.box(20, 40))
         nu_calls.clear()
         # Half the step: every other node coincides, no run of nodes does.
         s = GridAxis(20 * self.S_STEP, 20 * self.S_STEP + 59 * self.S_STEP / 2, 60, 10**6)
-        objective.row_best(s, t_range)
+        _scan(objective, s, t_range)
         assert nu_calls == [60 * 5]
         _assert_cold(objective, s, t_range)
 
@@ -1013,12 +1028,12 @@ class TestVolumeTiles:
         # Box a, then box b half a node off, as boxes centred on a new and
         # an older incumbent lie; then a again, which is still kept.
         objective = HBoundObjective(7, 7)
-        objective.row_best(*self.box(20, 40))
-        objective.row_best(*self.box(F(41, 2), 40))
+        _scan(objective, *self.box(20, 40))
+        _scan(objective, *self.box(F(41, 2), 40))
         assert nu_calls == [60 * 5] * 2
         assert memo.cache_info().currsize == 2
         nu_calls.clear()
-        objective.row_best(*self.box(20, 40))
+        _scan(objective, *self.box(20, 40))
         assert nu_calls == []
 
     def test_a_weight_zero_at_one_e_keeps_its_column(self, memo, nu_calls):
@@ -1027,7 +1042,7 @@ class TestVolumeTiles:
         # share one entry.
         s = _default_s(7)
         for e in (4, 5, 4):
-            HBoundObjective(e, 7).row_best(s, (F(0), F(1)))
+            _scan(HBoundObjective(e, 7), s, (F(0), F(1)))
         assert nu_calls == [200 * 3]
 
     def test_an_optimization_at_seven_rounds_fits(self, memo, nu_calls):
@@ -1040,7 +1055,7 @@ class TestVolumeTiles:
             nested.append(GridAxis(F(3) - width / 2, F(3) + width / 2, 200, 10**6))
         for e in (7, 8):
             for s in nested:
-                HBoundObjective(e, 7).row_best(s, (F(0), F(1)))
+                _scan(HBoundObjective(e, 7), s, (F(0), F(1)))
             if e == 7:
                 assert nu_calls == [200 * 3] * 8
                 nu_calls.clear()
@@ -1071,8 +1086,13 @@ class TestMemoInCoverings:
         assert sum(nu_calls) <= 16_800
 
     def test_default_rounds_cover(self, monkeypatch, nu_calls):
-        # The twelve optimizations of one d = 10 covering, 2,400 points each
-        # with no cache, reuse each other's boxes.
+        # One d = 10 covering optimizes 15 e of the gap run 240..249 in
+        # blocks of 1, 2, 4 and 8, the last of which finds the interval
+        # from 250, and one e in its apex chase.  With no cache each block
+        # computes one box per round and member, its round 0 once: 27 boxes
+        # of 600 points, where 16 single optimizations would take 64.  The
+        # cache shares the round-0 box of every block, and most round-1
+        # boxes.
         counts = []
         for size in (0, bounds._COLUMN_CACHE_SIZE):
             cache = functools.lru_cache(maxsize=size)(bounds._columns.__wrapped__)
@@ -1080,13 +1100,15 @@ class TestMemoInCoverings:
             nu_calls.clear()
             cover_range(10, 5, 240, 260, wy_target(10).value)
             counts.append(sum(nu_calls))
-        assert counts[0] == 12 * 4 * 200 * 3
-        assert counts[1] <= 7_200
+        assert counts[0] == 27 * 200 * 3
+        assert counts[1] <= 8_400
 
     def test_more_rounds_cover(self, memo, nu_calls):
-        # Six boxes per optimization, on an empty cache.
+        # Six boxes per optimization, on an empty cache.  The block of 8
+        # that reaches the interval from 250 also optimizes 251..254, whose
+        # boxes a sweep of single optimizations never scans (21,600 points).
         cover_range(10, 5, 240, 260, wy_target(10).value, SearchParams(refine_rounds=5))
-        assert sum(nu_calls) <= 21_600
+        assert sum(nu_calls) <= 27_600
 
     @pytest.mark.parametrize("rounds, points", [(5, 75_400), (7, 105_400)])
     def test_more_rounds_prove(self, memo, nu_calls, rounds, points):
@@ -1096,22 +1118,26 @@ class TestMemoInCoverings:
         assert sum(nu_calls) <= points
 
     def test_one_optimization_computes_each_column_once_per_round(self, memo, nu_calls):
-        # At --rounds 8 one optimization scans nine boxes; no eviction may
-        # make it compute a box twice: at most (rounds + 1) x ns x columns
-        # points, and one more for nu(uL).
-        per_optimization = []
-        real = certify.optimize_bound
+        # At --rounds 8 one optimization scans nine boxes per member, the
+        # first one shared; no eviction may make it compute a box twice: at
+        # most (1 + 8 x members) x ns x columns points.  The gap sweep's
+        # blocks reach 16 members, 129 boxes, which the cache cannot hold
+        # at once; each box is read once, in its round.
+        blocks = []
+        real = certify.optimize_bounds
 
-        def counted(objective, params):
+        def counted(objectives, params):
             before = sum(nu_calls)
-            out = real(objective, params)
-            per_optimization.append(sum(nu_calls) - before)
+            out = real(objectives, params)
+            blocks.append((len(objectives), sum(nu_calls) - before))
             return out
 
-        with mock.patch.object(certify, "optimize_bound", counted):
-            prove_dimension(7, 1, SearchParams(refine_rounds=8))
-        assert len(per_optimization) > 20
-        assert max(per_optimization) <= (8 + 1) * 200 * 3 + 1
+        rounds = SearchParams(refine_rounds=8)
+        with mock.patch.object(certify, "optimize_bounds", counted):
+            prove_dimension(7, 1, rounds)
+            cover_range(10, 5, 200, 260, wy_target(10).value, rounds)
+        assert len(blocks) > 20 and max(size for size, _ in blocks) == 16
+        assert all(points <= (1 + 8 * size) * 200 * 3 for size, points in blocks)
 
 
 @st.composite
@@ -1142,14 +1168,14 @@ def _closed_form_cases(draw):
 
 
 class TestPrunedScan:
-    """LinearBound.row_best scans one s axis with t in closed form, the
-    2-D grid pruned to one cell per s node."""
+    """LinearBound.rows_best scans one s axis per bound with t in closed
+    form, the 2-D grid pruned to one cell per s node."""
 
     @settings(max_examples=300, deadline=None)
     @given(_closed_form_cases())
     def test_no_t_beats_the_closed_form(self, case):
         objective, s, (ta, tb) = case
-        i, t, value = objective.row_best(s, (ta, tb))
+        i, t, value = _scan(objective, s, (ta, tb))
         assert type(value) is float and ta <= t <= tb
         t_axis = GridAxis(ta, tb, 1000, 10**12)
         grid = objective.vector(s, t_axis)
@@ -1160,7 +1186,7 @@ class TestPrunedScan:
         # lose up to e (1/(512 q))**2 / 2 against the best t.
         e, q = float(objective.e), s.node(i).denominator
         rounding = e / (2 * (512 * q) ** 2)
-        # vector and row_best round their sums differently: allow a few
+        # vector and rows_best round their sums differently: allow a few
         # ulps of the largest term, e (sum_i |w_i| + 2) + |c0| + |ct|.
         size = e * (sum(abs(w + we * e) for w, we, _ in objective.terms) + 2)
         tol = 1e-9 + 2.0**-48 * (size + abs(float(objective.c0)) + abs(float(objective.ct)))
@@ -1180,7 +1206,7 @@ class TestPrunedScan:
         # For s >= d + 1 every volume is 1, so every node ties.
         d = objective.dimension
         s = GridAxis(F(d + 1), F(d + 3), 200, 10**6)
-        i, t, value = objective.row_best(s, (F(0), F(1)))
+        i, t, value = _scan(objective, s, (F(0), F(1)))
         assert i == 0
         # In t the bound is c0 + ct t - e, largest at t = 0.
         grid = objective.vector(s, GridAxis(F(0), F(1), 100, 10**6))
@@ -1193,7 +1219,7 @@ class TestPrunedScan:
         split = LinearBound(7, F(9), 1, F(-1, 2), ((1, 0, 0), (-1, 0, 1), (-4, 0, 1)), -1, desc)
         merged = LinearBound(7, F(9), 1, F(-1, 2), ((1, 0, 0), (-5, 0, 1)), -1, desc)
         s = _default_s(7)
-        (i, t, value), (j, u, other) = (b.row_best(s, (F(0), F(1))) for b in (split, merged))
+        (i, t, value), (j, u, other) = (_scan(b, s, (F(0), F(1))) for b in (split, merged))
         assert (i, t) == (j, u) and value == pytest.approx(other, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -1203,6 +1229,6 @@ class TestPrunedScan:
     def test_refuses_a_family_outside_the_closed_form(self, wt, ct):
         bound = LinearBound(7, F(7), 1, ct, ((1, 0, 0),), wt, {"kind": "test"})
         with pytest.raises(ValueError, match="closed form in t needs wt in"):
-            bound.row_best(_default_s(7), (F(0), F(1)))
+            _scan(bound, _default_s(7), (F(0), F(1)))
         # The exact evaluator serves any term list.
         assert type(bound.exact(F(5, 2), F(1, 2))) is F

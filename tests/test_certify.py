@@ -360,10 +360,12 @@ class TestCoverRange:
         # certifies its three mu-small rungs.
         from hkcert import certify
 
-        real_cover, real_optimize = certify.cover_range, certify.optimize_bound
+        real_cover, real_optimize = certify.cover_range, certify.optimize_bounds
         real_certify, certified = certify.certify_point, []
-        # The e optimized by each finished covering, and by the open one;
-        # prove_dimension also optimizes the mu-small rungs, outside them.
+        # The e optimized by each finished covering, and by the open one,
+        # each member of a block of e counted; prove_dimension also
+        # optimizes the mu-small rungs, outside them.  A block member the
+        # sweep passes over is kept, and never optimized again.
         coverings, open_ = [], []
 
         def cover(*args):
@@ -373,23 +375,50 @@ class TestCoverRange:
             finally:
                 coverings.append(open_.pop())
 
-        def optimize(objective, params):
+        def optimize(objectives, params):
             if open_:
-                open_[-1].append(objective.e)
-            return real_optimize(objective, params)
+                open_[-1].extend(objective.e for objective in objectives)
+            return real_optimize(objectives, params)
 
         def certify_point(*args):
             certified.append(args)
             return real_certify(*args)
 
         monkeypatch.setattr(certify, "cover_range", cover)
-        monkeypatch.setattr(certify, "optimize_bound", optimize)
+        monkeypatch.setattr(certify, "optimize_bounds", optimize)
         monkeypatch.setattr(certify, "certify_point", certify_point)
         run(certify)
         assert coverings and all(coverings)
         for es in coverings:
             assert len(es) == len(set(es))
         assert len(certified) == certificates
+
+    def test_a_gap_sweep_gallops_in_blocks(self, monkeypatch):
+        # The d = 10 gap run 200..249 ends in the interval from 250.  The
+        # sweep optimizes it in blocks of 1, 2, 4, 8, 16, 16, ..., and a
+        # block that reaches past the run's end optimizes at most 15 e that
+        # a sweep of single optimizations (blocks of at most 1) does not.
+        from hkcert import certify
+
+        real, blocks = certify.optimize_bounds, []
+
+        def optimize(objectives, params):
+            blocks.append(len(objectives))
+            return real(objectives, params)
+
+        monkeypatch.setattr(certify, "optimize_bounds", optimize)
+        target = wy_target(10).value
+        plan = cover_range(10, 5, 200, 260, target)
+        galloped, blocks[:] = list(blocks), []
+        monkeypatch.setattr(certify, "_GAP_BLOCK", 1)
+        assert cover_range(10, 5, 200, 260, target) == plan
+        single = list(blocks)
+        gaps = sum(g.e_hi - g.e_lo + 1 for g in plan.gaps)
+        assert (gaps, set(single)) == (50, {1})
+        assert galloped[:6] == [1, 2, 4, 8, 16, 16]
+        assert max(galloped) == 16
+        assert len(single) - gaps >= 1  # the interval's own optimizations
+        assert sum(galloped) <= len(single) + 15
 
     def test_a_run_end_that_does_not_certify_raises(self, monkeypatch):
         # Soundness rests on the certificates at both ends of each interval,

@@ -21,6 +21,7 @@ from hkcert.search import (
     SearchParams,
     nu_vector,
     optimize_bound,
+    optimize_bounds,
 )
 from hkcert.targets import wy_target
 from hkcert.volume import MAX_CACHED_DIMENSION, nu_density, nu_exact
@@ -35,8 +36,7 @@ from oracles import (
 F = Fraction
 
 # Absolute error of nu_vector against nu_exact: (largest d, bound).  The
-# nu_vector docstring states the same bands, and search._ERROR_BANDS must
-# equal this table, so a band loosened in the source fails a test.
+# nu_vector docstring states the same bands.
 ERROR_BANDS = ((12, 1e-14), (20, 1e-13), (32, 1e-11), (48, 1e-8), (64, 1e-6))
 
 
@@ -126,11 +126,6 @@ class TestNuVector:
         xs = np.array([float(p) for p in points])
         want = np.array([float(nu_exact(p, d)) for p in points])
         assert np.max(np.abs(nu_vector(xs, d) - want)) <= bound
-
-    def test_the_source_bands_are_the_tested_ones(self):
-        assert search._ERROR_BANDS == ERROR_BANDS
-        for d in range(1, MAX_CACHED_DIMENSION + 1):
-            assert search._error_band(d) == next(b for top, b in ERROR_BANDS if d <= top)
 
     @pytest.mark.parametrize(
         "d", [0, -1, True, 65, 7.0], ids=["zero", "negative", "bool", "65", "float"]
@@ -348,13 +343,22 @@ class TestAxisCache:
         yield calls
         search._axis.cache_clear()
 
-    def test_prove_dimension_ten_builds_few_axes(self, over_calls):
-        # 1,048 scans of one s axis each, 265 of them distinct boxes: round
-        # 0 is one box for every e, and most round-1 boxes repeat the last
-        # e's.
+    def test_prove_dimension_ten_builds_few_axes(self, over_calls, monkeypatch):
+        # 274 optimizations of four rounds, 1,096 member scans, in 152 block
+        # scans and 270 distinct boxes: round 0 is one box for every e, and
+        # most round-1 boxes repeat another e's.  Each box is built once.
+        scans = []
+        real = bounds.LinearBound.rows_best
+
+        def counted(block, s_axes, t_range):
+            scans.append(len(block))
+            return real(block, s_axes, t_range)
+
+        monkeypatch.setattr(bounds.LinearBound, "rows_best", staticmethod(counted))
         prove_dimension(10, 5)
-        assert len(set(over_calls)) == 265
-        assert len(over_calls) == 265
+        assert (len(scans), sum(scans)) == (152, 1096)
+        assert len(set(over_calls)) == 270
+        assert len(over_calls) == 270
 
     def test_a_repeated_box_reuses_its_read_only_axis(self, over_calls):
         box = (0, 11, 1, 200, 10**6)
@@ -453,10 +457,14 @@ class _Plateau:
     def exact(self, s, t):
         return min(s, F(1))
 
-    def row_best(self, s, t_range):
-        vals = np.minimum(s.floats, 1.0)
-        i = int(vals.argmax())
-        return i, t_range[0], vals.item(i)
+    @staticmethod
+    def rows_best(objectives, s_axes, t_range):
+        found = []
+        for s in s_axes:
+            vals = np.minimum(s.floats, 1.0)
+            i = int(vals.argmax())
+            found.append((i, t_range[0], vals.item(i)))
+        return found
 
     def descriptor(self):
         return {"kind": "plateau"}
@@ -594,11 +602,13 @@ class TestOptimizer:
             def __init__(self):
                 self.scans = []
 
-            def row_best(self, s, t_range):
+            def rows_best(self, objectives, s_axes, t_range):
+                # Called through the block's first member, this one.
+                (s,) = s_axes
                 self.scans.append(s.floats.tobytes())
                 values, ts = row(s.floats, *t_range)
                 i = int(values.argmax())
-                return i, ts[i], values.item(i)
+                return [(i, ts[i], values.item(i))]
 
         params = SearchParams(s_range=s_range, t_range=t_range, grid=(ns, 2),
                               refine_rounds=rounds, shrink_factor=shrink,
@@ -624,20 +634,25 @@ class TestOptimizer:
         assert (cand.s, cand.t) == (float(s_best), float(t_best))
 
     def test_builds_one_fraction_per_coordinate(self, monkeypatch):
-        # The boxes and the incumbent s are integers.  The search builds
-        # the returned s, and one node per scan, the s the objective puts
-        # its exact t on; no Fraction per node or per cell.
-        built = []
+        # The boxes, the nodes and the incumbent s are integers.  The search
+        # builds the returned s alone, and the objective at most one t per
+        # scan, from the integers of its node; no Fraction per node or per
+        # cell.
+        built = {search: [], bounds: []}
 
-        def counting(*args):
-            built.append(args)
-            return Fraction(*args)
+        def counting(module):
+            def build(*args):
+                built[module].append(args)
+                return Fraction(*args)
+            return build
 
-        monkeypatch.setattr(search, "Fraction", counting)
+        for module in built:
+            monkeypatch.setattr(module, "Fraction", counting(module))
         cand = optimize_bound(HBoundObjective(7, 7))
-        assert len(built) == SearchParams().refine_rounds + 2
-        assert Fraction(*built[-1]) == cand.s_exact
+        assert [Fraction(*args) for args in built[search]] == [cand.s_exact]
+        assert 0 < len(built[bounds]) <= SearchParams().refine_rounds + 1
         assert type(cand.t_exact) is Fraction
+        assert cand.t_exact in [Fraction(*args) for args in built[bounds]]
 
     def test_refinement_improves_or_keeps(self):
         coarse = optimize_bound(
@@ -649,24 +664,137 @@ class TestOptimizer:
         assert refined.value >= coarse.value
 
     def test_cold_caches_give_the_sweeps_candidates(self, monkeypatch):
-        # An optimization reads no state a covering leaves behind: each e
-        # of a gap sweep gets the same Candidate on cold caches.
-        found = []
-        real = certify.optimize_bound
+        # An optimization reads no state a covering leaves behind, and a
+        # block member none of the rest of its block: each e of a gap
+        # sweep, optimized in a block, gets the Candidate it gets alone on
+        # cold caches.
+        found, sizes = [], []
+        real = certify.optimize_bounds
 
-        def recording(objective, params):
-            k = objective.descriptor().get("k", 1)
-            found.append(((objective.e, objective.dimension, k), real(objective, params)))
-            return found[-1][1]
+        def recording(objectives, params):
+            cands = real(objectives, params)
+            sizes.append(len(objectives))
+            for objective, cand in zip(objectives, cands):
+                k = objective.descriptor().get("k", 1)
+                found.append(((objective.e, objective.dimension, k), cand))
+            return cands
 
-        monkeypatch.setattr(certify, "optimize_bound", recording)
+        monkeypatch.setattr(certify, "optimize_bounds", recording)
         cover_range(10, 5, 200, 239, wy_target(10).value)
         cover_range(7, 1, 13, 60, F(71, 67))
-        assert len(found) > 40
+        assert len(found) > 40 and max(sizes) == 16
         for args, cand in found:
-            search._axis.cache_clear()
-            bounds._columns.cache_clear()
-            assert optimize_bound(HBoundObjective(*args)) == cand
+            _assert_same(_alone([HBoundObjective(*args)], SearchParams()), [cand])
+
+
+def _assert_same(found, want):
+    """Candidates equal field by field, ``value`` as int64 bits."""
+    assert len(found) == len(want)
+    for cand, other in zip(found, want):
+        assert (cand.s_exact, cand.t_exact, cand.s, cand.t) == (
+            other.s_exact, other.t_exact, other.s, other.t)
+        assert bits(cand.value) == bits(other.value)
+
+
+def _alone(objectives, params):
+    """Each objective optimized in a block of its own, on cold caches."""
+    out = []
+    for objective in objectives:
+        search._axis.cache_clear()
+        bounds._columns.cache_clear()
+        out.append(optimize_bound(objective, params))
+    return out
+
+
+@st.composite
+def _blocks(draw):
+    """Blocks of 1 to 20 consecutive e of the worst case at a d the CLI
+    accepts, k 0..5, with 0 to 5 refinement rounds, a snapping
+    max_denominator or not, and the full, a sub- or the degenerate t range
+    (1, 1)."""
+    d = draw(st.sampled_from((1, 2, 7, 10, 12, 33, 64)))
+    k = draw(st.integers(0, 5))
+    e_lo = draw(st.integers(k + 3, 5000))
+    size = draw(st.integers(1, 20))
+    t_kind = draw(st.sampled_from(("full", "sub", "one")))
+    if t_kind == "full":
+        t_range = (F(0), F(1))
+    elif t_kind == "one":
+        t_range = (F(1), F(1))
+    else:
+        t_a, t_b = (draw(st.fractions(0, 1, max_denominator=100)) for _ in "ab")
+        t_range = (min(t_a, t_b), max(t_a, t_b))
+    params = SearchParams(
+        t_range=t_range,
+        grid=(draw(st.sampled_from((2, 17, 60, 200))), 2),
+        refine_rounds=draw(st.integers(0, 5)),
+        max_denominator=draw(st.sampled_from((7, 50, 10**6))),
+    )
+    return [HBoundObjective(e, d, k) for e in range(e_lo, e_lo + size)], params
+
+
+class TestBlocks:
+    """optimize_bounds scans a block of objectives in one pass per round;
+    each member's candidate is the one it gets alone, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_blocks())
+    def test_a_block_gives_each_member_its_own_candidate(self, case):
+        objectives, params = case
+        search._axis.cache_clear()
+        bounds._columns.cache_clear()
+        _assert_same(optimize_bounds(objectives, params), _alone(objectives, params))
+
+    def test_a_block_where_some_members_have_no_root(self):
+        # At d = 64, k = 0, -ct/e = 1/e is above the peak of nu' for e <=
+        # 5, so those members never take the interior branch; the others do.
+        objectives = [HBoundObjective(e, 64, 0) for e in range(3, 9)]
+        assert [o._interior is None for o in objectives] == [True] * 3 + [False] * 3
+        params = SearchParams()
+        found = optimize_bounds(objectives, params)
+        _assert_same(found, _alone(objectives, params))
+        assert [c.t_exact == 0 for c in found[:3]] == [True] * 3
+
+    def test_a_member_with_no_root_keeps_the_lower_end(self):
+        # At d = 2, max nu' = 1: -ct/e = 3/2 has no root at e = 1, and 3/4
+        # has one at e = 2.  An interior t at e = 1 would read as larger
+        # near s = 0.6 were it taken with a made-up root, so the block must
+        # keep e = 1 at t = ta on every node.
+        desc = {"kind": "test"}
+        block = [bounds.LinearBound(2, F(e), 1, F(-3, 2), ((1, 0, 0),), -1, desc) for e in (1, 2)]
+        assert [b._interior is None for b in block] == [True, False]
+        s = GridAxis(F(0), F(3), 61, 10**6)
+        found = bounds.LinearBound.rows_best(block, [s, s], (F(0), F(1)))
+        assert found == [bounds.LinearBound.rows_best([b], [s], (F(0), F(1)))[0] for b in block]
+        assert found[0][1] == 0
+        params = SearchParams(refine_rounds=2)
+        _assert_same(optimize_bounds(block, params), _alone(block, params))
+
+    def test_a_block_of_other_families_of_one_shape(self):
+        # The master family at mu = e - 2 has H_e's shifts, c0, ct and wt.
+        objectives = [HBoundObjective(9, 7), GeneralBoundObjective(BoundSpec(7, 12, 5, 1)),
+                      HBoundObjective(10, 7)]
+        params = SearchParams(refine_rounds=2)
+        _assert_same(optimize_bounds(objectives, params), _alone(objectives, params))
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            [HBoundObjective(9, 7), HBoundObjective(9, 10)],
+            [HBoundObjective(9, 7, 1), HBoundObjective(9, 7, 2)],
+            [MuSmallObjective(9, 3, 7), HBoundObjective(9, 7)],
+            [bounds.LinearBound(7, F(9), 1, F(-1, 2), ((1, 0, 0), (-5, 0, 1)), -1, {}),
+             bounds.LinearBound(7, F(9), 1, F(-1, 2), ((1, 0, 0), (-5, 0, F(1, 2))), -1, {})],
+            [bounds.LinearBound(7, F(9), 1, F(-1, 2), ((1, 0, 0), (-5, 0, 1)), -1, {}),
+             bounds.LinearBound(7, F(9), 2, F(-1, 2), ((1, 0, 0), (-5, 0, 1)), -1, {})],
+            [bounds.LinearBound(7, F(9), 0, 0, ((1, 0, 0), (-5, 0, 1)), -1, {}),
+             bounds.LinearBound(7, F(9), 0, 0, ((1, 0, 0), (-5, 0, 1)), 0, {})],
+        ],
+        ids=["d", "ct", "family", "shifts", "c0", "wt"],
+    )
+    def test_refuses_a_mixed_block(self, block):
+        with pytest.raises(ValueError, match="a block's bounds must share"):
+            optimize_bounds(block, SearchParams(refine_rounds=0))
 
 
 # The dyadic delta within which _density_root's root brackets the exact
