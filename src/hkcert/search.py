@@ -39,7 +39,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .volume import _check_dimension, _fact, to_rational
+from .volume import _check_dimension, _fact, _pieces, to_rational
 
 __all__ = [
     "SearchParams",
@@ -51,71 +51,57 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _horner(d: int) -> tuple[tuple[np.ndarray, ...], tuple, tuple]:
+    """nu's unit pieces in floats, each coefficient rounded once from the
+    integers of :func:`~hkcert.volume._pieces` (c / d!, correctly rounded):
+    ``volume[i]`` and ``slope[i]`` hold those of piece i of nu and of nu'
+    (m c_m / d!), from the highest power down, and ``columns[k]`` holds
+    entry k of every piece's ``volume``.  One table per d."""
+    den, pieces = _fact(d), _pieces(d)
+    volume = tuple(tuple(c / den for c in reversed(p)) for p in pieces)
+    slope = tuple(tuple(m * p[m] / den for m in range(d, 0, -1)) for p in pieces)
+    return tuple(np.array(col) for col in zip(*volume)), volume, slope
+
+
 def nu_vector(x: np.ndarray, d: int) -> np.ndarray:
     """Float slice volume nu(x, d), element by element over an array.
 
-    Each x is clamped to [0, d] and reflected to r = min(x, d - x) <= d/2,
-    the alternating sum of :func:`~hkcert.volume.nu_exact` runs at r, and
-    x > d/2 returns 1 minus it (nu(x) = 1 - nu(d - x)).  So the terms stay
-    small and the sum never cancels catastrophically near x = d.  They
-    still grow with d, and so does the absolute error against
-    :func:`~hkcert.volume.nu_exact`: the tested bands
-    (``tests/test_search.py``) are 1e-14 for d <= 12, 1e-13 for d <= 20,
-    1e-11 for d <= 32, 1e-8 for d <= 48 and 1e-6 for d <= 64 (the largest
-    dimension the exact volumes accept).  The error peaks near x = d/2,
-    where the terms cancel most.  There the last band does not hold at
-    d = 64: within 0.05 of x = 32 the error reaches 1.39e-6 (7.2e-7 at
-    d = 63).  No float decides a claim, so no soundness argument rests on
-    these bands.
+    Each x is clamped to [0, d] (NaN stays NaN) and split into its piece
+    i = min(floor(x), d - 1) and w = x - i in [0, 1], and Horner's rule
+    runs the piece's polynomial in w (:func:`_horner`).  Past the clamp
+    only IEEE * and + touch the doubles, so every CPU gives the same bits.
+    The absolute error against :func:`~hkcert.volume.nu_exact` stays within
+    one band at every d up to 64 (``tests/test_search.py``); no float
+    decides a claim, so no soundness argument rests on that band.
 
-    The sum stops at its last nonzero term: once the largest reflected
-    argument is at most j, term j and all later ones are +0.0, and adding
-    +0.0 to ``acc`` (which starts at +0.0) changes no bit.  The largest of
-    an input holding a NaN is NaN, which fails ``<=``, so such an input
-    runs every term, as does a wide grid box.
-
-    It works element by element: each output double depends only on the
-    input double at the same place, never on the other elements or on the
-    array's shape, so volumes computed in pieces equal those computed at
-    once, bit for bit.
-
-    It works in place.  Past the input's conversion to floats it allocates
-    five arrays of the input's shape, whatever d is: the clamped and the
-    reflected arguments, the sum, one work array that every term reuses and
-    one bool mask.  It runs the same float operations on the same doubles
-    in the same order as a kernel that allocates each intermediate afresh,
-    so its bits are that kernel's.  d must be a positive int of at most
+    Each output double depends only on the input double at the same place,
+    never on the other elements or on the array's shape, so volumes
+    computed in pieces equal those computed at once, bit for bit.  Past the
+    input's conversion to floats it allocates four arrays of the input's
+    shape, whatever d is: w (the clamped x, reduced in place), the piece
+    index, the sum and one work array.  d must be a positive int of at most
     :data:`~hkcert.volume.MAX_CACHED_DIMENSION`, as for
     :func:`~hkcert.volume.nu_exact`.
     """
     _check_dimension(d)
+    columns = _horner(d)[0]
     x = np.asarray(x, dtype=float)
     # Each array is made with np.empty: on a 0-d input a ufunc without out=
     # returns a numpy scalar, which a later out= cannot take.
-    clamped = np.maximum(x, 0.0, out=np.empty(x.shape))
-    np.minimum(clamped, float(d), out=clamped)
-    refl = np.subtract(float(d), clamped, out=np.empty(x.shape))
-    np.minimum(clamped, refl, out=refl)
-    acc = np.zeros(x.shape)
-    w = np.empty(x.shape)
-    mask = np.empty(x.shape, dtype=bool)
-    # NaN if any element is; the initial 0.0 lets an empty input stop at once.
-    top = refl.max(initial=0.0)
-    for j in range(d // 2 + 1):
-        if top <= j:
-            break
-        np.subtract(refl, j, out=w)
-        np.maximum(w, 0.0, out=w)
-        # pow(0.0, d) is several times slower than pow on nonzero inputs, so
-        # a zero w is left as it is: a zero term of either sign changes no
-        # bit of acc, which is never -0.0.  NaN and +-inf still go through pow.
-        np.not_equal(w, 0.0, out=mask)
-        np.power(w, d, out=w, where=mask)
-        w *= (-1) ** j / (_fact(j) * _fact(d - j))
-        acc += w
-    # The same test as 2.0 * clamped > d: d / 2 and 2.0 * clamped are exact.
-    np.greater(clamped, d / 2, out=mask)
-    return np.subtract(1.0, acc, out=acc, where=mask)
+    w = np.maximum(x, 0.0, out=np.empty(x.shape))
+    np.minimum(w, float(d), out=w)
+    work = np.floor(w, out=np.empty(x.shape))
+    # fmin sends a NaN to the last piece, so the index stays in range; w
+    # keeps the NaN.
+    np.fmin(work, d - 1.0, out=work)
+    piece = work.astype(np.intp)
+    w -= work
+    acc = columns[0].take(piece, out=np.empty(x.shape), mode="clip")
+    for col in columns[1:]:
+        acc *= w
+        acc += col.take(piece, out=work, mode="clip")
+    return acc
 
 
 def _density_root(level: float, d: int) -> tuple[float, float] | None:
@@ -128,41 +114,29 @@ def _density_root(level: float, d: int) -> tuple[float, float] | None:
     bracket [lo, hi], nu'(lo) < level <= nu'(hi); a step that would leave
     it, or a point where nu'' is not positive, bisects instead.  It stops
     once the bracket or a Newton step is at most 2**-40 d, or after 200
-    steps.  nu, nu' and nu'' are the alternating sums of
-    :func:`~hkcert.volume.nu_exact` and :func:`~hkcert.volume.nu_density`
-    below d/2, their powers built by repeated squaring: only + and * run on
-    floats past the sums' coefficients, so the result depends on level and
-    d alone, and no state is kept between calls.  A level <= 0 gives uL = 0;
-    at d = 1, nu' is the indicator of [0, 1) and uL = 0 below level 1.  The
-    root is within 2**-30 of the exact one for d <= 32 at levels up to 9/10
-    of the peak, 2**-22 for d <= 48 and 2**-12 for d <= 64, where the sums
-    cancel near the peak (``tests/test_search.py``).
+    steps.  nu' and nu'' come from one Horner pass over the slope pieces of
+    :func:`_horner`, and nu(uL) from its volume pieces, bit for bit
+    :func:`nu_vector` at uL: only + and * run on floats, so the result
+    depends on level and d alone, and no state is kept between calls.  A
+    level <= 0 gives uL = 0; at d = 1, nu' is the indicator of [0, 1) and
+    uL = 0 below level 1.  At levels up to 9/10 of the peak the root is
+    within 2**-30 of the exact one at every d (``tests/test_search.py``).
     """
     if d == 1:
         return (0.0, 0.0) if level < 1.0 else None
     if level <= 0.0:
         return 0.0, 0.0
-    # nu'(u) = sum_j c_j (u - j)**(d-1) and nu''(u) = sum_j (d-1) c_j (u -
-    # j)**(d-2) over j <= u, with c_j = (-1)**j d / (j! (d-j)!).
-    coeffs = [(-1.0 if j & 1 else 1.0) * d / (_fact(j) * _fact(d - j)) for j in range(d // 2 + 1)]
+    _, volume, slope = _horner(d)
 
-    def density(u: float) -> tuple[float, float, float]:
-        """(nu'(u), nu''(u), nu(u))."""
-        value = slope = volume = 0.0
-        for j, c in enumerate(coeffs):
-            if j > u:
-                break
-            w = u - j
-            power, base, n = 1.0, w, d - 2  # w**(d-2), by repeated squaring
-            while n:
-                if n & 1:
-                    power *= base
-                base *= base
-                n >>= 1
-            value += c * power * w
-            slope += c * power
-            volume += c * power * w * w
-        return value, (d - 1) * slope, volume / d
+    def density(u: float) -> tuple[float, float]:
+        """(nu'(u), nu''(u)), Horner's rule with its derivative."""
+        i = min(int(u), d - 1)
+        w = u - i
+        value = curve = 0.0
+        for c in slope[i]:
+            curve = curve * w + value
+            value = value * w + c
+        return value, curve
 
     lo, hi = 0.0, d / 2
     if level >= density(hi)[0]:
@@ -170,12 +144,12 @@ def _density_root(level: float, d: int) -> tuple[float, float] | None:
     tol = d * 2.0**-40
     u = d / 4
     for _ in range(200):
-        value, slope, _ = density(u)
+        value, curve = density(u)
         if value < level:
             lo = u
         else:
             hi = u
-        if slope > 0.0 and lo <= (nxt := u - (value - level) / slope) <= hi:
+        if curve > 0.0 and lo <= (nxt := u - (value - level) / curve) <= hi:
             if abs(nxt - u) <= tol:
                 break
         else:
@@ -183,7 +157,11 @@ def _density_root(level: float, d: int) -> tuple[float, float] | None:
         if hi - lo <= tol:
             break
         u = nxt
-    return nxt, density(nxt)[2]
+    i = min(int(nxt), d - 1)
+    acc = 0.0
+    for c in volume[i]:
+        acc = acc * (nxt - i) + c
+    return nxt, acc
 
 
 class Objective(Protocol):

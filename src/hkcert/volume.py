@@ -21,8 +21,8 @@ d/2 it sums at d - s instead, which has at most half the terms; the
 binomials C(d, j) come from a table built once, as the factorials do.  Its
 slope, the Irwin-Hall density :func:`nu_density`, is a difference of two
 volumes one dimension down.  Everything here is computed in exact
-arithmetic; the float volume the search scans is
-:func:`hkcert.search.nu_vector`.
+arithmetic; the float volume the search scans,
+:func:`hkcert.search.nu_vector`, rounds the integers of :func:`_pieces`.
 """
 
 from __future__ import annotations
@@ -135,6 +135,26 @@ def nu_exact(s: Fraction | int | str, d: int) -> Fraction:
         total += -term if j & 1 else term
     den = _FACT[d] * q**d  # d is at most MAX_CACHED_DIMENSION
     return Fraction(den - total if reflect else total, den)
+
+
+def _pieces(d: int) -> tuple[tuple[int, ...], ...]:
+    """nu on each unit piece [i, i + 1], i = 0..d-1, as integers over d!.
+
+    Entry m of piece i is
+
+        c_m = sum_{j=0}^{i} (-1)^j C(d, j) C(d, m) (i - j)^(d - m),
+
+    so that nu(i + w, d) = sum_m c_m w^m / d! for 0 <= w <= 1: the sum of
+    :func:`nu_exact` with (s - j)^d = (w + i - j)^d expanded by the
+    binomial theorem (0^0 = 1).
+    """
+    _check_dimension(d)
+    binom = _BINOM[d]
+    out = []
+    for i in range(d):
+        terms = [(-binom[j] if j & 1 else binom[j], i - j) for j in range(i + 1)]
+        out.append(tuple(binom[m] * sum(b * r ** (d - m) for b, r in terms) for m in range(d + 1)))
+    return tuple(out)
 
 
 def nu_density(s: Fraction | int | str, d: int) -> Fraction:

@@ -5,12 +5,12 @@ d = 1 ramp repeatedly with its own little polynomial helpers (the density
 oracle differentiates its pieces), the Fraction-sum oracle adds the
 alternating volume formula one rational term at a time, the series oracle
 divides truncated power series, and the approximation oracle enumerates
-denominators.  The grid-node and vector-volume references are the plain
-Fraction-per-node and unmasked forms of the search fast path, the clipped
-vector volume is the masked kernel with np.clip and a per-term stop test,
-the refinement reference is the optimizer's loop on Fraction boxes, and
-the three bound-vector references are each bound's float formula written
-out by hand; the fast path must match all of them bit for bit.  The
+denominators.  The grid-node reference is the plain Fraction-per-node form
+of the search fast path, the vector volume runs Horner's rule on the
+integration oracle's pieces, rounded once, one Python float at a time, the
+refinement reference is the optimizer's loop on Fraction boxes, and the
+three bound-vector references are each bound's float formula written out
+by hand; the fast path must match all of them bit for bit.  The
 bound-exact references are the same formulas in Fractions, over the
 Fraction-sum volume oracle, and the paper's phi bound, which the master
 family at k = 0 must equal.  They are deliberately slow and simple.
@@ -67,39 +67,30 @@ def poly_sub(a, b):
 
 
 @lru_cache(maxsize=None)
-def volume_pieces(d: int):
-    """Pieces of the volume function on [j, j+1] for j = 0..d-1."""
+def unit_pieces(d: int):
+    """Pieces of the volume function on [j, j+1] for j = 0..d-1, each as a
+    polynomial in w = s - j on [0, 1]."""
     if d == 1:
-        return ([Fraction(0), Fraction(1)],)  # the ramp F(s) = s on [0, 1]
-    prev = volume_pieces(d - 1)
-
+        return ([Fraction(0), Fraction(1)],)  # the ramp F(w) = w on [0, 1]
     # Continuous antiderivative A of the previous volume function, with
-    # A = 0 left of 0.  Piece j of A lives on [j, j+1] for j = 0..d-2.
-    anti = []
-    for j, piece in enumerate(prev):
+    # A = 0 left of 0: piece j of A is A(j) plus the integral of piece j of
+    # the previous volume from 0 to w.  Beyond d - 1 the previous volume is
+    # 1, so A continues linearly.
+    anti, start = [], Fraction(0)
+    for piece in unit_pieces(d - 1) + ([Fraction(1)],):
         a = poly_integrate(piece)
-        if j == 0:
-            a[0] -= poly_eval(a, Fraction(0))
-        else:
-            a[0] += poly_eval(anti[j - 1], Fraction(j)) - poly_eval(a, Fraction(j))
+        a[0] += start
         anti.append(a)
-    # Beyond d-1 the previous volume is 1, so A continues linearly.
-    a_top = poly_eval(anti[-1], Fraction(d - 1))
-    tail = [a_top - (d - 1), Fraction(1)]  # A(x) = x - (d-1) + A(d-1)
+        start = poly_eval(a, Fraction(1))
+    # Volume = A(s) - A(s - 1); on [j, j+1] the shifted argument is
+    # j - 1 + w, where A is 0 for j = 0.
+    return (anti[0],) + tuple(poly_sub(anti[j], anti[j - 1]) for j in range(1, d))
 
-    def a_piece(j):
-        return anti[j] if j <= d - 2 else tail
 
-    # Volume = A(s) - A(s - 1); on [j, j+1] the shifted argument lies in
-    # [j-1, j], where A is 0 for j = 0.
-    pieces = []
-    for j in range(d):
-        here = a_piece(j)
-        if j == 0:
-            pieces.append(here)
-        else:
-            pieces.append(poly_sub(here, poly_shift(a_piece(j - 1), -1)))
-    return tuple(pieces)
+@lru_cache(maxsize=None)
+def volume_pieces(d: int):
+    """Pieces of the volume function on [j, j+1] for j = 0..d-1, in s."""
+    return tuple(poly_shift(piece, -j) for j, piece in enumerate(unit_pieces(d)))
 
 
 def volume_oracle(s, d: int) -> Fraction:
@@ -196,37 +187,30 @@ def refinement_oracle(row, s_range, t_range, ns, rounds, shrink, max_denominator
     return scans, best
 
 
-def nu_vector_clip_oracle(x, d: int) -> np.ndarray:
-    """The masked slice volume with np.clip and a per-term test that every
-    reflected argument is at most j."""
+@lru_cache(maxsize=None)
+def _float_pieces(d: int):
+    """Each unit piece's coefficients, highest power first, each Fraction
+    rounded once to the nearest float."""
+    return tuple([float(c) for c in reversed(piece)] for piece in unit_pieces(d))
+
+
+def nu_horner_oracle(x, d: int) -> np.ndarray:
+    """The slice volume by Horner's rule on the unit pieces, element by
+    element in Python floats: x clamped to [0, d] (NaN stays NaN), piece
+    j = min(floor(x), d - 1) (the last one for NaN), w = x - j."""
     x = np.asarray(x, dtype=float)
-    clamped = np.clip(x, 0.0, float(d))
-    refl = np.minimum(clamped, d - clamped)
-    acc = np.zeros_like(refl)
-    for j in range(d // 2 + 1):
-        if (refl <= j).all():
-            break
-        w = np.maximum(refl - j, 0.0)
-        powers = np.power(w, d, out=np.zeros_like(w), where=w != 0.0)
-        acc += ((-1) ** j / (factorial(j) * factorial(d - j))) * powers
-    return np.where(2.0 * clamped > d, 1.0 - acc, acc)
-
-
-def nu_vector_oracle(x, d: int) -> np.ndarray:
-    """Reflected alternating-sum slice volume with w**d on every element.
-
-    It computes on the input flattened to 1-D: on a 0-d array numpy
-    evaluates w**d with its scalar power, whose last bit can differ from
-    the array kernel's (at d = 63 and 64)."""
-    shape = np.shape(x)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    clamped = np.clip(x, 0.0, float(d))
-    refl = np.minimum(clamped, d - clamped)
-    acc = np.zeros_like(refl)
-    for j in range(d // 2 + 1):
-        w = np.maximum(refl - j, 0.0)
-        acc += ((-1) ** j / (factorial(j) * factorial(d - j))) * w**d
-    return np.where(2.0 * clamped > d, 1.0 - acc, acc).reshape(shape)
+    pieces = _float_pieces(d)
+    out = []
+    for v in x.ravel().tolist():
+        v = min(max(v, 0.0), float(d))
+        j = d - 1 if v != v else min(floor(v), d - 1)
+        w = v - j
+        coeffs = pieces[j]
+        acc = coeffs[0]
+        for c in coeffs[1:]:
+            acc = acc * w + c
+        out.append(acc)
+    return np.array(out, dtype=float).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +220,21 @@ def nu_vector_oracle(x, d: int) -> np.ndarray:
 
 def h_vector_oracle(e, d, s, t):
     """H_e: 1 - t/2 + e (nu(s) - (e-4) nu(s-1) - nu(s-1/2) - nu(s-t))."""
-    nu = nu_vector_oracle
+    nu = nu_horner_oracle
     base = nu(s, d) - (e - 4.0) * nu(s - 1.0, d) - nu(s - 0.5, d)
     return 1.0 - t[None, :] / 2.0 + e * (base[:, None] - nu(s[:, None] - t[None, :], d))
 
 
 def general_vector_oracle(e, d, mu, k, s, t):
     """1 - t/2^k + e (nu(s) - (mu-k-1) nu(s-1) - k nu(s-1/2) - nu(s-t))."""
-    nu = nu_vector_oracle
+    nu = nu_horner_oracle
     base = nu(s, d) - (mu - k - 1) * nu(s - 1.0, d) - k * nu(s - 0.5, d)
     return 1.0 - t[None, :] / 2.0**k + e * (base[:, None] - nu(s[:, None] - t[None, :], d))
 
 
 def mu_small_vector_oracle(e, mu, d, s, t):
     """e (nu(s) - mu nu(s-1)), the same in every t column."""
-    nu = nu_vector_oracle
+    nu = nu_horner_oracle
     col = e * (nu(s, d) - mu * nu(s - 1.0, d))
     return np.broadcast_to(col[:, None], (len(s), len(t))).copy()
 

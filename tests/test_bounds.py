@@ -763,7 +763,7 @@ class TestWitnessMemo:
 
 
 @pytest.fixture
-def memo(monkeypatch):
+def column_cache(monkeypatch):
     """An empty cache of float volume columns for LinearBound.rows_best,
     of the fixed size."""
     fresh = functools.lru_cache(maxsize=bounds._COLUMN_CACHE_SIZE)(bounds._columns.__wrapped__)
@@ -810,10 +810,11 @@ def _default_s(d):
 
 
 class TestVolumeMemo:
-    """LinearBound.rows_best reads the float volumes nu(s_i - a) of an s
-    axis from a small cache shared by every bound (``bounds._columns``),
-    keyed by d, the shifts and the axis's doubles; no result may depend on
-    it."""
+    """The column cache: LinearBound.rows_best reads the float volume
+    columns nu(s_i - a) of an s axis from a small cache shared by every
+    bound (``bounds._columns``), keyed by d, the shifts and the axis's
+    doubles; no result may depend on it.  (The class keeps the name of the
+    volume memo the cache replaced, as do the three below.)"""
 
     def test_every_result_bit_for_bit_through_evictions(self, monkeypatch):
         # e after e on one default axis, as a covering scans it, between
@@ -843,7 +844,7 @@ class TestVolumeMemo:
         info = small.cache_info()
         assert info.currsize == 4 and info.misses > 9 and info.hits == 7
 
-    def test_same_box_for_every_e_is_computed_once(self, memo, nu_calls):
+    def test_same_box_for_every_e_is_computed_once(self, column_cache, nu_calls):
         s = _default_s(10)
         objectives = [GeneralBoundObjective(BoundSpec(10, e, e - 2, 5)) for e in range(240, 250)]
         found = [_scan(objective, s, (F(0), F(1))) for objective in objectives]
@@ -852,7 +853,7 @@ class TestVolumeMemo:
         assert nu_calls == [3 * len(s)]
         assert found == [_cold(objective, s, (F(0), F(1))) for objective in objectives]
 
-    def test_a_repeated_box_is_a_full_hit(self, memo, nu_calls):
+    def test_a_repeated_box_is_a_full_hit(self, column_cache, nu_calls):
         # The same box in new axes holds the same doubles, so it is read
         # whole: no nu_vector call, and the cache keeps its arrays.
         for family in (
@@ -869,7 +870,7 @@ class TestVolumeMemo:
         _scan(HBoundObjective(248, 10, 5), GridAxis(step, 11 + step, 200, 10**6), (F(0), F(1)))
         assert nu_calls == [3 * 200]
 
-    def test_mutating_results_and_inputs_changes_no_later_result(self, memo):
+    def test_mutating_results_and_inputs_changes_no_later_result(self, column_cache):
         for (objective, formula), shifts in ((_h_case(7, 7), (0.0, 1.0, 0.5)),
                                              (_mu_small_case(6, 3, 7), (0.0, 1.0))):
             s, t = _default_axes(7)
@@ -883,7 +884,7 @@ class TestVolumeMemo:
             for block in (bounds._columns(7, shifts, s.floats.tobytes()), t.floats, s.floats):
                 with pytest.raises(ValueError, match="read-only"):
                     block[-3:] = 0.5
-        assert memo.cache_info().currsize == 2
+        assert column_cache.cache_info().currsize == 2
 
     def test_random_calls_on_a_small_memo(self, monkeypatch, nu_calls):
         # Six seeded callers take turns, 60 calls each, on a cache that
@@ -909,7 +910,7 @@ class TestVolumeMemo:
         # One nu_vector call per miss; some scans hit and some missed.
         assert 6 < len(nu_calls) == small.cache_info().misses < 6 * 60
 
-    def test_one_lookup_and_one_nu_vector_call_per_scan(self, monkeypatch, memo, nu_calls):
+    def test_one_lookup_and_one_nu_vector_call_per_scan(self, monkeypatch, column_cache, nu_calls):
         # A proof scans the worst case and the mu-small rungs (a bound
         # constant in t) in blocks of one, and a gap sweep scans blocks of
         # e: every scan makes one cache lookup, and at most one nu_vector
@@ -919,7 +920,7 @@ class TestVolumeMemo:
 
         def counted_lookup(*args):
             lookups.append(args)
-            return memo(*args)
+            return column_cache(*args)
 
         def counted_rows_best(block, s_axes, t_range):
             before = len(lookups), len(nu_calls)
@@ -949,9 +950,10 @@ def _lattice_axis(first, n: int, step: Fraction) -> GridAxis:
 
 
 class TestVolumeTiles:
-    """A box that overlaps a cached one, shifted, nested or on another node
-    lattice, has its own entry: the cache reuses a whole axis of equal
-    doubles or nothing, and each result is a cold one."""
+    """The column cache's keys: an s axis that overlaps a cached one, shifted, nested or on another
+    node lattice, has its own entry in ``bounds._columns``: the cache
+    reuses a whole axis of equal doubles or nothing, and each result is a
+    cold one."""
 
     S_STEP, T_STEP = F(11, 199), F(1, 99)
 
@@ -962,7 +964,7 @@ class TestVolumeTiles:
 
     @pytest.mark.parametrize("ds", (-7, -1, 0, 1, 7))
     @pytest.mark.parametrize("dt", (-5, -1, 0, 1, 5))
-    def test_shifted_boxes(self, memo, nu_calls, ds, dt):
+    def test_shifted_boxes(self, column_cache, nu_calls, ds, dt):
         objective = GeneralBoundObjective(BoundSpec(10, 245, 243, 5))
         _scan(objective, *self.box(20, 40))
         nu_calls.clear()
@@ -972,7 +974,7 @@ class TestVolumeTiles:
         assert nu_calls == ([] if ds == dt == 0 else [60 * 5])
         _assert_cold(objective, *self.box(20 + ds, 40 + dt))
 
-    def test_chain_of_shifts_bit_for_bit(self, memo, nu_calls):
+    def test_chain_of_shifts_bit_for_bit(self, column_cache, nu_calls):
         # A box that walks away node by node, as refinement boxes do from
         # one e to the next, and comes back.
         moves = [(0, 0), (2, 1), (5, -3), (59, 0), (0, 29), (-4, 0), (0, 0)]
@@ -986,18 +988,18 @@ class TestVolumeTiles:
         [(10, 20, 40, 10), (0, 0, 60, 30), (5, 0, 50, 30), (0, 5, 60, 25)],
         ids=["inner", "same", "rows", "cols"],
     )
-    def test_sub_boxes(self, memo, shape):
+    def test_sub_boxes(self, column_cache, shape):
         ds, dt, ns, nt = shape
         _assert_cold(HBoundObjective(7, 8), *self.box(20, 40))
         _assert_cold(HBoundObjective(7, 8), *self.box(20 + ds, 40 + dt, ns, nt))
 
-    def test_super_boxes(self, memo):
+    def test_super_boxes(self, column_cache):
         _assert_cold(MuSmallObjective(9, 2, 8), *self.box(20, 40, 30, 15))
         _assert_cold(HBoundObjective(7, 8), *self.box(20, 40, 30, 15))
         _assert_cold(HBoundObjective(7, 8), *self.box(10, 30))
         _assert_cold(HBoundObjective(7, 8), *self.box(20, 40, 30, 15))
 
-    def test_other_lattice_is_not_reused(self, memo, nu_calls):
+    def test_other_lattice_is_not_reused(self, column_cache, nu_calls):
         objective = HBoundObjective(7, 7)
         _, t_range = self.box(20, 40)
         _scan(objective, *self.box(20, 40))
@@ -1008,7 +1010,7 @@ class TestVolumeTiles:
         assert nu_calls == [60 * 5]
         _assert_cold(objective, s, t_range)
 
-    def test_degenerate_t_axis(self, memo, nu_calls):
+    def test_degenerate_t_axis(self, column_cache, nu_calls):
         # The mu-small rungs take t = 1 only, the degenerate range (1, 1).
         t_range = (F(1), F(1))
         for objective in (
@@ -1024,19 +1026,19 @@ class TestVolumeTiles:
         mu_small, h = 60 * 2, 60 * 3
         assert sum(nu_calls) == 2 * mu_small + 2 * h + 3 * (mu_small + 2 * h)
 
-    def test_half_node_boxes_keep_a_tile_each(self, memo, nu_calls):
+    def test_half_node_boxes_keep_a_tile_each(self, column_cache, nu_calls):
         # Box a, then box b half a node off, as boxes centred on a new and
         # an older incumbent lie; then a again, which is still kept.
         objective = HBoundObjective(7, 7)
         _scan(objective, *self.box(20, 40))
         _scan(objective, *self.box(F(41, 2), 40))
         assert nu_calls == [60 * 5] * 2
-        assert memo.cache_info().currsize == 2
+        assert column_cache.cache_info().currsize == 2
         nu_calls.clear()
         _scan(objective, *self.box(20, 40))
         assert nu_calls == []
 
-    def test_a_weight_zero_at_one_e_keeps_its_column(self, memo, nu_calls):
+    def test_a_weight_zero_at_one_e_keeps_its_column(self, column_cache, nu_calls):
         # At e = 4 the weight e - 4 of nu(s - 1) in H_e is zero, and the
         # sum skips it; its column is read all the same, so e = 4 and e = 5
         # share one entry.
@@ -1045,7 +1047,7 @@ class TestVolumeTiles:
             _scan(HBoundObjective(e, 7), s, (F(0), F(1)))
         assert nu_calls == [200 * 3]
 
-    def test_an_optimization_at_seven_rounds_fits(self, memo, nu_calls):
+    def test_an_optimization_at_seven_rounds_fits(self, column_cache, nu_calls):
         # The eight nested s boxes of one optimization at --rounds 7,
         # scanned e after e as a covering does: the cache holds all of
         # them, so the second e computes no volume.
@@ -1063,21 +1065,25 @@ class TestVolumeTiles:
 
 
 class TestMemoInCoverings:
-    def test_cover_range_same_on_a_cold_and_a_warm_memo(self, memo):
+    """The column cache in proofs and coverings: how many float volumes
+    they compute through ``bounds._columns``, and that none of their
+    results depends on it."""
+
+    def test_cover_range_same_on_a_cold_and_a_warm_memo(self, column_cache):
         target = wy_target(10).value
         cold = cover_range(10, 5, 240, 260, target)
-        memo.cache_clear()
+        column_cache.cache_clear()
         cover_range(8, 4, 6, 60, DIM8_TARGET)
         cover_range(9, 2, 30, 40, wy_target(9).value)
-        assert memo.cache_info().currsize > 0
+        assert column_cache.cache_info().currsize > 0
         assert cover_range(10, 5, 240, 260, target) == cold
 
-    def test_default_rounds_prove(self, memo, nu_calls):
+    def test_default_rounds_prove(self, column_cache, nu_calls):
         # The d = 7 proof at default rounds, on an empty cache.
         prove_dimension(7, 1)
         assert sum(nu_calls) <= 45_400
 
-    def test_gap_sweep(self, memo, nu_calls):
+    def test_gap_sweep(self, column_cache, nu_calls):
         # Forty d = 10 gaps, one four-round optimization each, 2,400 points
         # each with no cache.
         target = wy_target(10).value
@@ -1103,7 +1109,7 @@ class TestMemoInCoverings:
         assert counts[0] == 27 * 200 * 3
         assert counts[1] <= 8_400
 
-    def test_more_rounds_cover(self, memo, nu_calls):
+    def test_more_rounds_cover(self, column_cache, nu_calls):
         # Six boxes per optimization, on an empty cache.  The block of 8
         # that reaches the interval from 250 also optimizes 251..254, whose
         # boxes a sweep of single optimizations never scans (21,600 points).
@@ -1111,13 +1117,13 @@ class TestMemoInCoverings:
         assert sum(nu_calls) <= 27_600
 
     @pytest.mark.parametrize("rounds, points", [(5, 75_400), (7, 105_400)])
-    def test_more_rounds_prove(self, memo, nu_calls, rounds, points):
+    def test_more_rounds_prove(self, column_cache, nu_calls, rounds, points):
         # Six and eight boxes per optimization: the cache holds every box
         # of one optimization, so the next e reuses them.
         prove_dimension(7, 1, SearchParams(refine_rounds=rounds))
         assert sum(nu_calls) <= points
 
-    def test_one_optimization_computes_each_column_once_per_round(self, memo, nu_calls):
+    def test_one_optimization_computes_each_column_once_per_round(self, column_cache, nu_calls):
         # At --rounds 8 one optimization scans nine boxes per member, the
         # first one shared; no eviction may make it compute a box twice: at
         # most (1 + 8 x members) x ns x columns points.  The gap sweep's
@@ -1168,8 +1174,9 @@ def _closed_form_cases(draw):
 
 
 class TestPrunedScan:
-    """LinearBound.rows_best scans one s axis per bound with t in closed
-    form, the 2-D grid pruned to one cell per s node."""
+    """The closed-form scan: LinearBound.rows_best scans one s axis per
+    bound and takes t in closed form, one value per s node, which no t of
+    a 2-D grid beats.  (No grid is pruned any more.)"""
 
     @settings(max_examples=300, deadline=None)
     @given(_closed_form_cases())

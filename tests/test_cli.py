@@ -404,7 +404,7 @@ class TestSurface:
     def test_prints_the_first_grid_maximum(self, capsys):
         code, out, _ = run(["surface", "--dim", "7", "--e", "7", "--grid", "40x30"], capsys)
         assert code == 0
-        assert "grid max 1.0558526918904545 at s=8/3 t=20/29" in out.splitlines()
+        assert "grid max 1.0558526918904547 at s=8/3 t=20/29" in out.splitlines()
 
     @pytest.mark.parametrize("grid", [(40, 30), (3, 2), (7, 5), (200, 3)], ids=str)
     def test_grid_max_is_the_unrefined_optimum(self, capsys, grid):

@@ -19,10 +19,16 @@ never pins a report that fails to.
 import contextlib
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
+import hkcert
 from hkcert.certify import Certificate, reverify_certificate
 from hkcert.cli import _COMMANDS, main
 from hkcert.report import loads
@@ -51,10 +57,10 @@ GOLDEN = {
         "7ba74791f47a99e75280c794f07006b496325abe17be7e62dcadb1eddcfb7759"
     ),
     "optimize --kind h --e 13/3": (
-        "6c890e48be198d5885e391d52e662bd280cb96e63820eafc1a76184fa2bdb338"
+        "1bb39a2206bce90bc9dcc39bbc1aaec2652355887cd1137a33e198bea3a913cd"
     ),
     "surface --dim 7 --e 7 --grid 40x30": (
-        "c74df4a0db48230fcd3b14cee50515df7cc420da5aefe98b7e546dba2d26eda1"
+        "e5e8eb4037a3e88d430012c75431540e80fe72af64b511b226edaf1acec2f729"
     ),
     "bound --d 7 --e 6 --mu 4 --k 1 --s 2.84243 --t 0.8 --pre-rescale": (
         "8d6c5db0a2fe51b7e045f08a3a605b9f85eaeaa290ed1580fcdd19f579dd6715"
@@ -86,16 +92,16 @@ STDOUT = {
         "ee018dff6c9942b00909445cda6dddef519da0a446ae930c24fd08c3810cd878"
     ),
     "prove --dim 9 --k 2": "595656bc06fc47e4fee2f9cf75099c3393cefe319478d8d62200d21d88cdf171",
-    "nu --d 7 --s 7/2": "6cda55eac052cd3472dd802b264265b0eb306233adc1e3984931fbc6862c0874",
+    "nu --d 7 --s 7/2": "f605de66ae6fc45a9aa86e4a25fc012af8973bd3ad545973b073c8ee5fd304a6",
     "series --max 10": "3561eb7910d5da7603bc97528f2610032d82989b6eeb80f9c008304b3cbb5103",
     "quadric --check-identities": (
         "94c892ae144bb08b20899ae6a8144c9cdc4ffe0d7f36de5002f2dc492ee839f7"
     ),
     "optimize --kind h --e 13/3": (
-        "0c0fa05ad97782c8be27afb5af9bd1ff254f9341aa6b64a5270b5f7f1ab062e8"
+        "a943ef0c231aeebcbd823d5a40271fc685ebadaaf663394d1702813aabbc0685"
     ),
     "surface --dim 7 --e 7 --grid 40x30": (
-        "0b1181aff34ccd0afafec7cc58d5bcaf3f1d5471db27f34dd85db88f68069722"
+        "df8d66f995a6ee91b956d545204dfdb4cb6c9caccc65b768f2b54943b168d2a7"
     ),
     "bound --d 7 --e 6 --mu 4 --k 1 --s 2.84243 --t 0.8 --pre-rescale": (
         "a365a2c4d6311f27da09b1a014fe8c2e2a57306d505beac89fd92cd591c41605"
@@ -146,3 +152,66 @@ def test_report_digest(command, tmp_path):
 def test_every_subcommand_pins_a_report(name):
     # A new subcommand ships with its report and stdout pinned above.
     assert any(command.split()[0] == name for command in GOLDEN)
+
+
+# The float reports, and a proof, run with and without numpy's AVX-512
+# kernels: the float volume uses only IEEE + and *, so every CPU gives the
+# same bytes.
+CPU_COMMANDS = [
+    "surface --dim 7 --e 7 --grid 40x30",
+    "nu --d 7 --s 7/2",
+    "optimize --kind h --e 13/3",
+    "prove --dim 7 --k 1",
+]
+
+# Runs each command of argv[1] (a JSON list) with its report in the
+# directory argv[2], and prints the report and stdout of each, the AVX-512
+# features numpy reports as available in this process (the x86-64-v4
+# group, numpy's name for the AVX-512 level, included) and the dispatch
+# targets it enables.
+_RUN_COMMANDS = """
+import contextlib, io, json, os, sys
+from hkcert.cli import main
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+out = {}
+for i, command in enumerate(json.loads(sys.argv[1])):
+    path = os.path.join(sys.argv[2], f"{i}.json")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        main([*command.split(), "--json", path, "--no-timestamp"])
+    with open(path) as f:
+        out[command] = [f.read(), stdout.getvalue().removesuffix(f"wrote {path}\\n")]
+on = [f for f, enabled in umath.__cpu_features__.items() if enabled]
+print(json.dumps({
+    "reports": out,
+    "avx512": [f for f in on if f.startswith("AVX512") or f == "X86_V4"],
+    "dispatch": [f for f in umath.__cpu_dispatch__ if f in on],
+}))
+"""
+
+
+def _run_commands(tmp_path: Path, disable: str | None) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(hkcert.__file__).parents[1]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disable:
+        env["NPY_DISABLE_CPU_FEATURES"] = disable
+    tmp_path.mkdir()
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS, json.dumps(CPU_COMMANDS), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_the_same_reports_without_avx512(tmp_path):
+    plain = _run_commands(tmp_path / "plain", None)
+    features = plain["avx512"]
+    if not set(plain["dispatch"]) & set(features):
+        pytest.skip("numpy runs no AVX-512 kernel on this CPU: nothing to switch off")
+    switched = _run_commands(tmp_path / "switched", " ".join(features))
+    # The switch took: numpy dispatches to none of these features.
+    assert not set(switched["dispatch"]) & set(features)
+    assert switched["reports"] == plain["reports"]

@@ -26,18 +26,12 @@ from hkcert.search import (
 from hkcert.targets import wy_target
 from hkcert.volume import MAX_CACHED_DIMENSION, nu_density, nu_exact
 
-from oracles import (
-    grid_nodes_oracle,
-    nu_vector_clip_oracle,
-    nu_vector_oracle,
-    refinement_oracle,
-)
+from oracles import grid_nodes_oracle, nu_horner_oracle, refinement_oracle
 
 F = Fraction
 
-# Absolute error of nu_vector against nu_exact: (largest d, bound).  The
-# nu_vector docstring states the same bands.
-ERROR_BANDS = ((12, 1e-14), (20, 1e-13), (32, 1e-11), (48, 1e-8), (64, 1e-6))
+# Absolute error of nu_vector against nu_exact, at every d from 1 to 64.
+ERROR_BAND = 1e-15
 
 
 def bits(values) -> np.ndarray:
@@ -61,8 +55,8 @@ class TestNuVector:
                 [np.nan, np.inf, -np.inf, -0.0, 0.0, d / 2, 1e-300, -1e-300],
             ]
         )
-        for x in [xs] + [x for x, _ in _narrow_bands(d, rng)]:
-            assert np.array_equal(bits(nu_vector(x, d)), bits(nu_vector_oracle(x, d)))
+        for x in [xs, *_narrow_bands(d, rng)]:
+            assert np.array_equal(bits(nu_vector(x, d)), bits(nu_horner_oracle(x, d)))
 
     @pytest.mark.parametrize("d", range(1, MAX_CACHED_DIMENSION + 1))
     def test_byte_equal_to_the_clip_kernel(self, d):
@@ -85,54 +79,33 @@ class TestNuVector:
         ):
             got = nu_vector(x, d)
             assert got.shape == x.shape
-            assert got.tobytes() == nu_vector_clip_oracle(x, d).tobytes()
-
-    @pytest.mark.parametrize("d", range(1, MAX_CACHED_DIMENSION + 1))
-    def test_stops_at_last_nonzero_term(self, d, monkeypatch):
-        counting = _CountingNumpy()
-        monkeypatch.setattr("hkcert.search.np", counting)
-        for x, terms in _narrow_bands(d, np.random.default_rng(d)):
-            counting.powers = 0
-            nu_vector(x, d)
-            assert counting.powers == terms
+            assert got.tobytes() == nu_horner_oracle(x, d).tobytes()
 
     @pytest.mark.parametrize("d", range(1, MAX_CACHED_DIMENSION + 1))
     def test_error_bound_every_dimension(self, d):
-        bound = next(b for top, b in ERROR_BANDS if d <= top)
         rng = random.Random(d)
         points = [F(rng.randint(-100, 1000 * d + 100), 1000) for _ in range(60)]
         xs = np.array([float(p) for p in points])
         want = np.array([float(nu_exact(p, d)) for p in points])
-        assert np.max(np.abs(nu_vector(xs, d) - want)) <= bound
+        assert np.max(np.abs(nu_vector(xs, d) - want)) <= ERROR_BAND
 
-    @pytest.mark.parametrize(
-        "d",
-        [*range(1, MAX_CACHED_DIMENSION), pytest.param(
-            MAX_CACHED_DIMENSION,
-            marks=pytest.mark.xfail(
-                raises=AssertionError,
-                strict=True,
-                reason="at d = 64 four of these points are off by more than "
-                "the 1e-6 band, the largest by 1.19e-6",
-            ),
-        )],
-    )
+    @pytest.mark.parametrize("d", range(1, MAX_CACHED_DIMENSION + 1))
     def test_error_bound_near_the_middle(self, d):
-        # The terms cancel most near x = d/2, which the spread-out points of
-        # test_error_bound_every_dimension rarely come near.
-        bound = next(b for top, b in ERROR_BANDS if d <= top)
+        # Points near x = d/2, where the volume is steepest, which the
+        # spread-out points of test_error_bound_every_dimension rarely come
+        # near.
         rng = random.Random(d)
         points = [F(rng.randint(-10**5, 10**5), 10**6) + F(d, 2) for _ in range(400)]
         xs = np.array([float(p) for p in points])
         want = np.array([float(nu_exact(p, d)) for p in points])
-        assert np.max(np.abs(nu_vector(xs, d) - want)) <= bound
+        assert np.max(np.abs(nu_vector(xs, d) - want)) <= ERROR_BAND
 
     @pytest.mark.parametrize(
         "d", [0, -1, True, 65, 7.0], ids=["zero", "negative", "bool", "65", "float"]
     )
     def test_rejects_a_dimension_outside_1_to_64(self, d):
         # As nu_exact does: no zeros for d <= 0, no d = 1 for True, no run
-        # past the last tested error band, no TypeError for a float.
+        # past the tested error band, no TypeError for a float.
         with pytest.raises(ValueError, match="^dimension must be a positive integer at most 64"):
             nu_vector(np.array([0.5, 1.5]), d)
 
@@ -156,18 +129,18 @@ class TestNuVector:
             got = nu_vector(x, d)
             assert isinstance(got, np.ndarray) and got.dtype == float
             assert not np.shares_memory(got, x)
-            # Both references agree, on the 0-d inputs (d / 3 twice) too.
-            for want in (nu_vector_clip_oracle(x, d), nu_vector_oracle(x, d)):
-                assert got.shape == want.shape == np.shape(x)
-                assert np.array_equal(bits(got), bits(want))
+            # The reference agrees, on the 0-d inputs (d / 3 twice) too.
+            want = nu_horner_oracle(x, d)
+            assert got.shape == want.shape == np.shape(x)
+            assert np.array_equal(bits(got), bits(want))
         assert read_only.tobytes() == before
 
     def test_peak_memory_of_one_call(self):
         # The volumes of a default surface grid: 200 s rows by 3 shift and
         # 100 t columns.
-        # The kernel holds five arrays of the input's shape at its peak, four
-        # of floats and one of bools: 4.125 times the input's bytes, and a
-        # little more.  A kernel allocating each intermediate peaks at 7.14.
+        # The kernel holds four arrays of the input's shape at its peak, three
+        # of floats and one of indices: 4 times the input's bytes, and a
+        # little more.
         x = np.random.default_rng(0).uniform(-1, 11, (200, 103))
         nu_vector(x, 10)
         tracemalloc.start()
@@ -181,29 +154,13 @@ class TestNuVector:
 
 
 def _narrow_bands(d, rng):
-    """For each j, inputs whose reflected values fill [0, j] (values in
-    [0, j] and in [d - j, d], with +-inf and -0.0 mixed in), alone and with
-    a NaN, each with the number of terms of the alternating sum that are not
-    +0.0 (all of them once a NaN is in)."""
+    """For each j, inputs that fill [0, j] and [d - j, d], with +-inf and
+    -0.0 mixed in, alone and with a NaN."""
     for j in range(d // 2 + 1):
         band = np.concatenate([[0.0, float(j)], rng.uniform(0, j, 20)])
         x = np.concatenate([band, d - band, [np.inf, -np.inf, -0.0]])
-        yield x, j
-        yield np.append(x, np.nan), d // 2 + 1
-
-
-class _CountingNumpy:
-    """numpy, counting the calls of ``power`` made through it."""
-
-    def __init__(self):
-        self.powers = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def power(self, *args, **kwargs):
-        self.powers += 1
-        return np.power(*args, **kwargs)
+        yield x
+        yield np.append(x, np.nan)
 
 
 def _refinement_boxes(lo, hi, n, rng, rounds=3, shrink=5):
@@ -798,8 +755,8 @@ class TestBlocks:
 
 
 # The dyadic delta within which _density_root's root brackets the exact
-# one: (largest d, delta), d ascending.
-ROOT_DELTAS = ((32, F(1, 2**30)), (48, F(1, 2**22)), (64, F(1, 2**12)))
+# one, at every d from 1 to 64.
+ROOT_DELTA = F(1, 2**30)
 
 
 class TestDensityRoot:
@@ -808,16 +765,22 @@ class TestDensityRoot:
         # nu'(u - delta) <= level < nu'(u + delta) in exact arithmetic, at
         # levels from far below the peak nu'(d/2) to 9/10 of it; and nu(uL)
         # is within nu_vector's error band of the exact volume.
-        delta = next(x for top, x in ROOT_DELTAS if d <= top)
-        band = next(b for top, b in ERROR_BANDS if d <= top)
         peak = nu_density(F(d, 2), d)
         for share in (F(1, 10**6), F(1, 1000), F(1, 10), F(1, 2), F(9, 10)):
             level = float(peak * share)
             u, volume = search._density_root(level, d)
             assert 0 <= u <= d / 2
             u = F(u)
-            assert nu_density(u - delta, d) <= F(level) < nu_density(u + delta, d)
-            assert abs(F(volume) - nu_exact(u, d)) <= band
+            assert nu_density(u - ROOT_DELTA, d) <= F(level) < nu_density(u + ROOT_DELTA, d)
+            assert abs(F(volume) - nu_exact(u, d)) <= ERROR_BAND
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 10, 33, 64])
+    def test_the_volume_is_nu_vectors(self, d):
+        # nu(uL) runs the same pieces in the same order as nu_vector.
+        peak = float(nu_density(F(d, 2), d))
+        for share in (1e-6, 1e-3, 0.1, 0.5, 0.9):
+            u, volume = search._density_root(peak * share, d)
+            assert bits(volume) == bits(nu_vector(u, d))
 
     @pytest.mark.parametrize("d", [1, 2, 7, 10, 64])
     def test_no_root_at_or_above_the_peak(self, d):

@@ -1,5 +1,7 @@
+import functools
 import random
 from fractions import Fraction
+from math import factorial, floor
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 
 from hkcert.search import nu_vector
 from hkcert.volume import (
+    MAX_CACHED_DIMENSION,
     _canonical,
+    _pieces,
     nu_density,
     nu_exact,
     to_rational,
@@ -231,6 +235,39 @@ class TestPiecewise:
         for _ in range(60):
             s = F(rng.randint(-300, 300 + 100 * d), rng.randint(1, 100))
             assert volume_oracle(s, d) == nu_exact(s, d)
+
+
+_cached_pieces = functools.cache(_pieces)
+
+
+@st.composite
+def _piece_points(draw):
+    """A dimension in 1..64 and a rational s in [0, d], integers and both
+    ends included."""
+    d = draw(st.integers(1, MAX_CACHED_DIMENSION))
+    s = draw(st.one_of(st.integers(0, d).map(Fraction),
+                       st.fractions(0, d, max_denominator=10**6)))
+    return d, s
+
+
+class TestIntegerPieces:
+    """volume._pieces, the integers the float volume is rounded from, is
+    nu_exact piece by piece."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_piece_points())
+    def test_each_piece_is_nu_exact(self, point):
+        d, s = point
+        i = min(floor(s), d - 1)
+        w = s - i
+        total = sum(c * w**m for m, c in enumerate(_cached_pieces(d)[i]))
+        assert total / factorial(d) == nu_exact(s, d)
+
+    def test_shape_and_dimension_one(self):
+        assert _pieces(1) == ((0, 1),)
+        assert all(len(p) == 11 for p in _pieces(10)) and len(_pieces(10)) == 10
+        with pytest.raises(ValueError, match="dimension must be"):
+            _pieces(MAX_CACHED_DIMENSION + 1)
 
 
 class TestDensity:
