@@ -10,7 +10,10 @@ reading loops over it and calls the class's constructor with the fields.
 - ``Fraction``: ``{"exact": "71/67", "float": 1.0597...}``.  The string is
   authoritative, the float is a human-reading aid.  The reader accepts only
   the lowest-terms string that ``str(Fraction)`` writes ("7/2", "-3", "0"),
-  and rejects "2.5", "14/2", "+3" and the like with a ``ValueError``.
+  and rejects "2.5", "14/2", "+3" and the like with a ``ValueError``, as
+  it does a value that is not such an object.  :func:`parse` reads each
+  distinct string once per document, so equal values in one parsed
+  document are one shared Fraction.
 - ``dict``: value by value, Fractions as above and tuples as lists.
 - A nested dataclass is written by the same rule, ``tuple[X, ...]`` as a
   list, and ``X | None`` as ``null`` or X's form.
@@ -23,6 +26,8 @@ A :class:`ReportDocument` is written by the same rule; its ``payload`` field,
 declared ``object``, holds any payload kind together with its tag.
 ``parse(serialize(doc))`` reproduces the document exactly for every payload
 kind, and a field added to a payload dataclass needs no change here.
+It raises ``ValueError`` for a document that is not an object, lacks a
+field or has another ``schema_version`` than :data:`SCHEMA_VERSION`.
 :func:`dumps` writes a document as one line of JSON with sorted keys.
 """
 
@@ -82,12 +87,22 @@ def _enc(value):
     return value
 
 
-def _fraction(text: str) -> Fraction:
-    """The Fraction whose ``str`` is ``text``, read as
-    :func:`~hkcert.volume.to_rational` reads such strings."""
-    value = _canonical(text) if type(text) is str else None
+# Each distinct "exact" string of the document being parsed, read once; a
+# string's Fraction never changes, so no entry is ever wrong (not even one a
+# parse in another thread stored), and parse empties this when it returns.
+_READ: dict[str, Fraction] = {}
+
+
+def _fraction(data) -> Fraction:
+    """The Fraction of ``{"exact": text, ...}`` whose ``str`` is ``text``,
+    read as :func:`~hkcert.volume.to_rational` reads such strings."""
+    text = data.get("exact") if type(data) is dict else None
+    value = _READ.get(text) if type(text) is str else None
     if value is None:
-        raise ValueError(f"not an exact fraction in lowest terms: {text!r}")
+        value = _canonical(text) if type(text) is str else None
+        if value is None:
+            raise ValueError(f"not an exact fraction in lowest terms: {data!r}")
+        _READ[text] = value
     return value
 
 
@@ -98,7 +113,7 @@ def _dec(value):
     """Inverse of :func:`_enc`; tuples come back as tuples."""
     if isinstance(value, dict):
         if value.keys() == _FRACTION_KEYS:
-            return _fraction(value["exact"])
+            return _fraction(value)
         return {k: _dec(v) for k, v in value.items()}
     if isinstance(value, list):
         return tuple(_dec(v) for v in value)
@@ -188,9 +203,9 @@ def _write_payload(payload) -> dict:
 
 
 def _read_payload(data: dict):
-    cls = _PAYLOAD_KINDS.get(data["payload_kind"])
+    cls = _PAYLOAD_KINDS.get(data.get("payload_kind"))
     if cls is None:
-        raise ValueError(f"unknown payload kind {data['payload_kind']!r}")
+        raise ValueError(f"unknown payload kind {data.get('payload_kind')!r}")
     return _codec(cls)[1](data)
 
 
@@ -216,7 +231,10 @@ def _dataclass_codec(cls):
     def read(data: dict):
         kwargs = {}
         for name, _, reader in plan:
-            v = data[name]
+            try:
+                v = data[name]
+            except KeyError:
+                raise ValueError(f"{cls.__name__} without field {name!r}") from None
             kwargs[name] = v if v is None or reader is None else reader(v)
         return cls(**kwargs)
 
@@ -230,7 +248,7 @@ def _codec(tp):
     if tp in (int, str, bool, float, NoneType):
         return None
     if tp is Fraction:
-        return _fraction_json, lambda data: _fraction(data["exact"])
+        return _fraction_json, _fraction
     if tp is dict:
         return _enc, _dec
     if tp is object:  # ReportDocument.payload: any payload kind, tagged
@@ -280,7 +298,14 @@ def serialize(doc: ReportDocument) -> dict:
 
 
 def parse(data: dict) -> ReportDocument:
-    return _codec(ReportDocument)[1](data)
+    if type(data) is not dict:
+        raise ValueError(f"a report is a JSON object, not {type(data).__name__}")
+    if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise ValueError(f"schema_version {data['schema_version']!r} is not {SCHEMA_VERSION!r}")
+    try:
+        return _codec(ReportDocument)[1](data)
+    finally:
+        _READ.clear()
 
 
 def dumps(doc: ReportDocument) -> str:

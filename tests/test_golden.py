@@ -31,7 +31,7 @@ import pytest
 import hkcert
 from hkcert.certify import Certificate, reverify_certificate
 from hkcert.cli import _COMMANDS, main
-from hkcert.report import loads
+from hkcert.report import dumps, loads
 
 GOLDEN = {
     "prove --dim 10 --k 5": "96fec25fe39e43d6b82ae8335b8bea9b4f90438e6155f5797ef4a5fbbc9d339d",
@@ -141,7 +141,10 @@ def test_report_digest(command, tmp_path):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main([*command.split(), "--json", str(path), "--no-timestamp"]) == 0
-    assert all(map(reverify_certificate, _certificates(loads(path.read_text()).payload)))
+    text = path.read_text()
+    doc = loads(text)
+    assert all(map(reverify_certificate, _certificates(doc.payload)))
+    assert dumps(doc) + "\n" == text  # so loads(dumps(doc)) == doc too
     assert _sha256(path.read_bytes()) == GOLDEN[command]
     out = stdout.getvalue()
     assert out.endswith(f"wrote {path}\n")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 from fractions import Fraction
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from hkcert.bounds import BoundSpec, GeneralBoundObjective, HBoundObjective
 from hkcert.certify import GapRun, certify_point, cover_range, prove_dimension
+from hkcert import report
 from hkcert.cli import main
 from hkcert.report import (
     ReportDocument,
@@ -198,6 +201,60 @@ def test_reader_takes_only_the_written_fraction_form(text, field):
         loads(json.dumps(data))
 
 
+# Fraction fields that hold no {"exact": text} object: a bare string, an
+# object without "exact", and an "exact" that is not a string.
+NOT_ENCODED = ["7/2", 3.5, {"float": 3.5}, {"exact": ["7/2"], "float": 3.5},
+               {"exact": 7, "float": 7.0}]
+
+
+@pytest.mark.parametrize("value", NOT_ENCODED, ids=repr)
+def test_a_fraction_field_takes_only_the_encoded_form(value):
+    data = serialize(ReportDocument.build("test", {}, ScalarResult("x", F(7, 2))))
+    data["payload"]["value"] = value
+    with pytest.raises(ValueError, match="not an exact fraction"):
+        parse(data)
+    data = serialize(ReportDocument.build("test", {"x": F(7, 2)}, ScalarResult("x", F(7, 2))))
+    data["params"]["x"]["exact"] = ["7/2"]
+    with pytest.raises(ValueError, match="not an exact fraction"):
+        parse(data)
+
+
+@pytest.mark.parametrize("text, kind", [("[]", "list"), ('"{}"', "str"), ("3", "int"),
+                                        ("null", "NoneType")])
+def test_a_report_is_an_object(text, kind):
+    with pytest.raises(ValueError, match=f"a report is a JSON object, not {kind}$"):
+        loads(text)
+
+
+# Edits of a certificate's report, (keys, new value or None to delete), and
+# the error each gives.
+MALFORMED = {
+    "no payload": (("payload",), None, "ReportDocument without field 'payload'"),
+    "no verdict": (("verdict",), None, "ReportDocument without field 'verdict'"),
+    "no witness": (("payload", "s"), None, "Certificate without field 's'"),
+    "no payload kind": (("payload", "payload_kind"), None, "unknown payload kind None"),
+    "schema 2": (("schema_version",), "2", "schema_version '2' is not '1'"),
+    "schema as int": (("schema_version",), 1, "schema_version 1 is not '1'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_documents_raise_value_error(case):
+    (*parents, key), value, message = MALFORMED[case]
+    cert = certify_point(HBoundObjective(6, 7), F("2.84243"), F("0.8"), F(71, 67))
+    data = serialize(ReportDocument.build("certify", {}, cert, timestamp=False))
+    edited = data
+    for p in parents:
+        edited = edited[p]
+    if value is None:
+        del edited[key]
+    else:
+        edited[key] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        loads(json.dumps(data))
+    assert report._READ == {}
+
+
 # Huge, tiny, negative and integer-valued rationals, all within float range.
 FRACTIONS = st.one_of(
     st.integers(-(10**300), 10**300).map(F),
@@ -308,3 +365,66 @@ def test_json_is_sorted_and_stable():
     assert "\n" not in text
     data = json.loads(text)
     assert list(data) == sorted(data)
+
+
+class TestOneReadPerString:
+    """``parse`` reads each distinct exact string once per document."""
+
+    @pytest.fixture(scope="class")
+    def plan_doc(self):
+        plan = cover_range(7, 1, 13, 40, F(71, 67), FAST)
+        # Each interval's certificates repeat its witness, and every
+        # certificate repeats the target.
+        assert len(plan.intervals) > 1
+        return ReportDocument.build("cover", {"target": F(71, 67)}, plan, timestamp=False)
+
+    def test_equal_values_are_one_object(self, plan_doc):
+        back = loads(dumps(plan_doc))
+        assert back == plan_doc
+        plan = back.payload
+        for iv in plan.intervals:
+            assert iv.lo_cert.s is iv.s0 and iv.hi_cert.t is iv.t0
+            assert plan.target is iv.lo_cert.target is iv.hi_cert.target
+        assert back.params["target"] is plan.target
+
+    def test_documents_share_no_fraction(self, plan_doc):
+        text = dumps(plan_doc)
+        a, b = loads(text).payload, loads(text).payload
+        assert a == b
+        assert a.target is not b.target
+        assert a.intervals[0].s0 is not b.intervals[0].s0
+
+    def test_nothing_is_kept_after_a_parse(self, plan_doc):
+        loads(dumps(plan_doc))
+        assert report._READ == {}
+        data = serialize(plan_doc)
+        data["payload"]["intervals"][-1]["hi_cert"]["value"]["exact"] = "14/2"
+        with pytest.raises(ValueError, match="'14/2'"):
+            parse(data)
+        assert report._READ == {}
+
+    def test_a_repeated_non_canonical_string_is_refused(self):
+        doc = ReportDocument.build("test", {"x": F(7)}, SeriesResult((F(7), F(7))),
+                                   timestamp=False)
+        text = dumps(doc).replace('"7"', '"14/2"')
+        assert text.count('"14/2"') == 3
+        with pytest.raises(ValueError, match="'14/2'"):
+            loads(text)
+
+    def test_one_decode_per_distinct_string(self, monkeypatch, tmp_path):
+        path = tmp_path / "prove.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["prove", "--dim", "7", "--k", "1", "--json", str(path),
+                         "--no-timestamp"]) == 0
+        text = path.read_text()
+        decoded = []
+        canonical = report._canonical
+        monkeypatch.setattr(report, "_canonical",
+                            lambda s: decoded.append(s) or canonical(s))
+        strings = re.findall(r'"exact": "([^"]*)"', text)
+        assert (len(strings), len(set(strings))) == (137, 50)
+        loads(text)
+        assert sorted(decoded) == sorted(set(strings))
+        # The next parse reads every string again.
+        loads(text)
+        assert len(decoded) == 100 and set(decoded[50:]) == set(strings)
