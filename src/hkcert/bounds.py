@@ -46,7 +46,7 @@ from operator import mul
 
 import numpy as np
 
-from .search import _density_root, nu_vector
+from .search import _density_root
 # _check_dimension is nu_exact's own check, run here when a bound is built.
 from .volume import _check_dimension, nu_exact, to_rational
 
@@ -81,21 +81,6 @@ def _worst_case_terms(k: int) -> tuple[tuple[int, int, Fraction | int], ...]:
 def _minus_half_power(k: int) -> Fraction:
     """ct = -1/2^k of the master family, built once per k."""
     return Fraction(-1, 2**k)
-
-
-# The s axes of the last boxes scanned: a covering scans one round-0 box at
-# every e, and the next e repeats most of the later boxes.
-_COLUMN_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
-def _columns(d: int, shifts: tuple[float, ...], s: bytes) -> np.ndarray:
-    """The read-only float volumes nu(s_i - a_j, d), len(shifts) by len(s),
-    for the doubles s_i packed in ``s``: keyed by all they depend on, as
-    :func:`~hkcert.search.nu_vector` works element by element."""
-    vols = nu_vector(np.frombuffer(s) - np.array(shifts)[:, None], d)
-    vols.flags.writeable = False
-    return vols
 
 
 class _WitnessMemo:
@@ -202,13 +187,14 @@ class LinearBound:
     integer weight at an integer e.  ``wt`` is -1 or 0, and t ranges over
     [0, 1].  All evaluators loop over the one term list.  The float
     evaluators, :meth:`vector` for surfaces and :meth:`rows_best` for the
-    optimizer, skip zero weights or add them as 0 * nu, which changes no
-    bit, so a surface cell is the same double as the bound's written-out
-    formula would give.  The exact evaluator keeps
-    them, as 0 * nu changes no exact value, so a family asks for one list
-    of shifts at every e.  It adds the integer numerators of its terms, e,
-    c0 and ct*t over one common denominator and builds one Fraction, the
-    value in lowest terms.  It reads the slice volumes of its terms and
+    optimizer, read their float volumes from the s axis
+    (:meth:`~hkcert.search.GridAxis.volumes`) and skip zero weights or add
+    them as 0 * nu, which changes no bit, so a surface cell is the same
+    double as the bound's written-out formula would give.  The exact
+    evaluator keeps them, as 0 * nu changes no exact value, so a family
+    asks for one list of shifts at every e.  It adds the integer numerators
+    of its terms, e, c0 and ct*t over one common denominator and builds one
+    Fraction, the value in lowest terms.  It reads the slice volumes of its terms and
     nu(s - t) from a memo of the last few witnesses (``_WITNESSES``), as
     integer numerators over one denominator, so the certificates of a run
     of e at one (s, t) compute them once.  A hit returns the integers that
@@ -279,28 +265,23 @@ class LinearBound:
         weights = [w for w, _ in live]
         return e, weights, tuple(a for _, a in live), float(self.c0), float(self.ct)
 
-    def _weighted(self, vols: np.ndarray, cols: tuple) -> np.ndarray:
-        """sum_i w_i nu(s - a_i) over the float weights, in term order, the
-        volume of shift a in column cols.index(a) of vols; a zero weight is
-        skipped, as x - 0*y is x, and acc + (-w)*y is the same double as
-        acc - w*y."""
-        _, weights, shifts, *_ = self._float_form
-        acc = np.zeros(len(vols))
-        for weight, a in zip(weights, shifts):
-            if weight:
-                acc = acc + weight * vols[:, cols.index(a)]
-        return acc
-
     def vector(self, s, t) -> np.ndarray:
         """Values on the grid s.floats[:, None] x t.floats[None, :] of two
         :class:`~hkcert.search.GridAxis`, shape (len(s), len(t)), in a new
         array, for the float surface; each cell is the bound's written-out
-        float formula, and its volumes are computed here."""
-        e, _, shifts, c0, ct = self._float_form
-        s_col = s.floats[:, None]
-        acc = self._weighted(nu_vector(s_col - np.array(shifts), self.d), shifts)
+        float formula.  The volumes nu(s_i - a) of the terms and, unless wt
+        is 0, nu(s_i - t_j), each t_j one more shift, are read from s
+        (:meth:`~hkcert.search.GridAxis.volumes`).  A zero weight is
+        skipped, as x - 0*y is x, and acc + (-w)*y is the same double as
+        acc - w*y."""
+        e, weights, shifts, c0, ct = self._float_form
+        vols = s.volumes(self.d, shifts + tuple(t.floats.tolist()) if self.wt else shifts)
+        acc = np.zeros(len(s))
+        for weight, row in zip(weights, vols):
+            if weight:
+                acc = acc + weight * row
         if self.wt:
-            inner = acc[:, None] - nu_vector(s_col - t.floats, self.d)
+            inner = acc[:, None] - vols[len(shifts):].T
         else:
             inner = np.repeat(acc[:, None], len(t), axis=1)
         inner *= e
@@ -350,12 +331,13 @@ class LinearBound:
         rest of the block.  A zero weight adds 0 * nu to a sum that is
         never -0.0, which changes no bit.  The volumes, nu(s_i - a_j) for
         the shifts and nu(s_i - ta) and nu(s_i - tb) when they are read,
-        each column once, are read once per distinct axis of the block,
-        from a small cache of recent axes keyed by d, the float shifts and
-        the axis's doubles.  The exact t of the interior branch sits on
-        s_i's denominator q: t = clamp(s_i - u, ta, tb), clamped exactly,
-        with u = round(uL 256 q) / (256 q), so certificates keep small
-        denominators.  ``value`` is the float estimate at the branch chosen.
+        each one row, come from each axis's own memo
+        (:meth:`~hkcert.search.GridAxis.volumes`), so an axis scanned again,
+        in this block or a later one, computes none.  The exact t of the
+        interior branch sits on s_i's denominator q: t = clamp(s_i - u, ta,
+        tb), clamped exactly, with u = round(uL 256 q) / (256 q), so
+        certificates keep small denominators.  ``value`` is the float
+        estimate at the branch chosen.
         """
         first = bounds[0]
         d, wt = first.d, first.wt
@@ -381,16 +363,11 @@ class LinearBound:
         fa, fb = float(ta), float(tb)
         ends = (fa, fb) if any(rooted) else (fa,) if wt else ()
         cols = tuple(dict.fromkeys(shifts + ends))
-        # The volumes of each distinct axis are read once; a block of one
-        # axis broadcasts them over its rows.
-        read = {}
-        for s in s_axes:
-            if id(s) not in read:
-                read[id(s)] = _columns(d, cols, s.floats.tobytes())
-        if len(read) == 1:
-            (vols,), floats = read.values(), s_axes[0].floats
+        # A block of one axis broadcasts its volumes over its rows.
+        if all(s is s_axes[0] for s in s_axes):
+            vols, floats = s_axes[0].volumes(d, cols), s_axes[0].floats
         else:
-            vols = np.stack([read[id(s)] for s in s_axes], axis=1)
+            vols = np.stack([s.volumes(d, cols) for s in s_axes], axis=1)
             floats = np.stack([s.floats for s in s_axes])
         col = dict(zip(cols, vols))
         acc = np.zeros((len(bounds), floats.shape[-1]))

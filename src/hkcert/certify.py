@@ -124,7 +124,7 @@ def reverify_certificate(cert: Certificate) -> bool:
 
 # The largest block of multiplicities a covering optimizes at once while
 # it finds only gaps (see cover_range); a block's scan arrays, and the axes
-# and volume columns its boxes keep cached, grow with it.
+# its boxes keep cached with their volumes, grow with it.
 _GAP_BLOCK = 16
 
 

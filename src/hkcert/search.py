@@ -302,6 +302,10 @@ class GridAxis:
     hi, so that the nodes never decrease, and plain ints n >= 2 and
     max_denominator >= 1; anything else raises ValueError (a float end
     raises TypeError, as in :func:`~hkcert.volume.to_rational`).
+
+    The nodes and floats never change.  The float volumes of the nodes
+    (:meth:`volumes`) are computed on first use and then kept, read-only,
+    for as long as the axis lives.
     """
 
     def __init__(self, lo: Fraction, hi: Fraction, n: int, max_denominator: int):
@@ -328,6 +332,7 @@ class GridAxis:
         first, delta, den = lo * (n - 1) // g, (hi - lo) // g, q * (n - 1) // g
         self._first, self._delta, self._den, self._n = first, delta, den, n
         self._snapped = None
+        self._volumes = {}
         if delta and den > max_denominator:
             self._snapped = [
                 Fraction(first + i * delta, den).limit_denominator(max_denominator)
@@ -359,17 +364,31 @@ class GridAxis:
     def nodes(self) -> tuple[Fraction, ...]:
         return tuple(self.node(i) for i in range(len(self)))
 
+    def volumes(self, d: int, shifts: tuple[float, ...]) -> np.ndarray:
+        """The read-only float volumes nu(s_i - a, d) of the nodes, one row
+        per float shift a in ``shifts``: computed by one :func:`nu_vector`
+        call the first time a (d, shifts) pair is asked for, and kept on
+        the axis.  nu_vector works element by element, so the rows are the
+        bits of any other call on the same doubles."""
+        vols = self._volumes.get((d, shifts))
+        if vols is None:
+            vols = nu_vector(self.floats - np.array(shifts)[:, None], d)
+            vols.flags.writeable = False
+            self._volumes[d, shifts] = vols
+        return vols
+
 
 # A covering optimizes one e, or one block of e, after another: round 0
 # scans the same box at every e, and most round-1 boxes repeat another
-# e's.  64 axes hold the boxes of a block of 16 e at the default 3 rounds.
+# e's.  64 axes hold the boxes of a block of 16 e at the default 3 rounds;
+# an evicted axis takes its volumes with it.
 _AXIS_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=_AXIS_CACHE_SIZE)
 def _axis(lo: int, hi: int, q: int, n: int, max_denominator: int) -> GridAxis:
     """``GridAxis._over``, kept for the last boxes scanned: a box scanned
-    again reuses its axis."""
+    again reuses its axis and the volumes it holds."""
     return GridAxis._over(lo, hi, q, n, max_denominator)
 
 

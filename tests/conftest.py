@@ -1,4 +1,25 @@
-"""Terminal reporting for the acceptance suite: one line per criterion."""
+"""A fixture the bounds and search tests share, and terminal reporting for
+the acceptance suite: one line per criterion."""
+
+import numpy as np
+import pytest
+
+from hkcert import search
+
+
+@pytest.fixture
+def nu_calls(monkeypatch):
+    """The number of points of every nu_vector call the grid axes make."""
+    calls = []
+    real = search.nu_vector
+
+    def counted(x, d):
+        calls.append(np.size(x))
+        return real(x, d)
+
+    monkeypatch.setattr(search, "nu_vector", counted)
+    return calls
+
 
 _acceptance_outcomes: dict[str, str] = {}
 

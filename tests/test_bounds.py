@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkcert import bounds, certify
+from hkcert import bounds, certify, search
 from hkcert.bounds import (
     BoundSpec,
     GeneralBoundObjective,
@@ -763,26 +763,24 @@ class TestWitnessMemo:
 
 
 @pytest.fixture
-def column_cache(monkeypatch):
-    """An empty cache of float volume columns for LinearBound.rows_best,
-    of the fixed size."""
-    fresh = functools.lru_cache(maxsize=bounds._COLUMN_CACHE_SIZE)(bounds._columns.__wrapped__)
-    monkeypatch.setattr(bounds, "_columns", fresh)
-    return fresh
+def axis_cache():
+    """An empty cache of grid axes, and so of the float volumes the axes
+    keep, for LinearBound.rows_best; emptied again afterwards."""
+    search._axis.cache_clear()
+    yield search._axis
+    search._axis.cache_clear()
 
 
-@pytest.fixture
-def nu_calls(monkeypatch):
-    """The number of points of every nu_vector call the bounds make."""
-    calls = []
-    real = bounds.nu_vector
+def _small_axis_cache(monkeypatch, size):
+    """search._axis with room for ``size`` axes, empty."""
+    small = functools.lru_cache(maxsize=size)(search._axis.__wrapped__)
+    monkeypatch.setattr(search, "_axis", small)
+    return small
 
-    def counted(x, d):
-        calls.append(np.size(x))
-        return real(x, d)
 
-    monkeypatch.setattr(bounds, "nu_vector", counted)
-    return calls
+def _cached_axis(lo, hi, n, max_denominator=10**6):
+    """The axis of the box from lo to hi, through the optimizer's cache."""
+    return search._axis(*search._over_one_denominator(F(lo), F(hi)), n, max_denominator)
 
 
 def _scan(objective, s, t_range):
@@ -790,14 +788,22 @@ def _scan(objective, s, t_range):
     return LinearBound.rows_best([objective], [s], t_range)[0]
 
 
+def _fresh(s):
+    """A new axis of the nodes of s, built from its exact ends: it holds
+    no volumes yet."""
+    fresh = GridAxis(s.node(0), s.node(len(s) - 1), len(s), 10**12)
+    assert fresh.floats.tobytes() == s.floats.tobytes()
+    return fresh
+
+
 def _cold(objective, s, t_range):
-    """_scan(objective, s, t_range) with its volumes computed afresh."""
-    with mock.patch.object(bounds, "_columns", bounds._columns.__wrapped__):
-        return _scan(objective, s, t_range)
+    """_scan(objective, s, t_range) on a freshly built axis of the same box."""
+    return _scan(objective, _fresh(s), t_range)
 
 
 def _assert_cold(objective, s, t_range=(F(0), F(1))):
-    """A scan through the cache is a scan on a cold one, bit for bit."""
+    """A scan on an axis that holds volumes is a scan on a new one, bit
+    for bit."""
     i, t, value = _scan(objective, s, t_range)
     j, u, cold = _cold(objective, s, t_range)
     assert (i, t) == (j, u)
@@ -810,67 +816,74 @@ def _default_s(d):
 
 
 class TestVolumeMemo:
-    """The column cache: LinearBound.rows_best reads the float volume
-    columns nu(s_i - a) of an s axis from a small cache shared by every
-    bound (``bounds._columns``), keyed by d, the shifts and the axis's
-    doubles; no result may depend on it.  (The class keeps the name of the
-    volume memo the cache replaced, as do the three below.)"""
+    """The axis volume memo: LinearBound.rows_best reads the float volume
+    rows nu(s_i - a) of an s axis from that axis (``GridAxis.volumes``),
+    which keeps one array per d and shift list; the optimizer's cache
+    ``search._axis`` keeps the axes of recent boxes, and with them their
+    volumes.  No result may depend on either."""
 
-    def test_every_result_bit_for_bit_through_evictions(self, monkeypatch):
+    def test_every_result_bit_for_bit_through_evictions(self, monkeypatch, nu_calls):
         # e after e on one default axis, as a covering scans it, between
-        # other axes and dimensions, on a cache of four entries: entries
-        # are evicted and later computed again.
-        small = functools.lru_cache(maxsize=4)(bounds._columns.__wrapped__)
-        monkeypatch.setattr(bounds, "_columns", small)
-        narrow = GridAxis(F(5, 2), F(13, 5), 200, 10**6)
-        wide = GridAxis(F(0), F(9), 80, 10**6)
+        # other axes and dimensions, on an axis cache of four entries:
+        # axes are evicted with their volumes, which are later computed
+        # again.
+        small = _small_axis_cache(monkeypatch, 4)
+        narrow = (F(5, 2), F(13, 5), 200)
         for e in range(6, 13):
             calls = [
-                (HBoundObjective(e, 7), _default_s(7), (F(0), F(1))),
-                (GeneralBoundObjective(BoundSpec(7, e, e - 2, 1)), _default_s(7), (F(0), F(1))),
-                (HBoundObjective(e, 7), narrow, (F(3, 5), F(7, 10))),
-                (GeneralBoundObjective(BoundSpec(8, e + 10, e + 8, 4)), _default_s(8), (F(0), F(1))),
-                (MuSmallObjective(e, 3, 7), _default_s(7), (F(1), F(1))),
-                (GeneralBoundObjective(BoundSpec(8, e, 3, 0)), wide, (F(0), F(1, 2))),
-                (HBoundObjective(e + 240, 10, 5), _default_s(10), (F(0), F(1))),
-                (GeneralBoundObjective(BoundSpec(8, e, 4, 1)), narrow, (F(3, 5), F(7, 10))),
-                (HBoundObjective(e, 9), _default_s(9), (F(0), F(1))),
-                (HBoundObjective(e, 12, 3), _default_s(12), (F(1, 3), F(1))),
+                (HBoundObjective(e, 7), _cached_axis(0, 8, 200), (F(0), F(1))),
+                (GeneralBoundObjective(BoundSpec(7, e, e - 2, 1)), _cached_axis(0, 8, 200), (F(0), F(1))),
+                (HBoundObjective(e, 7), _cached_axis(*narrow), (F(3, 5), F(7, 10))),
+                (GeneralBoundObjective(BoundSpec(8, e + 10, e + 8, 4)), _cached_axis(0, 9, 200), (F(0), F(1))),
+                (MuSmallObjective(e, 3, 7), _cached_axis(0, 8, 200), (F(1), F(1))),
+                (GeneralBoundObjective(BoundSpec(8, e, 3, 0)), _cached_axis(0, 9, 80), (F(0), F(1, 2))),
+                (HBoundObjective(e + 240, 10, 5), _cached_axis(0, 11, 200), (F(0), F(1))),
+                (GeneralBoundObjective(BoundSpec(8, e, 4, 1)), _cached_axis(*narrow), (F(3, 5), F(7, 10))),
+                (HBoundObjective(e, 9), _cached_axis(0, 10, 200), (F(0), F(1))),
+                (HBoundObjective(e, 12, 3), _cached_axis(0, 13, 200), (F(1, 3), F(1))),
             ]
             for objective, s, t_range in calls:
                 _assert_cold(objective, s, t_range)
-        # Nine keys, each computed more than once, and the master family
-        # reads the entry of the worst case just before it.
+        # Seven boxes, each built again after an eviction; the master
+        # family reads the axis, and the volumes, of the worst case just
+        # before it.  The default d = 7 axis computes two shift lists per
+        # build, and the narrow box one per dimension, as the cache evicts
+        # it between its two uses; 70 more calls are the cold scans.
         info = small.cache_info()
-        assert info.currsize == 4 and info.misses > 9 and info.hits == 7
+        assert info.currsize == 4 and info.misses > 8 and info.hits == 20
+        assert len(nu_calls) == 133
 
-    def test_same_box_for_every_e_is_computed_once(self, column_cache, nu_calls):
+    def test_same_box_for_every_e_is_computed_once(self, axis_cache, nu_calls):
         s = _default_s(10)
         objectives = [GeneralBoundObjective(BoundSpec(10, e, e - 2, 5)) for e in range(240, 250)]
         found = [_scan(objective, s, (F(0), F(1))) for objective in objectives]
-        # One column each of nu(s), nu(s - 1) and nu(s - 1/2); the t range
+        # One row each of nu(s), nu(s - 1) and nu(s - 1/2); the t range
         # ends 0 and 1 read the first two.
         assert nu_calls == [3 * len(s)]
         assert found == [_cold(objective, s, (F(0), F(1))) for objective in objectives]
 
-    def test_a_repeated_box_is_a_full_hit(self, column_cache, nu_calls):
-        # The same box in new axes holds the same doubles, so it is read
-        # whole: no nu_vector call, and the cache keeps its arrays.
+    def test_a_repeated_box_is_a_full_hit(self, axis_cache, nu_calls):
+        # The same box through the axis cache is the same axis, so its
+        # volumes are read whole: no nu_vector call.
         for family in (
             [GeneralBoundObjective(BoundSpec(10, e, e - 2, 5)) for e in (245, 246, 247)],
             [MuSmallObjective(e, 3, 10) for e in (9, 10, 11)],
         ):
-            _scan(family[0], _default_s(10), (F(0), F(1)))
+            _scan(family[0], _cached_axis(0, 11, 200), (F(0), F(1)))
             nu_calls.clear()
             for objective in family[1:]:
-                _scan(objective, _default_s(10), (F(0), F(1)))
+                _scan(objective, _cached_axis(0, 11, 200), (F(0), F(1)))
             assert nu_calls == []
-        # A box one node over shares 199 doubles, but is an entry of its own.
+        # A box one node over shares 199 doubles, but is an axis of its
+        # own; so is an axis of the same box built outside the cache.
         step = F(11, 199)
-        _scan(HBoundObjective(248, 10, 5), GridAxis(step, 11 + step, 200, 10**6), (F(0), F(1)))
+        objective = HBoundObjective(248, 10, 5)
+        _scan(objective, _cached_axis(step, 11 + step, 200), (F(0), F(1)))
         assert nu_calls == [3 * 200]
+        _scan(objective, GridAxis(F(0), F(11), 200, 10**6), (F(0), F(1)))
+        assert nu_calls == [3 * 200] * 2
 
-    def test_mutating_results_and_inputs_changes_no_later_result(self, column_cache):
+    def test_mutating_results_and_inputs_changes_no_later_result(self, axis_cache):
         for (objective, formula), shifts in ((_h_case(7, 7), (0.0, 1.0, 0.5)),
                                              (_mu_small_case(6, 3, 7), (0.0, 1.0))):
             s, t = _default_axes(7)
@@ -879,48 +892,48 @@ class TestVolumeMemo:
             assert np.array_equal(objective.vector(s, t).view(np.int64),
                                   formula(s, t).view(np.int64))
             _assert_cold(objective, s)
-            # The cached columns and the axes they were computed from
-            # cannot change under a later scan.
-            for block in (bounds._columns(7, shifts, s.floats.tobytes()), t.floats, s.floats):
+            # The volumes an axis keeps, and the floats they were
+            # computed from, cannot change under a later scan.
+            assert s.volumes(7, shifts) is s.volumes(7, shifts)
+            for block in (s.volumes(7, shifts), t.floats, s.floats):
                 with pytest.raises(ValueError, match="read-only"):
                     block[-3:] = 0.5
-        assert column_cache.cache_info().currsize == 2
 
     def test_random_calls_on_a_small_memo(self, monkeypatch, nu_calls):
-        # Six seeded callers take turns, 60 calls each, on a cache that
-        # holds three of these six boxes: a stale or torn entry would show
-        # as a result that differs from a cold one.
-        small = functools.lru_cache(maxsize=3)(bounds._columns.__wrapped__)
-        monkeypatch.setattr(bounds, "_columns", small)
-        jobs = []
+        # Six seeded callers take turns, 60 calls each, on an axis cache
+        # that holds three of these six boxes: a stale or torn entry would
+        # show as a result that differs from a cold one.
+        small = _small_axis_cache(monkeypatch, 3)
+        boxes, jobs = [], []
         for i in range(6):
             lo = F(i, 10) if i < 3 else F(i, 3)
-            s = GridAxis(lo, lo + (F(39, 10) if i < 3 else i - 1), 40, 10**6)
+            boxes.append((lo, lo + (F(39, 10) if i < 3 else i - 1)))
             objective = HBoundObjective(6 + i % 3, 7)
-            jobs.append((objective, s, _cold(objective, s, (F(0), F(1)))))
+            jobs.append((objective, i, _cold(objective, GridAxis(*boxes[-1], 40, 10**6), (F(0), F(1)))))
         nu_calls.clear()
         callers = [random.Random(seed) for seed in range(6)]
         failures = []
         for n in range(60):
             for seed, rng in enumerate(callers):
-                objective, s, want = rng.choice(jobs)
-                if _scan(objective, s, (F(0), F(1))) != want:
+                objective, i, want = rng.choice(jobs)
+                if _scan(objective, _cached_axis(*boxes[i], 40), (F(0), F(1))) != want:
                     failures.append((seed, n))
         assert failures == []
-        # One nu_vector call per miss; some scans hit and some missed.
+        # One nu_vector call per axis built; some scans hit and some missed.
         assert 6 < len(nu_calls) == small.cache_info().misses < 6 * 60
 
-    def test_one_lookup_and_one_nu_vector_call_per_scan(self, monkeypatch, column_cache, nu_calls):
+    def test_one_lookup_and_one_nu_vector_call_per_scan(self, monkeypatch, axis_cache, nu_calls):
         # A proof scans the worst case and the mu-small rungs (a bound
         # constant in t) in blocks of one, and a gap sweep scans blocks of
-        # e: every scan makes one cache lookup, and at most one nu_vector
-        # call, per distinct axis of its block.
+        # e: a block of one axis reads its volumes once, any other block
+        # once per member, and every scan makes at most one nu_vector
+        # call per distinct axis of its block.
         lookups, per_scan = [], []
-        rows_best = LinearBound.rows_best
+        rows_best, volumes = LinearBound.rows_best, GridAxis.volumes
 
-        def counted_lookup(*args):
-            lookups.append(args)
-            return column_cache(*args)
+        def counted_lookup(axis, d, shifts):
+            lookups.append(shifts)
+            return volumes(axis, d, shifts)
 
         def counted_rows_best(block, s_axes, t_range):
             before = len(lookups), len(nu_calls)
@@ -929,31 +942,34 @@ class TestVolumeMemo:
                              len(lookups) - before[0], len(nu_calls) - before[1]))
             return out
 
-        monkeypatch.setattr(bounds, "_columns", counted_lookup)
+        monkeypatch.setattr(GridAxis, "volumes", counted_lookup)
         monkeypatch.setattr(LinearBound, "rows_best", staticmethod(counted_rows_best))
         prove_dimension(7, 1)
         assert len(lookups) == len(per_scan) > 100
         assert {(size, axes, found) for size, axes, found, _ in per_scan} == {(1, 1, 1)}
         assert {calls for *_, calls in per_scan} == {0, 1}
         # The sweep's 50 gaps and one interval scan 244 members in 28
-        # scans and 61 lookups; one scan per e would make 244 of each.
+        # scans and 145 reads, most of them of volumes a member before it
+        # in the block computed; one scan per e would make 244 of each.
         per_scan.clear()
         lookups.clear()
         cover_range(10, 5, 200, 260, wy_target(10).value)
-        assert all(found == axes and calls <= axes for _, axes, found, calls in per_scan)
-        assert (sum(size for size, *_ in per_scan), len(per_scan), len(lookups)) == (244, 28, 61)
+        assert all(found == (1 if axes == 1 else size) and calls <= axes
+                   for size, axes, found, calls in per_scan)
+        assert (sum(size for size, *_ in per_scan), len(per_scan), len(lookups)) == (244, 28, 145)
 
 
 def _lattice_axis(first, n: int, step: Fraction) -> GridAxis:
-    """The axis of the nodes first*step ... (first + n - 1)*step."""
-    return GridAxis(first * step, (first + n - 1) * step, n, 10**6)
+    """The axis of the nodes first*step ... (first + n - 1)*step, through
+    the optimizer's cache."""
+    return _cached_axis(first * step, (first + n - 1) * step, n)
 
 
 class TestVolumeTiles:
-    """The column cache's keys: an s axis that overlaps a cached one, shifted, nested or on another
-    node lattice, has its own entry in ``bounds._columns``: the cache
-    reuses a whole axis of equal doubles or nothing, and each result is a
-    cold one."""
+    """The axis volume memo's keys: an s axis that overlaps a cached one,
+    shifted, nested or on another node lattice, is an axis of its own,
+    with volumes of its own: an axis reuses its own volumes or none, and
+    each result is a cold one."""
 
     S_STEP, T_STEP = F(11, 199), F(1, 99)
 
@@ -964,17 +980,17 @@ class TestVolumeTiles:
 
     @pytest.mark.parametrize("ds", (-7, -1, 0, 1, 7))
     @pytest.mark.parametrize("dt", (-5, -1, 0, 1, 5))
-    def test_shifted_boxes(self, column_cache, nu_calls, ds, dt):
+    def test_shifted_boxes(self, axis_cache, nu_calls, ds, dt):
         objective = GeneralBoundObjective(BoundSpec(10, 245, 243, 5))
         _scan(objective, *self.box(20, 40))
         nu_calls.clear()
         _scan(objective, *self.box(20 + ds, 40 + dt))
-        # The shift columns of nu(s), nu(s - 1/2) and nu(s - 1), and the two
+        # The shift rows of nu(s), nu(s - 1/2) and nu(s - 1), and the two
         # t range ends: all of them unless both boxes are the same.
         assert nu_calls == ([] if ds == dt == 0 else [60 * 5])
         _assert_cold(objective, *self.box(20 + ds, 40 + dt))
 
-    def test_chain_of_shifts_bit_for_bit(self, column_cache, nu_calls):
+    def test_chain_of_shifts_bit_for_bit(self, axis_cache, nu_calls):
         # A box that walks away node by node, as refinement boxes do from
         # one e to the next, and comes back.
         moves = [(0, 0), (2, 1), (5, -3), (59, 0), (0, 29), (-4, 0), (0, 0)]
@@ -988,29 +1004,29 @@ class TestVolumeTiles:
         [(10, 20, 40, 10), (0, 0, 60, 30), (5, 0, 50, 30), (0, 5, 60, 25)],
         ids=["inner", "same", "rows", "cols"],
     )
-    def test_sub_boxes(self, column_cache, shape):
+    def test_sub_boxes(self, axis_cache, shape):
         ds, dt, ns, nt = shape
         _assert_cold(HBoundObjective(7, 8), *self.box(20, 40))
         _assert_cold(HBoundObjective(7, 8), *self.box(20 + ds, 40 + dt, ns, nt))
 
-    def test_super_boxes(self, column_cache):
+    def test_super_boxes(self, axis_cache):
         _assert_cold(MuSmallObjective(9, 2, 8), *self.box(20, 40, 30, 15))
         _assert_cold(HBoundObjective(7, 8), *self.box(20, 40, 30, 15))
         _assert_cold(HBoundObjective(7, 8), *self.box(10, 30))
         _assert_cold(HBoundObjective(7, 8), *self.box(20, 40, 30, 15))
 
-    def test_other_lattice_is_not_reused(self, column_cache, nu_calls):
+    def test_other_lattice_is_not_reused(self, axis_cache, nu_calls):
         objective = HBoundObjective(7, 7)
         _, t_range = self.box(20, 40)
         _scan(objective, *self.box(20, 40))
         nu_calls.clear()
         # Half the step: every other node coincides, no run of nodes does.
-        s = GridAxis(20 * self.S_STEP, 20 * self.S_STEP + 59 * self.S_STEP / 2, 60, 10**6)
+        s = _cached_axis(20 * self.S_STEP, 20 * self.S_STEP + 59 * self.S_STEP / 2, 60)
         _scan(objective, s, t_range)
         assert nu_calls == [60 * 5]
         _assert_cold(objective, s, t_range)
 
-    def test_degenerate_t_axis(self, column_cache, nu_calls):
+    def test_degenerate_t_axis(self, axis_cache, nu_calls):
         # The mu-small rungs take t = 1 only, the degenerate range (1, 1).
         t_range = (F(1), F(1))
         for objective in (
@@ -1021,42 +1037,44 @@ class TestVolumeTiles:
                 assert _assert_cold(objective, s, t_range)[1] == 1
         # Mu-small reads the shifts (0, 1) and no t end; H_e and this
         # general bound read the shifts (0, 1, 1/2), where t = 1 is the
-        # shift 1, and share their entries.  Two axes each, and every
+        # shift 1, and share their volumes.  Two axes each, and every
         # result once more cold.
         mu_small, h = 60 * 2, 60 * 3
         assert sum(nu_calls) == 2 * mu_small + 2 * h + 3 * (mu_small + 2 * h)
 
-    def test_half_node_boxes_keep_a_tile_each(self, column_cache, nu_calls):
+    def test_half_node_boxes_keep_a_tile_each(self, axis_cache, nu_calls):
         # Box a, then box b half a node off, as boxes centred on a new and
         # an older incumbent lie; then a again, which is still kept.
         objective = HBoundObjective(7, 7)
         _scan(objective, *self.box(20, 40))
         _scan(objective, *self.box(F(41, 2), 40))
         assert nu_calls == [60 * 5] * 2
-        assert column_cache.cache_info().currsize == 2
+        assert axis_cache.cache_info().currsize == 2
         nu_calls.clear()
         _scan(objective, *self.box(20, 40))
         assert nu_calls == []
 
-    def test_a_weight_zero_at_one_e_keeps_its_column(self, column_cache, nu_calls):
+    def test_a_weight_zero_at_one_e_keeps_its_column(self, axis_cache, nu_calls):
         # At e = 4 the weight e - 4 of nu(s - 1) in H_e is zero, and the
-        # sum skips it; its column is read all the same, so e = 4 and e = 5
+        # sum skips it; its row is read all the same, so e = 4 and e = 5
         # share one entry.
         s = _default_s(7)
         for e in (4, 5, 4):
             _scan(HBoundObjective(e, 7), s, (F(0), F(1)))
         assert nu_calls == [200 * 3]
 
-    def test_an_optimization_at_seven_rounds_fits(self, column_cache, nu_calls):
+    def test_an_optimization_at_seven_rounds_fits(self, axis_cache, nu_calls):
         # The eight nested s boxes of one optimization at --rounds 7,
-        # scanned e after e as a covering does: the cache holds all of
-        # them, so the second e computes no volume.
-        nested = [_default_s(7)]
-        for r in range(1, 8):
-            width = F(8, 5**r)
-            nested.append(GridAxis(F(3) - width / 2, F(3) + width / 2, 200, 10**6))
+        # scanned e after e as a covering does: the axis cache holds all
+        # of them, so the second e computes no volume.
+        def nested():
+            yield _cached_axis(0, 8, 200)
+            for r in range(1, 8):
+                width = F(8, 5**r)
+                yield _cached_axis(F(3) - width / 2, F(3) + width / 2, 200)
+
         for e in (7, 8):
-            for s in nested:
+            for s in nested():
                 _scan(HBoundObjective(e, 7), s, (F(0), F(1)))
             if e == 7:
                 assert nu_calls == [200 * 3] * 8
@@ -1065,25 +1083,25 @@ class TestVolumeTiles:
 
 
 class TestMemoInCoverings:
-    """The column cache in proofs and coverings: how many float volumes
-    they compute through ``bounds._columns``, and that none of their
-    results depends on it."""
+    """The axis volume memo in proofs and coverings: how many float
+    volumes their axes compute, and that none of their results depends on
+    the axis cache."""
 
-    def test_cover_range_same_on_a_cold_and_a_warm_memo(self, column_cache):
+    def test_cover_range_same_on_a_cold_and_a_warm_memo(self, axis_cache):
         target = wy_target(10).value
         cold = cover_range(10, 5, 240, 260, target)
-        column_cache.cache_clear()
+        axis_cache.cache_clear()
         cover_range(8, 4, 6, 60, DIM8_TARGET)
         cover_range(9, 2, 30, 40, wy_target(9).value)
-        assert column_cache.cache_info().currsize > 0
+        assert axis_cache.cache_info().currsize > 0
         assert cover_range(10, 5, 240, 260, target) == cold
 
-    def test_default_rounds_prove(self, column_cache, nu_calls):
+    def test_default_rounds_prove(self, axis_cache, nu_calls):
         # The d = 7 proof at default rounds, on an empty cache.
         prove_dimension(7, 1)
         assert sum(nu_calls) <= 45_400
 
-    def test_gap_sweep(self, column_cache, nu_calls):
+    def test_gap_sweep(self, axis_cache, nu_calls):
         # Forty d = 10 gaps, one four-round optimization each, 2,400 points
         # each with no cache.
         target = wy_target(10).value
@@ -1094,22 +1112,20 @@ class TestMemoInCoverings:
     def test_default_rounds_cover(self, monkeypatch, nu_calls):
         # One d = 10 covering optimizes 15 e of the gap run 240..249 in
         # blocks of 1, 2, 4 and 8, the last of which finds the interval
-        # from 250, and one e in its apex chase.  With no cache each block
-        # computes one box per round and member, its round 0 once: 27 boxes
-        # of 600 points, where 16 single optimizations would take 64.  The
-        # cache shares the round-0 box of every block, and most round-1
-        # boxes.
+        # from 250, and one e in its apex chase.  With no axis cache every
+        # member builds its own axis in every round: 16 optimizations of
+        # four boxes of 600 points.  The cache shares the round-0 box of
+        # every block, and most round-1 boxes.
         counts = []
-        for size in (0, bounds._COLUMN_CACHE_SIZE):
-            cache = functools.lru_cache(maxsize=size)(bounds._columns.__wrapped__)
-            monkeypatch.setattr(bounds, "_columns", cache)
+        for size in (0, search._AXIS_CACHE_SIZE):
+            _small_axis_cache(monkeypatch, size)
             nu_calls.clear()
             cover_range(10, 5, 240, 260, wy_target(10).value)
             counts.append(sum(nu_calls))
-        assert counts[0] == 27 * 200 * 3
+        assert counts[0] == 16 * 4 * 200 * 3
         assert counts[1] <= 8_400
 
-    def test_more_rounds_cover(self, column_cache, nu_calls):
+    def test_more_rounds_cover(self, axis_cache, nu_calls):
         # Six boxes per optimization, on an empty cache.  The block of 8
         # that reaches the interval from 250 also optimizes 251..254, whose
         # boxes a sweep of single optimizations never scans (21,600 points).
@@ -1117,16 +1133,16 @@ class TestMemoInCoverings:
         assert sum(nu_calls) <= 27_600
 
     @pytest.mark.parametrize("rounds, points", [(5, 75_400), (7, 105_400)])
-    def test_more_rounds_prove(self, column_cache, nu_calls, rounds, points):
+    def test_more_rounds_prove(self, axis_cache, nu_calls, rounds, points):
         # Six and eight boxes per optimization: the cache holds every box
         # of one optimization, so the next e reuses them.
         prove_dimension(7, 1, SearchParams(refine_rounds=rounds))
         assert sum(nu_calls) <= points
 
-    def test_one_optimization_computes_each_column_once_per_round(self, column_cache, nu_calls):
+    def test_one_optimization_computes_each_column_once_per_round(self, axis_cache, nu_calls):
         # At --rounds 8 one optimization scans nine boxes per member, the
         # first one shared; no eviction may make it compute a box twice: at
-        # most (1 + 8 x members) x ns x columns points.  The gap sweep's
+        # most (1 + 8 x members) x ns x rows points.  The gap sweep's
         # blocks reach 16 members, 129 boxes, which the cache cannot hold
         # at once; each box is read once, in its round.
         blocks = []

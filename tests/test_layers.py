@@ -3,8 +3,9 @@
     volume -> {targets, search} -> bounds -> certify -> report -> cli
 
 ``volume`` is exact only and imports no numpy.  ``search`` sits below
-``bounds`` because it owns the float kernel ``nu_vector`` and the root
-finder ``_density_root`` for the closed form in t, the two names
+``bounds`` because it owns the float kernel ``nu_vector``, which the
+grid axes run for the volumes the bounds read from them, and the root
+finder ``_density_root`` for the closed form in t, the one name
 ``bounds`` takes from it; its optimizer is generic over the ``Objective``
 protocol, and ``bounds`` never runs it.  ``report``
 renders objectives it is handed and never builds one, so it does not
@@ -12,8 +13,8 @@ import ``bounds``.  The package ``__init__`` and ``__main__`` re-export
 and dispatch, and stand outside the order; ``__init__`` re-exports each
 module's ``__all__`` in layer order, and it alone star-imports.
 
-No module starts a thread or a process: the caches in ``bounds`` take
-no lock and must be called from one thread only.  No
+No module starts a thread or a process: the caches in ``bounds`` and
+``search`` take no lock and must be called from one thread only.  No
 module runs code built from text: each reader calls the constructors of
 the records it reads.
 """
@@ -92,8 +93,9 @@ def names_imported(module: str, source: str) -> set[str]:
 
 
 def test_bounds_takes_only_the_float_kernel_from_search():
-    # The kernel, and the root of nu' that places the closed-form t.
-    assert names_imported("bounds", "search") == {"nu_vector", "_density_root"}
+    # The root of nu' that places the closed-form t; the float volumes come
+    # from the grid axes the bounds are handed.
+    assert names_imported("bounds", "search") == {"_density_root"}
 
 
 def test_bounds_takes_only_the_exact_kernel_from_volume():
