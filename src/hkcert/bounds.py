@@ -48,7 +48,7 @@ import numpy as np
 
 from .search import _density_root
 # _check_dimension is nu_exact's own check, run here when a bound is built.
-from .volume import _check_dimension, nu_exact, to_rational
+from .volume import _check_dimension, nu_density, nu_exact, to_rational
 
 __all__ = [
     "BoundSpec",
@@ -132,6 +132,24 @@ class _WitnessMemo:
 # run and the certificate at that end all read the witness certified last.
 _WITNESS_CAPACITY = 8
 _WITNESSES = _WitnessMemo(_WITNESS_CAPACITY)
+
+
+# The float error terms of LinearBound.float_margin: the unit roundoff of a
+# double, and the two accuracies tests/test_search.py pins at every d from 1
+# to 64, |nu_vector - nu_exact| (ERROR_BAND, TestNuVector) and the distance
+# from _density_root's root to the exact one (ROOT_DELTA, TestDensityRoot).
+_UNIT = 2.0**-53
+_NU_BAND = 1e-15
+_ROOT_DELTA = 2.0**-30
+
+
+@lru_cache(maxsize=None)
+def _root_levels(d: int) -> tuple[float, float, float]:
+    """(lo, hi, peak) in floats: 10^-12 and 9/10 of the peak max nu' =
+    nu'(d/2) of the Irwin-Hall density, the levels between which
+    TestDensityRoot pins the root's accuracy, and that peak."""
+    peak = nu_density(Fraction(d, 2), d)
+    return float(peak / 10**12), float(peak * Fraction(9, 10)), float(peak)
 
 
 def _fold(num: int, den: int, n: int, m: int) -> tuple[int, int]:
@@ -403,6 +421,72 @@ class LinearBound:
                     t = Fraction(n, w)
             out.append((i, t, vals.item(m, i)))
         return out
+
+    def float_margin(self, s: float) -> float | None:
+        """An upper bound on exact(s_i, t) - value for every result (i, t,
+        value) of :meth:`rows_best` at a node s_i whose float is ``s``, in
+        any block and from any t range; None where it is not derived: at
+        wt = -1, for d = 1 or a level -ct/e outside the levels at which
+        TestDensityRoot pins the root (:func:`_root_levels`).
+
+        Why: t lies in [ta, tb], so exact(s_i, t) is at most the largest
+        exact value over [ta, tb], and value is at least the float value at
+        ta.  At wt = -1 that largest value lies at ta, at tb, or at s_i -
+        uL', uL' the root of nu' = the float level -ct/e in [0, d/2] (see
+        :meth:`rows_best`), where the value's slope in t is 0.  The root
+        finder's uL is within ROOT_DELTA of uL', and nu' is 1-Lipschitz
+        (nu'' is a difference of two values of the density in dimension d -
+        1, each in [0, 1]), so the value's slope in t changes by at most e
+        per unit of t.  Whichever branch the float value took (ta, tb or x
+        = s - uL), and on whichever side of a clamp the float x and the
+        exact t fall, the largest value exceeds it by at most its float
+        error plus a term second order in ROOT_DELTA and the rounding of x,
+        ta and tb.  With u = 2^-53, A = sum_i (|w_i| + |we_i| e) + |wt| and
+        n the live terms, the bound is the sum of:
+
+        - the volume band: e A times 1e-15, nu_vector's and _density_root's
+          tested error against nu_exact (ERROR_BAND, TestNuVector);
+        - the argument rounding: e A times 3u (s + max(1, |a_i|)) times
+          max nu' = nu'(d/2): s, a_i, t and s - a_i, s - t are each
+          rounded once;
+        - the rounding of t: |ct| times 3 * 3u (s + d + 1), for the float
+          ta, tb and x = s - uL, and for the float level -ct/e, whose
+          rounding (up to 3u, from e, ct and the division) times e and s -
+          t enters the value;
+        - the combining arithmetic: gamma(n + 7) = (n + 7) u / (1 - (n +
+          7) u) times e A + |c0| + |ct| (s + d), the size of the sum with
+          every nu <= 1 and |t| <= s + d: no term of any branch passes more
+          than n + 4 roundings, and e, the weights w + we e, c0 and ct are
+          rounded once more, the weights twice;
+        - at wt = -1, the second order term of the root accuracy, e
+          (ROOT_DELTA + 3u (s + d + 1))^2 / 2.
+
+        The sum is scaled by 1 + 2^-20, which covers its own rounding and
+        the products of two of the rounding errors above.  The two
+        accuracies are tested, not proven: no claim may rest on this bound,
+        only the choice to skip a certificate that would fail.
+        """
+        e, weights, shifts, c0, ct = self._float_form
+        d, wt, u = self.d, self.wt, _UNIT
+        self._interior  # refuses what rows_best refuses
+        lo, hi, peak = _root_levels(d)
+        if wt and (d < 2 or not lo <= -ct / e <= hi):
+            return None
+        size = abs(wt)
+        for w, we, _ in self.terms:
+            size += abs(w) + abs(we) * e
+        size *= e
+        reach = s + max([1.0, *map(abs, shifts)])
+        t_round = 3 * u * (s + d + 1)
+        n = len(weights) + 7
+        margin = (
+            size * (_NU_BAND + 3 * u * reach * peak)
+            + abs(ct) * 3 * t_round
+            + n * u / (1 - n * u) * (size + abs(c0) + abs(ct) * (s + d))
+        )
+        if wt:
+            margin += e * (_ROOT_DELTA + t_round) ** 2 / 2
+        return margin * (1 + 2.0**-20)
 
 
 # --------------------------------------------------------------------------

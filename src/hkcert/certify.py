@@ -12,18 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import inf, nextafter
 from typing import Mapping
 
 from .bounds import (
     BoundSpec,
     GeneralBoundObjective,
     HBoundObjective,
+    LinearBound,
     MuSmallObjective,
     last_above,
     not_normal_bound,
     quadratic_in_e,
 )
-from .search import Objective, SearchParams, optimize_bound, optimize_bounds
+from .search import Candidate, Objective, SearchParams, optimize_bound, optimize_bounds
 from .targets import TargetValue, dimension_target, large_e_threshold
 # nu_exact is imported by name for perfbench, whose tracer test checks that
 # the tracer rebinds it in this module too.
@@ -122,6 +124,13 @@ def reverify_certificate(cert: Certificate) -> bool:
 # --------------------------------------------------------------------------
 # Range coverage.
 
+def _float_floor(x: Fraction) -> float:
+    """The largest double at most x: float(x) rounds to nearest, which may
+    lie above x."""
+    f = float(x)
+    return f if f <= x else nextafter(f, -inf)
+
+
 # The largest block of multiplicities a covering optimizes at once while
 # it finds only gaps (see cover_range); a block's scan arrays, and the axes
 # its boxes keep cached with their volumes, grow with it.
@@ -218,6 +227,14 @@ def cover_range(
     every interval, and doubles after each block whose members were all
     gaps, up to ``_GAP_BLOCK``.  Each candidate is the one its e gets
     alone, so the plan is the one a sweep of single optimizations gives.
+
+    A gap e whose certificate is doomed is settled in floats: when the
+    candidate's float value plus its
+    :meth:`~hkcert.bounds.LinearBound.float_margin` lies below the largest
+    double at most the target, the exact value at the witness lies below
+    the target too, so e joins the gap run with no certificate computed.
+    A gap claims nothing, and the certificate skipped would have failed,
+    so the plan is the one full certification gives.
     """
     _check_dimension(d)
     for name, e in (("e_lo", e_lo), ("e_hi", e_hi)):
@@ -234,15 +251,18 @@ def cover_range(
         raise ValueError(f"target must exceed 1, got {target}")
     params = params or SearchParams()
 
-    # Witnesses optimized ahead of e1, by e, and the size of the next block.
-    held: dict[int, tuple[Fraction, Fraction]] = {}
+    # Candidates optimized ahead of e1, by e, with their bounds, and the
+    # size of the next block.
+    held: dict[int, tuple[LinearBound, Candidate]] = {}
     block = 1
+    floor = _float_floor(target)
 
     def witness_for(e_at: int) -> tuple[Fraction, Fraction]:
         if e_at not in held:
-            (cand,) = optimize_bounds([HBoundObjective(e_at, d, k)], params)
-            held[e_at] = cand.s_exact, cand.t_exact
-        return held[e_at]
+            bound = HBoundObjective(e_at, d, k)
+            held[e_at] = bound, optimize_bounds([bound], params)[0]
+        cand = held[e_at][1]
+        return cand.s_exact, cand.t_exact
 
     def certified(e_at: int, s0: Fraction, t0: Fraction) -> Certificate:
         return certify_point(HBoundObjective(e_at, d, k), s0, t0, target)
@@ -258,14 +278,19 @@ def cover_range(
     while e1 <= e_hi:
         if e1 not in held:
             es = range(e1, min(e1 + block, e_hi + 1))
-            cands = optimize_bounds([HBoundObjective(e, d, k) for e in es], params)
-            held = {e: (c.s_exact, c.t_exact) for e, c in zip(es, cands)}
+            members = [HBoundObjective(e, d, k) for e in es]
+            held = dict(zip(es, zip(members, optimize_bounds(members, params))))
             block = min(2 * block, _GAP_BLOCK)
         # Pick the shared witness: start from the point optimal for e1, then
         # chase the apex twice so one interval swallows as many e as possible.
-        s0, t0 = held[e1]
-        lo_cert = certified(e1, s0, t0)
-        if not lo_cert.verdict:
+        bound, cand = held[e1]
+        s0, t0 = cand.s_exact, cand.t_exact
+        # A candidate whose float value lies below the target by more than
+        # its margin would fail its certificate: it is a gap, unchecked.
+        margin = bound.float_margin(cand.s)
+        doomed = margin is not None and cand.value + margin < floor
+        lo_cert = None if doomed else certify_point(bound, s0, t0, target)
+        if doomed or not lo_cert.verdict:
             reason = "no certificate found at optimized witness"
             if gaps and (gaps[-1].e_hi, gaps[-1].reason) == (e1 - 1, reason):
                 gaps[-1] = replace(gaps[-1], e_hi=e1)  # extend the run

@@ -264,9 +264,13 @@ class Candidate:
     ``value`` is the float estimate of the objective's largest value over
     t at the node s_exact, as the objective's ``rows_best`` computed it.  At
     a t strictly inside the t range it is the value at the float optimum
-    s - uL, so the exact value at (s_exact, t_exact), where t_exact rounds
-    that optimum (see :meth:`~hkcert.bounds.LinearBound.rows_best`), may lie
-    below it by the float error and by a term second order in that rounding.
+    s - uL, and t_exact rounds that optimum (see
+    :meth:`~hkcert.bounds.LinearBound.rows_best`).  For a
+    :class:`~hkcert.bounds.LinearBound`, the exact value at (s_exact,
+    t_exact) is at most value + ``float_margin(s)``
+    (:meth:`~hkcert.bounds.LinearBound.float_margin`), a sum of the float
+    volume band, the rounding of the arguments and of the arithmetic, and
+    a term second order in the root's accuracy.
     """
 
     s: float

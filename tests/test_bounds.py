@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -1255,3 +1256,115 @@ class TestPrunedScan:
             _scan(bound, _default_s(7), (F(0), F(1)))
         # The exact evaluator serves any term list.
         assert type(bound.exact(F(5, 2), F(1, 2))) is F
+
+
+@st.composite
+def _worst_case_bounds(draw):
+    """The worst case at d in 2..64 and k in 0..6, with e log-uniform from
+    k + 3 to 2*10^4, an integer or a third."""
+    d, k = draw(st.integers(2, 64)), draw(st.integers(0, 6))
+    x = draw(st.floats(math.log(k + 3), math.log(2 * 10**4)))
+    q = draw(st.sampled_from((1, 1, 3)))
+    return HBoundObjective(max(F(round(math.exp(x) * q), q), F(k + 3)), d, k)
+
+
+def _level_is_tested(bound):
+    lo, hi, _ = bounds._root_levels(bound.d)
+    return bound.d >= 2 and lo <= -float(bound.ct) / float(bound.e) <= hi
+
+
+def _assert_within_margin(bound, s, t, value):
+    """exact(s, t) - value <= float_margin(float(s)), exactly; a bound whose
+    margin is None must be one the margin is not derived for."""
+    margin = bound.float_margin(float(s))
+    if margin is None:
+        assert bound.wt and not _level_is_tested(bound)
+        return
+    assert bound.exact(s, t) - F(value) <= margin
+
+
+class TestFloatMargin:
+    """LinearBound.float_margin bounds how far the exact value at a result
+    of rows_best lies above its float value."""
+
+    # A reduced search: few nodes, one refinement round.
+    SMALL = SearchParams(grid=(24, 2), refine_rounds=1)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_worst_case_bounds())
+    def test_bounds_the_exact_value_at_the_candidate(self, bound):
+        cand = search.optimize_bound(bound, self.SMALL)
+        _assert_within_margin(bound, cand.s_exact, cand.t_exact, cand.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_closed_form_cases())
+    def test_bounds_every_family_on_any_axis_and_t_range(self, case):
+        objective, s, t_range = case
+        i, t, value = _scan(objective, s, t_range)
+        _assert_within_margin(objective, s.node(i), t, value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_worst_case_bounds(), st.fractions(0, 1, max_denominator=10**4),
+           st.fractions(0, 1, max_denominator=10**4), st.integers(2, 40))
+    def test_bounds_the_interior_branch_at_every_d(self, bound, t_a, t_b, n):
+        # Nodes s in uL + [ta, tb], whose x = s - uL lies in the t range;
+        # at d above 10 no candidate takes the interior branch.
+        root = bound._interior
+        if root is None:
+            return
+        ta, tb = min(t_a, t_b), max(t_a, t_b)
+        uL = F(root[0]).limit_denominator(10**6)
+        s = GridAxis(uL + ta, uL + tb, n, 10**6)
+        i, t, value = _scan(bound, s, (ta, tb))
+        _assert_within_margin(bound, s.node(i), t, value)
+
+    @pytest.mark.parametrize("d,k,e", [(7, 1, 7), (8, 4, 15), (10, 5, 240), (10, 1, 13798),
+                                       (9, 1, 1000), (6, 2, 30), (2, 6, 9), (3, 1, 100)])
+    def test_interior_t_clamped_to_either_end(self, d, k, e):
+        # The interior t of the unconstrained candidate, t*, taken as an
+        # end of the t range: x = s - uL and the exact t rounded from it may
+        # fall on opposite sides of that end.  Ranges strictly below or
+        # above t* clamp to their upper or lower end.
+        bound = HBoundObjective(e, d, k)
+        cand = search.optimize_bound(bound)
+        star = cand.t_exact
+        assert 0 < star < 1
+        s = GridAxis(cand.s_exact - F(1, 50), cand.s_exact + F(1, 50), 41, 10**6)
+        ts = []
+        for t_range in [(F(0), star), (star, F(1)), (F(0), star / 2), ((star + 1) / 2, F(1)),
+                        (star - F(1, 10**9), star + F(1, 10**9))]:
+            i, t, value = _scan(bound, s, t_range)
+            _assert_within_margin(bound, s.node(i), t, value)
+            ts.append(t)
+        # The range below t* ends at its clamped upper end.
+        assert ts[2] == star / 2
+
+    def test_every_level_of_the_worst_case_at_k_1_or_more_is_tested(self):
+        # -ct/e = 1/(2^k e) <= 1/8 at k >= 1, as e >= k + 3, and 1/8 lies
+        # below 9/10 of max nu' at every d up to 64; the least level at e
+        # up to 10^6 and k up to 6 lies above 10^-12 of it.
+        for d in range(2, 65):
+            lo, hi, peak = bounds._root_levels(d)
+            assert 1 / 8 < hi < peak
+            assert lo < 1 / (2**6 * 10**6)
+            for k in range(1, 7):
+                for e in (k + 3, 10**6):
+                    assert HBoundObjective(e, d, k).float_margin(d / 2) is not None
+
+    def test_none_where_the_root_is_not_tested(self):
+        # d = 1, where nu' is not continuous, and a level above 9/10 of the
+        # peak: 1/3 at d = 64, where max nu' is about 0.17.
+        assert HBoundObjective(10, 1, 1).float_margin(0.5) is None
+        assert HBoundObjective(3, 64, 0).float_margin(30.0) is None
+        # wt = 0 reads no root.
+        assert MuSmallObjective(6, 3, 1).float_margin(0.5) is not None
+
+    def test_refuses_what_rows_best_refuses(self):
+        bound = LinearBound(7, F(7), 1, F(1, 2), ((1, 0, 0),), -1, {"kind": "test"})
+        with pytest.raises(ValueError, match="closed form in t needs wt in"):
+            bound.float_margin(2.5)
+
+    def test_small_against_the_gaps_it_settles(self):
+        # The least distance below the target of a gap candidate was 2.4e-6,
+        # at e = 13,798 of `prove --dim 10 --k 1`, near s = 3.
+        assert HBoundObjective(13798, 10, 1).float_margin(3.5) < 1e-6

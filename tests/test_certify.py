@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,12 +10,14 @@ from hkcert.bounds import (
     BoundSpec,
     GeneralBoundObjective,
     HBoundObjective,
+    LinearBound,
     MuSmallObjective,
     h_bound,
 )
 from hkcert.cli import TABLE2_RANGE
 from hkcert.certify import (
     _FAMILIES,
+    _float_floor,
     CoveragePlan,
     GapRun,
     certify_point,
@@ -24,8 +27,8 @@ from hkcert.certify import (
     reverify_certificate,
 )
 from hkcert.report import loads
-from hkcert.search import SearchParams
-from hkcert.targets import TargetValue, wy_target
+from hkcert.search import SearchParams, optimize_bound
+from hkcert.targets import TargetValue, dimension_target, wy_target
 
 F = Fraction
 DIM7_TARGET = F(71, 67)
@@ -346,8 +349,8 @@ class TestCoverRange:
         [
             (lambda certify: certify.cover_range(7, 1, *TABLE2_RANGE, DIM7_TARGET), 23),
             (lambda certify: certify.prove_dimension(7, 1), 33),
-            (lambda certify: certify.cover_range(8, 4, 6, 41705, DIM8_TARGET), 33),
-            (lambda certify: certify.prove_dimension(10, 5), 268),
+            (lambda certify: certify.cover_range(8, 4, 6, 41705, DIM8_TARGET), 19),
+            (lambda certify: certify.prove_dimension(10, 5), 26),
         ],
         ids=["table2", "prove-d7-k1", "cover-d8-k4", "prove-d10-k5"],
     )
@@ -357,7 +360,9 @@ class TestCoverRange:
         # the same witness.  Each run's end is read off the exact quadratic
         # at its witness, so a covering certifies e1 at each new witness and
         # e2 once per interval of more than one e; prove_dimension also
-        # certifies its three mu-small rungs.
+        # certifies its three mu-small rungs.  A gap e is certified only
+        # when its float value and margin cannot settle it, which none of
+        # the gap e of these runs needs (14 at d = 8, 242 at d = 10).
         from hkcert import certify
 
         real_cover, real_optimize = certify.cover_range, certify.optimize_bounds
@@ -392,6 +397,75 @@ class TestCoverRange:
         for es in coverings:
             assert len(es) == len(set(es))
         assert len(certified) == certificates
+
+    @pytest.mark.parametrize("d,k,e_hi", [(8, 4, 41705), (10, 5, 400), (9, 1, 1500)])
+    def test_gaps_settled_in_floats_leave_the_plan_as_it_was(self, monkeypatch, d, k, e_hi):
+        # A margin of infinity settles nothing in floats: every e is
+        # certified, as before the float check.  The plans are the same,
+        # and the derived margin settles every gap e of these runs.
+        from hkcert import certify
+
+        real, certified = certify.certify_point, []
+
+        def certify_point(*args):
+            certified.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(certify, "certify_point", certify_point)
+        target = dimension_target(d).value
+        plan = cover_range(d, k, 6, e_hi, target)
+        skipping = len(certified)
+        certified.clear()
+        monkeypatch.setattr(LinearBound, "float_margin", lambda self, s: math.inf)
+        assert cover_range(d, k, 6, e_hi, target) == plan
+        gap_es = sum(g.e_hi - g.e_lo + 1 for g in plan.gaps if g.reason == NO_CERTIFICATE)
+        assert gap_es > 0 and len(certified) - skipping == gap_es
+
+    def test_a_target_between_the_float_and_the_exact_value_is_certified(self):
+        # The float value lies below the target and the exact value above
+        # it: only the certificate tells, and it holds.
+        for e in range(7, 60):
+            bound = HBoundObjective(e, 7)
+            cand = optimize_bound(bound)
+            exact = bound.exact(cand.s_exact, cand.t_exact)
+            if exact > F(cand.value) > 1:
+                break
+        else:
+            pytest.fail("no candidate's exact value lies above its float value")
+        plan = cover_range(7, 1, e, e, (F(cand.value) + exact) / 2)
+        assert plan.gaps == () and plan.intervals[0].lo_cert.value == exact
+
+    def test_a_target_within_an_ulp_above_the_margin_is_certified(self, monkeypatch):
+        # value + margin rounds to S, and the target lies 3/4 of an ulp
+        # above S, so float(target) rounds up past it while the largest
+        # double at most the target is S itself: the float check cannot
+        # prove the gap, and the certificate, which fails, decides it.
+        from hkcert import certify
+
+        bound = HBoundObjective(7, 7)
+        cand = optimize_bound(bound)
+        total = cand.value + bound.float_margin(cand.s)
+        target = F(total) + F(3, 4) * F(math.ulp(total))
+        assert float(target) > total
+        real, certified = certify.certify_point, []
+
+        def certify_point(*args):
+            certified.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(certify, "certify_point", certify_point)
+        plan = cover_range(7, 1, 7, 7, target)
+        assert plan.gaps == (GapRun(7, 7, NO_CERTIFICATE),) and len(certified) == 1
+
+    @pytest.mark.parametrize(
+        "target",
+        [DIM7_TARGET, DIM8_TARGET, F(2897, 2835), F(3679321, 3628800), F(11, 10), F(3, 2)],
+    )
+    def test_the_float_floor_is_the_largest_double_at_most_the_target(self, target):
+        # 2897/2835, the d = 9 target, and 11/10 round up to the nearest
+        # double, so float(target) would lie above them.
+        floor = _float_floor(target)
+        assert F(floor) <= target < F(math.nextafter(floor, math.inf))
 
     def test_a_gap_sweep_gallops_in_blocks(self, monkeypatch):
         # The d = 10 gap run 200..249 ends in the interval from 250.  The

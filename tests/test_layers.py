@@ -102,9 +102,11 @@ def test_bounds_takes_only_the_exact_kernel_from_volume():
     # Exact volumes reach the bounds only through nu_exact, one call per
     # volume computed, as the benchmark's tracer counts them (a witness
     # memo hit computes none); the bounds also run nu_exact's dimension
-    # check when they are built.
+    # check when they are built, and read the peak of the exact density
+    # nu' once per d, for the levels at which LinearBound.float_margin
+    # holds.
     assert names_imported("bounds", "volume") == {
-        "_check_dimension", "nu_exact", "to_rational"
+        "_check_dimension", "nu_density", "nu_exact", "to_rational"
     }
 
 

@@ -823,10 +823,11 @@ class TestDensityRoot:
     @pytest.mark.parametrize("d", range(1, MAX_CACHED_DIMENSION + 1))
     def test_brackets_the_exact_root(self, d):
         # nu'(u - delta) <= level < nu'(u + delta) in exact arithmetic, at
-        # levels from far below the peak nu'(d/2) to 9/10 of it; and nu(uL)
+        # levels from 10^-12 of the peak nu'(d/2) to 9/10 of it; and nu(uL)
         # is within nu_vector's error band of the exact volume.
+        # bounds.LinearBound.float_margin rests on both within that range.
         peak = nu_density(F(d, 2), d)
-        for share in (F(1, 10**6), F(1, 1000), F(1, 10), F(1, 2), F(9, 10)):
+        for share in (F(1, 10**12), F(1, 10**6), F(1, 1000), F(1, 10), F(1, 2), F(9, 10)):
             level = float(peak * share)
             u, volume = search._density_root(level, d)
             assert 0 <= u <= d / 2
